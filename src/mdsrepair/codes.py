@@ -359,6 +359,8 @@ def realization_from_json(obj: dict):
             raise MalformedInput("node H must be ell columns of length r*ell")
         if pts.shape != (ell, r * ell):
             raise MalformedInput("node X must be ell points of length r*ell")
+        if any(((a < 0) | (a >= field.order)).any() for a in (cols, pts)):
+            raise MalformedInput("node H/X entry out of range for the field")
         subspaces.append(Subspace.from_rows(field, cols))
         column_sets.append(list(pts))
     try:

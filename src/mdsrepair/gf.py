@@ -9,6 +9,12 @@ and multiplicative identities at every level, and the embedded copy of
 F_q inside F_(q^l) is exactly the set of codes below q (the constant
 polynomials), so base codes are valid top codes as they stand.
 
+Every field of order at most ``_TABLE_CAP``, prime fields included,
+computes through dense operation tables; the ``arr_*`` array API is one
+table lookup per call.  Above the cap the array API raises
+:class:`BadParameters` (arrays only carry F_q, far below the cap) and
+scalar operations work digit-wise over the subfield.
+
 The tower carries the three maps that turn F_(q^l)-linear objects into
 F_q-linear ones: the q-power Frobenius, the norm down to F_q, and field
 reduction (coordinates in the power basis 1, z, ..., z^(l-1) of the
@@ -17,22 +23,23 @@ extension generator z).
 Defaults are deterministic: when a defining polynomial is omitted, the
 lexicographically smallest monic irreducible of the required degree is
 selected, with coefficient tuples ordered low-degree-first.  Everything
-here targets desk-scale fields (q^l up to a few thousand); there are no
-large-field shortcuts on purpose.
+here targets desk-scale fields; there are no large-field shortcuts.
 
-Fields and towers are immutable after construction; the operation tables
-are filled in lazily but idempotently, so instances can be shared across
+Fields and towers are immutable after construction (a field's tables
+appear in one attribute assignment), so instances can be shared across
 concurrent workers.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadParameters,
     DegreeMismatch,
     DivisionByZero,
     InternalInconsistency,
@@ -41,22 +48,8 @@ from .errors import (
     ReduciblePolynomial,
 )
 
-# Dense q x q multiplication tables are only built below this order; the
-# inverse table is cheap (length q) and gets a higher cap.
-_MUL_TABLE_CAP = 1024
-_INV_TABLE_CAP = 65536
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for desk-scale moduli."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+# Largest field order with operation tables (q x q tables of <= 2 MB each).
+_TABLE_CAP = 1024
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -73,6 +66,11 @@ def prime_power(n: int) -> tuple[int, int] | None:
             return (d, e) if n == 1 else None
         d += 1
     return (n, 1)
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test; fine for desk-scale moduli."""
+    return prime_power(n) == (n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +128,31 @@ def smallest_irreducible(field: "Field", degree: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# A field's operation tables.  add, sub and mul are q x q tables flattened
+# row-major (the entry for codes a, b sits at a*q + b); neg and inv have
+# length q, with inv[0] = 0.
+_Tables = namedtuple("_Tables", "add sub neg mul inv")
+
+
 class Field:
     """A finite field operating on integer element codes.
 
     Either a prime field F_p or an extension of another :class:`Field` by a
     monic irreducible polynomial.  Scalar operations take and return codes;
-    the ``arr_*`` family operates elementwise on numpy arrays of codes and
-    is what the linear algebra layer runs on.
+    the ``arr_*`` family and :meth:`matmul` take numpy arrays of valid
+    codes (not range-checked), return int64 arrays and are what the linear
+    algebra layer runs on.
+
+    A field of order q <= ``_TABLE_CAP`` builds add, sub, neg, mul and inv
+    tables in the smallest unsigned dtype on first use (an extension from
+    its subfield's tables) and publishes them in one attribute assignment,
+    so a racing worker at worst builds an equal set.  The array API and
+    extension-field scalars read them; prime-field scalars and ``matmul``
+    stay modular.  Above the cap the array API raises
+    :class:`BadParameters` and extension scalars work digit-wise.
     """
 
-    __slots__ = ("p", "subfield", "poly", "deg", "order",
-                 "_zpow", "_mul_table", "_inv_table")
+    __slots__ = ("p", "subfield", "poly", "deg", "order", "_zpow", "_tables")
 
     def __init__(self, subfield: "Field | None", poly: tuple[int, ...] | None,
                  p: int | None = None):
@@ -158,8 +170,7 @@ class Field:
             self.deg = len(self.poly) - 1
             self.order = subfield.order ** self.deg
             self._zpow = self._reduction_rows()
-        self._mul_table = None
-        self._inv_table = None
+        self._tables = None
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -217,25 +228,24 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def units(self) -> range:
-        return range(1, self.order)
-
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)
         if self.subfield is None:
             return (a + b) % self.p
-        sub = self.subfield
-        return self.encode([sub.add(x, y)
-                            for x, y in zip(self.decode(a), self.decode(b))])
+        if self.order <= _TABLE_CAP:
+            return int(self._tabs().add[a * self.order + b])
+        return self.encode(list(map(self.subfield.add, self.decode(a),
+                                    self.decode(b))))
 
     def neg(self, a: int) -> int:
         a = self.check(a)
         if self.subfield is None:
             return (-a) % self.p
-        sub = self.subfield
-        return self.encode([sub.neg(x) for x in self.decode(a)])
+        if self.order <= _TABLE_CAP:
+            return int(self._tabs().neg[a])
+        return self.encode([self.subfield.neg(x) for x in self.decode(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -244,8 +254,8 @@ class Field:
         a, b = self.check(a), self.check(b)
         if self.subfield is None:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
+        if self.order <= _TABLE_CAP:
+            return int(self._tabs().mul[a * self.order + b])
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -254,8 +264,8 @@ class Field:
             raise DivisionByZero("zero has no multiplicative inverse")
         if self.subfield is None:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
+        if self.order <= _TABLE_CAP:
+            return int(self._tabs().inv[a])
         return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -293,117 +303,110 @@ class Field:
         return rows
 
     def _mul_raw(self, a: int, b: int) -> int:
+        # schoolbook product of the digit vectors, reduced through _zpow
         sub = self.subfield
         d = self.deg
-        ca, cb = self.decode(a), self.decode(b)
         conv = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                if y:
-                    conv[i + j] = sub.add(conv[i + j], sub.mul(x, y))
-        res = list(conv[:d])
+        for i, x in enumerate(self.decode(a)):
+            for j, y in enumerate(self.decode(b)):
+                conv[i + j] = sub.add(conv[i + j], sub.mul(x, y))
+        res = conv[:d]
         for j in range(d, 2 * d - 1):
-            c = conv[j]
-            if c == 0:
-                continue
-            row = self._zpow[j - d]
-            for t in range(d):
-                if row[t]:
-                    res[t] = sub.add(res[t], sub.mul(c, row[t]))
+            for t, z in enumerate(self._zpow[j - d]):
+                res[t] = sub.add(res[t], sub.mul(conv[j], z))
         return self.encode(res)
+
+    # -- operation tables ----------------------------------------------------
+
+    def _tabs(self) -> _Tables:
+        if self._tables is None:
+            self._tables = self._build_tables()  # every table at once
+        return self._tables
+
+    def _build_tables(self) -> _Tables:
+        q = self.order
+        if q > _TABLE_CAP:
+            raise BadParameters(f"array arithmetic needs field order at most "
+                                f"{_TABLE_CAP} (the table cap), got {q}")
+        if self.subfield is None:
+            codes = np.arange(q)
+            add = (codes[:, None] + codes) % q
+            neg = (-codes) % q
+            mul = (codes[:, None] * codes) % q
+        else:
+            add, neg, mul = self._extension_tables()
+        inv = (mul == 1).argmax(axis=1)  # row 0 has no 1, so inv[0] = 0
+        if (mul[np.arange(q), inv][1:] != 1).any():
+            raise InternalInconsistency(
+                f"multiplication table of order {q} has a unit without inverse")
+        return _Tables(*(t.astype(np.min_scalar_type(q - 1)).ravel()
+                         for t in (add, add[:, neg], neg, mul, inv)))
+
+    def _extension_tables(self):
+        # all codes or pairs at once: add and neg digit by digit, mul as the
+        # digit-polynomial product with z^d .. z^(2d-2) reduced by _zpow
+        s, d, q = self.subfield.order, self.deg, self.order
+        st = self.subfield._tabs()
+        sadd, smul = st.add.reshape(s, s), st.mul.reshape(s, s)
+        digits = [np.arange(q) // s ** t % s for t in range(d)]
+        rows = [x[:, None] for x in digits]
+
+        def join(parts):
+            return sum(x.astype(np.int64) * s ** t for t, x in enumerate(parts))
+
+        add = join([sadd[rows[t], digits[t]] for t in range(d)])
+        neg = join([st.neg[x] for x in digits])
+        conv = [0] * (2 * d - 1)
+        for i in range(d):
+            for j in range(d):
+                conv[i + j] = sadd[conv[i + j], smul[rows[i], digits[j]]]
+        res = conv[:d]
+        for j in range(d, 2 * d - 1):
+            for t, c in enumerate(self._zpow[j - d]):
+                if c:
+                    res[t] = sadd[res[t], smul[conv[j], c]]
+        return add, neg, join(res)
 
     # -- vectorised arithmetic on numpy arrays of codes ----------------------
 
-    def _ensure_tables(self) -> None:
-        if self._inv_table is None and self.order <= _INV_TABLE_CAP:
-            inv = np.zeros(self.order, dtype=np.int64)
-            for a in range(1, self.order):
-                inv[a] = self.inv(a) if self.subfield is None else self.pow(a, self.order - 2)
-            self._inv_table = inv
-        if (self._mul_table is None and self.subfield is not None
-                and self.order <= _MUL_TABLE_CAP):
-            tbl = np.zeros((self.order, self.order), dtype=np.int64)
-            for a in range(1, self.order):
-                for b in range(a, self.order):
-                    v = self._mul_raw(a, b)
-                    tbl[a, b] = v
-                    tbl[b, a] = v
-            self._mul_table = tbl
+    def _pair(self, table: np.ndarray, x, y) -> np.ndarray:
+        index = np.asarray(x, dtype=np.int64) * self.order + y
+        return table[index].astype(np.int64)
 
     def arr_add(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if self.subfield is None:
-            return (x + y) % self.p
-        s = self.subfield.order
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        for t in range(self.deg):
-            st = s ** t
-            out += self.subfield.arr_add((x // st) % s, (y // st) % s) * st
-        return out
-
-    def arr_neg(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if self.subfield is None:
-            return (-x) % self.p
-        s = self.subfield.order
-        out = np.zeros(x.shape, dtype=np.int64)
-        for t in range(self.deg):
-            st = s ** t
-            out += self.subfield.arr_neg((x // st) % s) * st
-        return out
+        return self._pair(self._tabs().add, x, y)
 
     def arr_sub(self, x, y) -> np.ndarray:
-        if self.subfield is None:
-            x = np.asarray(x, dtype=np.int64)
-            y = np.asarray(y, dtype=np.int64)
-            return (x - y) % self.p
-        return self.arr_add(x, self.arr_neg(y))
+        return self._pair(self._tabs().sub, x, y)
+
+    def arr_neg(self, x) -> np.ndarray:
+        return self._tabs().neg[np.asarray(x, dtype=np.int64)].astype(np.int64)
 
     def arr_mul(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if self.subfield is None:
-            return (x * y) % self.p
-        self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[x, y]
-        return np.frompyfunc(self.mul, 2, 1)(x, y).astype(np.int64)
+        return self._pair(self._tabs().mul, x, y)
 
     def arr_inv(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if (x == 0).any():
             raise DivisionByZero("zero has no multiplicative inverse")
-        self._ensure_tables()
-        if self._inv_table is not None:
-            return self._inv_table[x]
-        return np.frompyfunc(self.inv, 1, 1)(x).astype(np.int64)
+        return self._tabs().inv[x].astype(np.int64)
 
     def arr_sum(self, x, axis: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if self.subfield is None:
             return x.sum(axis=axis) % self.p
-        s = self.subfield.order
-        shape = list(x.shape)
-        del shape[axis]
-        out = np.zeros(shape, dtype=np.int64)
-        for t in range(self.deg):
-            st = s ** t
-            out += self.subfield.arr_sum((x // st) % s, axis=axis) * st
-        return out
+        add = self._tabs().add
+        acc = np.zeros(np.delete(x.shape, axis), dtype=np.int64)
+        for part in np.moveaxis(x, axis, 0):
+            acc = add[acc * self.order + part].astype(np.int64)
+        return acc
 
     def matmul(self, a, b) -> np.ndarray:
         """Exact product of two 2-D code arrays over this field."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.subfield is None:
             return (a @ b) % self.p
-        if a.shape[1] == 0:
-            return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        prods = self.arr_mul(a[:, :, None], b[None, :, :])
-        return self.arr_sum(prods, axis=1)
+        return self.arr_sum(self.arr_mul(a[:, :, None], b[None, :, :]), axis=1)
 
     # -- misc ----------------------------------------------------------------
 
@@ -482,10 +485,6 @@ class FieldTower:
             self.base.check(c)
             x = x * self.q + int(c)
         return x
-
-    def embed(self, a: int) -> int:
-        """The top-level code of a base element (identical integer)."""
-        return self.base.check(a)
 
     def reduce_vector(self, xs: Sequence[int]) -> np.ndarray:
         """Concatenated field-reduction coordinates of a top-level vector."""

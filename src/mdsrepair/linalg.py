@@ -55,6 +55,13 @@ def projective_point_count(q: int, dim: int) -> int:
     return gaussian_binomial(dim, 1, q)
 
 
+def _check_codes(field: Field, a: np.ndarray) -> None:
+    # the field's array kernel indexes tables by code, so every entry of an
+    # array taken from a caller must be a code of the field
+    if a.size and (a.min() < 0 or a.max() >= field.order):
+        raise LevelMismatch("entry out of range for the field")
+
+
 class Matrix:
     """Immutable dense matrix of field element codes."""
 
@@ -64,8 +71,7 @@ class Matrix:
         a = np.array(entries, dtype=np.int64)
         if a.ndim != 2:
             raise BadShape("matrix entries must be two-dimensional")
-        if a.size and (a.min() < 0 or a.max() >= field.order):
-            raise LevelMismatch("matrix entry out of range for the field")
+        _check_codes(field, a)
         a.setflags(write=False)
         self.field = field
         self._a = a
@@ -226,6 +232,7 @@ class Subspace:
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise BadShape("expected a 2-D array of generator rows")
+        _check_codes(field, a)
         r, rank, pivots = _rref_array(field, a)
         return cls(field, a.shape[1], Matrix(field, r[:rank]), pivots)
 
@@ -247,6 +254,7 @@ class Subspace:
         if v.shape != (self.ambient,):
             raise AmbientMismatch(
                 f"vector of length {v.shape} in ambient {self.ambient}")
+        _check_codes(self.field, v)
         if self.dim == 0:
             return not v.any()
         coeffs = v[list(self.pivots)]
@@ -339,6 +347,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
 def canonical_point(field: Field, v) -> np.ndarray:
     """Projective representative with first nonzero coordinate scaled to 1."""
     v = np.asarray(v, dtype=np.int64)
+    _check_codes(field, v)
     nz = np.nonzero(v)[0]
     if nz.size == 0:
         raise ValueError("the zero vector is not a projective point")

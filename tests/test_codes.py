@@ -257,3 +257,14 @@ def test_code_json_rejects_noncanonical_columns(bundle3):
     bad["nodes"][0]["H"][0] = [(2 * x) % 3 for x in col]
     with pytest.raises(MalformedInput):
         realization_from_json(bad)
+
+
+@pytest.mark.parametrize("key", ["H", "X"])
+@pytest.mark.parametrize("value", [-1, 3, 10, 2 ** 40])
+def test_code_json_rejects_out_of_range_entries(bundle3, key, value):
+    # codes outside [0, q) would index past the operation tables
+    obj = realization_to_json(bundle3.realization, bundle3.labels)
+    bad = json.loads(json.dumps(obj))
+    bad["nodes"][1][key][0][1] = value
+    with pytest.raises(MalformedInput, match="out of range"):
+        realization_from_json(bad)

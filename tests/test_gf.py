@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdsrepair.errors import (
+    BadParameters,
     DegreeMismatch,
     DivisionByZero,
     LevelMismatch,
     NonPrime,
     ReduciblePolynomial,
 )
-from mdsrepair.gf import Field, FieldTower, build_tower, prime_power
+from mdsrepair.gf import _TABLE_CAP, Field, FieldTower, build_tower, prime_power
 
 # F_9 = F_3[z]/(z^2 + 1): z has code 3, 2z has code 6, 2 + z has code 5.
 
@@ -283,3 +284,152 @@ def test_array_ops_match_scalar_ops():
             units = np.arange(1, f.order)
             assert all(f.arr_inv(units)[i] == f.inv(int(units[i]))
                        for i in range(f.order - 1))
+
+
+# -- operation tables against the digit recursion ---------------------------
+
+
+def _digit_add(f, x, y):
+    """Oracle: addition digit by digit, recursing once per tower level."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if f.subfield is None:
+        return (x + y) % f.p
+    s = f.subfield.order
+    out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+    for t in range(f.deg):
+        st = s ** t
+        out += _digit_add(f.subfield, (x // st) % s, (y // st) % s) * st
+    return out
+
+
+def _digit_neg(f, x):
+    x = np.asarray(x, dtype=np.int64)
+    if f.subfield is None:
+        return (-x) % f.p
+    s = f.subfield.order
+    out = np.zeros(x.shape, dtype=np.int64)
+    for t in range(f.deg):
+        st = s ** t
+        out += _digit_neg(f.subfield, (x // st) % s) * st
+    return out
+
+
+def _digit_sum(f, x, axis):
+    x = np.asarray(x, dtype=np.int64)
+    if f.subfield is None:
+        return x.sum(axis=axis) % f.p
+    s = f.subfield.order
+    shape = list(x.shape)
+    del shape[axis]
+    out = np.zeros(shape, dtype=np.int64)
+    for t in range(f.deg):
+        st = s ** t
+        out += _digit_sum(f.subfield, (x // st) % s, axis=axis) * st
+    return out
+
+
+def _field(p, m, ell=1):
+    t = build_tower(p, m, ell)
+    return t.top
+
+
+# F_4, F_8, F_9, F_16 (over F_2 and over F_4), F_25, F_27, F_81 (over F_3
+# and over F_9), and every prime field up to 13
+TABLE_FIELDS = {
+    "F4": (2, 2), "F8": (2, 3), "F9": (3, 2), "F16": (2, 4),
+    "F16/F4": (2, 2, 2), "F25": (5, 2), "F27": (3, 3), "F81": (3, 4),
+    "F81/F9": (3, 2, 2),
+    **{f"F{p}": (p, 1) for p in (2, 3, 5, 7, 11, 13)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_tables_match_digit_recursion_and_mul_raw(name):
+    f = _field(*TABLE_FIELDS[name])
+    q = f.order
+    xs = np.repeat(np.arange(q), q)
+    ys = np.tile(np.arange(q), q)
+    add = _digit_add(f, xs, ys)
+    neg = _digit_neg(f, np.arange(q))
+    sub = _digit_add(f, xs, _digit_neg(f, ys))
+    if f.subfield is None:
+        mul = (xs * ys) % f.p
+    else:
+        mul = np.array([f._mul_raw(int(a), int(b)) for a, b in zip(xs, ys)])
+    assert np.array_equal(f.arr_add(xs, ys), add)
+    assert np.array_equal(f.arr_sub(xs, ys), sub)
+    assert np.array_equal(f.arr_neg(np.arange(q)), neg)
+    assert np.array_equal(f.arr_mul(xs, ys), mul)
+    scalar = np.array([(f.add(a, b), f.sub(a, b), f.mul(a, b))
+                       for a, b in zip(xs.tolist(), ys.tolist())])
+    assert np.array_equal(scalar, np.stack([add, sub, mul], axis=1))
+    assert [f.neg(a) for a in range(q)] == neg.tolist()
+    units = np.arange(1, q)
+    assert (f.arr_mul(units, f.arr_inv(units)) == 1).all()
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))
+    rng = np.random.default_rng(q)
+    stack = rng.integers(0, q, (4, 5, 3))
+    for axis in range(3):
+        assert np.array_equal(f.arr_sum(stack, axis), _digit_sum(f, stack, axis))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_tables_are_small_and_shared(name):
+    f = _field(*TABLE_FIELDS[name])
+    tables = f._tabs()
+    assert f._tabs() is tables
+    dtype = np.uint8 if f.order <= 256 else np.uint16
+    assert all(t.dtype == dtype for t in tables)
+    for out in (f.arr_add([1], [0]), f.arr_sub([1], [0]), f.arr_neg([1]),
+                f.arr_mul([1], [1]), f.arr_inv([1]), f.arr_sum([[1]], 0),
+                f.matmul([[1]], [[1]])):
+        assert out.dtype == np.int64
+
+
+def _matmul_oracle(f, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for k in range(a.shape[1]):
+                acc = f.add(acc, f.mul(int(a[i, k]), int(b[k, j])))
+            out[i, j] = acc
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@example(name="F9", rows=3, inner=0, cols=2, seed=0)
+@example(name="F7", rows=2, inner=0, cols=3, seed=0)
+@given(name=st.sampled_from(["F5", "F7", "F9", "F16/F4", "F25", "F13"]),
+       rows=st.integers(0, 4), inner=st.integers(0, 4), cols=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_matches_scalar_triple_loop(name, rows, inner, cols, seed):
+    f = _field(*TABLE_FIELDS[name])
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, f.order, (rows, inner))
+    b = rng.integers(0, f.order, (inner, cols))
+    got = f.matmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _matmul_oracle(f, a, b))
+
+
+def test_above_cap_refuses_arrays_without_tables():
+    prime = Field.prime(1031)
+    top = build_tower(2, 1, 11).top  # order 2048 over F_2
+    for f in (prime, top):
+        assert f.order > _TABLE_CAP
+        for call in (lambda: f.arr_add([1], [1]), lambda: f.arr_sub([1], [1]),
+                     lambda: f.arr_neg([1]), lambda: f.arr_mul([1], [1]),
+                     lambda: f.arr_inv([1])):
+            with pytest.raises(BadParameters, match=str(_TABLE_CAP)):
+                call()
+        assert f._tables is None
+    with pytest.raises(BadParameters):
+        top.matmul([[1]], [[1]])
+    # scalar arithmetic still works above the cap, digit-wise
+    assert prime.mul(1030, prime.inv(1030)) == 1
+    for a in (1, 2, 3, 1000, 2047):
+        assert top.mul(a, top.inv(a)) == 1
+        assert top.sub(top.add(a, 1234), 1234) == a
+        assert top.add(a, top.neg(a)) == 0
+    assert top._tables is None

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsrepair.errors import AmbientMismatch, BadShape, DivisionByZero
+from mdsrepair.errors import (
+    AmbientMismatch,
+    BadShape,
+    DivisionByZero,
+    LevelMismatch,
+)
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
+    _rref_array,
     Subspace,
     annihilator,
     batched_rank,
@@ -33,6 +39,8 @@ F2 = build_tower(2, 1, 1).base
 F3 = build_tower(3, 1, 1).base
 F5 = build_tower(5, 1, 1).base
 F4 = build_tower(2, 2, 1).base
+F9 = build_tower(3, 2, 1).base
+F16 = build_tower(2, 4, 1).base
 
 
 def _row_space(field, rows, width=None):
@@ -274,6 +282,20 @@ def test_inverse_and_solve():
     assert solve_exact(a, matmul(a, x)) == x
 
 
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+@pytest.mark.parametrize("bad", [-1, 9, 2 ** 40])
+def test_entries_outside_the_field_are_refused(field, bad):
+    # the array kernel indexes tables by code: a stray entry must not wrap
+    row = [1, bad, 0]
+    s = Subspace.from_rows(field, [[1, 0, 0]])
+    for call in (lambda: Matrix(field, [row]),
+                 lambda: Subspace.from_rows(field, [row]),
+                 lambda: s.contains(row),
+                 lambda: canonical_point(field, row)):
+        with pytest.raises(LevelMismatch):
+            call()
+
+
 # -- projective points -------------------------------------------------------------
 
 
@@ -324,3 +346,35 @@ def test_rref_idempotent_property(rows):
     r, rank, piv = rref(m)
     r2, rank2, piv2 = rref(r)
     assert r2 == r and rank2 == rank and piv2 == piv
+
+
+@st.composite
+def _block_stack(draw):
+    """A (batch, rows, cols) stack, possibly empty or forced rank-deficient.
+
+    A deficient stack multiplies k x t by t x c factors with t < min(k, c),
+    so every block has rank at most t.
+    """
+    field = draw(st.sampled_from([F5, F9, F16]))
+    nb = draw(st.integers(0, 6))
+    k, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = field.order
+    if min(k, c) > 0 and draw(st.booleans()):
+        t = draw(st.integers(0, min(k, c) - 1))
+        blocks = [field.matmul(rng.integers(0, q, (k, t)),
+                               rng.integers(0, q, (t, c))) for _ in range(nb)]
+        blocks = np.array(blocks, dtype=np.int64).reshape(nb, k, c)
+        return field, blocks, t
+    return field, rng.integers(0, q, (nb, k, c)), min(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_stack())
+def test_batched_rank_agrees_with_rref(case):
+    field, blocks, bound = case
+    got = batched_rank(field, blocks)
+    want = [_rref_array(field, b)[1] for b in blocks]
+    assert got.shape == (blocks.shape[0],)
+    assert got.tolist() == want
+    assert all(r <= bound for r in want)
