@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
@@ -83,6 +84,11 @@ def _load_scheme(path: str, field):
     if not isinstance(obj, dict):
         raise MalformedInput(f"{path}: expected a JSON object")
     return scheme_from_json(obj, field)
+
+
+def _workers(jobs: int) -> int:
+    """--jobs, clamped to the number of CPUs."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _emit(args, doc: dict, table: str) -> None:
@@ -226,12 +232,13 @@ def cmd_bruteforce(args) -> int:
         raise BudgetExceeded(total)
     start, stop = rng if rng is not None else (0, total)
 
-    if args.jobs > 1 and stop - start > 1:
-        bounds_list = [start + (stop - start) * k // args.jobs
-                       for k in range(args.jobs + 1)]
-        tasks = [(bounds_list[k], bounds_list[k + 1]) for k in range(args.jobs)
+    jobs = _workers(args.jobs)
+    if jobs > 1 and stop - start > 1:
+        bounds_list = [start + (stop - start) * k // jobs
+                       for k in range(jobs + 1)]
+        tasks = [(bounds_list[k], bounds_list[k + 1]) for k in range(jobs)
                  if bounds_list[k] < bounds_list[k + 1]]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(
                 _bf_worker, [code_obj] * len(tasks), [node0] * len(tasks),
                 [args.objective] * len(tasks),
@@ -286,12 +293,13 @@ def cmd_simulate(args) -> int:
             raise BadParameters(f"--node must be in 1..{s.n}")
         nodes = (node0,)
 
-    if args.jobs > 1 and args.trials > 1:
-        splits = [args.trials * k // args.jobs for k in range(args.jobs + 1)]
+    jobs = _workers(args.jobs)
+    if jobs > 1 and args.trials > 1:
+        splits = [args.trials * k // jobs for k in range(jobs + 1)]
         tasks = [(splits[k], splits[k + 1] - splits[k])
-                 for k in range(args.jobs) if splits[k] < splits[k + 1]]
+                 for k in range(jobs) if splits[k] < splits[k + 1]]
         node_arg = None if nodes is None else list(nodes)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(
                 _sim_worker, [code_obj] * len(tasks), [scheme_obj] * len(tasks),
                 [t[1] for t in tasks], [args.seed] * len(tasks),

@@ -326,6 +326,14 @@ def realization_to_json(re: Realization, labels: Sequence[str] | None = None,
     return obj
 
 
+def _node_codes(nd: dict, key: str, i: int) -> np.ndarray:
+    try:
+        return np.array(nd[key], dtype=np.int64)
+    except OverflowError as exc:
+        raise MalformedInput(f"node {i}: {key} entry does not fit in 64 bits"
+                             ) from exc
+
+
 def realization_from_json(obj: dict):
     """Rebuild (realization, labels, provenance) from a code.json dict.
 
@@ -342,17 +350,19 @@ def realization_from_json(obj: dict):
         raise MalformedInput(f"bad code object: {exc}") from exc
     if ell != tower.ell:
         raise MalformedInput("ell disagrees with the tower descriptor")
+    if not isinstance(raw_nodes, list):
+        raise MalformedInput("nodes must be a list")
     if len(raw_nodes) != n:
         raise MalformedInput("node count disagrees with n")
     field = tower.base
     subspaces = []
     column_sets = []
     labels = []
-    for nd in raw_nodes:
+    for i, nd in enumerate(raw_nodes):
         try:
             labels.append(str(nd["label"]))
-            cols = np.array(nd["H"], dtype=np.int64)
-            pts = np.array(nd["X"], dtype=np.int64)
+            cols = _node_codes(nd, "H", i)
+            pts = _node_codes(nd, "X", i)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad node object: {exc}") from exc
         if cols.ndim != 2 or cols.shape != (ell, r * ell):

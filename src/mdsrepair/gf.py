@@ -44,6 +44,7 @@ from .errors import (
     DivisionByZero,
     InternalInconsistency,
     LevelMismatch,
+    MalformedInput,
     NonPrime,
     ReduciblePolynomial,
 )
@@ -523,6 +524,9 @@ class FieldTower:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FieldTower":
+        for key in ("p", "m", "ell"):
+            if isinstance(obj[key], int) and obj[key].bit_length() > 63:
+                raise MalformedInput(f"tower.{key} does not fit in 64 bits")
         return build_tower(obj["p"], obj["m"], obj["ell"],
                            base_poly=obj.get("base_poly") or None,
                            ext_poly=obj.get("ext_poly") or None)

@@ -13,6 +13,12 @@ fixed: pivot column sets in lexicographic order, then the free entries as
 a little-endian base-q counter over the free positions in row-major
 order, so a stream can be split by index range across workers and always
 replays identically.
+
+Ranks of stacks of small blocks (:func:`batched_rank`) come from a table
+whenever the block shape has at most ``_RANK_TABLE_CAP`` code matrices:
+the table holds the rank of every matrix of that shape, is filled once
+per process by the batched column elimination, and answers a stack in
+one lookup.  Larger blocks are eliminated.
 """
 
 from __future__ import annotations
@@ -113,7 +119,11 @@ class Matrix:
             raise MalformedInput(f"bad matrix object: {exc}") from exc
         if len(entries) != rows * cols:
             raise MalformedInput("matrix entry count does not match shape")
-        return cls(field, np.array(entries, dtype=np.int64).reshape(rows, cols))
+        try:
+            a = np.array(entries, dtype=np.int64).reshape(rows, cols)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"bad matrix entries: {exc}") from exc
+        return cls(field, a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -171,19 +181,19 @@ def rank_of(m: Matrix) -> int:
     return _rref_array(m.field, m.array)[1]
 
 
-def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
-    """Ranks of a stack of small matrices, eliminated in lockstep.
+# Blocks whose shape has at most this many code matrices (q ** (rows*cols))
+# get their ranks from a table; larger blocks are eliminated.
+_RANK_TABLE_CAP = 1 << 16
+_rank_tables: dict = {}
 
-    ``blocks`` has shape (batch, rows, cols); returns an int array of
-    length batch.  The loop is over columns only, so large batches cost a
-    handful of vectorised operations each.
+
+def _elimination_ranks(field: Field, a: np.ndarray) -> np.ndarray:
+    """Ranks of a nonempty (batch, rows, cols) stack, eliminated in lockstep.
+
+    The loop is over columns only, so large batches cost a handful of
+    vectorised operations each.  ``a`` is overwritten.
     """
-    a = np.array(blocks, dtype=np.int64)
-    if a.ndim != 3:
-        raise BadShape("expected a (batch, rows, cols) array")
     nb, rows, cols = a.shape
-    if nb == 0 or rows == 0 or cols == 0:
-        return np.zeros(nb, dtype=np.int64)
     piv_row = np.zeros(nb, dtype=np.int64)
     row_idx = np.arange(rows)[None, :]
     for col in range(cols):
@@ -211,6 +221,51 @@ def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
                                                      pivrows[:, None, :]))
         piv_row[sel] += 1
     return piv_row
+
+
+def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
+    """Rank of every rows x cols code matrix, indexed by its base-q code.
+
+    The code of a matrix reads its row-major entries as a little-endian
+    base-q number.  Filled once per process by elimination over all of
+    them and published in one dict assignment.
+    """
+    key = (field, rows, cols)
+    table = _rank_tables.get(key)
+    if table is None:
+        q = field.order
+        size = rows * cols
+        codes = np.arange(q ** size, dtype=np.int64)
+        every = (codes[:, None] // q ** np.arange(size)) % q
+        table = _elimination_ranks(
+            field, every.reshape(-1, rows, cols)).astype(np.uint8)
+        table.setflags(write=False)
+        _rank_tables[key] = table
+    return table
+
+
+def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of small matrices.
+
+    ``blocks`` has shape (batch, rows, cols) and holds codes of ``field``;
+    returns an int64 array of length batch.  When q ** (rows*cols) is at
+    most ``_RANK_TABLE_CAP`` every rank is one lookup in a table of all
+    matrices of that shape, filled by elimination on first use; larger
+    blocks are eliminated in lockstep, column by column.
+    """
+    a = np.asarray(blocks, dtype=np.int64)
+    if a.ndim != 3:
+        raise BadShape("expected a (batch, rows, cols) array")
+    nb, rows, cols = a.shape
+    if nb == 0 or rows == 0 or cols == 0:
+        return np.zeros(nb, dtype=np.int64)
+    q = field.order
+    size = rows * cols
+    if q ** size <= _RANK_TABLE_CAP:
+        table = _rank_table(field, rows, cols)
+        idx = a.reshape(nb, size) @ q ** np.arange(size, dtype=np.int64)
+        return table[idx].astype(np.int64)
+    return _elimination_ranks(field, a.copy())
 
 
 class Subspace:

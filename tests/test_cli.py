@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mdsrepair import cli
 from mdsrepair.cli import main
 
 
@@ -115,6 +116,61 @@ def test_bruteforce_lambda_and_jobs(workspace, capsys):
     fan = json.loads(capsys.readouterr().out)
     assert fan["lambda"] == solo["lambda"]
     assert fan["witness"] == solo["witness"]
+
+
+@pytest.mark.parametrize("field", ["H", "X", "M.entries", "tower.m", "nodes"])
+def test_loader_faults_exit_3(workspace, tmp_path, capsys, field):
+    code = json.loads((workspace / "code.json").read_text())
+    scheme = json.loads((workspace / "scheme.json").read_text())
+    huge = 10 ** 30
+    if field in ("H", "X"):
+        code["nodes"][0][field][0][0] = huge
+    elif field == "M.entries":
+        scheme["per_node"][0]["M"]["entries"][0] = huge
+    elif field == "tower.m":
+        code["tower"]["m"] = huge
+    else:
+        code["nodes"] = 5
+    code_path, scheme_path = tmp_path / "code.json", tmp_path / "scheme.json"
+    code_path.write_text(json.dumps(code))
+    scheme_path.write_text(json.dumps(scheme))
+    assert main(["eval", str(code_path), str(scheme_path)]) == 3
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "3", "--objective", "io"],
+    ["simulate", "code.json", "scheme.json", "--trials", "4", "--seed", "2"],
+], ids=["bruteforce", "simulate"])
+def test_jobs_clamped_to_cpu_count(workspace, monkeypatch, capsys, command):
+    argv = [str(workspace / a) if a.endswith(".json") else a for a in command]
+    argv += ["--format", "json"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    solo = json.loads(capsys.readouterr().out)
+
+    pools = []
+
+    class InlinePool:
+        """Records the requested pool size and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main(argv + ["--jobs", str(10 ** 6)]) == 0
+    assert pools == [3]
+    assert json.loads(capsys.readouterr().out) == solo
 
 
 def test_bruteforce_budget_exit(workspace, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdsrepair import linalg
 from mdsrepair.errors import (
     AmbientMismatch,
     BadShape,
@@ -14,6 +15,9 @@ from mdsrepair.errors import (
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
+    _RANK_TABLE_CAP,
+    _elimination_ranks,
+    _rank_table,
     _rref_array,
     Subspace,
     annihilator,
@@ -267,6 +271,62 @@ def test_batched_rank_matches_single(field):
         got = batched_rank(field, np.stack(group))
         want = [rank_of(Matrix(field, m)) for m in group]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("field,rows,cols",
+                         [(F2, 3, 3), (F4, 2, 2), (F5, 2, 2), (F5, 1, 6),
+                          (F9, 2, 2)],
+                         ids=["F2-3x3", "F4-2x2", "F5-2x2", "F5-1x6", "F9-2x2"])
+def test_rank_table_is_exhaustively_right(field, rows, cols):
+    q, size = field.order, rows * cols
+    table = _rank_table(field, rows, cols)
+    assert table.dtype == np.uint8 and table.shape == (q ** size,)
+    # decode every code independently: entry k of the row-major matrix is
+    # base-q digit k of the code
+    for code in range(q ** size):
+        m = np.array([code // q ** k % q for k in range(size)],
+                     dtype=np.int64).reshape(rows, cols)
+        assert table[code] == _rref_array(field, m)[1], m
+
+
+def test_blocks_over_the_rank_table_cap_are_eliminated():
+    assert F5.order ** 9 > _RANK_TABLE_CAP
+    rng = np.random.default_rng(9)
+    full = rng.integers(0, 5, (40, 3, 3))
+    low = np.array([F5.matmul(rng.integers(0, 5, (3, 1)),
+                              rng.integers(0, 5, (1, 3))) for _ in range(20)])
+    blocks = np.concatenate([full, low])
+    before = blocks.copy()
+    got = batched_rank(F5, blocks)
+    assert got.tolist() == _elimination_ranks(F5, blocks.copy()).tolist()
+    assert got.tolist() == [_rref_array(F5, b)[1] for b in blocks]
+    assert np.array_equal(blocks, before)
+    assert (F5, 3, 3) not in linalg._rank_tables
+
+
+@pytest.mark.parametrize("shape", [(7, 2, 2), (7, 3, 5), (0, 2, 2), (0, 3, 3),
+                                   (5, 0, 2), (5, 2, 0)])
+def test_batched_rank_result_type(shape):
+    blocks = np.random.default_rng(1).integers(0, 5, shape)
+    before = blocks.copy()
+    got = batched_rank(F5, blocks)
+    assert got.dtype == np.int64 and got.shape == (shape[0],)
+    if 0 in shape:
+        assert not got.any()
+    assert np.array_equal(blocks, before)
+
+
+def test_rank_table_is_filled_once(monkeypatch):
+    blocks = np.random.default_rng(4).integers(0, 9, (30, 2, 2))
+    first = batched_rank(F9, blocks)
+    table = _rank_table(F9, 2, 2)
+
+    def refill(field, a):
+        raise AssertionError("rank table refilled")
+
+    monkeypatch.setattr(linalg, "_elimination_ranks", refill)
+    assert batched_rank(F9, blocks).tolist() == first.tolist()
+    assert _rank_table(F9, 2, 2) is table
 
 
 # -- solving ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from mdsrepair.errors import (
     NotARepairMatrix,
     NotMds,
 )
+from mdsrepair import linalg
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
@@ -281,6 +282,19 @@ def test_bruteforce_range_split_matches_full(bundle3):
     # the global first maximizer
     combined = parts[0] if parts[0][0] >= parts[1][0] else parts[1]
     assert combined[1] == full_witness
+
+
+def test_bruteforce_same_with_and_without_rank_tables(bundle5, monkeypatch):
+    re = bundle5.realization
+    rng = (0, 20000)
+    tabled = [bruteforce_overlap(re.skeleton, 0, index_range=rng),
+              bruteforce_column_hits(re, 0, index_range=rng)]
+    monkeypatch.setattr(linalg, "_RANK_TABLE_CAP", 0)  # elimination only
+    eliminated = [bruteforce_overlap(re.skeleton, 0, index_range=rng),
+                  bruteforce_column_hits(re, 0, index_range=rng)]
+    assert tabled == eliminated
+    assert all(value >= 0 and witness is not None
+               for value, witness in tabled)
 
 
 def test_bruteforce_budget(bundle5):
