@@ -67,23 +67,20 @@ def _dumps(obj: dict) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{path}: expected a JSON object")
+    return obj
 
 
 def _load_code(path: str):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"{path}: expected a JSON object")
-    return realization_from_json(obj)
+    return realization_from_json(_load_json(path))
 
 
 def _load_scheme(path: str, field):
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"{path}: expected a JSON object")
-    return scheme_from_json(obj, field)
+    return scheme_from_json(_load_json(path), field)
 
 
 def _workers(jobs: int) -> int:
@@ -194,8 +191,7 @@ def cmd_eval(args) -> int:
 # bruteforce
 
 
-def _bf_worker(code_obj, node0, objective, start, stop):
-    re, _, _ = realization_from_json(code_obj)
+def _bf_scan(re, node0, objective, start, stop):
     if objective == "bandwidth":
         value, witness = bruteforce_overlap(re.skeleton, node0,
                                             index_range=(start, stop))
@@ -203,6 +199,11 @@ def _bf_worker(code_obj, node0, objective, start, stop):
         value, witness = bruteforce_column_hits(re, node0,
                                                 index_range=(start, stop))
     return value, None if witness is None else witness.to_json_dict(), start
+
+
+def _bf_worker(code_obj, node0, objective, start, stop):
+    re, _, _ = realization_from_json(code_obj)
+    return _bf_scan(re, node0, objective, start, stop)
 
 
 def _parse_range(text, total):
@@ -249,8 +250,7 @@ def cmd_bruteforce(args) -> int:
             if v > value:
                 value, witness = v, w
     else:
-        value, witness, _ = _bf_worker(code_obj, node0, args.objective,
-                                       start, stop)
+        value, witness, _ = _bf_scan(re, node0, args.objective, start, stop)
 
     key = "alpha" if args.objective == "bandwidth" else "lambda"
     cost_key = "beta" if args.objective == "bandwidth" else "gamma"

@@ -376,7 +376,7 @@ def realization_from_json(obj: dict):
     try:
         skeleton = CodeSkeleton(tower, r, subspaces)
         re = realize(skeleton, column_sets)
-    except RepairToolError as exc:
+    except (RepairToolError, ValueError) as exc:  # ValueError: a zero X point
         raise MalformedInput(f"invariant violated on load: {exc}") from exc
     # the stored columns must equal the canonical realization columns
     for i, nd in enumerate(raw_nodes):

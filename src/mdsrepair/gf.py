@@ -9,11 +9,14 @@ and multiplicative identities at every level, and the embedded copy of
 F_q inside F_(q^l) is exactly the set of codes below q (the constant
 polynomials), so base codes are valid top codes as they stand.
 
-Every field of order at most ``_TABLE_CAP``, prime fields included,
-computes through dense operation tables; the ``arr_*`` array API is one
-table lookup per call.  Above the cap the array API raises
-:class:`BadParameters` (arrays only carry F_q, far below the cap) and
-scalar operations work digit-wise over the subfield.
+Every field has order at most ``_TABLE_CAP`` = 1024: ``Field.prime``,
+``Field.extension`` and :func:`build_tower` refuse a larger one with
+:class:`BadParameters` before any primality or irreducibility search.
+Each field therefore computes through dense operation tables, prime
+fields included, and every scalar operation and every ``arr_*`` call is
+a table lookup (``pow`` is square-and-multiply over the table ``mul``).
+Only ``matmul`` and ``arr_sum`` on a prime field reduce an integer sum
+``% p`` instead of folding table additions.
 
 The tower carries the three maps that turn F_(q^l)-linear objects into
 F_q-linear ones: the q-power Frobenius, the norm down to F_q, and field
@@ -22,8 +25,7 @@ extension generator z).
 
 Defaults are deterministic: when a defining polynomial is omitted, the
 lexicographically smallest monic irreducible of the required degree is
-selected, with coefficient tuples ordered low-degree-first.  Everything
-here targets desk-scale fields; there are no large-field shortcuts.
+selected, with coefficient tuples ordered low-degree-first.
 
 Fields and towers are immutable after construction (a field's tables
 appear in one attribute assignment), so instances can be shared across
@@ -49,8 +51,24 @@ from .errors import (
     ReduciblePolynomial,
 )
 
-# Largest field order with operation tables (q x q tables of <= 2 MB each).
+# Largest supported field order; its q x q operation tables take <= 2 MB each.
 _TABLE_CAP = 1024
+
+
+def _capped_order(base: int, degree: int, name: str) -> int:
+    """base**degree for a field order base >= 2, refused above the cap.
+
+    Multiplies only until the cap is passed, so a huge degree costs at
+    most eleven steps.  ``name`` is the parameter the error names.
+    """
+    order = 1
+    for _ in range(degree):
+        order *= base
+        if order > _TABLE_CAP:
+            raise BadParameters(
+                f"{name} = {degree} gives a field of order above "
+                f"{_TABLE_CAP}, the largest supported")
+    return order
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -136,7 +154,7 @@ _Tables = namedtuple("_Tables", "add sub neg mul inv")
 
 
 class Field:
-    """A finite field operating on integer element codes.
+    """A finite field of order at most ``_TABLE_CAP`` on integer codes.
 
     Either a prime field F_p or an extension of another :class:`Field` by a
     monic irreducible polynomial.  Scalar operations take and return codes;
@@ -144,13 +162,11 @@ class Field:
     codes (not range-checked), return int64 arrays and are what the linear
     algebra layer runs on.
 
-    A field of order q <= ``_TABLE_CAP`` builds add, sub, neg, mul and inv
-    tables in the smallest unsigned dtype on first use (an extension from
-    its subfield's tables) and publishes them in one attribute assignment,
-    so a racing worker at worst builds an equal set.  The array API and
-    extension-field scalars read them; prime-field scalars and ``matmul``
-    stay modular.  Above the cap the array API raises
-    :class:`BadParameters` and extension scalars work digit-wise.
+    Add, sub, neg, mul and inv tables are built in the smallest unsigned
+    dtype on first use (an extension's from its subfield's tables) and
+    published in one attribute assignment, so a racing worker at worst
+    builds an equal set.  Every scalar operation and every ``arr_*`` call
+    reads them.
     """
 
     __slots__ = ("p", "subfield", "poly", "deg", "order", "_zpow", "_tables")
@@ -175,6 +191,9 @@ class Field:
 
     @classmethod
     def prime(cls, p: int) -> "Field":
+        if p > _TABLE_CAP:
+            raise BadParameters(f"p = {p} is above {_TABLE_CAP}, the largest "
+                                "supported field order")
         if not is_prime(p):
             raise NonPrime(p)
         return cls(None, None, p=p)
@@ -185,6 +204,7 @@ class Field:
         poly = tuple(int(c) for c in poly)
         if len(poly) < 2:
             raise DegreeMismatch(f"{which} must have degree at least 1")
+        _capped_order(subfield.order, len(poly) - 1, f"degree of {which}")
         if any(not 0 <= c < subfield.order for c in poly):
             raise LevelMismatch(f"{which} coefficients out of range")
         if poly[-1] != 1:
@@ -193,8 +213,6 @@ class Field:
             raise ReduciblePolynomial(which, poly)
         return cls(subfield, poly)
 
-    # -- encoding ----------------------------------------------------------
-
     def check(self, a: int) -> int:
         a = int(a)
         if not 0 <= a < self.order:
@@ -202,72 +220,31 @@ class Field:
                 f"code {a} out of range for field of order {self.order}")
         return a
 
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Coefficient tuple (low degree first) of the element's polynomial."""
-        a = self.check(a)
-        if self.subfield is None:
-            return (a,)
-        s = self.subfield.order
-        out = []
-        for _ in range(self.deg):
-            a, digit = divmod(a, s)
-            out.append(digit)
-        return tuple(out)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.deg:
-            raise DegreeMismatch(f"expected {self.deg} coefficients")
-        if self.subfield is None:
-            return self.check(coeffs[0])
-        s = self.subfield.order
-        a = 0
-        for c in reversed(coeffs):
-            self.subfield.check(c)
-            a = a * s + int(c)
-        return a
-
     def elements(self) -> range:
         return range(self.order)
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- scalar arithmetic: one table lookup each ----------------------------
 
     def add(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)
-        if self.subfield is None:
-            return (a + b) % self.p
-        if self.order <= _TABLE_CAP:
-            return int(self._tabs().add[a * self.order + b])
-        return self.encode(list(map(self.subfield.add, self.decode(a),
-                                    self.decode(b))))
+        return int(self._tabs().add[a * self.order + b])
 
     def neg(self, a: int) -> int:
-        a = self.check(a)
-        if self.subfield is None:
-            return (-a) % self.p
-        if self.order <= _TABLE_CAP:
-            return int(self._tabs().neg[a])
-        return self.encode([self.subfield.neg(x) for x in self.decode(a)])
+        return int(self._tabs().neg[self.check(a)])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        a, b = self.check(a), self.check(b)
+        return int(self._tabs().sub[a * self.order + b])
 
     def mul(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)
-        if self.subfield is None:
-            return (a * b) % self.p
-        if self.order <= _TABLE_CAP:
-            return int(self._tabs().mul[a * self.order + b])
-        return self._mul_raw(a, b)
+        return int(self._tabs().mul[a * self.order + b])
 
     def inv(self, a: int) -> int:
         a = self.check(a)
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        if self.subfield is None:
-            return pow(a, self.p - 2, self.p)
-        if self.order <= _TABLE_CAP:
-            return int(self._tabs().inv[a])
-        return self.pow(a, self.order - 2)
+        return int(self._tabs().inv[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -278,8 +255,6 @@ class Field:
         e = int(e)
         if e < 0:
             raise ValueError("negative exponent; use inv() and pow()")
-        if self.subfield is None:
-            return pow(a, e, self.p)
         result = 1
         base = a
         while e:
@@ -303,20 +278,6 @@ class Field:
                               for s, t in zip(shifted, top)))
         return rows
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        # schoolbook product of the digit vectors, reduced through _zpow
-        sub = self.subfield
-        d = self.deg
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(self.decode(a)):
-            for j, y in enumerate(self.decode(b)):
-                conv[i + j] = sub.add(conv[i + j], sub.mul(x, y))
-        res = conv[:d]
-        for j in range(d, 2 * d - 1):
-            for t, z in enumerate(self._zpow[j - d]):
-                res[t] = sub.add(res[t], sub.mul(conv[j], z))
-        return self.encode(res)
-
     # -- operation tables ----------------------------------------------------
 
     def _tabs(self) -> _Tables:
@@ -326,9 +287,6 @@ class Field:
 
     def _build_tables(self) -> _Tables:
         q = self.order
-        if q > _TABLE_CAP:
-            raise BadParameters(f"array arithmetic needs field order at most "
-                                f"{_TABLE_CAP} (the table cap), got {q}")
         if self.subfield is None:
             codes = np.arange(q)
             add = (codes[:, None] + codes) % q
@@ -447,7 +405,7 @@ class FieldTower:
         self.top = top
         self.ell = ell
         self.p = base.p
-        self.m = base.deg if base.subfield is not None else 1
+        self.m = base.deg
         self.q = base.order
         self.top_order = self.q ** ell
         self.base_poly = base.poly or ()
@@ -525,11 +483,14 @@ class FieldTower:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FieldTower":
         for key in ("p", "m", "ell"):
-            if isinstance(obj[key], int) and obj[key].bit_length() > 63:
-                raise MalformedInput(f"tower.{key} does not fit in 64 bits")
-        return build_tower(obj["p"], obj["m"], obj["ell"],
-                           base_poly=obj.get("base_poly") or None,
-                           ext_poly=obj.get("ext_poly") or None)
+            if type(obj[key]) is not int:
+                raise MalformedInput(f"tower.{key} must be an integer")
+        try:
+            return build_tower(obj["p"], obj["m"], obj["ell"],
+                               base_poly=obj.get("base_poly") or None,
+                               ext_poly=obj.get("ext_poly") or None)
+        except BadParameters as exc:  # the field size cap, naming p, m or ell
+            raise MalformedInput(f"tower.{exc}") from exc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldTower):
@@ -556,18 +517,19 @@ def build_tower(p: int, m: int, ell: int,
     """Construct and validate the tower F_p <= F_(p^m) <= F_(p^(m*ell)).
 
     Omitted defining polynomials are filled in deterministically with the
-    lexicographically smallest monic irreducible of the right degree.
+    lexicographically smallest monic irreducible of the right degree.  A
+    top field of order above ``_TABLE_CAP`` is refused with
+    :class:`BadParameters` naming p, m or ell, before any search runs.
     """
-    if not is_prime(p):
-        raise NonPrime(p)
+    prime = Field.prime(p)
     m = int(m)
     ell = int(ell)
     if m < 1:
         raise DegreeMismatch("base extension degree m must be at least 1")
     if ell < 1:
         raise DegreeMismatch("top extension degree ell must be at least 1")
+    _capped_order(_capped_order(p, m, "m"), ell, "ell")
 
-    prime = Field.prime(p)
     if m == 1:
         if base_poly:
             raise DegreeMismatch("base_poly must be empty when m = 1")

@@ -28,7 +28,7 @@ from .errors import (
     NotACodeword,
     NotARepairMatrix,
 )
-from .linalg import Matrix, batched_rank, inverse, solve_exact
+from .linalg import Matrix, _rref_array, batched_rank, inverse
 from .repair import (
     NodeMetrics,
     RepairScheme,
@@ -42,22 +42,12 @@ def row_factor(a: Matrix):
 
     B keeps the original row order (greedy from the top), its row count is
     rank(a), and its nonzero-column set equals that of a.  A holds the
-    coefficients expressing every row of a over the rows of B.
+    coefficients expressing every row of a over the rows of B.  Both come
+    from one elimination of a.T: its pivot columns are the greedy rows,
+    and its nonzero reduced rows are the columns of A.
     """
-    field = a.field
-    sel: list[int] = []
-    rank = 0
-    for ri in range(a.rows):
-        cand = a.array[sel + [ri]]
-        new_rank = int(batched_rank(field, cand[None])[0])
-        if new_rank > rank:
-            sel.append(ri)
-            rank = new_rank
-    b = Matrix(field, a.array[sel])
-    if rank == 0:
-        return Matrix.zeros(field, a.rows, 0), b
-    coeff = solve_exact(Matrix(field, b.array.T), Matrix(field, a.array.T))
-    return Matrix(field, coeff.array.T), b
+    r, rank, pivots = _rref_array(a.field, a.array.T)
+    return Matrix(a.field, r[:rank].T), Matrix(a.field, a.array[list(pivots)])
 
 
 @dataclass(frozen=True)

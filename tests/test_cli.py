@@ -1,9 +1,16 @@
+import copy
+import hashlib
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mdsrepair import cli
 from mdsrepair.cli import main
+from mdsrepair.codes import realization_from_json
+from mdsrepair.errors import RepairToolError
+from mdsrepair.repair import scheme_from_json
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +41,11 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys):
     assert main(["construct", "--p", "3", "--ell", "1", "--r", "2",
                  "--n", "4", "--out", str(tmp_path)]) == 2
     assert "EllTooSmall" in capsys.readouterr().err
+    start = time.perf_counter()  # F_2187 is above the cap: no search runs
+    assert main(["construct", "--p", "3", "--ell", "7", "--r", "2",
+                 "--n", "2186", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "BadParameters: ell = 7" in capsys.readouterr().err
 
 
 def test_check_mds_ok(workspace, capsys):
@@ -57,6 +69,17 @@ def test_check_mds_malformed(tmp_path, capsys):
     p.write_text("{nope")
     assert main(["check-mds", str(p)]) == 3
     assert "MalformedInput" in capsys.readouterr().err
+
+
+def test_non_object_json_exits_3(workspace, tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    scheme = str(workspace / "scheme.json")
+    for argv in (["check-mds", str(p)], ["eval", str(p), scheme],
+                 ["bruteforce", str(p), "--node", "1"],
+                 ["simulate", str(p), scheme, "--trials", "1"]):
+        assert main(argv) == 3
+        assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_bounds_json(capsys):
@@ -118,25 +141,108 @@ def test_bruteforce_lambda_and_jobs(workspace, capsys):
     assert fan["witness"] == solo["witness"]
 
 
-@pytest.mark.parametrize("field", ["H", "X", "M.entries", "tower.m", "nodes"])
-def test_loader_faults_exit_3(workspace, tmp_path, capsys, field):
-    code = json.loads((workspace / "code.json").read_text())
-    scheme = json.loads((workspace / "scheme.json").read_text())
-    huge = 10 ** 30
-    if field in ("H", "X"):
-        code["nodes"][0][field][0][0] = huge
-    elif field == "M.entries":
-        scheme["per_node"][0]["M"]["entries"][0] = huge
-    elif field == "tower.m":
-        code["tower"]["m"] = huge
-    else:
-        code["nodes"] = 5
-    code_path, scheme_path = tmp_path / "code.json", tmp_path / "scheme.json"
-    code_path.write_text(json.dumps(code))
-    scheme_path.write_text(json.dumps(scheme))
-    assert main(["eval", str(code_path), str(scheme_path)]) == 3
+def _apply(docs, path, value):
+    """Set docs[path[0]][path[1]]...[path[-1]] = value (a copy of it)."""
+    target = docs
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = copy.deepcopy(value)
+
+
+def _write_docs(docs, directory):
+    """Write each document to <directory>/<name>.json; return the paths."""
+    for name, doc in docs.items():
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+    return [str(directory / f"{name}.json") for name in docs]
+
+
+HUGE = 10 ** 30
+# case -> (path, value) mutations of {"code": code.json, "scheme": scheme.json}
+LOADER_FAULTS = {
+    "H": [(("code", "nodes", 0, "H", 0, 0), HUGE)],
+    "X": [(("code", "nodes", 0, "X", 0, 0), HUGE)],
+    "M.entries": [(("scheme", "per_node", 0, "M", "entries", 0), HUGE)],
+    "tower.m": [(("code", "tower", "m"), HUGE)],
+    "nodes": [(("code", "nodes"), 5)],
+    "X=zero point": [(("code", "nodes", 0, "X", 0), [0, 0, 0, 0])],
+    # fields above the table cap, refused before any search or power runs
+    "tower.p=2^61-1": [(("code", "tower", "p"), 2 ** 61 - 1)],
+    "tower.m=7": [(("code", "tower", "m"), 7)],
+    "tower.m=2^40": [(("code", "tower", "m"), 2 ** 40)],
+    "tower.ell=30": [(("code", "tower", "ell"), 30),
+                     (("code", "tower", "ext_poly"), [])],
+}
+
+
+@pytest.mark.parametrize("case", list(LOADER_FAULTS))
+def test_loader_faults_exit_3(workspace, tmp_path, capsys, case):
+    docs = {name: json.loads((workspace / f"{name}.json").read_text())
+            for name in ("code", "scheme")}
+    for path, value in LOADER_FAULTS[case]:
+        _apply(docs, path, value)
+    start = time.perf_counter()
+    assert main(["eval", *_write_docs(docs, tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "MalformedInput" in err and "Traceback" not in err
+    path, value = LOADER_FAULTS[case][0]
+    if path[1] == "tower":
+        assert f"MalformedInput: tower.{path[2]} = {value} " in err
+
+
+def _mutable_paths(obj, path=()):
+    """Paths to the integer and list fields of a JSON document.
+
+    Inside lists only the first and the last element are descended into,
+    which keeps the path set small while still reaching every kind of field.
+    """
+    if isinstance(obj, dict):
+        items = [(k, v) for k, v in obj.items() if k != "provenance"]
+    elif isinstance(obj, list):
+        items = [(k, obj[k]) for k in sorted({0, len(obj) - 1})] if obj else []
+    else:
+        return [path] if type(obj) is int else []
+    out = [path] if isinstance(obj, list) else []
+    for key, value in items:
+        out += _mutable_paths(value, path + (key,))
+    return out
+
+
+FUZZ_VALUES = [0, -1, 7, 2 ** 40, HUGE, "7", None, [], [1, 0], 0.5, 1e300]
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(workspace):
+    docs = {name: json.loads((workspace / f"{name}.json").read_text())
+            for name in ("code", "scheme")}
+    paths = [(name, *path) for name, doc in docs.items()
+             for path in _mutable_paths(doc)]
+    return docs, paths
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_fail_classified_and_fast(fuzz_docs, tmp_path, data):
+    docs, paths = fuzz_docs
+    docs = copy.deepcopy(docs)
+    mutations = data.draw(st.lists(
+        st.tuples(st.sampled_from(paths), st.sampled_from(FUZZ_VALUES)),
+        min_size=1, max_size=2))
+    for path, value in mutations:
+        try:
+            _apply(docs, path, value)
+        except (IndexError, TypeError):
+            pass  # an earlier mutation replaced a container on this path
+    files = _write_docs(docs, tmp_path)
+    start = time.perf_counter()
+    try:
+        re, _, _ = realization_from_json(docs["code"])
+        scheme_from_json(docs["scheme"], re.skeleton.tower.base)
+    except RepairToolError:
+        pass
+    assert main(["eval", *files]) in {0, 1, 2, 3, 4}
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("command", [
@@ -217,6 +323,29 @@ def test_sweep(capsys):
     assert [r["beta_max"] for r in rows] == [10, 12, 14]
     assert [r["gamma_max"] for r in rows] == [10, 12, 14]
     assert all(r["equality"] for r in rows)
+
+
+# sha256 of code.json and scheme.json written by construct
+PINNED_ARTIFACTS = {
+    "q3-r2-n9": (["--p", "3", "--ell", "2", "--r", "2", "--n", "9"],
+                 "8f3c1889450fca32bc1fbcf112126f99a2cbed75e48afe7e2e49cf88d6a12401",
+                 "c139b06380a61edb719caeb2a63c57f5bba7988d3b82dcfe4c6f100672655afd"),
+    "q4-r2-n10": (["--p", "2", "--m", "2", "--ell", "2", "--r", "2", "--n", "10"],
+                  "e935c2904e178fceee6456929843cdd4e2c6de31328db67b247d6566a5ea933a",
+                  "6ccf5202a1e26ae22c90fafbb9822ad2928dde8e1fb4e0928ce0929f61819cc5"),
+    "q5-r3-n24": (["--p", "5", "--ell", "2", "--r", "3", "--n", "24"],
+                  "5234125e9c2eefd47e091c828f0315cbb2b253933593a211e28e78ed469fc0f4",
+                  "0c11a1f30931496b70d5b61e0f959662fc18336ffe870e1b6725f6a858edf025"),
+}
+
+
+@pytest.mark.parametrize("point", list(PINNED_ARTIFACTS))
+def test_construct_artifacts_pinned(tmp_path, point):
+    argv, code_sha, scheme_sha = PINNED_ARTIFACTS[point]
+    assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+    for name, sha in (("code", code_sha), ("scheme", scheme_sha)):
+        data = (tmp_path / f"{name}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha, name
 
 
 def test_construct_reruns_byte_identical(tmp_path):

@@ -126,13 +126,6 @@ def test_pow_matches_repeated_mul(tower3):
         f.pow(2, -1)
 
 
-def test_encoding_roundtrip():
-    for tower in (build_tower(3, 1, 2), build_tower(2, 2, 2)):
-        for f in (tower.base, tower.top):
-            for x in f.elements():
-                assert f.encode(f.decode(x)) == x
-
-
 # -- Frobenius ---------------------------------------------------------------
 
 
@@ -314,6 +307,26 @@ def _digit_neg(f, x):
     return out
 
 
+def _mul_raw(f, x, y):
+    """Oracle: schoolbook product of the digit vectors reduced through
+    ``f._zpow``, recursing once per tower level down to products mod p."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if f.subfield is None:
+        return x * y % f.p
+    sub, s, d = f.subfield, f.subfield.order, f.deg
+    xd = [x // s ** t % s for t in range(d)]
+    yd = [y // s ** t % s for t in range(d)]
+    conv = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            conv[i + j] = _digit_add(sub, conv[i + j], _mul_raw(sub, xd[i], yd[j]))
+    res = conv[:d]
+    for j in range(d, 2 * d - 1):
+        for t, z in enumerate(f._zpow[j - d]):
+            res[t] = _digit_add(sub, res[t], _mul_raw(sub, conv[j], z))
+    return sum(r * s ** t for t, r in enumerate(res))
+
+
 def _digit_sum(f, x, axis):
     x = np.asarray(x, dtype=np.int64)
     if f.subfield is None:
@@ -352,10 +365,7 @@ def test_tables_match_digit_recursion_and_mul_raw(name):
     add = _digit_add(f, xs, ys)
     neg = _digit_neg(f, np.arange(q))
     sub = _digit_add(f, xs, _digit_neg(f, ys))
-    if f.subfield is None:
-        mul = (xs * ys) % f.p
-    else:
-        mul = np.array([f._mul_raw(int(a), int(b)) for a, b in zip(xs, ys)])
+    mul = _mul_raw(f, xs, ys)
     assert np.array_equal(f.arr_add(xs, ys), add)
     assert np.array_equal(f.arr_sub(xs, ys), sub)
     assert np.array_equal(f.arr_neg(np.arange(q)), neg)
@@ -413,23 +423,25 @@ def test_matmul_matches_scalar_triple_loop(name, rows, inner, cols, seed):
     assert np.array_equal(got, _matmul_oracle(f, a, b))
 
 
-def test_above_cap_refuses_arrays_without_tables():
-    prime = Field.prime(1031)
-    top = build_tower(2, 1, 11).top  # order 2048 over F_2
-    for f in (prime, top):
-        assert f.order > _TABLE_CAP
-        for call in (lambda: f.arr_add([1], [1]), lambda: f.arr_sub([1], [1]),
-                     lambda: f.arr_neg([1]), lambda: f.arr_mul([1], [1]),
-                     lambda: f.arr_inv([1])):
-            with pytest.raises(BadParameters, match=str(_TABLE_CAP)):
-                call()
-        assert f._tables is None
-    with pytest.raises(BadParameters):
-        top.matmul([[1]], [[1]])
-    # scalar arithmetic still works above the cap, digit-wise
-    assert prime.mul(1030, prime.inv(1030)) == 1
-    for a in (1, 2, 3, 1000, 2047):
-        assert top.mul(a, top.inv(a)) == 1
-        assert top.sub(top.add(a, 1234), 1234) == a
-        assert top.add(a, top.neg(a)) == 0
-    assert top._tables is None
+def test_above_cap_fields_are_refused_at_construction():
+    with pytest.raises(BadParameters, match=f"p = 1031 is above {_TABLE_CAP}"):
+        Field.prime(1031)
+    with pytest.raises(BadParameters, match="ell = 11 gives"):
+        build_tower(2, 1, 11)  # order 2048 over F_2
+    with pytest.raises(BadParameters, match="ell = 7 gives"):
+        build_tower(3, 1, 7)  # order 2187 over F_3
+    with pytest.raises(BadParameters, match="m = 7 gives"):
+        build_tower(5, 7, 1)
+    with pytest.raises(BadParameters, match="degree of poly = 11 gives"):
+        Field.extension(Field.prime(2), [1] * 12)  # refused before the search
+    # each refusal comes before primality tests, irreducibility searches
+    # and powers of the unchecked exponent
+    with pytest.raises(BadParameters, match="p = "):
+        build_tower(2 ** 61 - 1, 1, 1)
+    with pytest.raises(BadParameters, match="m = "):
+        build_tower(2, 2 ** 40, 1)
+    with pytest.raises(BadParameters, match="ell = "):
+        build_tower(3, 2, 10 ** 30)
+    # the largest supported orders still build
+    for p, m, ell in ((2, 1, 10), (2, 5, 2), (1021, 1, 1)):
+        assert build_tower(p, m, ell).top_order <= _TABLE_CAP

@@ -2,11 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsrepair.codes import sample_codeword
 from mdsrepair.errors import NotACodeword, NotARepairMatrix
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import Matrix, matmul, rank_of
+from mdsrepair.linalg import Matrix, batched_rank, matmul, rank_of, solve_exact
 from mdsrepair.repair import RepairScheme, bandwidth, io_count
 from mdsrepair.simulate import (
     RepairSession,
@@ -58,6 +59,45 @@ def test_row_factor_properties_random():
         rows_a = [tuple(r) for r in a.array]
         idx = [rows_a.index(tuple(r)) for r in fb.array]
         assert idx == sorted(idx)
+
+
+def _greedy_row_factor(a):
+    """Reference: keep each row that raises the rank, then solve for A."""
+    field = a.field
+    sel, rank = [], 0
+    for ri in range(a.rows):
+        new_rank = int(batched_rank(field, a.array[sel + [ri]][None])[0])
+        if new_rank > rank:
+            sel.append(ri)
+            rank = new_rank
+    b = Matrix(field, a.array[sel])
+    if rank == 0:
+        return Matrix.zeros(field, a.rows, 0), b
+    coeff = solve_exact(Matrix(field, b.array.T), Matrix(field, a.array.T))
+    return Matrix(field, coeff.array.T), b
+
+
+ROW_FACTOR_FIELDS = {"F3": build_tower(3, 1, 1).base,
+                     "F4": build_tower(2, 2, 1).base,
+                     "F5": build_tower(5, 1, 1).base,
+                     "F9": build_tower(3, 2, 1).base}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(ROW_FACTOR_FIELDS)),
+       rows=st.integers(0, 5), cols=st.integers(0, 5),
+       rank_cap=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_factor_matches_greedy_definition(name, rows, cols, rank_cap, seed):
+    field = ROW_FACTOR_FIELDS[name]
+    rng = np.random.default_rng(seed)
+    # a product through a rank_cap-wide middle forces rank deficiency
+    left = rng.integers(0, field.order, (rows, rank_cap))
+    right = rng.integers(0, field.order, (rank_cap, cols))
+    a = Matrix(field, field.matmul(left, right))
+    fa, fb = row_factor(a)
+    ga, gb = _greedy_row_factor(a)
+    assert fb == gb and fa == ga
+    assert fa.shape == (rows, fb.rows)
 
 
 def test_run_repair_zero_codeword(bundle3):
