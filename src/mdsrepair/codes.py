@@ -6,6 +6,13 @@ space, and then any choice of l distinct spanning projective points per
 node realizes it as a concrete parity-check matrix whose column space at
 node i is the node subspace.  Codewords are elements of the kernel of
 that parity-check matrix, grouped into n blocks of l symbols.
+
+:func:`check_mds` decides every r-subset, but shares the work of the
+subsets that have the same first r-1 nodes P.  The bases of P are reduced
+once; their sum spans all of F_q^(r*l) with the last node k exactly when
+it has dimension (r-1)l and k's basis times the kernel of P's basis is an
+invertible l x l matrix.  So each subset costs one l x l rank instead of
+one rl x rl elimination, and the answer is the same.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .gf import FieldTower, prime_power
 from .linalg import (
     Matrix,
     Subspace,
+    _elimination_ranks,
     batched_rank,
     canonical_point,
     gaussian_binomial,
@@ -44,7 +52,7 @@ from .linalg import (
 # simulation runs stay reproducible across environments.
 CODEWORD_SAMPLER = "pcg64-integers-v1"
 
-_MDS_CHUNK = 2048
+_MDS_CHUNK = 4096
 
 
 class CodeSkeleton:
@@ -114,22 +122,51 @@ def check_mds(s: CodeSkeleton):
     """None if every r-subset of nodes spans the ambient space.
 
     Otherwise the lexicographically first failing subset of node indices
-    (0-based).  Subsets of stacked node bases are rank-checked in batches.
+    (0-based).  Every subset is decided exactly, through its first r-1
+    nodes P and its last node k.  The stacked bases B_P are reduced once
+    to R_P, with pivot columns piv and free columns free.  Clearing the
+    pivot columns of B_k against R_P leaves, on the free columns, the
+    l x l matrix S = B_k[:, free] - B_k[:, piv] R_P[:, free] = B_k K_P,
+    where K_P is the kernel basis of R_P: the identity on the free rows
+    and -R_P[:, free] on the pivot rows.  So
+    rank [B_P; B_k] = rank R_P + rank S, and P + {k} spans exactly when
+    R_P has full rank (r-1)l and S is invertible.  Subsets are taken in
+    ``itertools.combinations`` order, ``_MDS_CHUNK`` at a time; a chunk
+    reduces its prefixes in one batch and ranks all its S in one
+    :func:`batched_rank` call.
     """
     field = s.tower.base
-    ambient = s.ambient
+    ell, ambient = s.ell, s.ambient
+    m = ambient - ell
     bases = s.basis_stack()
     combos = itertools.combinations(range(s.n), s.r)
     while True:
-        batch = list(itertools.islice(combos, _MDS_CHUNK))
-        if not batch:
+        flat = itertools.chain.from_iterable(itertools.islice(combos,
+                                                              _MDS_CHUNK))
+        idx = np.fromiter(flat, dtype=np.int64).reshape(-1, s.r)
+        if not idx.size:
             return None
-        idx = np.array(batch, dtype=np.int64)
-        stacked = bases[idx].reshape(len(batch), ambient, ambient)
-        ranks = batched_rank(field, stacked)
-        bad = np.nonzero(ranks != ambient)[0]
+        # subsets with one prefix are consecutive; number the distinct ones
+        new = np.ones(len(idx), dtype=bool)
+        new[1:] = (idx[1:, :-1] != idx[:-1, :-1]).any(axis=1)
+        which = np.cumsum(new) - 1
+        prefixes = idx[new, :-1]
+        reduced, ranks, is_piv = _elimination_ranks(
+            field, bases[prefixes].reshape(len(prefixes), m, ambient))
+        # pivot columns first, then free ones, each ascending; only the
+        # order of a full-rank prefix is used
+        cols = np.argsort(~is_piv, axis=1, kind="stable")
+        piv, free = cols[:, :m], cols[:, m:]
+        kern = np.zeros((len(prefixes), ambient, ell), dtype=np.int64)
+        at = np.arange(len(prefixes))[:, None]
+        kern[at, free, np.arange(ell)] = 1
+        kern[at, piv] = field.arr_neg(
+            np.take_along_axis(reduced, free[:, None, :], axis=2))
+        schur = field.matmul(bases[idx[:, -1]], kern[which])
+        spans = (ranks[which] == m) & (batched_rank(field, schur) == ell)
+        bad = np.nonzero(~spans)[0]
         if bad.size:
-            return tuple(batch[int(bad[0])])
+            return tuple(idx[bad[0]].tolist())
 
 
 class Realization:
@@ -173,7 +210,7 @@ class Realization:
 def realize(s: CodeSkeleton, column_sets) -> Realization:
     """Build the realization with the given projective column points.
 
-    Each node needs exactly l distinct points, all inside the node
+    Each node needs exactly l distinct nonzero points, all inside the node
     subspace and jointly spanning it.  Input vectors are canonicalized
     (first nonzero coordinate scaled to 1) before validation.
     """
@@ -182,6 +219,8 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
     blocks = []
     cleaned = []
     for i, pts in enumerate(column_sets):
+        if not all(np.any(p) for p in pts):
+            raise NotSpanning(f"node {i}: a column point is the zero vector")
         pts = [canonical_point(field, p) for p in pts]
         if len(pts) != ell:
             raise NotSpanning(f"node {i}: need exactly {ell} column points")
@@ -376,7 +415,7 @@ def realization_from_json(obj: dict):
     try:
         skeleton = CodeSkeleton(tower, r, subspaces)
         re = realize(skeleton, column_sets)
-    except (RepairToolError, ValueError) as exc:  # ValueError: a zero X point
+    except RepairToolError as exc:
         raise MalformedInput(f"invariant violated on load: {exc}") from exc
     # the stored columns must equal the canonical realization columns
     for i, nd in enumerate(raw_nodes):

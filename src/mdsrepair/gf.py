@@ -361,11 +361,16 @@ class Field:
         return acc
 
     def matmul(self, a, b) -> np.ndarray:
-        """Exact product of two 2-D code arrays over this field."""
+        """Exact product of code arrays over this field.
+
+        Operands are matrices or stacks of them, (..., m, k) @ (..., k, n),
+        with the leading axes broadcast as numpy's ``@`` does.
+        """
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.subfield is None:
             return (a @ b) % self.p
-        return self.arr_sum(self.arr_mul(a[:, :, None], b[None, :, :]), axis=1)
+        return self.arr_sum(self.arr_mul(a[..., :, :, None],
+                                         b[..., None, :, :]), axis=-2)
 
     # -- misc ----------------------------------------------------------------
 

@@ -187,14 +187,20 @@ _RANK_TABLE_CAP = 1 << 16
 _rank_tables: dict = {}
 
 
-def _elimination_ranks(field: Field, a: np.ndarray) -> np.ndarray:
-    """Ranks of a nonempty (batch, rows, cols) stack, eliminated in lockstep.
+def _elimination_ranks(field: Field, a: np.ndarray):
+    """Batched Gauss-Jordan: (reduced, ranks, is_piv) of a stack.
 
-    The loop is over columns only, so large batches cost a handful of
-    vectorised operations each.  ``a`` is overwritten.
+    ``a`` is a nonempty (batch, rows, cols) stack and is overwritten with
+    the reduced row-echelon form of each block (returned as ``reduced``):
+    the rows with a pivot come first, in pivot order, and each pivot
+    column is zero outside its row.  ``ranks`` is an int64 array of length
+    batch and ``is_piv`` a (batch, cols) boolean array marking each
+    block's pivot columns.  The loop is over columns only, so large
+    batches cost a handful of vectorised operations each.
     """
     nb, rows, cols = a.shape
     piv_row = np.zeros(nb, dtype=np.int64)
+    is_piv = np.zeros((nb, cols), dtype=bool)
     row_idx = np.arange(rows)[None, :]
     for col in range(cols):
         eligible = (row_idx >= piv_row[:, None]) & (a[:, :, col] != 0)
@@ -220,7 +226,8 @@ def _elimination_ranks(field: Field, a: np.ndarray) -> np.ndarray:
         a[sel] = field.arr_sub(a[sel], field.arr_mul(factors[:, :, None],
                                                      pivrows[:, None, :]))
         piv_row[sel] += 1
-    return piv_row
+        is_piv[sel, col] = True
+    return a, piv_row, is_piv
 
 
 def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
@@ -238,7 +245,7 @@ def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
         codes = np.arange(q ** size, dtype=np.int64)
         every = (codes[:, None] // q ** np.arange(size)) % q
         table = _elimination_ranks(
-            field, every.reshape(-1, rows, cols)).astype(np.uint8)
+            field, every.reshape(-1, rows, cols))[1].astype(np.uint8)
         table.setflags(write=False)
         _rank_tables[key] = table
     return table
@@ -247,15 +254,17 @@ def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
 def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
     """Ranks of a stack of small matrices.
 
-    ``blocks`` has shape (batch, rows, cols) and holds codes of ``field``;
-    returns an int64 array of length batch.  When q ** (rows*cols) is at
-    most ``_RANK_TABLE_CAP`` every rank is one lookup in a table of all
-    matrices of that shape, filled by elimination on first use; larger
-    blocks are eliminated in lockstep, column by column.
+    ``blocks`` has shape (batch, rows, cols) and holds codes of ``field``
+    (any other entry raises LevelMismatch); returns an int64 array of
+    length batch.  When q ** (rows*cols) is at most ``_RANK_TABLE_CAP``
+    every rank is one lookup in a table of all matrices of that shape,
+    filled by elimination on first use; larger blocks are eliminated in
+    lockstep, column by column.
     """
     a = np.asarray(blocks, dtype=np.int64)
     if a.ndim != 3:
         raise BadShape("expected a (batch, rows, cols) array")
+    _check_codes(field, a)
     nb, rows, cols = a.shape
     if nb == 0 or rows == 0 or cols == 0:
         return np.zeros(nb, dtype=np.int64)
@@ -265,7 +274,7 @@ def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
         table = _rank_table(field, rows, cols)
         idx = a.reshape(nb, size) @ q ** np.arange(size, dtype=np.int64)
         return table[idx].astype(np.int64)
-    return _elimination_ranks(field, a.copy())
+    return _elimination_ranks(field, a.copy())[1]
 
 
 class Subspace:

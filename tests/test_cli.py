@@ -223,7 +223,8 @@ def fuzz_docs(workspace):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_inputs_fail_classified_and_fast(fuzz_docs, tmp_path, data):
+def test_mutated_inputs_fail_classified_and_fast(fuzz_docs, tmp_path, capsys,
+                                                 data):
     docs, paths = fuzz_docs
     docs = copy.deepcopy(docs)
     mutations = data.draw(st.lists(
@@ -241,7 +242,13 @@ def test_mutated_inputs_fail_classified_and_fast(fuzz_docs, tmp_path, data):
         scheme_from_json(docs["scheme"], re.skeleton.tower.base)
     except RepairToolError:
         pass
-    assert main(["eval", *files]) in {0, 1, 2, 3, 4}
+    code, scheme = files
+    for argv in (["eval", code, scheme],
+                 ["bruteforce", code, "--node", "1", "--budget", "1",
+                  "--jobs", "1"],
+                 ["simulate", code, scheme, "--trials", "1", "--jobs", "1"]):
+        assert main(argv) in {0, 1, 2, 3, 4}, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
     assert time.perf_counter() - start < 2.0
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -5,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mdsrepair import codes, linalg
 from mdsrepair.codes import (
     CodeSkeleton,
     bounds_report,
@@ -105,6 +108,109 @@ def test_check_mds_agrees_with_block_invertibility(tower3):
             assert witness is None
 
 
+def _stacked_check_mds(s):
+    """Oracle: one stacked rl x rl rank per r-subset, in combinations order."""
+    field = s.tower.base
+    ambient = s.ambient
+    bases = s.basis_stack()
+    combos = itertools.combinations(range(s.n), s.r)
+    while True:
+        batch = list(itertools.islice(combos, 2048))
+        if not batch:
+            return None
+        idx = np.array(batch, dtype=np.int64)
+        stacked = bases[idx].reshape(len(batch), ambient, ambient)
+        ranks = batched_rank(field, stacked)
+        bad = np.nonzero(ranks != ambient)[0]
+        if bad.size:
+            return tuple(batch[int(bad[0])])
+
+
+# base fields F_2, F_3, F_4, F_5 as (p, m)
+_MDS_BASES = [(2, 1), (3, 1), (2, 2), (5, 1)]
+
+
+@functools.cache
+def _tower(p, m, ell):
+    return build_tower(p, m, ell)
+
+
+@st.composite
+def _random_skeletons(draw):
+    """A skeleton of random l-dimensional nodes, some of them repeated.
+
+    A repeated node makes every subset holding both copies fail; when both
+    copies sit among the first r-1 nodes the prefix itself is rank-deficient.
+    """
+    p, m = draw(st.sampled_from(_MDS_BASES))
+    ell = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, r + 5))
+    tower = _tower(p, m, ell)
+    field = tower.base
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = []
+    while len(nodes) < n:
+        if nodes and draw(st.integers(0, 4)) == 0:
+            nodes.append(nodes[draw(st.integers(0, len(nodes) - 1))])
+            continue
+        rows = rng.integers(0, field.order, (ell, r * ell))
+        node = Subspace.from_rows(field, rows)
+        if node.dim == ell:
+            nodes.append(node)
+    return skeleton_new(tower, r, nodes)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3",
+                                                     "default"])
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(s=_random_skeletons())
+def test_check_mds_matches_stacked_ranks(monkeypatch, chunk, s):
+    # chunks of 1 and 3 subsets cut through one prefix's extensions
+    if chunk is not None:
+        monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
+    assert check_mds(s) == _stacked_check_mds(s)
+
+
+def test_check_mds_sends_large_schur_blocks_to_elimination(monkeypatch):
+    # l = 3 over F_5: the 3 x 3 S blocks have 5^9 > 2^16 code matrices, so
+    # batched_rank eliminates them instead of reading a table
+    tower = _tower(5, 1, 3)
+    field = tower.base
+    assert field.order ** 9 > linalg._RANK_TABLE_CAP
+    rng = np.random.default_rng(5)
+    nodes = []
+    while len(nodes) < 7:
+        node = Subspace.from_rows(field, rng.integers(0, 5, (3, 9)))
+        if node.dim == 3:
+            nodes.append(node)
+    for chunk in (1, 3, 4096):
+        monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
+        for sk in (skeleton_new(tower, 3, nodes),
+                   skeleton_new(tower, 3, nodes[:5] + [nodes[1], nodes[6]]),
+                   skeleton_new(tower, 3, [nodes[0]] + nodes[:6])):
+            assert check_mds(sk) == _stacked_check_mds(sk)
+    assert (field, 3, 3) not in linalg._rank_tables
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3",
+                                                     "default"])
+def test_check_mds_matches_stacked_ranks_on_constructions(
+        monkeypatch, bundle3, bundle5, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
+    for sk in (bundle3.skeleton, bundle5.skeleton):
+        assert check_mds(sk) is None
+        assert _stacked_check_mds(sk) is None
+        # a late repeated node fails far into the scan
+        nodes = list(sk.nodes)
+        nodes[-1] = nodes[-4]
+        bad = skeleton_new(sk.tower, sk.r, nodes)
+        assert check_mds(bad) == _stacked_check_mds(bad)
+        assert check_mds(bad) is not None
+
+
 def test_realize_coordinate_blocks(tower3):
     s = _coordinate_skeleton(tower3, 2)
     sets = [
@@ -126,6 +232,10 @@ def test_realize_rejections(tower3):
                     [[0, 0, 1, 0], [0, 0, 0, 1]]])
     with pytest.raises(NotSpanning):
         realize(s, [[[1, 0, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]])
+    # a zero point is no projective point: classified, naming the node
+    with pytest.raises(NotSpanning, match="node 1: .*zero vector"):
+        realize(s, [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                    [[0, 0, 1, 0], [0, 0, 0, 0]]])
 
 
 def test_realize_extraction_roundtrip(bundle3):

@@ -423,6 +423,21 @@ def test_matmul_matches_scalar_triple_loop(name, rows, inner, cols, seed):
     assert np.array_equal(got, _matmul_oracle(f, a, b))
 
 
+@pytest.mark.parametrize("name", ["F7", "F9", "F16/F4"])
+def test_matmul_on_stacks_matches_each_matrix(name):
+    f = _field(*TABLE_FIELDS[name])
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, f.order, (5, 2, 3))
+    b = rng.integers(0, f.order, (5, 3, 4))
+    got = f.matmul(a, b)
+    assert got.shape == (5, 2, 4) and got.dtype == np.int64
+    for x, y, z in zip(a, b, got):
+        assert np.array_equal(z, _matmul_oracle(f, x, y))
+    # a single matrix broadcasts against a stack, as with numpy's @
+    want = np.array([_matmul_oracle(f, a[0], y) for y in b])
+    assert np.array_equal(f.matmul(a[0], b), want)
+
+
 def test_above_cap_fields_are_refused_at_construction():
     with pytest.raises(BadParameters, match=f"p = 1031 is above {_TABLE_CAP}"):
         Field.prime(1031)

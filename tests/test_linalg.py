@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdsrepair import linalg
 from mdsrepair.errors import (
@@ -298,7 +298,7 @@ def test_blocks_over_the_rank_table_cap_are_eliminated():
     blocks = np.concatenate([full, low])
     before = blocks.copy()
     got = batched_rank(F5, blocks)
-    assert got.tolist() == _elimination_ranks(F5, blocks.copy()).tolist()
+    assert got.tolist() == _elimination_ranks(F5, blocks.copy())[1].tolist()
     assert got.tolist() == [_rref_array(F5, b)[1] for b in blocks]
     assert np.array_equal(blocks, before)
     assert (F5, 3, 3) not in linalg._rank_tables
@@ -354,6 +354,17 @@ def test_entries_outside_the_field_are_refused(field, bad):
                  lambda: canonical_point(field, row)):
         with pytest.raises(LevelMismatch):
             call()
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2 ** 40])
+@pytest.mark.parametrize("size", [2, 3], ids=["2x2-table", "3x3-elimination"])
+def test_batched_rank_refuses_entries_outside_the_field(size, bad):
+    # an entry >= q would fold into another matrix's table code on the
+    # table path and index past the operation tables on the other
+    blocks = np.zeros((3, size, size), dtype=np.int64)
+    blocks[1, 0, 0] = bad
+    with pytest.raises(LevelMismatch):
+        batched_rank(F5, blocks)
 
 
 # -- projective points -------------------------------------------------------------
@@ -438,3 +449,20 @@ def test_batched_rank_agrees_with_rref(case):
     assert got.shape == (blocks.shape[0],)
     assert got.tolist() == want
     assert all(r <= bound for r in want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_stack())
+def test_gauss_jordan_stack_matches_rref(case):
+    # the batched elimination returns each block's unique RREF, its rank
+    # and its pivot columns, exactly as the single-matrix elimination does
+    field, blocks, _ = case
+    assume(blocks.shape[0] > 0)
+    before = blocks.copy()
+    reduced, ranks, is_piv = _elimination_ranks(field, blocks)
+    assert ranks.dtype == np.int64
+    for b, red, rank, mask in zip(before, reduced, ranks, is_piv):
+        want, want_rank, want_piv = _rref_array(field, b)
+        assert np.array_equal(red, want)
+        assert rank == want_rank
+        assert tuple(np.nonzero(mask)[0]) == want_piv

@@ -312,7 +312,6 @@ def test_build_non_prime_field():
         assert bruteforce_column_hits(bundle.realization, i)[0] == 5
 
 
-@pytest.mark.extended
 def test_build_redundancy_four():
     # r = 4 needs 3 | (q-1), smallest case q = 7; bound 2*47 - 3*8 = 70
     tower = build_tower(7, 1, 2)
