@@ -271,12 +271,15 @@ def cmd_bruteforce(args) -> int:
 def _sim_worker(code_obj, scheme_obj, trials, seed, first_trial, nodes):
     re, _, _ = realization_from_json(code_obj)
     sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
-    rep = campaign(re, sch, trials=trials, seed=seed, nodes=nodes,
-                   first_trial=first_trial)
-    return rep.downloaded, rep.accessed
+    return campaign(re, sch, trials=trials, seed=seed, nodes=nodes,
+                    first_trial=first_trial)
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise BadParameters(f"--seed must be nonnegative, got {args.seed}")
+    if args.trials < 1:
+        raise BadParameters(f"--trials must be at least 1, got {args.trials}")
     code_obj = _load_json(args.code)
     scheme_obj = _load_json(args.scheme)
     re, _, _ = realization_from_json(code_obj)
@@ -304,18 +307,14 @@ def cmd_simulate(args) -> int:
                 _sim_worker, [code_obj] * len(tasks), [scheme_obj] * len(tasks),
                 [t[1] for t in tasks], [args.seed] * len(tasks),
                 [t[0] for t in tasks], [node_arg] * len(tasks)))
-        if len(set(parts)) != 1:
+        if len({(p.downloaded, p.accessed) for p in parts}) != 1:
             raise InternalInconsistency("workers disagree on transcript counts")
-        # counts verified identical across workers; assemble the full report
-        rep = campaign(re, sch, trials=1, seed=args.seed, nodes=nodes)
-        rep = dataclasses.replace(rep, trials=args.trials)
-        doc = rep.to_json_dict()
+        rep = dataclasses.replace(parts[0], trials=args.trials)
     else:
         rep = campaign(re, sch, trials=args.trials, seed=args.seed,
                        nodes=nodes)
-        doc = rep.to_json_dict()
 
-    doc = {"v": 1, **doc}
+    doc = {"v": 1, **rep.to_json_dict()}
     lines = [f"trials={doc['trials']} seed={doc['seed']} rng={doc['rng']}",
              "node  downloaded  accessed  beta  gamma"]
     for row in doc["per_node"]:

@@ -246,9 +246,6 @@ class Field:
             raise DivisionByZero("zero has no multiplicative inverse")
         return int(self._tabs().inv[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e for a nonnegative integer exponent."""
         a = self.check(a)
@@ -440,15 +437,6 @@ class FieldTower:
             x, digit = divmod(x, self.q)
             out.append(digit)
         return tuple(out)
-
-    def field_lift(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.ell:
-            raise DegreeMismatch(f"expected {self.ell} coordinates")
-        x = 0
-        for c in reversed(coords):
-            self.base.check(c)
-            x = x * self.q + int(c)
-        return x
 
     def reduce_vector(self, xs: Sequence[int]) -> np.ndarray:
         """Concatenated field-reduction coordinates of a top-level vector."""

@@ -19,6 +19,14 @@ whenever the block shape has at most ``_RANK_TABLE_CAP`` code matrices:
 the table holds the rank of every matrix of that shape, is filled once
 per process by the batched column elimination, and answers a stack in
 one lookup.  Larger blocks are eliminated.
+
+Two Gauss-Jordan routines remain: ``_rref_array`` for one matrix and
+``_elimination_ranks`` for a stack.  Each linear-algebra question costs
+one elimination of a single augmented matrix (kernels reduce [m^T | I],
+intersections [[A, A], [B, 0]]), and a batch of one through the stack
+routine costs two to four times the single-matrix loop (a 2x6 matrix
+over F_9: 40 us against 179 us; 4x6: 113 us against 221 us; 2-core
+host, numpy 2.4, CPython 3.11), so single matrices stay on ``_rref_array``.
 """
 
 from __future__ import annotations
@@ -81,14 +89,6 @@ class Matrix:
         a.setflags(write=False)
         self.field = field
         self._a = a
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
 
     @property
     def array(self) -> np.ndarray:
@@ -175,10 +175,6 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Unique reduced row-echelon form, with rank and pivot columns."""
     a, rank, pivots = _rref_array(m.field, m.array)
     return Matrix(m.field, a), rank, pivots
-
-
-def rank_of(m: Matrix) -> int:
-    return _rref_array(m.field, m.array)[1]
 
 
 # Blocks whose shape has at most this many code matrices (q ** (rows*cols))
@@ -300,15 +296,6 @@ class Subspace:
         r, rank, pivots = _rref_array(field, a)
         return cls(field, a.shape[1], Matrix(field, r[:rank]), pivots)
 
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.zeros(field, 0, ambient), ())
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient),
-                   tuple(range(ambient)))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -337,30 +324,35 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _vanishing_rows(field: Field, reduced: np.ndarray,
+                    pivots: tuple[int, ...], split: int) -> Subspace:
+    """Span of the rows of an RREF whose first ``split`` columns vanish.
+
+    Those are the pivot rows past the last pivot left of ``split``.  Every
+    pivot column is zero outside its own row, so their right parts are
+    already the canonical basis of the span, with pivots shifted by
+    ``split``.
+    """
+    k = sum(1 for p in pivots if p < split)
+    return Subspace(field, reduced.shape[1] - split,
+                    Matrix(field, reduced[k:len(pivots), split:]),
+                    tuple(p - split for p in pivots[k:]))
+
+
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v^T = 0} as a subspace of row vectors."""
-    r, rank, pivots = rref(m)
-    d = m.cols
-    free = [c for c in range(d) if c not in pivots]
-    if not free:
-        return Subspace.zero(m.field, d)
-    rows = np.zeros((len(free), d), dtype=np.int64)
-    for k, f in enumerate(free):
-        rows[k, f] = 1
-        for i, pc in enumerate(pivots):
-            rows[k, pc] = m.field.neg(int(r.array[i, f]))
-    return Subspace.from_rows(m.field, rows)
+    """Right kernel {v : m v^T = 0} as a subspace of row vectors.
+
+    One elimination of [m^T | I]: a row whose m^T part reduces to zero
+    records a combination v with m v^T = 0, and the identity block keeps
+    all rows independent, so those rows are exactly a kernel basis.
+    """
+    aug = np.hstack([m.array.T, np.eye(m.cols, dtype=np.int64)])
+    r, _, pivots = _rref_array(m.field, aug)
+    return _vanishing_rows(m.field, r, pivots, m.rows)
 
 
 def contains(s: Subspace, v) -> bool:
     return s.contains(v)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient or a.field != b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    stacked = np.vstack([a.basis.array, b.basis.array])
-    return Subspace.from_rows(a.field, stacked)
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
@@ -372,16 +364,20 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - rank
 
 
-def annihilator(s: Subspace) -> Subspace:
-    """{y : x . y = 0 for all x in s} under the standard bilinear form."""
-    if s.dim == 0:
-        return Subspace.full(s.field, s.ambient)
-    return kernel(s.basis)
-
-
 def intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via annihilators: (a^o + b^o)^o."""
-    return annihilator(subspace_sum(annihilator(a), annihilator(b)))
+    """Intersection by the Zassenhaus form: one elimination of [[A, A], [B, 0]].
+
+    A row whose left half reduces to zero is (x A + y B, x A) with
+    x A = -y B, so its right half lies in both subspaces, and those
+    right halves span the intersection.
+    """
+    if a.ambient != b.ambient or a.field != b.field:
+        raise AmbientMismatch("subspaces live in different ambient spaces")
+    aa, ba = a.basis.array, b.basis.array
+    stacked = np.vstack([np.hstack([aa, aa]),
+                         np.hstack([ba, np.zeros_like(ba)])])
+    r, _, pivots = _rref_array(a.field, stacked)
+    return _vanishing_rows(a.field, r, pivots, a.ambient)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -393,19 +389,6 @@ def inverse(m: Matrix) -> Matrix:
     if pivots[:n] != tuple(range(n)):
         raise DivisionByZero("matrix is singular")
     return Matrix(m.field, r[:, n:])
-
-
-def solve_exact(a: Matrix, b: Matrix) -> Matrix:
-    """The unique X with a @ X = b; a must have full column rank."""
-    if a.rows != b.rows:
-        raise BadShape("incompatible shapes in solve")
-    aug = np.hstack([a.array, b.array])
-    r, rank, pivots = _rref_array(a.field, aug)
-    if any(p >= a.cols for p in pivots):
-        raise BadShape("inconsistent linear system")
-    if len(pivots) != a.cols:
-        raise BadShape("coefficient matrix does not have full column rank")
-    return Matrix(a.field, r[:a.cols, a.cols:])
 
 
 def canonical_point(field: Field, v) -> np.ndarray:

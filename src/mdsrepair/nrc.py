@@ -44,6 +44,7 @@ from .gf import FieldTower
 from .linalg import (
     Matrix,
     Subspace,
+    _rref_array,
     canonical_point,
     intersection,
     kernel,
@@ -248,25 +249,17 @@ class NrcBundle:
 
 
 def _spanning_points(field, node: Subspace, gens: np.ndarray, forced):
+    """The forced point, then curve rows greedily from the top, as points.
+
+    The greedy choice is the pivot columns of one elimination of the
+    transposed candidate stack; it stops at the node's dimension.
+    """
     ell = node.dim
-    chosen: list[np.ndarray] = []
-    if forced is not None:
-        chosen.append(forced)
-    rank = len(chosen)
-    for row in gens:
-        if rank == ell:
-            break
-        p = canonical_point(field, row)
-        if any(np.array_equal(p, c) for c in chosen):
-            continue
-        stacked = np.vstack(chosen + [p]) if chosen else p[None, :]
-        new_rank = Subspace.from_rows(field, stacked).dim
-        if new_rank > rank:
-            chosen.append(p)
-            rank = new_rank
-    if rank != ell:
+    cands = gens if forced is None else np.vstack([forced, gens])
+    pivots = _rref_array(field, cands.T)[2][:ell]
+    if len(pivots) != ell:
         raise InternalInconsistency("column fill failed to span a node")
-    return chosen
+    return [canonical_point(field, cands[p]) for p in pivots]
 
 
 def build(params: NrcParams) -> NrcBundle:

@@ -321,6 +321,19 @@ def test_simulate_single_node_and_jobs(workspace, capsys):
     assert fan["trials"] == solo["trials"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0"),
+                                        ("--trials", "-3")])
+def test_simulate_rejects_bad_seed_and_trials(workspace, capsys, flag, value,
+                                              jobs):
+    argv = ["simulate", str(workspace / "code.json"),
+            str(workspace / "scheme.json"), "--jobs", jobs, flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"BadParameters: {flag}" in err
+
+
 def test_sweep(capsys):
     assert main(["sweep", "--p", "3", "--ell", "2", "--r", "2",
                  "--n-min", "8", "--n-max", "10", "--format", "json"]) == 0

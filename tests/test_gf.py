@@ -101,7 +101,7 @@ def test_field_axioms_f9(tower3, a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.sub(f.add(a, b), b) == a
     if b != 0:
-        assert f.mul(f.div(a, b), b) == a
+        assert f.mul(f.mul(a, f.inv(b)), b) == a
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,7 +196,8 @@ def test_field_reduce_roundtrip_f81():
     t = build_tower(3, 1, 4)
     assert t.top_order == 81
     for x in t.top_elements():
-        assert t.field_lift(t.field_reduce(x)) == x
+        digits = t.field_reduce(x)
+        assert sum(d * t.q ** k for k, d in enumerate(digits)) == x
 
 
 def test_field_reduce_is_linear(tower3):

@@ -20,7 +20,6 @@ from mdsrepair.linalg import (
     _rank_table,
     _rref_array,
     Subspace,
-    annihilator,
     batched_rank,
     canonical_point,
     enumerate_rref,
@@ -32,11 +31,8 @@ from mdsrepair.linalg import (
     matmul,
     projective_point_array,
     projective_point_count,
-    rank_of,
     rref,
     rref_blocks,
-    solve_exact,
-    subspace_sum,
 )
 
 F2 = build_tower(2, 1, 1).base
@@ -45,6 +41,56 @@ F5 = build_tower(5, 1, 1).base
 F4 = build_tower(2, 2, 1).base
 F9 = build_tower(3, 2, 1).base
 F16 = build_tower(2, 4, 1).base
+
+
+def _rank(m):
+    return batched_rank(m.field, m.array[None])[0]
+
+
+def _zero_space(field, d):
+    return Subspace(field, d, Matrix(field, np.zeros((0, d), dtype=np.int64)), ())
+
+
+def _full_space(field, d):
+    return Subspace(field, d, Matrix(field, np.eye(d, dtype=np.int64)),
+                    tuple(range(d)))
+
+
+# -- reference routes: the eliminations kernel and intersection replaced --------
+
+
+def _kernel_oracle(m):
+    """One basis row per free column of rref(m), then reduced again."""
+    r, _, pivots = rref(m)
+    d = m.cols
+    free = [c for c in range(d) if c not in pivots]
+    if not free:
+        return _zero_space(m.field, d)
+    rows = np.zeros((len(free), d), dtype=np.int64)
+    for k, f in enumerate(free):
+        rows[k, f] = 1
+        for i, pc in enumerate(pivots):
+            rows[k, pc] = m.field.neg(int(r.array[i, f]))
+    return Subspace.from_rows(m.field, rows)
+
+
+def _sum_oracle(a, b):
+    if a.ambient != b.ambient or a.field != b.field:
+        raise AmbientMismatch("subspaces live in different ambient spaces")
+    return Subspace.from_rows(a.field, np.vstack([a.basis.array, b.basis.array]))
+
+
+def _annihilator_oracle(s):
+    """{y : x . y = 0 for all x in s} under the standard bilinear form."""
+    if s.dim == 0:
+        return _full_space(s.field, s.ambient)
+    return _kernel_oracle(s.basis)
+
+
+def _intersection_oracle(a, b):
+    """(a^o + b^o)^o: three annihilators and a sum."""
+    return _annihilator_oracle(_sum_oracle(_annihilator_oracle(a),
+                                           _annihilator_oracle(b)))
 
 
 def _row_space(field, rows, width=None):
@@ -62,10 +108,10 @@ def _row_space(field, rows, width=None):
 
 
 def test_rref_identity_and_zero():
-    ident = Matrix.identity(F3, 3)
+    ident = Matrix(F3, np.eye(3, dtype=np.int64))
     r, rank, piv = rref(ident)
     assert r == ident and rank == 3 and piv == (0, 1, 2)
-    z = Matrix.zeros(F3, 2, 4)
+    z = Matrix(F3, np.zeros((2, 4), dtype=np.int64))
     r, rank, piv = rref(z)
     assert r == z and rank == 0 and piv == ()
 
@@ -75,11 +121,11 @@ def test_rref_rank_with_row_space_oracle():
     # so the row space has 3 elements and the rank is 1
     rows = [[1, 2], [2, 1]]
     assert len(_row_space(F3, rows)) == 3
-    assert rank_of(Matrix(F3, rows)) == 1
+    assert rref(Matrix(F3, rows))[1] == 1
     # a genuinely invertible companion
     rows2 = [[1, 2], [2, 2]]
     assert len(_row_space(F3, rows2)) == 9
-    assert rank_of(Matrix(F3, rows2)) == 2
+    assert rref(Matrix(F3, rows2))[1] == 2
 
 
 def _random_invertible(field, d, rng):
@@ -108,12 +154,12 @@ def test_rref_canonical_under_row_operations():
 
 
 def test_kernel_basics():
-    assert kernel(Matrix.identity(F3, 3)).dim == 0
-    full = kernel(Matrix.zeros(F3, 1, 4))
+    assert kernel(Matrix(F3, np.eye(3, dtype=np.int64))).dim == 0
+    full = kernel(Matrix(F3, np.zeros((1, 4), dtype=np.int64)))
     assert full.dim == 4
     # full-row-rank l x (r*l) matrix has kernel of dimension (r-1)*l
     m = Matrix(F3, [[1, 0, 1, 2, 0, 1], [0, 1, 2, 2, 1, 0]])
-    assert rank_of(m) == 2
+    assert _rank(m) == 2
     k = kernel(m)
     assert k.dim == 4
     for v in k.basis.array:
@@ -135,7 +181,7 @@ def test_contains_against_multiplication_oracle():
 def test_contains_trivia():
     s = Subspace.from_rows(F3, [[1, 0, 0], [0, 1, 0]])
     assert s.contains([0, 0, 0])
-    zero = Subspace.zero(F3, 3)
+    zero = _zero_space(F3, 3)
     assert not zero.contains([0, 1, 0])
     with pytest.raises(AmbientMismatch):
         s.contains([1, 0])
@@ -149,7 +195,7 @@ def test_intersect_dim_examples():
     u = Subspace.from_rows(F3, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert intersect_dim(s, u) == 1
     with pytest.raises(AmbientMismatch):
-        intersect_dim(s, Subspace.zero(F3, 3))
+        intersect_dim(s, _zero_space(F3, 3))
 
 
 def test_intersect_dim_against_membership_oracle():
@@ -182,14 +228,14 @@ def test_intersection_subspace_consistent_with_dim():
         assert inter.dim == intersect_dim(a, b)
         for v in inter.basis.array:
             assert a.contains(v) and b.contains(v)
-        assert subspace_sum(a, b).dim == a.dim + b.dim - inter.dim
+        assert _sum_oracle(a, b).dim == a.dim + b.dim - inter.dim
 
 
 def test_annihilator_dimensions():
     s = Subspace.from_rows(F5, [[1, 2, 3, 4]])
-    assert annihilator(s).dim == 3
-    assert annihilator(Subspace.zero(F5, 4)).dim == 4
-    assert annihilator(Subspace.full(F5, 4)).dim == 0
+    assert _annihilator_oracle(s).dim == 3
+    assert _annihilator_oracle(_zero_space(F5, 4)).dim == 4
+    assert _annihilator_oracle(_full_space(F5, 4)).dim == 0
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -198,7 +244,7 @@ def test_annihilator_dimensions():
 def test_enumerate_rref_k_equals_d():
     ms = list(enumerate_rref(F3, 2, 2))
     assert len(ms) == 1
-    assert ms[0] == Matrix.identity(F3, 2)
+    assert ms[0] == Matrix(F3, np.eye(2, dtype=np.int64))
 
 
 def test_enumerate_rref_full_census_2_4_3():
@@ -207,7 +253,7 @@ def test_enumerate_rref_full_census_2_4_3():
     seen_matrices = {m.array.tobytes() for m in ms}
     assert len(seen_matrices) == 130
     for m in ms:
-        assert rank_of(m) == 2
+        assert _rank(m) == 2
         r, _, _ = rref(m)
         assert r == m  # already canonical
     kernels = {kernel(m).basis.array.tobytes() for m in ms}
@@ -269,7 +315,7 @@ def test_batched_rank_matches_single(field):
     for shape in {(m.shape) for m in mats}:
         group = [m for m in mats if m.shape == shape]
         got = batched_rank(field, np.stack(group))
-        want = [rank_of(Matrix(field, m)) for m in group]
+        want = [_rref_array(field, m)[1] for m in group]
         assert got.tolist() == want
 
 
@@ -334,12 +380,16 @@ def test_rank_table_is_filled_once(monkeypatch):
 
 def test_inverse_and_solve():
     m = Matrix(F5, [[1, 2], [3, 4]])
-    assert matmul(m, inverse(m)) == Matrix.identity(F5, 2)
+    assert matmul(m, inverse(m)) == Matrix(F5, np.eye(2, dtype=np.int64))
     with pytest.raises(DivisionByZero):
         inverse(Matrix(F5, [[1, 2], [2, 4]]))
+    # a full-column-rank system a @ x = b: reducing [a | b] leaves the
+    # identity over x and zero rows below it
     a = Matrix(F5, [[1, 0], [2, 1], [1, 1]])
     x = Matrix(F5, [[2, 1], [0, 2]])
-    assert solve_exact(a, matmul(a, x)) == x
+    r, _, pivots = _rref_array(F5, np.hstack([a.array, matmul(a, x).array]))
+    assert pivots == (0, 1)
+    assert Matrix(F5, r[:2, 2:]) == x and not r[2:].any()
 
 
 @pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
@@ -406,7 +456,7 @@ def test_dimension_formula_property(pair):
     rows_a, rows_b = pair
     a = Subspace.from_rows(F3, np.array(rows_a, dtype=np.int64))
     b = Subspace.from_rows(F3, np.array(rows_b, dtype=np.int64))
-    assert subspace_sum(a, b).dim + intersect_dim(a, b) == a.dim + b.dim
+    assert _sum_oracle(a, b).dim + intersect_dim(a, b) == a.dim + b.dim
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,3 +516,106 @@ def test_gauss_jordan_stack_matches_rref(case):
         assert np.array_equal(red, want)
         assert rank == want_rank
         assert tuple(np.nonzero(mask)[0]) == want_piv
+
+
+# -- one elimination per question, against the reference routes -------------------
+
+
+def _rows(draw, field, count, d):
+    """``count`` rows of length d, mixing random, zero and repeated rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero" or (kind == "repeat" and not out):
+            out.append(np.zeros(d, dtype=np.int64))
+        elif kind == "repeat":
+            out.append(out[draw(st.integers(0, len(out) - 1))].copy())
+        else:
+            out.append(rng.integers(0, field.order, d))
+    return np.array(out, dtype=np.int64).reshape(count, d)
+
+
+_ORACLE_FIELDS = [F2, F3, F4, F5, F9]
+
+
+@st.composite
+def _matrix_case(draw):
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    d = draw(st.integers(1, 7))
+    return Matrix(field, _rows(draw, field, draw(st.integers(0, d + 1)), d))
+
+
+@st.composite
+def _subspace_case(draw):
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    d = draw(st.integers(1, 7))
+
+    def some():
+        rows = _rows(draw, field, draw(st.integers(0, d + 1)), d)
+        return Subspace.from_rows(field, rows)
+
+    kind = draw(st.sampled_from(["random", "zero", "full", "equal", "nested"]))
+    a = some()
+    if kind == "zero":
+        b = _zero_space(field, d)
+    elif kind == "full":
+        b = _full_space(field, d)
+    elif kind == "equal":
+        b = Subspace.from_rows(field, a.basis.array)
+    elif kind == "nested":
+        b = Subspace.from_rows(field, np.vstack([a.basis.array,
+                                                 some().basis.array]))
+    else:
+        b = some()
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _same_subspace(got, want):
+    # Subspace equality compares the ambient and the basis matrix exactly
+    assert got == want and got.pivots == want.pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_case())
+def test_kernel_matches_free_column_route(m):
+    k = kernel(m)
+    _same_subspace(k, _kernel_oracle(m))
+    assert not m.field.matmul(m.array, k.basis.array.T).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_case())
+def test_intersection_matches_annihilator_route(pair):
+    a, b = pair
+    got = intersection(a, b)
+    _same_subspace(got, _intersection_oracle(a, b))
+    assert got.dim == intersect_dim(a, b)
+
+
+def test_intersection_edge_cases_match_annihilator_route():
+    for field in _ORACLE_FIELDS:
+        for d in (1, 4):
+            zero, full = _zero_space(field, d), _full_space(field, d)
+            line = Subspace.from_rows(field, [[1] * d])
+            for a, b in itertools.product([zero, full, line], repeat=2):
+                _same_subspace(intersection(a, b), _intersection_oracle(a, b))
+    with pytest.raises(AmbientMismatch):
+        intersection(_full_space(F3, 3), _full_space(F3, 4))
+
+
+def test_kernel_and_intersection_eliminate_once(monkeypatch):
+    calls = []
+    real = linalg._rref_array
+
+    def counted(field, a):
+        calls.append(a.shape)
+        return real(field, a)
+
+    monkeypatch.setattr(linalg, "_rref_array", counted)
+    m = Matrix(F5, [[1, 2, 0, 4, 1], [0, 1, 1, 0, 3], [1, 3, 1, 4, 4]])
+    a, b = kernel(m), _full_space(F5, 5)
+    assert len(calls) == 1
+    calls.clear()
+    intersection(a, b)
+    assert len(calls) == 1

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from mdsrepair import linalg, nrc
 from mdsrepair.codes import check_mds, realization_to_json
 from mdsrepair.errors import (
     BadParameters,
     EllTooSmall,
+    InternalInconsistency,
     LengthOutOfRange,
     Nondivisible,
     QuotientTooSmall,
@@ -14,7 +16,12 @@ from mdsrepair.errors import (
     ZeroB,
 )
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import intersect_dim, projective_point_count
+from mdsrepair.linalg import (
+    Subspace,
+    canonical_point,
+    intersect_dim,
+    projective_point_count,
+)
 from mdsrepair.nrc import (
     INF,
     block_partition,
@@ -232,7 +239,7 @@ def test_build_higher_redundancy_lengths(tower5):
 def test_build_forced_columns_present(bundle5):
     # every node of the two chosen blocks carries the unique projective
     # point its designated hitting kernel captures
-    from mdsrepair.linalg import canonical_point, intersection
+    from mdsrepair.linalg import intersection
 
     field = bundle5.skeleton.tower.base
     block_a, block_b = bundle5.blocks_used
@@ -250,6 +257,84 @@ def test_build_forced_columns_present(bundle5):
         point = tuple(int(x) for x in canonical_point(field,
                                                       hit.basis.array[0]))
         assert point in bundle5.realization.column_sets[idx]
+
+
+def _greedy_spanning_points(field, node, gens, forced):
+    """Reference: keep each new canonical point that raises the rank."""
+    ell = node.dim
+    chosen = [] if forced is None else [forced]
+    rank = len(chosen)
+    for row in gens:
+        if rank == ell:
+            break
+        p = canonical_point(field, row)
+        if any(np.array_equal(p, c) for c in chosen):
+            continue
+        new_rank = Subspace.from_rows(field, np.vstack(chosen + [p])).dim
+        if new_rank > rank:
+            chosen.append(p)
+            rank = new_rank
+    if rank != ell:
+        raise InternalInconsistency("column fill failed to span a node")
+    return chosen
+
+
+def _spanning_cases(tower, r):
+    """Curve rows of every parameter with forced points, duplicate and
+    non-canonical rows."""
+    field = tower.base
+    for c in list(tower.top_elements()) + [INF]:
+        gens = nrc._curve_rows(tower, r, c)
+        node = nrc_subspace(tower, r, c)
+        mixed = field.arr_add(gens[0], gens[-1])
+        scaled = field.arr_mul(gens[0], field.order - 1)
+        for forced in (None, canonical_point(field, gens[0]),
+                       canonical_point(field, gens[-1]),
+                       canonical_point(field, mixed)):
+            yield field, node, gens, forced
+            yield field, node, np.vstack([gens[:1], gens]), forced
+            yield field, node, np.vstack([gens[:1], scaled, gens[1:]]), forced
+            yield field, node, np.vstack([scaled, gens[1:]]), forced
+
+
+@pytest.mark.parametrize("p,m,ell,r", [(3, 1, 2, 2), (5, 1, 2, 3),
+                                       (3, 2, 2, 3)],
+                         ids=["q3", "q5", "q9"])
+def test_spanning_points_match_greedy_route(p, m, ell, r):
+    cases = 0
+    for field, node, gens, forced in _spanning_cases(build_tower(p, m, ell), r):
+        got = nrc._spanning_points(field, node, gens, forced)
+        want = _greedy_spanning_points(field, node, gens, forced)
+        assert len(got) == len(want) == node.dim
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        cases += 1
+    assert cases == 16 * (p ** (m * ell) + 1)
+
+
+def test_spanning_points_refuse_a_short_fill(tower3):
+    field = tower3.base
+    gens = nrc._curve_rows(tower3, 2, 1)
+    node = nrc_subspace(tower3, 2, 1)
+    for fill in (nrc._spanning_points, _greedy_spanning_points):
+        with pytest.raises(InternalInconsistency):
+            fill(field, node, np.vstack([gens[:1], gens[:1]]), None)
+
+
+def test_spanning_points_eliminate_once(tower5, monkeypatch):
+    calls = []
+    real = linalg._rref_array
+
+    def counted(field, a):
+        calls.append(a.shape)
+        return real(field, a)
+
+    gens = nrc._curve_rows(tower5, 3, 7)
+    node = nrc_subspace(tower5, 3, 7)
+    forced = canonical_point(tower5.base, gens[1])
+    monkeypatch.setattr(linalg, "_rref_array", counted)
+    monkeypatch.setattr(nrc, "_rref_array", counted)
+    nrc._spanning_points(tower5.base, node, gens, forced)
+    assert len(calls) == 1
 
 
 def test_build_per_node_hit_counts(bundle3, bundle5):
