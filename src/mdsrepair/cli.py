@@ -84,8 +84,32 @@ def _load_scheme(path: str, field):
 
 
 def _workers(jobs: int) -> int:
-    """--jobs, clamped to the number of CPUs."""
+    """--jobs, at least 1, clamped to the number of CPUs."""
+    if jobs < 1:
+        raise BadParameters(f"--jobs must be at least 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1)
+
+
+def _check_out(args) -> None:
+    """Refuse an --out target that cannot be written, before any work runs.
+
+    ``construct`` writes into the directory --out, creating it if needed;
+    every other command writes the file --out in an existing directory.
+    """
+    out = args.out
+    if not out:
+        return
+    if args.command == "construct":
+        nearest = os.path.abspath(out)
+        while not os.path.exists(nearest):
+            nearest = os.path.dirname(nearest)
+        if not os.path.isdir(nearest):
+            raise BadParameters(f"--out {out}: {nearest} is not a directory")
+    elif os.path.isdir(out):
+        raise BadParameters(f"--out {out} is a directory")
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        raise BadParameters(f"--out {out}: no directory "
+                            f"{os.path.dirname(out)}")
 
 
 def _emit(args, doc: dict, table: str) -> None:
@@ -229,11 +253,11 @@ def cmd_bruteforce(args) -> int:
     field = s.tower.base
     total = gaussian_binomial(s.ambient, s.ell, field.order)
     rng = _parse_range(args.range, total)
+    jobs = _workers(args.jobs)
     if rng is None and total > args.budget:
         raise BudgetExceeded(total)
     start, stop = rng if rng is not None else (0, total)
 
-    jobs = _workers(args.jobs)
     if jobs > 1 and stop - start > 1:
         bounds_list = [start + (stop - start) * k // jobs
                        for k in range(jobs + 1)]
@@ -280,6 +304,7 @@ def cmd_simulate(args) -> int:
         raise BadParameters(f"--seed must be nonnegative, got {args.seed}")
     if args.trials < 1:
         raise BadParameters(f"--trials must be at least 1, got {args.trials}")
+    jobs = _workers(args.jobs)
     code_obj = _load_json(args.code)
     scheme_obj = _load_json(args.scheme)
     re, _, _ = realization_from_json(code_obj)
@@ -296,7 +321,6 @@ def cmd_simulate(args) -> int:
             raise BadParameters(f"--node must be in 1..{s.n}")
         nodes = (node0,)
 
-    jobs = _workers(args.jobs)
     if jobs > 1 and args.trials > 1:
         splits = [args.trials * k // jobs for k in range(jobs + 1)]
         tasks = [(splits[k], splits[k + 1] - splits[k])
@@ -331,6 +355,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.n_min > args.n_max:
+        raise BadParameters(f"--n-min {args.n_min} is greater than "
+                            f"--n-max {args.n_max}")
     tower = build_tower(args.p, args.m, args.ell)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
@@ -443,6 +470,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

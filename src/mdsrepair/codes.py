@@ -241,24 +241,39 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
     return Realization(s, blocks, cleaned)
 
 
-def sample_codeword(re: Realization, seed) -> np.ndarray:
-    """A seed-determined uniform random codeword, shaped (n, l).
+def sample_codewords(re: Realization, seeds) -> np.ndarray:
+    """One seed-determined uniform random codeword per seed, shaped (T, n, l).
 
     Coefficients over the kernel basis are drawn from numpy's PCG64
-    generator (see CODEWORD_SAMPLER); equal seeds give equal codewords.
-    ``seed`` may be an int or a sequence of ints.
+    generator (see CODEWORD_SAMPLER), one generator per seed, so a word
+    depends on its own seed only; the whole stack is encoded with one
+    product against the kernel basis.  A seed may be an int or a sequence
+    of ints.
     """
     s = re.skeleton
     if not s.is_mds:
         raise NotMds(s.mds_witness())
     field = s.tower.base
-    kb = re.kernel_basis()
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(0, field.order, size=kb.rows, dtype=np.int64)
-    flat = field.matmul(coeffs[None, :], kb.array)[0]
-    cw = flat.reshape(s.n, s.ell)
-    cw.setflags(write=False)
-    return cw
+    kb = re.kernel_basis().array
+    coeffs = np.empty((len(seeds), kb.shape[0]), dtype=np.int64)
+    for row, seed in zip(coeffs, seeds):
+        row[:] = np.random.default_rng(seed).integers(
+            0, field.order, size=kb.shape[0], dtype=np.int64)
+    words = field.matmul(coeffs, kb).reshape(len(seeds), s.n, s.ell)
+    words.setflags(write=False)
+    return words
+
+
+def sample_codeword(re: Realization, seed) -> np.ndarray:
+    """The codeword of :func:`sample_codewords` for one seed, shaped (n, l)."""
+    return sample_codewords(re, [seed])[0]
+
+
+def syndromes(re: Realization, words: np.ndarray) -> np.ndarray:
+    """Parity checks of a (T, n, l) stack of words: column t is H c_t."""
+    words = np.asarray(words, dtype=np.int64)
+    return re.skeleton.tower.base.matmul(
+        re.column_stack(), words.reshape(len(words), -1).T)
 
 
 def is_codeword(re: Realization, cw: np.ndarray) -> bool:
@@ -266,9 +281,7 @@ def is_codeword(re: Realization, cw: np.ndarray) -> bool:
     cw = np.asarray(cw, dtype=np.int64)
     if cw.shape != (s.n, s.ell):
         return False
-    field = s.tower.base
-    syndrome = field.matmul(re.column_stack(), cw.reshape(-1, 1))
-    return not syndrome.any()
+    return not syndromes(re, cw[None]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ one elimination of a single augmented matrix (kernels reduce [m^T | I],
 intersections [[A, A], [B, 0]]), and a batch of one through the stack
 routine costs two to four times the single-matrix loop (a 2x6 matrix
 over F_9: 40 us against 179 us; 4x6: 113 us against 221 us; 2-core
-host, numpy 2.4, CPython 3.11), so single matrices stay on ``_rref_array``.
+host, numpy 2.4, CPython 3.11), so one-off matrices stay on ``_rref_array``.
+Callers that need many small matrices of one shape reduced stack them
+instead: a repair session factors every helper block of its nodes in one
+``_elimination_ranks`` call, and ``simulate.row_factor``, the
+single-matrix form, is its reference in tests.
 """
 
 from __future__ import annotations

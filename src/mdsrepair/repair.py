@@ -113,9 +113,14 @@ def scheme_from_json(obj: dict, field: Field):
 
 def _compressed_blocks(field: Field, m_arr: np.ndarray,
                        col_stack: np.ndarray, n: int, ell: int) -> np.ndarray:
-    """All products M * (block j) as an (n, l, l) array."""
+    """All products M * (block j) as an (n, l, l) array.
+
+    ``m_arr`` may also be a stack (k, l, r*l) of repair matrices; the
+    result is then (k, n, l, l).
+    """
     prod = field.matmul(m_arr, col_stack)
-    return np.ascontiguousarray(prod.reshape(ell, n, ell).transpose(1, 0, 2))
+    prod = prod.reshape(*prod.shape[:-1], n, ell)
+    return np.ascontiguousarray(np.moveaxis(prod, -2, -3))
 
 
 def _skeleton_col_stack(s: CodeSkeleton) -> np.ndarray:

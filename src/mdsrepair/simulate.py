@@ -8,6 +8,17 @@ The repairer recombines the summands with the A factors and applies
 -(M H_i)^(-1).  Reconstruction is exact field arithmetic, so a transcript
 either matches the erased block bit for bit or the implementation is
 wrong.
+
+A session factors all helper blocks of the nodes it is asked for in one
+batched elimination of their transposes (H^T): the pivot columns of H^T
+pick the rows B, and its nonzero reduced rows are the columns of A, as in
+:func:`row_factor`, the one-matrix form kept as the reference.  A node's
+pipeline is then three matrices, so a campaign replays a chunk of T
+codewords at a node with three (., T) products.  Each chunk samples its
+words from their own per-trial seeds, checks all their syndromes in one
+product and compares every reconstructed block exactly.  A chunk holds
+at most ``_TRIAL_CHUNK`` trials, and fewer on long codes, so that no
+product of a chunk exceeds about ``_CHUNK_CELLS`` terms.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ from .codes import (
     CODEWORD_SAMPLER,
     Realization,
     is_codeword,
-    sample_codeword,
+    sample_codewords,
+    syndromes,
 )
 from .errors import (
     BadShape,
@@ -28,13 +40,19 @@ from .errors import (
     NotACodeword,
     NotARepairMatrix,
 )
-from .linalg import Matrix, _rref_array, batched_rank, inverse
+from .linalg import Matrix, _elimination_ranks, _rref_array
 from .repair import (
     NodeMetrics,
     RepairScheme,
     _compressed_blocks,
     evaluate_scheme,
 )
+
+# Trials replayed together.  An extension-field product materialises all
+# its (rows, inner, T) terms, and every product of a chunk has at most
+# (n l)^2 terms per trial, so chunks also stay under _CHUNK_CELLS terms.
+_TRIAL_CHUNK = 128
+_CHUNK_CELLS = 1 << 20
 
 
 def row_factor(a: Matrix):
@@ -67,7 +85,15 @@ class RepairTranscript:
 
 
 class _NodeState:
-    __slots__ = ("helpers", "records", "neg_inv", "a_all", "b_compact",
+    """The repair pipeline of node ``failed``.
+
+    ``gather`` indexes the symbols the helpers read in a flattened word,
+    ``b_compact`` (block diagonal, one B per helper) turns them into the
+    symbols sent, ``a_all`` recombines those, and ``neg_inv`` is
+    -(M H_i)^(-1).
+    """
+
+    __slots__ = ("failed", "records", "neg_inv", "a_all", "b_compact",
                  "gather", "downloaded", "accessed")
 
 
@@ -75,7 +101,8 @@ class RepairSession:
     """Precomputed repair pipelines for one realization and scheme.
 
     The per-node factorizations depend only on the scheme, so they are
-    built once (lazily per node) and reused across trials.
+    built once (lazily, for all nodes asked for at once) and reused
+    across trials.
     """
 
     def __init__(self, re: Realization, sch: RepairScheme):
@@ -85,70 +112,81 @@ class RepairSession:
         self.scheme = sch
         self._states: dict[int, _NodeState] = {}
 
-    def _state(self, i: int) -> _NodeState:
-        st = self._states.get(i)
-        if st is not None:
-            return st
-        re = self.realization
-        s = re.skeleton
-        if not 0 <= int(i) < s.n:
-            raise BadShape(f"node index {i} out of range for n={s.n}")
-        field = s.tower.base
-        n, ell = s.n, s.ell
-        blocks = _compressed_blocks(field, self.scheme[i].array,
-                                    re.column_stack(), n, ell)
-        if batched_rank(field, blocks[i][None])[0] != ell:
-            raise NotARepairMatrix(i)
-        st = _NodeState()
-        st.helpers = tuple(j for j in range(n) if j != i)
-        st.neg_inv = field.arr_neg(inverse(Matrix(field, blocks[i])).array)
-        records = []
-        a_parts = []
-        b_parts = []
-        gather = []
-        for pos, j in enumerate(st.helpers):
-            a_j, b_j = row_factor(Matrix(field, blocks[j]))
-            acc = tuple(int(c) for c in
-                        np.nonzero((b_j.array != 0).any(axis=0))[0])
-            records.append(HelperRecord(helper=j, sent=b_j.rows, accessed=acc))
-            a_parts.append(a_j.array)
-            b_parts.append(b_j.array[:, list(acc)])
-            gather.extend(pos * ell + c for c in acc)
-        st.records = tuple(records)
-        st.a_all = np.hstack(a_parts) if a_parts else \
-            np.zeros((ell, 0), dtype=np.int64)
-        total_sent = sum(rec.sent for rec in records)
-        total_acc = len(gather)
-        b_compact = np.zeros((total_sent, total_acc), dtype=np.int64)
-        row0 = col0 = 0
-        for part in b_parts:
-            r, c = part.shape
-            b_compact[row0:row0 + r, col0:col0 + c] = part
-            row0 += r
-            col0 += c
-        st.b_compact = b_compact
-        st.gather = np.array(gather, dtype=np.int64)
-        st.downloaded = total_sent
-        st.accessed = total_acc
-        self._states[i] = st
-        return st
+    def _node_states(self, nodes) -> list[_NodeState]:
+        n = self.realization.n
+        nodes = [int(i) for i in nodes]
+        for i in nodes:
+            if not 0 <= i < n:
+                raise BadShape(f"node index {i} out of range for n={n}")
+        missing = [i for i in dict.fromkeys(nodes) if i not in self._states]
+        if missing:
+            self._build(missing)
+        return [self._states[i] for i in nodes]
 
-    def repair(self, cw: np.ndarray, i: int) -> RepairTranscript:
+    def _build(self, nodes: list[int]) -> None:
         re = self.realization
         s = re.skeleton
         field = s.tower.base
-        cw = np.asarray(cw, dtype=np.int64)
-        if not is_codeword(re, cw):
-            raise NotACodeword("input does not satisfy the parity checks")
-        st = self._state(i)
-        read = cw[list(st.helpers)].reshape(-1)[st.gather]
-        sent = field.matmul(st.b_compact, read[:, None])
-        combined = field.matmul(st.a_all, sent)
-        block = field.matmul(st.neg_inv, combined)[:, 0]
-        if not np.array_equal(block, cw[i]):
+        n, ell, k = s.n, s.ell, len(nodes)
+        m = np.stack([self.scheme[i].array for i in nodes])
+        blocks = _compressed_blocks(field, m, re.column_stack(), n, ell)
+        reduced, ranks, is_piv = _elimination_ranks(
+            field, blocks.swapaxes(-1, -2).reshape(k * n, ell, ell).copy())
+        reduced = reduced.reshape(k, n, ell, ell)
+        ranks = ranks.reshape(k, n)
+        is_piv = is_piv.reshape(k, n, ell)
+        for a, i in enumerate(nodes):
+            if ranks[a, i] != ell:
+                raise NotARepairMatrix(i)
+        # -(M H_i)^(-1) of every node from one elimination of [M H_i | I]
+        eye = np.broadcast_to(np.eye(ell, dtype=np.int64), (k, ell, ell))
+        diag = blocks[np.arange(k), nodes]
+        neg_inv = field.arr_neg(_elimination_ranks(
+            field, np.concatenate([diag, eye], axis=2))[0][:, :, ell:])
+        # B is the rows of M H_j at the pivot columns of its transpose, A^T
+        # the nonzero reduced rows, and a helper reads the nonzero columns
+        # of B
+        a_rows = np.arange(ell) < ranks[..., None]
+        reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
+        for a, i in enumerate(nodes):
+            helpers = np.array([j for j in range(n) if j != i], dtype=np.int64)
+            sent = ranks[a, helpers]
+            read = reads[a, helpers]
+            b_rows = blocks[a, helpers][is_piv[a, helpers]]
+            col_helper, col = np.nonzero(read)
+            row_helper = np.repeat(np.arange(len(helpers)), sent)
+            st = _NodeState()
+            st.failed = i
+            st.records = tuple(
+                HelperRecord(helper=int(j), sent=int(c),
+                             accessed=tuple(np.flatnonzero(r).tolist()))
+                for j, c, r in zip(helpers, sent, read))
+            st.neg_inv = neg_inv[a]
+            st.a_all = reduced[a, helpers][a_rows[a, helpers]].T
+            st.b_compact = np.where(row_helper[:, None] == col_helper,
+                                    b_rows[:, col], 0)
+            st.gather = helpers[col_helper] * ell + col
+            st.downloaded = int(sent.sum())
+            st.accessed = len(col)
+            self._states[i] = st
+
+    def _replay(self, st: _NodeState, words: np.ndarray) -> np.ndarray:
+        """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T)."""
+        field = self.realization.skeleton.tower.base
+        read = words.reshape(len(words), -1)[:, st.gather].T
+        sent = field.matmul(st.b_compact, read)
+        block = field.matmul(st.neg_inv, field.matmul(st.a_all, sent))
+        if not np.array_equal(block, words[:, st.failed].T):
             raise InternalInconsistency("reconstructed block differs from the "
                                         "erased block")
-        block = block.copy()
+        return block
+
+    def repair(self, cw: np.ndarray, i: int) -> RepairTranscript:
+        cw = np.asarray(cw, dtype=np.int64)
+        if not is_codeword(self.realization, cw):
+            raise NotACodeword("input does not satisfy the parity checks")
+        st = self._node_states((i,))[0]
+        block = self._replay(st, cw[None])[:, 0].copy()
         block.setflags(write=False)
         return RepairTranscript(failed=i, helpers=st.records,
                                 reconstructed=block,
@@ -206,8 +244,9 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     Codeword t is sampled with the derived seed (seed, t); identical
     arguments therefore produce identical reports, and ``first_trial``
     lets workers replay disjoint trial ranges of the same campaign.
-    Transcript counts are checked against the analytic per-node metrics
-    on every single run.
+    Trials run in chunks (see the module docstring); every syndrome and
+    every reconstructed block is checked, and transcript counts are
+    checked against the analytic per-node metrics on every chunk.
     """
     s = re.skeleton
     if int(trials) < 1:
@@ -218,18 +257,26 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
             raise BadShape(f"node index {i} out of range")
     session = RepairSession(re, sch)
     metrics = evaluate_scheme(re, sch)
+    states = session._node_states(node_list)
+    chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_CELLS // (s.n * s.ell) ** 2))
+    stop = first_trial + int(trials)
     downloaded = {}
     accessed = {}
-    for trial in range(first_trial, first_trial + int(trials)):
-        cw = sample_codeword(re, (seed, trial))
-        for i in node_list:
-            tr = session.repair(cw, i)
-            if tr.downloaded != metrics.bandwidth[i] or \
-                    tr.accessed != metrics.io[i]:
+    for t0 in range(first_trial, stop, chunk):
+        words = sample_codewords(
+            re, [(seed, t) for t in range(t0, min(t0 + chunk, stop))])
+        bad = np.flatnonzero(syndromes(re, words).any(axis=0))
+        if bad.size:
+            raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
+                               "does not satisfy the parity checks")
+        for i, st in zip(node_list, states):
+            session._replay(st, words)
+            if st.downloaded != metrics.bandwidth[i] or \
+                    st.accessed != metrics.io[i]:
                 raise InternalInconsistency(
                     f"transcript counts diverge from metrics at node {i}")
-            prev = downloaded.setdefault(i, tr.downloaded)
-            if prev != tr.downloaded or accessed.setdefault(i, tr.accessed) != tr.accessed:
+            prev = downloaded.setdefault(i, st.downloaded)
+            if prev != st.downloaded or accessed.setdefault(i, st.accessed) != st.accessed:
                 raise InternalInconsistency("transcript counts vary across trials")
     return CampaignReport(
         trials=int(trials), seed=int(seed), rng=CODEWORD_SAMPLER,

@@ -377,3 +377,87 @@ def test_construct_reruns_byte_identical(tmp_path):
     assert (d1 / "code.json").read_bytes() == (d2 / "code.json").read_bytes()
     assert (d1 / "scheme.json").read_bytes() == \
         (d2 / "scheme.json").read_bytes()
+
+
+def _refuse_work(monkeypatch):
+    """Make every command's main computation fail loudly if it runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("the command computed before checking --out")
+    for name in ("build", "check_mds", "evaluate_scheme", "bruteforce_overlap",
+                 "bruteforce_column_hits", "campaign", "bounds_report"):
+        monkeypatch.setattr(cli, name, boom)
+
+
+def test_construct_refuses_a_file_as_out_dir(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "code.json"
+    target.write_text("{}")
+    _refuse_work(monkeypatch)
+    for out in (target, target / "sub"):
+        assert main(["construct", "--p", "3", "--ell", "2", "--r", "2",
+                     "--n", "9", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"BadParameters: --out {out}: {target} is not a directory" \
+            in err
+    assert target.read_text() == "{}"
+
+
+@pytest.mark.parametrize("command", [
+    ["check-mds", "code.json"],
+    ["bounds", "--q", "3", "--ell", "2", "--r", "2", "--n", "9"],
+    ["eval", "code.json", "scheme.json"],
+    ["bruteforce", "code.json", "--node", "1"],
+    ["simulate", "code.json", "scheme.json", "--trials", "3"],
+    ["sweep", "--p", "3", "--ell", "2", "--r", "2", "--n-min", "8",
+     "--n-max", "9"],
+], ids=lambda c: c[0])
+def test_unwritable_out_rejected_before_work(workspace, tmp_path, monkeypatch,
+                                             capsys, command):
+    argv = [str(workspace / a) if a.endswith(".json") else a for a in command]
+    _refuse_work(monkeypatch)
+    missing = tmp_path / "nodir" / "x.json"
+    assert main(argv + ["--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"BadParameters: --out {missing}: no directory" in err
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"BadParameters: --out {tmp_path} is a directory" in err
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "1"],
+    ["simulate", "code.json", "scheme.json", "--trials", "3"],
+], ids=["bruteforce", "simulate"])
+def test_jobs_below_one_rejected(workspace, monkeypatch, capsys, command,
+                                 jobs):
+    argv = [str(workspace / a) if a.endswith(".json") else a for a in command]
+    _refuse_work(monkeypatch)
+    assert main(argv + ["--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"BadParameters: --jobs must be at least 1, got {jobs}" in err
+
+
+def test_sweep_rejects_an_empty_length_range(monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    assert main(["sweep", "--p", "3", "--ell", "2", "--r", "2",
+                 "--n-min", "10", "--n-max", "8", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BadParameters: --n-min 10 is greater than --n-max 8" \
+        in captured.err
+
+
+def test_simulate_jobs_fan_out_writes_identical_bytes(workspace, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(["simulate", str(workspace / "code.json"),
+                     str(workspace / "scheme.json"), "--trials", "9",
+                     "--seed", "13", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -4,11 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsrepair.codes import sample_codeword
-from mdsrepair.errors import NotACodeword, NotARepairMatrix
+from mdsrepair import simulate
+from mdsrepair.codes import CODEWORD_SAMPLER, is_codeword, sample_codeword
+from mdsrepair.errors import (
+    InternalInconsistency,
+    NotACodeword,
+    NotARepairMatrix,
+)
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import Matrix, _rref_array, batched_rank, matmul
-from mdsrepair.repair import RepairScheme, bandwidth, io_count
+from mdsrepair.linalg import (
+    Matrix,
+    _rref_array,
+    batched_rank,
+    inverse,
+    matmul,
+)
+from mdsrepair.nrc import build, validate_params
+from mdsrepair.repair import (
+    RepairScheme,
+    bandwidth,
+    evaluate_scheme,
+    io_count,
+)
 from mdsrepair.simulate import (
     RepairSession,
     campaign,
@@ -187,3 +204,192 @@ def test_campaign_node_subset_and_offsets(bundle3):
                       first_trial=2)
     assert whole.downloaded == first.downloaded == second.downloaded
     assert whole.nodes == (2,)
+
+
+@pytest.fixture(scope="module")
+def bundle9():
+    # extension base field F_9, the shortest length it admits at r = 2
+    return build(validate_params(build_tower(3, 2, 2), 2, 20))
+
+
+def _compressed(re, m, j):
+    return re.skeleton.tower.base.matmul(m.array, re.blocks[j].array)
+
+
+def _oracle_report(re, sch, trials, seed, nodes, first_trial=0):
+    """Campaign report from one repair per (trial, node), without a session.
+
+    Each erased block is rebuilt as -(M H_i)^(-1) sum_j M H_j c_j, and
+    each node's counts are the ranks and nonzero columns of its M H_j.
+    """
+    s = re.skeleton
+    field = s.tower.base
+    counts = {}
+    for t in range(first_trial, first_trial + trials):
+        cw = sample_codeword(re, (seed, t))
+        assert is_codeword(re, cw)
+        for i in nodes:
+            mh = [_compressed(re, sch[i], j) for j in range(s.n)]
+            total = np.zeros(s.ell, dtype=np.int64)
+            dl = ac = 0
+            for j in range(s.n):
+                if j == i:
+                    continue
+                total = field.arr_add(
+                    total, field.matmul(mh[j], cw[j][:, None])[:, 0])
+                dl += int(batched_rank(field, mh[j][None])[0])
+                ac += int((mh[j] != 0).any(axis=0).sum())
+            inv = inverse(Matrix(field, mh[i])).array
+            block = field.arr_neg(field.matmul(inv, total[:, None])[:, 0])
+            assert np.array_equal(block, cw[i])
+            assert counts.setdefault(i, (dl, ac)) == (dl, ac)
+    m = evaluate_scheme(re, sch)
+    rows = [{"i": i + 1, "downloaded": counts[i][0],
+             "accessed": counts[i][1], "beta": m.bandwidth[i],
+             "gamma": m.io[i]} for i in nodes]
+    return {"trials": trials, "seed": seed, "rng": CODEWORD_SAMPLER,
+            "per_node": rows, "failures": [],
+            "matches_metrics": all(r["downloaded"] == r["beta"]
+                                   and r["accessed"] == r["gamma"]
+                                   for r in rows),
+            "bounds": m.bounds.to_json_dict(), "equality": m.equality}
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9"])
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_campaign_matches_per_repair_oracle(request, monkeypatch, name, chunk):
+    bundle = request.getfixturevalue(name)
+    re, sch = bundle.realization, bundle.scheme
+    if chunk is not None:  # trials span chunk boundaries
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
+    nodes = tuple(range(re.n)) if name != "bundle5" else (0, 7, 23)
+    for trials, first in ((7, 0), (4, 5), (1, 11)):
+        rep = campaign(re, sch, trials=trials, seed=40, nodes=nodes,
+                       first_trial=first)
+        assert rep.to_json_dict() == _oracle_report(re, sch, trials, 40,
+                                                    nodes, first)
+
+
+def test_campaign_chunking_keeps_report(bundle3, monkeypatch):
+    re, sch = bundle3.realization, bundle3.scheme
+    whole = campaign(re, sch, trials=10, seed=8, first_trial=2)
+    real = simulate.sample_codewords
+    calls = []
+
+    def recording(re, seeds):
+        calls.append(list(seeds))
+        return real(re, seeds)
+
+    monkeypatch.setattr(simulate, "sample_codewords", recording)
+    for chunk in (3, 1):
+        calls.clear()
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
+        assert campaign(re, sch, trials=10, seed=8,
+                        first_trial=2).to_json_dict() == whole.to_json_dict()
+        # each trial's own seed, once, in order, chunk by chunk
+        assert [s for c in calls for s in c] == [(8, t) for t in range(2, 12)]
+        assert [len(c) for c in calls[:-1]] == [chunk] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9"])
+def test_session_factors_match_row_factor(request, name):
+    bundle = request.getfixturevalue(name)
+    re, sch = bundle.realization, bundle.scheme
+    field = re.skeleton.tower.base
+    ell = re.skeleton.ell
+    session = RepairSession(re, sch)
+    states = session._node_states(range(re.n))
+    for i, st in enumerate(states):
+        mh_i = Matrix(field, _compressed(re, sch[i], i))
+        assert np.array_equal(st.neg_inv,
+                              field.arr_neg(inverse(mh_i).array))
+        row = col = 0
+        gather = []
+        for rec in st.records:
+            a, b = row_factor(Matrix(field, _compressed(re, sch[i],
+                                                        rec.helper)))
+            acc = list(rec.accessed)
+            assert rec.sent == b.rows
+            assert acc == np.flatnonzero(b.array.any(axis=0)).tolist()
+            assert np.array_equal(st.a_all[:, row:row + b.rows], a.array)
+            blk = st.b_compact[row:row + b.rows]
+            assert np.array_equal(blk[:, col:col + len(acc)],
+                                  b.array[:, acc])
+            assert not blk[:, :col].any() and \
+                not blk[:, col + len(acc):].any()
+            gather += [rec.helper * ell + c for c in acc]
+            row += b.rows
+            col += len(acc)
+        assert [r.helper for r in st.records] == \
+            [j for j in range(re.n) if j != i]
+        assert st.b_compact.shape == (row, col) == \
+            (st.downloaded, st.accessed)
+        assert st.gather.tolist() == gather
+
+
+def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch):
+    calls = []
+    real = simulate._elimination_ranks
+
+    def counting(field, a):
+        calls.append(a.shape)
+        return real(field, a)
+
+    monkeypatch.setattr(simulate, "_elimination_ranks", counting)
+    monkeypatch.setattr(simulate, "_rref_array", None)  # row_factor unused
+    session = RepairSession(bundle5.realization, bundle5.scheme)
+    session._node_states(range(24))
+    # every helper block, then every node's [M H_i | I]
+    assert calls == [(24 * 24, 2, 2), (24, 2, 4)]
+    session._node_states(range(24))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("fault", ["neg_inv", "downloaded", "accessed"])
+def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
+    real = RepairSession._build
+
+    def corrupt(self, nodes):
+        real(self, nodes)
+        st = self._states.get(3)
+        if st is None:
+            return
+        if fault == "neg_inv":
+            st.neg_inv = np.zeros_like(st.neg_inv)
+        else:
+            setattr(st, fault, getattr(st, fault) + 1)
+
+    monkeypatch.setattr(RepairSession, "_build", corrupt)
+    re, sch = bundle3.realization, bundle3.scheme
+    with pytest.raises(InternalInconsistency):
+        campaign(re, sch, trials=5, seed=3)
+    campaign(re, sch, trials=5, seed=3, nodes=(2, 4))
+
+
+def test_campaign_checks_every_sampled_syndrome(bundle3, monkeypatch):
+    real = simulate.sample_codewords
+
+    def flip_last(re, seeds):
+        words = real(re, seeds).copy()
+        if seeds[-1] == (6, 9):
+            words[-1, 0, 0] = (words[-1, 0, 0] + 1) % 3
+        return words
+
+    monkeypatch.setattr(simulate, "sample_codewords", flip_last)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 4)
+    re, sch = bundle3.realization, bundle3.scheme
+    campaign(re, sch, trials=9, seed=6)
+    with pytest.raises(NotACodeword, match="trial 9"):
+        campaign(re, sch, trials=10, seed=6)
+
+
+def test_session_repair_rejects_noncodewords(bundle3):
+    re = bundle3.realization
+    session = RepairSession(re, bundle3.scheme)
+    cw = sample_codeword(re, 2)
+    assert np.array_equal(session.repair(cw, 3).reconstructed, cw[3])
+    bad = cw.copy()
+    bad[5, 1] = (bad[5, 1] + 1) % 3
+    for word in (bad, np.vstack([cw, cw[:1]]), cw[:, :1]):
+        with pytest.raises(NotACodeword):
+            session.repair(word, 3)
