@@ -90,6 +90,14 @@ def _workers(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _fan_out(worker, start: int, stop: int, jobs: int, *args) -> list:
+    """worker(*args, lo, hi) over jobs parts of [start, stop), in order."""
+    cuts = [start + (stop - start) * k // jobs for k in range(jobs + 1)]
+    parts = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, *zip(*(args + part for part in parts))))
+
+
 def _check_out(args) -> None:
     """Refuse an --out target that cannot be written, before any work runs.
 
@@ -222,7 +230,7 @@ def _bf_scan(re, node0, objective, start, stop):
     else:
         value, witness = bruteforce_column_hits(re, node0,
                                                 index_range=(start, stop))
-    return value, None if witness is None else witness.to_json_dict(), start
+    return value, None if witness is None else witness.to_json_dict()
 
 
 def _bf_worker(code_obj, node0, objective, start, stop):
@@ -259,22 +267,11 @@ def cmd_bruteforce(args) -> int:
     start, stop = rng if rng is not None else (0, total)
 
     if jobs > 1 and stop - start > 1:
-        bounds_list = [start + (stop - start) * k // jobs
-                       for k in range(jobs + 1)]
-        tasks = [(bounds_list[k], bounds_list[k + 1]) for k in range(jobs)
-                 if bounds_list[k] < bounds_list[k + 1]]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                _bf_worker, [code_obj] * len(tasks), [node0] * len(tasks),
-                [args.objective] * len(tasks),
-                [t[0] for t in tasks], [t[1] for t in tasks]))
-        parts.sort(key=lambda p: p[2])
-        value, witness = -1, None
-        for v, w, _ in parts:
-            if v > value:
-                value, witness = v, w
+        parts = _fan_out(_bf_worker, start, stop, jobs, code_obj, node0,
+                         args.objective)
     else:
-        value, witness, _ = _bf_scan(re, node0, args.objective, start, stop)
+        parts = [_bf_scan(re, node0, args.objective, start, stop)]
+    value, witness = max(parts, key=lambda p: p[0])  # the first maximizer
 
     key = "alpha" if args.objective == "bandwidth" else "lambda"
     cost_key = "beta" if args.objective == "bandwidth" else "gamma"
@@ -292,10 +289,10 @@ def cmd_bruteforce(args) -> int:
 # simulate
 
 
-def _sim_worker(code_obj, scheme_obj, trials, seed, first_trial, nodes):
+def _sim_worker(code_obj, scheme_obj, seed, nodes, first_trial, stop):
     re, _, _ = realization_from_json(code_obj)
     sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
-    return campaign(re, sch, trials=trials, seed=seed, nodes=nodes,
+    return campaign(re, sch, trials=stop - first_trial, seed=seed, nodes=nodes,
                     first_trial=first_trial)
 
 
@@ -322,15 +319,8 @@ def cmd_simulate(args) -> int:
         nodes = (node0,)
 
     if jobs > 1 and args.trials > 1:
-        splits = [args.trials * k // jobs for k in range(jobs + 1)]
-        tasks = [(splits[k], splits[k + 1] - splits[k])
-                 for k in range(jobs) if splits[k] < splits[k + 1]]
-        node_arg = None if nodes is None else list(nodes)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                _sim_worker, [code_obj] * len(tasks), [scheme_obj] * len(tasks),
-                [t[1] for t in tasks], [args.seed] * len(tasks),
-                [t[0] for t in tasks], [node_arg] * len(tasks)))
+        parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
+                         scheme_obj, args.seed, nodes)
         if len({(p.downloaded, p.accessed) for p in parts}) != 1:
             raise InternalInconsistency("workers disagree on transcript counts")
         rep = dataclasses.replace(parts[0], trials=args.trials)

@@ -54,6 +54,10 @@ CODEWORD_SAMPLER = "pcg64-integers-v1"
 
 _MDS_CHUNK = 4096
 
+# bounds_report's largest q (trial division to sqrt(q)) and value bits.
+_BOUNDS_Q_CAP = 1 << 32
+_BOUNDS_BITS = 1 << 13
+
 
 class CodeSkeleton:
     """n node subspaces of F_q^(r*l), each of dimension l."""
@@ -216,7 +220,7 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
     """
     field = s.tower.base
     ell = s.ell
-    blocks = []
+    stacks = []
     cleaned = []
     for i, pts in enumerate(column_sets):
         if not all(np.any(p) for p in pts):
@@ -233,12 +237,13 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
             if not s.nodes[i].contains(p):
                 raise PointOutsideNode(
                     f"node {i}: column point outside the node subspace")
-        stacked = np.stack(pts)
-        if Subspace.from_rows(field, stacked).dim != ell:
-            raise NotSpanning(f"node {i}: column points do not span the node")
-        blocks.append(Matrix(field, stacked.T))
+        stacks.append(np.stack(pts))
         cleaned.append(tuple(tuple(int(x) for x in p) for p in pts))
-    return Realization(s, blocks, cleaned)
+    stacks = np.array(stacks, dtype=np.int64).reshape(-1, ell, s.ambient)
+    short = np.flatnonzero(batched_rank(field, stacks) != ell)
+    if short.size:
+        raise NotSpanning(f"node {short[0]}: column points do not span the node")
+    return Realization(s, [Matrix(field, p.T) for p in stacks], cleaned)
 
 
 def sample_codewords(re: Realization, seeds) -> np.ndarray:
@@ -328,14 +333,22 @@ def bounds_report(q: int, ell: int, r: int, n: int) -> BoundsReport:
     im_bound = l(n-1) - (r-1)(q^l-1)/(q-1); pc_bound replaces the
     correction term by (q^((r-1)l)-1)/(q-1).  length_max is the general
     MDS length ceiling q^l + r - 1, and equality_min_length the shortest
-    length at which im_bound can possibly be attained.
+    length at which im_bound can possibly be attained.  A q or a value
+    above its cap is refused before anything is computed.
     """
     q, ell, r, n = int(q), int(ell), int(r), int(n)
-    if prime_power(q) is None:
-        raise BadParameters(f"q={q} is not a prime power")
+    if q > _BOUNDS_Q_CAP:
+        raise BadParameters(f"q={q} is above {_BOUNDS_Q_CAP}, the largest")
     if ell < 1 or r < 2 or n < r:
         raise BadParameters(
             f"need ell >= 1, r >= 2, n >= r; got ell={ell}, r={r}, n={n}")
+    # q^((r-1) ell) and l (n-1) bound every reported value
+    bits = (r - 1) * ell * q.bit_length() + n.bit_length()
+    if bits > _BOUNDS_BITS:
+        raise BadParameters(f"ell={ell}, r={r}, n={n} at q={q} give values "
+                            f"of {bits} bits, above {_BOUNDS_BITS}")
+    if prime_power(q) is None:
+        raise BadParameters(f"q={q} is not a prime power")
     t = projective_point_count(q, ell)
     im = ell * (n - 1) - (r - 1) * t
     pc = ell * (n - 1) - (q ** ((r - 1) * ell) - 1) // (q - 1)
@@ -407,7 +420,7 @@ def realization_from_json(obj: dict):
     if len(raw_nodes) != n:
         raise MalformedInput("node count disagrees with n")
     field = tower.base
-    subspaces = []
+    generators = []
     column_sets = []
     labels = []
     for i, nd in enumerate(raw_nodes):
@@ -423,8 +436,9 @@ def realization_from_json(obj: dict):
             raise MalformedInput("node X must be ell points of length r*ell")
         if any(((a < 0) | (a >= field.order)).any() for a in (cols, pts)):
             raise MalformedInput("node H/X entry out of range for the field")
-        subspaces.append(Subspace.from_rows(field, cols))
+        generators.append(cols)
         column_sets.append(list(pts))
+    subspaces = Subspace.from_stack(field, generators) if generators else []
     try:
         skeleton = CodeSkeleton(tower, r, subspaces)
         re = realize(skeleton, column_sets)

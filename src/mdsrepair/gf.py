@@ -15,8 +15,8 @@ Every field has order at most ``_TABLE_CAP`` = 1024: ``Field.prime``,
 Each field therefore computes through dense operation tables, prime
 fields included, and every scalar operation and every ``arr_*`` call is
 a table lookup (``pow`` is square-and-multiply over the table ``mul``).
-Only ``matmul`` and ``arr_sum`` on a prime field reduce an integer sum
-``% p`` instead of folding table additions.
+Only ``matmul`` on a prime field reduces an integer sum ``% p`` instead
+of adding through the tables, one inner index at a time.
 
 The tower carries the three maps that turn F_(q^l)-linear objects into
 F_q-linear ones: the q-power Frobenius, the norm down to F_q, and field
@@ -347,27 +347,24 @@ class Field:
             raise DivisionByZero("zero has no multiplicative inverse")
         return self._tabs().inv[x].astype(np.int64)
 
-    def arr_sum(self, x, axis: int) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if self.subfield is None:
-            return x.sum(axis=axis) % self.p
-        add = self._tabs().add
-        acc = np.zeros(np.delete(x.shape, axis), dtype=np.int64)
-        for part in np.moveaxis(x, axis, 0):
-            acc = add[acc * self.order + part].astype(np.int64)
-        return acc
-
     def matmul(self, a, b) -> np.ndarray:
         """Exact product of code arrays over this field.
 
         Operands are matrices or stacks of them, (..., m, k) @ (..., k, n),
-        with the leading axes broadcast as numpy's ``@`` does.
+        with the leading axes broadcast as numpy's ``@`` does.  Over an
+        extension field the k terms are added up one inner index at a time.
         """
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.subfield is None:
             return (a @ b) % self.p
-        return self.arr_sum(self.arr_mul(a[..., :, :, None],
-                                         b[..., None, :, :]), axis=-2)
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+        q, tabs = self.order, self._tabs()
+        acc = a[..., :0] @ b[..., :0, :]  # int64 zeros of the product's shape
+        for t in range(a.shape[-1]):
+            term = tabs.mul[a[..., :, t, None] * q + b[..., t, None, :]]
+            acc = tabs.add[acc * q + term].astype(np.int64)
+        return acc
 
     # -- misc ----------------------------------------------------------------
 

@@ -20,17 +20,12 @@ the table holds the rank of every matrix of that shape, is filled once
 per process by the batched column elimination, and answers a stack in
 one lookup.  Larger blocks are eliminated.
 
-Two Gauss-Jordan routines remain: ``_rref_array`` for one matrix and
-``_elimination_ranks`` for a stack.  Each linear-algebra question costs
-one elimination of a single augmented matrix (kernels reduce [m^T | I],
-intersections [[A, A], [B, 0]]), and a batch of one through the stack
-routine costs two to four times the single-matrix loop (a 2x6 matrix
-over F_9: 40 us against 179 us; 4x6: 113 us against 221 us; 2-core
-host, numpy 2.4, CPython 3.11), so one-off matrices stay on ``_rref_array``.
-Callers that need many small matrices of one shape reduced stack them
-instead: a repair session factors every helper block of its nodes in one
-``_elimination_ranks`` call, and ``simulate.row_factor``, the
-single-matrix form, is its reference in tests.
+Every elimination is one batched Gauss-Jordan loop over a stack of
+matrices, ``_elimination_ranks``; a single matrix is a batch of one.  Each
+linear-algebra question is one elimination of an augmented matrix
+(kernels reduce [m^T | I], intersections [[A, A], [B, 0]]), and callers
+with many matrices of one shape hand over the whole stack
+(:meth:`Subspace.from_stack`, :func:`kernels`).
 """
 
 from __future__ import annotations
@@ -150,37 +145,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.field.matmul(a.array, b.array))
 
 
-def _rref_array(field: Field, a: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    a = a.copy()
-    rows, cols = a.shape
-    row = 0
-    pivots = []
-    for col in range(cols):
-        if row == rows:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            a[[row, pr]] = a[[pr, row]]
-        inv = field.inv(int(a[row, col]))
-        a[row] = field.arr_mul(a[row], inv)
-        factors = a[:, col].copy()
-        factors[row] = 0
-        if factors.any():
-            a = field.arr_sub(a, field.arr_mul(factors[:, None], a[row][None, :]))
-        pivots.append(col)
-        row += 1
-    return a, row, tuple(pivots)
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Unique reduced row-echelon form, with rank and pivot columns."""
-    a, rank, pivots = _rref_array(m.field, m.array)
-    return Matrix(m.field, a), rank, pivots
-
-
 # Blocks whose shape has at most this many code matrices (q ** (rows*cols))
 # get their ranks from a table; larger blocks are eliminated.
 _RANK_TABLE_CAP = 1 << 16
@@ -190,13 +154,14 @@ _rank_tables: dict = {}
 def _elimination_ranks(field: Field, a: np.ndarray):
     """Batched Gauss-Jordan: (reduced, ranks, is_piv) of a stack.
 
-    ``a`` is a nonempty (batch, rows, cols) stack and is overwritten with
-    the reduced row-echelon form of each block (returned as ``reduced``):
-    the rows with a pivot come first, in pivot order, and each pivot
-    column is zero outside its row.  ``ranks`` is an int64 array of length
-    batch and ``is_piv`` a (batch, cols) boolean array marking each
-    block's pivot columns.  The loop is over columns only, so large
-    batches cost a handful of vectorised operations each.
+    ``a`` is a (batch, rows, cols) int64 stack used as scratch space, so
+    callers pass a copy.  ``reduced`` holds each block's RREF: pivot rows
+    first, in pivot order, each pivot column zero outside its row; a
+    column's pivot is the first eligible row of its block, swapped up.
+    ``ranks`` is an int64 array of length batch and ``is_piv`` a (batch,
+    cols) boolean array of pivot columns.  The loop is over columns only,
+    so large batches cost a handful of vectorised operations each, and it
+    stops once every block has a pivot in each of its rows.
     """
     nb, rows, cols = a.shape
     piv_row = np.zeros(nb, dtype=np.int64)
@@ -204,30 +169,39 @@ def _elimination_ranks(field: Field, a: np.ndarray):
     row_idx = np.arange(rows)[None, :]
     for col in range(cols):
         eligible = (row_idx >= piv_row[:, None]) & (a[:, :, col] != 0)
-        has = eligible.any(axis=1)
-        sel = np.nonzero(has)[0]
+        sel = np.flatnonzero(eligible.any(axis=1))
         if sel.size == 0:
             continue
+        whole = sel.size == nb
+        block = a if whole else a[sel]
+        at = np.arange(sel.size)
         pr = piv_row[sel]
         pv = eligible[sel].argmax(axis=1)
-        need_swap = np.nonzero(pv != pr)[0]
-        if need_swap.size:
-            bs = sel[need_swap]
-            r1 = pr[need_swap]
-            r2 = pv[need_swap]
-            tmp = a[bs, r1, :].copy()
-            a[bs, r1, :] = a[bs, r2, :]
-            a[bs, r2, :] = tmp
-        inv = field.arr_inv(a[sel, pr, col])
-        a[sel, pr, :] = field.arr_mul(a[sel, pr, :], inv[:, None])
-        factors = a[sel, :, col].copy()
-        factors[np.arange(sel.size), pr] = 0
-        pivrows = a[sel, pr, :]
-        a[sel] = field.arr_sub(a[sel], field.arr_mul(factors[:, :, None],
-                                                     pivrows[:, None, :]))
+        if (pv != pr).any():  # swap each pivot row up; a no-op where pv == pr
+            block[at, pr], block[at, pv] = block[at, pv], block[at, pr]
+        prow = field.arr_mul(block[at, pr],
+                             field.arr_inv(block[at, pr, col])[:, None])
+        factors = block[:, :, col].copy()
+        factors[at, pr] = 0
+        block = field.arr_sub(block, field.arr_mul(factors[:, :, None],
+                                                   prow[:, None, :]))
+        block[at, pr] = prow
+        if whole:
+            a = block
+        else:
+            a[sel] = block
         piv_row[sel] += 1
         is_piv[sel, col] = True
+        if (piv_row == rows).all():
+            break  # no row is left to pivot in a later column
     return a, piv_row, is_piv
+
+
+def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Unique reduced row-echelon form, with rank and pivot columns."""
+    reduced, ranks, is_piv = _elimination_ranks(m.field, m.array[None].copy())
+    return (Matrix(m.field, reduced[0]), int(ranks[0]),
+            tuple(np.flatnonzero(is_piv[0]).tolist()))
 
 
 def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
@@ -291,14 +265,20 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Subspace":
-        a = np.array(rows, dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.ndim != 2:
-            raise BadShape("expected a 2-D array of generator rows")
+        a = np.atleast_2d(np.array(rows, dtype=np.int64))
+        return cls.from_stack(field, a[None])[0]
+
+    @classmethod
+    def from_stack(cls, field: Field, stack) -> list["Subspace"]:
+        """Row spaces of a (k, m, d) stack, all from one elimination."""
+        a = np.array(stack, dtype=np.int64)
+        if a.ndim != 3:
+            raise BadShape("expected a stack of 2-D arrays of generator rows")
         _check_codes(field, a)
-        r, rank, pivots = _rref_array(field, a)
-        return cls(field, a.shape[1], Matrix(field, r[:rank]), pivots)
+        reduced, ranks, is_piv = _elimination_ranks(field, a)
+        return [cls(field, a.shape[2], Matrix(field, r[:rank]),
+                    tuple(np.flatnonzero(p).tolist()))
+                for r, rank, p in zip(reduced, ranks, is_piv)]
 
     @property
     def dim(self) -> int:
@@ -343,16 +323,26 @@ def _vanishing_rows(field: Field, reduced: np.ndarray,
                     tuple(p - split for p in pivots[k:]))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v^T = 0} as a subspace of row vectors.
+def kernels(field: Field, stack) -> list[Subspace]:
+    """Right kernels {v : m v^T = 0} of a (k, rows, d) stack of matrices.
 
-    One elimination of [m^T | I]: a row whose m^T part reduces to zero
-    records a combination v with m v^T = 0, and the identity block keeps
+    One elimination of every block's [m^T | I]: a row whose m^T part
+    reduces to zero records a v with m v^T = 0, and the identity keeps
     all rows independent, so those rows are exactly a kernel basis.
     """
-    aug = np.hstack([m.array.T, np.eye(m.cols, dtype=np.int64)])
-    r, _, pivots = _rref_array(m.field, aug)
-    return _vanishing_rows(m.field, r, pivots, m.rows)
+    m = np.asarray(stack, dtype=np.int64)
+    _check_codes(field, m)
+    k, rows, d = m.shape
+    eye = np.broadcast_to(np.eye(d, dtype=np.int64), (k, d, d))
+    reduced, _, is_piv = _elimination_ranks(
+        field, np.concatenate([m.swapaxes(1, 2), eye], axis=2))
+    return [_vanishing_rows(field, r, tuple(np.flatnonzero(p).tolist()), rows)
+            for r, p in zip(reduced, is_piv)]
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Right kernel {v : m v^T = 0} as a subspace of row vectors."""
+    return kernels(m.field, m.array[None])[0]
 
 
 def contains(s: Subspace, v) -> bool:
@@ -364,8 +354,7 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     if a.ambient != b.ambient or a.field != b.field:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     stacked = np.vstack([a.basis.array, b.basis.array])
-    rank = _rref_array(a.field, stacked)[1]
-    return a.dim + b.dim - rank
+    return a.dim + b.dim - int(batched_rank(a.field, stacked[None])[0])
 
 
 def intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -380,8 +369,8 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     aa, ba = a.basis.array, b.basis.array
     stacked = np.vstack([np.hstack([aa, aa]),
                          np.hstack([ba, np.zeros_like(ba)])])
-    r, _, pivots = _rref_array(a.field, stacked)
-    return _vanishing_rows(a.field, r, pivots, a.ambient)
+    r, _, pivots = rref(Matrix(a.field, stacked))
+    return _vanishing_rows(a.field, r.array, pivots, a.ambient)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -389,10 +378,10 @@ def inverse(m: Matrix) -> Matrix:
         raise BadShape("only square matrices can be inverted")
     n = m.rows
     aug = np.hstack([m.array, np.eye(n, dtype=np.int64)])
-    r, _, pivots = _rref_array(m.field, aug)
+    r, _, pivots = rref(Matrix(m.field, aug))
     if pivots[:n] != tuple(range(n)):
         raise DivisionByZero("matrix is singular")
-    return Matrix(m.field, r[:, n:])
+    return Matrix(m.field, r.array[:, n:])
 
 
 def canonical_point(field: Field, v) -> np.ndarray:

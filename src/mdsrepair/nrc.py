@@ -44,11 +44,11 @@ from .gf import FieldTower
 from .linalg import (
     Matrix,
     Subspace,
-    _rref_array,
     canonical_point,
     intersection,
     kernel,
     projective_point_count,
+    rref,
 )
 from .repair import (
     NodeMetrics,
@@ -136,12 +136,17 @@ def _curve_rows(tower: FieldTower, r: int, c) -> np.ndarray:
     return rows
 
 
+def _curve_subspaces(tower: FieldTower, rows: np.ndarray) -> list[Subspace]:
+    """Node subspaces of a (k, l, r*l) stack of curve rows, in one elimination."""
+    nodes = Subspace.from_stack(tower.base, rows)
+    if any(s.dim != tower.ell for s in nodes):
+        raise InternalInconsistency("curve subspace has wrong dimension")
+    return nodes
+
+
 def nrc_subspace(tower: FieldTower, r: int, c) -> Subspace:
     """The l-dimensional node subspace of curve parameter c (or INF)."""
-    s = Subspace.from_rows(tower.base, _curve_rows(tower, r, c))
-    if s.dim != tower.ell:
-        raise InternalInconsistency("curve subspace has wrong dimension")
-    return s
+    return _curve_subspaces(tower, _curve_rows(tower, r, c)[None])[0]
 
 
 def norm_one_subgroup(tower: FieldTower) -> tuple[int, ...]:
@@ -256,7 +261,7 @@ def _spanning_points(field, node: Subspace, gens: np.ndarray, forced):
     """
     ell = node.dim
     cands = gens if forced is None else np.vstack([forced, gens])
-    pivots = _rref_array(field, cands.T)[2][:ell]
+    pivots = rref(Matrix(field, cands.T))[2][:ell]
     if len(pivots) != ell:
         raise InternalInconsistency("column fill failed to span a node")
     return [canonical_point(field, cands[p]) for p in pivots]
@@ -283,8 +288,8 @@ def build(params: NrcParams) -> NrcBundle:
     parameters = (list(block_a.members) + list(block_b.members)
                   + rest + [INF])[:n]
 
-    skeleton = CodeSkeleton(
-        tower, r, [nrc_subspace(tower, r, c) for c in parameters])
+    curves = np.stack([_curve_rows(tower, r, c) for c in parameters])
+    skeleton = CodeSkeleton(tower, r, _curve_subspaces(tower, curves))
     scheme = RepairScheme([m_b if c in in_a else m_a for c in parameters])
 
     column_sets = []
@@ -302,8 +307,7 @@ def build(params: NrcParams) -> NrcBundle:
                 raise InternalInconsistency(
                     "constrained node meets its kernel in dimension != 1")
             forced = canonical_point(field, hit.basis.array[0])
-        column_sets.append(_spanning_points(field, node,
-                                            _curve_rows(tower, r, c), forced))
+        column_sets.append(_spanning_points(field, node, curves[idx], forced))
     realization = realize(skeleton, column_sets)
 
     bundle = NrcBundle(params=params, parameters=tuple(parameters),

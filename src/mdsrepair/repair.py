@@ -39,6 +39,7 @@ from .linalg import (
     batched_rank,
     gaussian_binomial,
     kernel,
+    kernels,
     projective_point_array,
     projective_point_count,
     rref_blocks,
@@ -61,8 +62,10 @@ class RepairScheme:
         for i, m in enumerate(matrices):
             if m.shape != shape or m.field != field:
                 raise BadShape(f"matrix {i} has mismatched shape or field")
-            if batched_rank(field, m.array[None, :, :])[0] != shape[0]:
-                raise BadRank(f"matrix {i} does not have full row rank")
+        ranks = batched_rank(field, np.stack([m.array for m in matrices]))
+        short = np.flatnonzero(ranks != shape[0])
+        if short.size:
+            raise BadRank(f"matrix {short[0]} does not have full row rank")
         self.matrices = matrices
 
     def __len__(self) -> int:
@@ -171,6 +174,11 @@ def bandwidth(m: Matrix, re: Realization, i: int) -> int:
     Also recomputes the same count through the kernel of m and the node
     subspaces; the two totals must agree exactly.
     """
+    return _bandwidth(m, re, i, kernel(m).basis.array)
+
+
+def _bandwidth(m: Matrix, re: Realization, i: int, w: np.ndarray) -> int:
+    """:func:`bandwidth` given a basis ``w`` of the kernel of m."""
     s = re.skeleton
     _check_repair_inputs(s, m, i)
     field = s.tower.base
@@ -181,8 +189,7 @@ def bandwidth(m: Matrix, re: Realization, i: int) -> int:
         raise NotARepairMatrix(i)
     helpers = [j for j in range(n) if j != i]
     bw = int(ranks[helpers].sum())
-    w = kernel(m)
-    dims = _intersection_dims(s, w.basis.array, helpers)
+    dims = _intersection_dims(s, w, helpers)
     if bw != ell * (n - 1) - int(dims.sum()):
         raise InternalInconsistency(
             "rank route and kernel route disagree on bandwidth")
@@ -491,10 +498,12 @@ def evaluate_scheme(re: Realization, sch: RepairScheme) -> NodeMetrics:
     s = re.skeleton
     if len(sch) != s.n:
         raise BadShape(f"scheme has {len(sch)} matrices for {s.n} nodes")
+    # every kernel ker M_i from one elimination
+    ws = kernels(sch[0].field, np.stack([m.array for m in sch.matrices]))
     bw = []
     io = []
     for i in range(s.n):
-        bw.append(bandwidth(sch[i], re, i))
+        bw.append(_bandwidth(sch[i], re, i, ws[i].basis.array))
         io.append(io_count(sch[i], re, i))
         if io[i] < bw[i]:
             raise InternalInconsistency("io below bandwidth at a node")

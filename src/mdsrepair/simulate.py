@@ -17,8 +17,8 @@ pipeline is then three matrices, so a campaign replays a chunk of T
 codewords at a node with three (., T) products.  Each chunk samples its
 words from their own per-trial seeds, checks all their syndromes in one
 product and compares every reconstructed block exactly.  A chunk holds
-at most ``_TRIAL_CHUNK`` trials, and fewer on long codes, so that no
-product of a chunk exceeds about ``_CHUNK_CELLS`` terms.
+at most ``_TRIAL_CHUNK`` trials.  Field products accumulate over their
+inner axis, so no array of a chunk is larger than n*l by T.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     NotACodeword,
     NotARepairMatrix,
 )
-from .linalg import Matrix, _elimination_ranks, _rref_array
+from .linalg import Matrix, _elimination_ranks, rref
 from .repair import (
     NodeMetrics,
     RepairScheme,
@@ -48,11 +48,8 @@ from .repair import (
     evaluate_scheme,
 )
 
-# Trials replayed together.  An extension-field product materialises all
-# its (rows, inner, T) terms, and every product of a chunk has at most
-# (n l)^2 terms per trial, so chunks also stay under _CHUNK_CELLS terms.
+# Trials replayed together.
 _TRIAL_CHUNK = 128
-_CHUNK_CELLS = 1 << 20
 
 
 def row_factor(a: Matrix):
@@ -64,8 +61,9 @@ def row_factor(a: Matrix):
     from one elimination of a.T: its pivot columns are the greedy rows,
     and its nonzero reduced rows are the columns of A.
     """
-    r, rank, pivots = _rref_array(a.field, a.array.T)
-    return Matrix(a.field, r[:rank].T), Matrix(a.field, a.array[list(pivots)])
+    r, rank, pivots = rref(Matrix(a.field, a.array.T))
+    return (Matrix(a.field, r.array[:rank].T),
+            Matrix(a.field, a.array[list(pivots)]))
 
 
 @dataclass(frozen=True)
@@ -258,13 +256,12 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     session = RepairSession(re, sch)
     metrics = evaluate_scheme(re, sch)
     states = session._node_states(node_list)
-    chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_CELLS // (s.n * s.ell) ** 2))
     stop = first_trial + int(trials)
     downloaded = {}
     accessed = {}
-    for t0 in range(first_trial, stop, chunk):
+    for t0 in range(first_trial, stop, _TRIAL_CHUNK):
         words = sample_codewords(
-            re, [(seed, t) for t in range(t0, min(t0 + chunk, stop))])
+            re, [(seed, t) for t in range(t0, min(t0 + _TRIAL_CHUNK, stop))])
         bad = np.flatnonzero(syndromes(re, words).any(axis=0))
         if bad.size:
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mdsrepair.gf import build_tower
@@ -22,3 +23,23 @@ def bundle3(tower3):
 @pytest.fixture(scope="session")
 def bundle5(tower5):
     return build(validate_params(tower5, 3, 24))
+
+
+@pytest.fixture
+def watch_calls(monkeypatch):
+    """watch(module, name) -> the shapes of the arrays later passed to it.
+
+    Wraps a ``(field, array)`` function of a module for the rest of the
+    test and records the shape of every array it is called with.
+    """
+    def watch(module, name):
+        shapes = []
+        real = getattr(module, name)
+
+        def counted(field, a):
+            shapes.append(np.shape(a))
+            return real(field, a)
+
+        monkeypatch.setattr(module, name, counted)
+        return shapes
+    return watch

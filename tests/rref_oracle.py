@@ -1,0 +1,35 @@
+"""Single-matrix Gauss-Jordan elimination, the test oracle of linalg.
+
+An independent row-at-a-time loop: each column's pivot is the first
+nonzero row at or below the current one, swapped up and scaled to 1, and
+the column is cleared in every other row.  The library's batched
+``_elimination_ranks`` must give the same unique RREF, rank and pivots.
+"""
+
+import numpy as np
+
+
+def rref_oracle(field, a):
+    """(reduced, rank, pivots) of one matrix of field codes; ``a`` is kept."""
+    a = np.array(a, dtype=np.int64)
+    rows, cols = a.shape
+    row = 0
+    pivots = []
+    for col in range(cols):
+        if row == rows:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            a[[row, pr]] = a[[pr, row]]
+        inv = field.inv(int(a[row, col]))
+        a[row] = field.arr_mul(a[row], inv)
+        factors = a[:, col].copy()
+        factors[row] = 0
+        if factors.any():
+            a = field.arr_sub(a, field.arr_mul(factors[:, None], a[row][None, :]))
+        pivots.append(col)
+        row += 1
+    return a, row, tuple(pivots)

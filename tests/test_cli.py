@@ -91,6 +91,22 @@ def test_bounds_json(capsys):
                  "--n", "24"]) == 2
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--q", "1000000000000000003", "--ell", "2", "--r", "3", "--n", "24"],
+     "q=1000000000000000003 is above"),
+    (["--q", "5", "--ell", "1000000", "--r", "3", "--n", "24"],
+     "ell=1000000, r=3, n=24 at q=5"),
+], ids=["huge-q", "huge-ell"])
+def test_bounds_refuses_unprintable_points_at_once(argv, named, capsys):
+    # no trial division up to sqrt(q), and no power with a million digits
+    start = time.perf_counter()
+    assert main(["bounds", *argv, "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"BadParameters: {named}" in captured.err
+
+
 def test_eval_expect_equality(workspace, capsys):
     assert main(["eval", str(workspace / "code.json"),
                  str(workspace / "scheme.json"), "--expect-equality",

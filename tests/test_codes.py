@@ -327,6 +327,21 @@ def test_bounds_bad_parameters():
         bounds_report(3, 2, 3, 2)
 
 
+def test_bounds_caps_are_exact_and_checked_before_any_work():
+    cap = codes._BOUNDS_Q_CAP
+    assert bounds_report(cap, 1, 2, 3).length_max == cap + 1  # 2^32
+    with pytest.raises(BadParameters, match=f"q={cap + 1} is above"):
+        bounds_report(cap + 1, 1, 2, 3)
+    # bits = (r-1) ell q.bit_length() + n.bit_length(); 2 * 4095 + 2 = 8192
+    assert codes._BOUNDS_BITS == 8192
+    rep = bounds_report(2, 4095, 2, 3)
+    assert len(json.dumps(rep.to_json_dict())) > 4 * 1233  # every value prints
+    with pytest.raises(BadParameters, match="ell=4096, r=2, n=3 at q=2"):
+        bounds_report(2, 4096, 2, 3)
+    with pytest.raises(BadParameters, match="n="):
+        bounds_report(3, 2, 3, 1 << 9000)
+
+
 # -- persistence -------------------------------------------------------------------
 
 
@@ -378,3 +393,16 @@ def test_code_json_rejects_out_of_range_entries(bundle3, key, value):
     bad["nodes"][1][key][0][1] = value
     with pytest.raises(MalformedInput, match="out of range"):
         realization_from_json(bad)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_loading_a_code_eliminates_once_for_any_length(tower3, n, watch_calls):
+    obj = realization_to_json(build(validate_params(tower3, 2, n)).realization)
+    realization_from_json(obj)  # fills the rank tables of these shapes
+    elims = watch_calls(linalg, "_elimination_ranks")
+    ranks = watch_calls(codes, "batched_rank")
+    realization_from_json(obj)
+    # all node bases in one stack, and every node's spanning check of its
+    # column points in one rank call
+    assert elims == [(n, 2, 4)]
+    assert ranks == [(n, 2, 4)]

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdsrepair import linalg
 from mdsrepair.errors import (
@@ -18,7 +18,6 @@ from mdsrepair.linalg import (
     _RANK_TABLE_CAP,
     _elimination_ranks,
     _rank_table,
-    _rref_array,
     Subspace,
     batched_rank,
     canonical_point,
@@ -28,12 +27,15 @@ from mdsrepair.linalg import (
     intersection,
     inverse,
     kernel,
+    kernels,
     matmul,
     projective_point_array,
     projective_point_count,
     rref,
     rref_blocks,
 )
+
+from rref_oracle import rref_oracle
 
 F2 = build_tower(2, 1, 1).base
 F3 = build_tower(3, 1, 1).base
@@ -59,9 +61,15 @@ def _full_space(field, d):
 # -- reference routes: the eliminations kernel and intersection replaced --------
 
 
+def _span_oracle(field, rows, d):
+    """The canonical row space of ``rows``, reduced by the oracle loop."""
+    r, rank, pivots = rref_oracle(field, rows)
+    return Subspace(field, d, Matrix(field, r[:rank]), pivots)
+
+
 def _kernel_oracle(m):
-    """One basis row per free column of rref(m), then reduced again."""
-    r, _, pivots = rref(m)
+    """One basis row per free column of the oracle RREF of m, reduced again."""
+    r, _, pivots = rref_oracle(m.field, m.array)
     d = m.cols
     free = [c for c in range(d) if c not in pivots]
     if not free:
@@ -70,14 +78,15 @@ def _kernel_oracle(m):
     for k, f in enumerate(free):
         rows[k, f] = 1
         for i, pc in enumerate(pivots):
-            rows[k, pc] = m.field.neg(int(r.array[i, f]))
-    return Subspace.from_rows(m.field, rows)
+            rows[k, pc] = m.field.neg(int(r[i, f]))
+    return _span_oracle(m.field, rows, d)
 
 
 def _sum_oracle(a, b):
     if a.ambient != b.ambient or a.field != b.field:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_rows(a.field, np.vstack([a.basis.array, b.basis.array]))
+    return _span_oracle(a.field, np.vstack([a.basis.array, b.basis.array]),
+                        a.ambient)
 
 
 def _annihilator_oracle(s):
@@ -315,7 +324,7 @@ def test_batched_rank_matches_single(field):
     for shape in {(m.shape) for m in mats}:
         group = [m for m in mats if m.shape == shape]
         got = batched_rank(field, np.stack(group))
-        want = [_rref_array(field, m)[1] for m in group]
+        want = [rref_oracle(field, m)[1] for m in group]
         assert got.tolist() == want
 
 
@@ -332,7 +341,7 @@ def test_rank_table_is_exhaustively_right(field, rows, cols):
     for code in range(q ** size):
         m = np.array([code // q ** k % q for k in range(size)],
                      dtype=np.int64).reshape(rows, cols)
-        assert table[code] == _rref_array(field, m)[1], m
+        assert table[code] == rref_oracle(field, m)[1], m
 
 
 def test_blocks_over_the_rank_table_cap_are_eliminated():
@@ -345,7 +354,7 @@ def test_blocks_over_the_rank_table_cap_are_eliminated():
     before = blocks.copy()
     got = batched_rank(F5, blocks)
     assert got.tolist() == _elimination_ranks(F5, blocks.copy())[1].tolist()
-    assert got.tolist() == [_rref_array(F5, b)[1] for b in blocks]
+    assert got.tolist() == [rref_oracle(F5, b)[1] for b in blocks]
     assert np.array_equal(blocks, before)
     assert (F5, 3, 3) not in linalg._rank_tables
 
@@ -387,7 +396,7 @@ def test_inverse_and_solve():
     # identity over x and zero rows below it
     a = Matrix(F5, [[1, 0], [2, 1], [1, 1]])
     x = Matrix(F5, [[2, 1], [0, 2]])
-    r, _, pivots = _rref_array(F5, np.hstack([a.array, matmul(a, x).array]))
+    r, _, pivots = rref_oracle(F5, np.hstack([a.array, matmul(a, x).array]))
     assert pivots == (0, 1)
     assert Matrix(F5, r[:2, 2:]) == x and not r[2:].any()
 
@@ -495,7 +504,7 @@ def _block_stack(draw):
 def test_batched_rank_agrees_with_rref(case):
     field, blocks, bound = case
     got = batched_rank(field, blocks)
-    want = [_rref_array(field, b)[1] for b in blocks]
+    want = [rref_oracle(field, b)[1] for b in blocks]
     assert got.shape == (blocks.shape[0],)
     assert got.tolist() == want
     assert all(r <= bound for r in want)
@@ -512,7 +521,7 @@ def test_gauss_jordan_stack_matches_rref(case):
     reduced, ranks, is_piv = _elimination_ranks(field, blocks)
     assert ranks.dtype == np.int64
     for b, red, rank, mask in zip(before, reduced, ranks, is_piv):
-        want, want_rank, want_piv = _rref_array(field, b)
+        want, want_rank, want_piv = rref_oracle(field, b)
         assert np.array_equal(red, want)
         assert rank == want_rank
         assert tuple(np.nonzero(mask)[0]) == want_piv
@@ -604,15 +613,67 @@ def test_intersection_edge_cases_match_annihilator_route():
         intersection(_full_space(F3, 3), _full_space(F3, 4))
 
 
-def test_kernel_and_intersection_eliminate_once(monkeypatch):
-    calls = []
-    real = linalg._rref_array
+@st.composite
+def _oracle_inputs(draw):
+    """A matrix, a second one of the same width and a square one.
 
-    def counted(field, a):
-        calls.append(a.shape)
-        return real(field, a)
+    Widths and row counts start at zero; rows mix random, zero and
+    repeated ones, so empty and rank-deficient inputs are common.
+    """
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    d = draw(st.integers(0, 6))
+    a = _rows(draw, field, draw(st.integers(0, d + 1)), d)
+    b = _rows(draw, field, draw(st.integers(0, d + 1)), d)
+    return field, a, b, _rows(draw, field, d, d)
 
-    monkeypatch.setattr(linalg, "_rref_array", counted)
+
+_EMPTY = np.zeros((0, 3), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@example((F5, _EMPTY, _EMPTY, np.eye(3, dtype=np.int64)))
+@example((F9, np.zeros((2, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64),
+          np.zeros((0, 0), dtype=np.int64)))
+@example((F4, np.zeros((2, 3), dtype=np.int64), _EMPTY,
+          np.zeros((3, 3), dtype=np.int64)))
+@given(_oracle_inputs())
+def test_batch_of_one_routes_match_the_oracle(case):
+    # every single-matrix question is one batch of one through the stacked
+    # elimination; each must give what the oracle loop gives
+    field, a, b, sq = case
+    d = a.shape[1]
+    want, rank, pivots = rref_oracle(field, a)
+    assert rref(Matrix(field, a)) == (Matrix(field, want), rank, pivots)
+    sa, sb = Subspace.from_rows(field, a), Subspace.from_rows(field, b)
+    _same_subspace(sa, _span_oracle(field, a, d))
+    _same_subspace(kernel(Matrix(field, a)), _kernel_oracle(Matrix(field, a)))
+    _same_subspace(intersection(sa, sb), _intersection_oracle(sa, sb))
+    assert intersect_dim(sa, sb) == \
+        sa.dim + sb.dim - _span_oracle(field, np.vstack([a, b]), d).dim
+    r, _, piv = rref_oracle(field, np.hstack([sq, np.eye(d, dtype=np.int64)]))
+    if piv[:d] == tuple(range(d)):
+        assert inverse(Matrix(field, sq)) == Matrix(field, r[:, d:])
+    else:
+        with pytest.raises(DivisionByZero):
+            inverse(Matrix(field, sq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_stack())
+def test_stacked_constructors_match_batches_of_one(case):
+    field, blocks, _ = case
+    before = blocks.copy()
+    spans = Subspace.from_stack(field, blocks)
+    kerns = kernels(field, blocks)
+    assert np.array_equal(blocks, before)
+    assert len(spans) == len(kerns) == len(blocks)
+    for b, span, kern in zip(blocks, spans, kerns):
+        _same_subspace(span, Subspace.from_rows(field, b))
+        _same_subspace(kern, kernel(Matrix(field, b)))
+
+
+def test_kernel_and_intersection_eliminate_once(watch_calls):
+    calls = watch_calls(linalg, "_elimination_ranks")
     m = Matrix(F5, [[1, 2, 0, 4, 1], [0, 1, 1, 0, 3], [1, 3, 1, 4, 4]])
     a, b = kernel(m), _full_space(F5, 5)
     assert len(calls) == 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mdsrepair import linalg, nrc
+from mdsrepair import codes, linalg, nrc
 from mdsrepair.codes import check_mds, realization_to_json
 from mdsrepair.errors import (
     BadParameters,
@@ -320,21 +320,25 @@ def test_spanning_points_refuse_a_short_fill(tower3):
             fill(field, node, np.vstack([gens[:1], gens[:1]]), None)
 
 
-def test_spanning_points_eliminate_once(tower5, monkeypatch):
-    calls = []
-    real = linalg._rref_array
-
-    def counted(field, a):
-        calls.append(a.shape)
-        return real(field, a)
-
+def test_spanning_points_eliminate_once(tower5, watch_calls):
     gens = nrc._curve_rows(tower5, 3, 7)
     node = nrc_subspace(tower5, 3, 7)
     forced = canonical_point(tower5.base, gens[1])
-    monkeypatch.setattr(linalg, "_rref_array", counted)
-    monkeypatch.setattr(nrc, "_rref_array", counted)
+    calls = watch_calls(linalg, "_elimination_ranks")
     nrc._spanning_points(tower5.base, node, gens, forced)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_build_stacks_curve_subspaces_and_spanning_checks(tower3, n,
+                                                          watch_calls):
+    elims = watch_calls(linalg, "_elimination_ranks")
+    ranks = watch_calls(codes, "batched_rank")
+    build(validate_params(tower3, 2, n))
+    # the n curve subspaces come from one stack and none from a batch of one
+    assert elims.count((n, 2, 4)) == 1 and (1, 2, 4) not in elims
+    # realize checks that every node's column points span in one rank call
+    assert ranks.count((n, 2, 4)) == 1 and (1, 2, 4) not in ranks
 
 
 def test_build_per_node_hit_counts(bundle3, bundle5):

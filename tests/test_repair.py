@@ -13,7 +13,7 @@ from mdsrepair.errors import (
     NotARepairMatrix,
     NotMds,
 )
-from mdsrepair import linalg
+from mdsrepair import linalg, repair
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
@@ -26,6 +26,7 @@ from mdsrepair.linalg import (
     matmul,
     projective_point_count,
 )
+from mdsrepair.nrc import build, validate_params
 from mdsrepair.repair import (
     RepairScheme,
     bandwidth,
@@ -377,3 +378,15 @@ def test_input_guards(bundle3, tower5):
         io_count(wrong_field, re, 0)
     with pytest.raises(BadShape):
         dual_cover(Matrix(s.tower.base, good.array[:, :2]), s, 0)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
+    bundle = build(validate_params(tower3, 2, n))
+    ranks = watch_calls(repair, "batched_rank")
+    sch = RepairScheme(bundle.scheme.matrices)
+    assert ranks == [(n, 2, 4)]  # every matrix's row rank in one call
+    elims = watch_calls(linalg, "_elimination_ranks")
+    evaluate_scheme(bundle.realization, sch)
+    # every ker M_i from one stack of [M_i^T | I], none from a batch of one
+    assert [c for c in elims if c[1:] == (4, 6)] == [(n, 4, 6)]

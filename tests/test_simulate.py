@@ -14,7 +14,6 @@ from mdsrepair.errors import (
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
-    _rref_array,
     batched_rank,
     inverse,
     matmul,
@@ -32,6 +31,8 @@ from mdsrepair.simulate import (
     row_factor,
     run_repair,
 )
+
+from rref_oracle import rref_oracle
 
 F3 = build_tower(3, 1, 1).base
 
@@ -90,7 +91,7 @@ def _greedy_row_factor(a):
     b = Matrix(field, a.array[sel])
     # solve b.T @ X = a.T: b has full row rank, so reducing [b.T | a.T]
     # leaves the identity on top of the unique X
-    r, _, pivots = _rref_array(field, np.hstack([b.array.T, a.array.T]))
+    r, _, pivots = rref_oracle(field, np.hstack([b.array.T, a.array.T]))
     assert pivots == tuple(range(rank))
     return Matrix(field, r[:rank, rank:].T), b
 
@@ -327,16 +328,10 @@ def test_session_factors_match_row_factor(request, name):
         assert st.gather.tolist() == gather
 
 
-def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch):
-    calls = []
-    real = simulate._elimination_ranks
-
-    def counting(field, a):
-        calls.append(a.shape)
-        return real(field, a)
-
-    monkeypatch.setattr(simulate, "_elimination_ranks", counting)
-    monkeypatch.setattr(simulate, "_rref_array", None)  # row_factor unused
+def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch,
+                                                      watch_calls):
+    calls = watch_calls(simulate, "_elimination_ranks")
+    monkeypatch.setattr(simulate, "rref", None)  # row_factor unused
     session = RepairSession(bundle5.realization, bundle5.scheme)
     session._node_states(range(24))
     # every helper block, then every node's [M H_i | I]
