@@ -252,6 +252,8 @@ def _parse_range(text, total):
 
 
 def cmd_bruteforce(args) -> int:
+    if args.budget < 0:
+        raise BadParameters(f"--budget must be nonnegative, got {args.budget}")
     code_obj = _load_json(args.code)
     re, _, _ = realization_from_json(code_obj)
     s = re.skeleton

@@ -204,12 +204,18 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             tuple(np.flatnonzero(is_piv[0]).tolist()))
 
 
+def _code_weights(q: int, rows: int, cols: int) -> np.ndarray:
+    """Weight q ** (i*cols + j) of entry (i, j) in a rank-table code."""
+    return q ** np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+
+
 def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
     """Rank of every rows x cols code matrix, indexed by its base-q code.
 
     The code of a matrix reads its row-major entries as a little-endian
-    base-q number.  Filled once per process by elimination over all of
-    them and published in one dict assignment.
+    base-q number: the sum of each entry times its ``_code_weights``.
+    Filled once per process by elimination over all of them and published
+    in one dict assignment.
     """
     key = (field, rows, cols)
     table = _rank_tables.get(key)
@@ -217,7 +223,7 @@ def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
         q = field.order
         size = rows * cols
         codes = np.arange(q ** size, dtype=np.int64)
-        every = (codes[:, None] // q ** np.arange(size)) % q
+        every = (codes[:, None] // _code_weights(q, rows, cols).ravel()) % q
         table = _elimination_ranks(
             field, every.reshape(-1, rows, cols))[1].astype(np.uint8)
         table.setflags(write=False)
@@ -246,7 +252,7 @@ def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
     size = rows * cols
     if q ** size <= _RANK_TABLE_CAP:
         table = _rank_table(field, rows, cols)
-        idx = a.reshape(nb, size) @ q ** np.arange(size, dtype=np.int64)
+        idx = a.reshape(nb, size) @ _code_weights(q, rows, cols).ravel()
         return table[idx].astype(np.int64)
     return _elimination_ranks(field, a.copy())[1]
 
@@ -429,6 +435,27 @@ def _free_positions(pivots: Sequence[int], d: int) -> list[tuple[int, int]]:
             if j not in pivot_set and j > pivots[i]]
 
 
+def _pivot_patterns(q: int, k: int, d: int, start: int, stop: int):
+    """(offset, pivots, free, lo, hi) for each pivot pattern meeting [start, stop).
+
+    ``offset`` is the index of the pattern's first matrix, ``free`` its
+    free positions in row-major order, and [lo, hi) the part of the range
+    inside the pattern, relative to ``offset``; the pattern holds q **
+    len(free) matrices, the c-th of which has digit t of c (little-endian,
+    base q) at free position t.
+    """
+    offset = 0
+    for pivots in itertools.combinations(range(d), k):
+        free = _free_positions(pivots, d)
+        size = q ** len(free)
+        lo, hi = max(start, offset), min(stop, offset + size)
+        if lo < hi:
+            yield offset, pivots, free, lo - offset, hi - offset
+        offset += size
+        if offset >= stop:
+            break
+
+
 def rref_blocks(q: int, k: int, d: int, start: int = 0,
                 stop: int | None = None,
                 chunk: int = 8192) -> Iterator[tuple[int, np.ndarray]]:
@@ -447,27 +474,28 @@ def rref_blocks(q: int, k: int, d: int, start: int = 0,
         raise BadShape(f"index range [{start}, {stop}) outside [0, {total})")
     if start == stop:
         return
-    offset = 0
-    for pivots in itertools.combinations(range(d), k):
-        free = _free_positions(pivots, d)
-        block_total = q ** len(free)
-        lo = max(start, offset)
-        hi = min(stop, offset + block_total)
-        if lo < hi:
-            for c0 in range(lo - offset, hi - offset, chunk):
-                c1 = min(c0 + chunk, hi - offset)
-                cnt = c1 - c0
-                arr = np.zeros((cnt, k, d), dtype=np.int64)
-                for i, pc in enumerate(pivots):
-                    arr[:, i, pc] = 1
-                cvals = np.arange(c0, c1, dtype=object) if q ** len(free) > 2**62 \
-                    else np.arange(c0, c1, dtype=np.int64)
-                for t, (ri, cj) in enumerate(free):
-                    arr[:, ri, cj] = (cvals // q ** t) % q
-                yield offset + c0, arr
-        offset += block_total
-        if offset >= stop:
-            break
+    for offset, pivots, free, lo, hi in _pivot_patterns(q, k, d, start, stop):
+        for c0 in range(lo, hi, chunk):
+            c1 = min(c0 + chunk, hi)
+            arr = np.zeros((c1 - c0, k, d), dtype=np.int64)
+            for i, pc in enumerate(pivots):
+                arr[:, i, pc] = 1
+            cvals = _counter(c0, c1 - c0, q ** len(free))
+            for t, (ri, cj) in enumerate(free):
+                arr[:, ri, cj] = (cvals // q ** t) % q
+            yield offset + c0, arr
+
+
+def _counter(first: int, count: int, bound: int) -> np.ndarray:
+    """first, first + 1, ..., first + count - 1 as an array.
+
+    ``bound`` is at least every value and every divisor that digit
+    arithmetic will apply to them.  The array is int64 while ``bound`` is
+    at most 2**62, else it holds Python integers (dtype object), so that
+    the arithmetic stays exact.
+    """
+    big = bound > 2 ** 62
+    return np.arange(count, dtype=object if big else np.int64) + first
 
 
 def enumerate_rref(field: Field, k: int, d: int, start: int = 0,

@@ -33,9 +33,13 @@ from .errors import (
     NotARepairMatrix,
     NotMds,
 )
+from . import linalg
 from .gf import Field
 from .linalg import (
     Matrix,
+    _check_codes,
+    _counter,
+    _pivot_patterns,
     batched_rank,
     gaussian_binomial,
     kernel,
@@ -333,6 +337,119 @@ def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
 # exhaustive optimization over repair subspaces
 
 
+# A row table holds at most this many products (rows x columns); a row
+# whose table over the scanned part of a pattern would be larger has its
+# products formed chunk by chunk instead.
+_ROW_TABLE_CELLS = 1 << 21
+_SCAN_CHUNK = 8192
+
+
+class _Scan:
+    """How one scan reads feasibility and its objective off row products.
+
+    Row r of M (H_i | T) is stored in a narrow form: when q^(l*l) is within
+    the rank-table cap, the partial rank-table code of each l x l block,
+    sum_c entry[c] * q^(r*l + c) (row r of ``linalg._code_weights``), so
+    that a candidate's block code is the sum of its l rows' partial codes; otherwise the entries
+    themselves, stacked into blocks and eliminated.  The io objective
+    keeps a zero mask per row instead, and a column of M T is zero when it
+    is zero in every row.
+    """
+
+    def __init__(self, field: Field, ell: int, n_cols: int, objective: str):
+        q = field.order
+        self.field, self.ell, self.n_cols = field, ell, n_cols
+        self.objective = objective
+        self.entry_dtype = np.min_scalar_type(q - 1)
+        self.ranked = q ** (ell * ell) <= linalg._RANK_TABLE_CAP
+        if self.ranked:
+            self.code_dtype = np.min_scalar_type(q ** (ell * ell) - 1)
+            self.weights = linalg._code_weights(q, ell, ell)
+            self.rank_of = linalg._rank_table(field, ell, ell)
+            self.nullity_of = ell - self.rank_of
+
+    def feas_form(self, r: int, prod: np.ndarray) -> np.ndarray:
+        _check_codes(self.field, prod)
+        if self.ranked:
+            return (prod @ self.weights[r]).astype(self.code_dtype)
+        return prod.astype(self.entry_dtype)
+
+    def obj_form(self, r: int, prod: np.ndarray) -> np.ndarray:
+        _check_codes(self.field, prod)
+        if self.objective == "columns":
+            return prod == 0
+        if self.ranked:
+            blocks = prod.reshape(len(prod), self.n_cols, self.ell)
+            return (blocks @ self.weights[r]).astype(self.code_dtype)
+        return prod.astype(self.entry_dtype)
+
+    def feasible(self, rows: list) -> np.ndarray:
+        """Whether each candidate's M H_i is invertible, from its l rows."""
+        if self.ranked:
+            return np.take(self.rank_of, sum(rows)) == self.ell
+        return batched_rank(self.field, np.stack(rows, axis=1)) == self.ell
+
+    def value(self, rows: list) -> np.ndarray:
+        """Each candidate's objective value, from its l rows."""
+        if self.objective == "columns":
+            zero = rows[0]
+            for more in rows[1:]:
+                zero = zero & more
+            return zero.view(np.uint8).sum(axis=1, dtype=np.int64)
+        if self.ranked:
+            return np.take(self.nullity_of, sum(rows)).sum(axis=1,
+                                                           dtype=np.int64)
+        cnt, ell, n_cols = len(rows[0]), self.ell, self.n_cols
+        cube = np.stack(rows, axis=1).reshape(cnt, ell, n_cols, ell)
+        ranks = batched_rank(self.field,
+                             cube.transpose(0, 2, 1, 3).reshape(-1, ell, ell))
+        return (ell - ranks.reshape(cnt, n_cols)).sum(axis=1)
+
+
+class _RowTable:
+    """Row r of M H_i and of M T for the candidates of a window of one pattern.
+
+    Row r of a candidate depends only on its own free entries, which are
+    digits o .. o+f-1 of its pattern-relative index c, so only on w = c //
+    q^o mod q^f.  Over the window [a, b) the table has one entry per value
+    of w met, at most q^f: entry k is for w = a // q^o + k, and candidate
+    c reads entry (c // q^o - a // q^o) mod ``count``.  Each entry is the
+    exact product [1, digits] [H_i | T] restricted to the pivot and free
+    columns of row r.  The feasibility part is formed at once; the
+    objective part only when a feasible candidate asks for it, over the
+    whole window when the table is ``shared`` across chunks and otherwise
+    for the asked-for entries only.
+    """
+
+    def __init__(self, scan: _Scan, row, a: int, b: int, bound: int,
+                 shared: bool):
+        self.r, o, f, feas_rows, self._obj_rows = row
+        q = scan.field.order
+        self._scan, self.shared, self._obj = scan, shared, None
+        self.step = q ** o
+        self.first = a // self.step
+        self.count = _window_count(q, row, a, b)
+        w = _counter(self.first, self.count, bound)
+        powers = np.array([q ** t for t in range(f)], dtype=w.dtype)
+        self._coeffs = np.ones((self.count, 1 + f), dtype=np.int64)
+        self._coeffs[:, 1:] = (w[:, None] // powers) % q
+        self.feas = scan.feas_form(
+            self.r, scan.field.matmul(self._coeffs, feas_rows))
+
+    def index(self, c: np.ndarray) -> np.ndarray:
+        return ((c // self.step - self.first) % self.count).astype(np.int64)
+
+    def obj(self, entries: np.ndarray) -> np.ndarray:
+        scan = self._scan
+        if not self.shared:
+            return scan.obj_form(self.r, scan.field.matmul(
+                self._coeffs[entries], self._obj_rows))
+        if self._obj is None:
+            self._obj = scan.obj_form(self.r, scan.field.matmul(
+                self._coeffs, self._obj_rows))
+        return np.take(self._obj, entries, axis=0)
+
+
 def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
                 ell: int, d: int, objective: str, start: int, stop: int):
     """Scan canonical RREF candidates in [start, stop).
@@ -342,35 +459,59 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
     feasibility filter.  Returns (best value, witness array, count) with
     the witness being the first maximizer; (-1, None, count) if nothing
     in the range is feasible.
+
+    Candidates are read per pivot pattern, from row tables (see
+    :class:`_RowTable`): each candidate's l rows of M H_i and M T are
+    gathered, not multiplied.  Feasibility is decided first, and the
+    objective rows are gathered for the feasible candidates only.  A row
+    gets one table over the scanned part of its pattern when that table
+    has at most ``_ROW_TABLE_CELLS`` products; such a table never has more
+    entries than the part has candidates.  Otherwise each chunk of
+    ``_SCAN_CHUNK`` candidates gets its own table, whose objective
+    products are formed for the feasible candidates only.
     """
     q = field.order
-    n_cols = targets.shape[1] // ell
-    best = -1
+    scan = _Scan(field, ell, targets.shape[1] // ell, objective)
+    width = ell + targets.shape[1]
+    best, best_at = -1, None
+    for offset, pivots, free, lo, hi in _pivot_patterns(q, ell, d, start,
+                                                        stop):
+        bound = q ** len(free)
+        rows, o = [], 0
+        for r, p in enumerate(pivots):
+            cols = [p] + [j for i, j in free if i == r]
+            rows.append((r, o, len(cols) - 1, block_i[cols], targets[cols]))
+            o += len(cols) - 1
+        shared = [_RowTable(scan, row, lo, hi, bound, True)
+                  if _window_count(q, row, lo, hi) * width <= _ROW_TABLE_CELLS
+                  else None for row in rows]
+        for a in range(lo, hi, _SCAN_CHUNK):
+            b = min(a + _SCAN_CHUNK, hi)
+            c = _counter(a, b - a, bound)
+            tables = [t or _RowTable(scan, row, a, b, bound, False)
+                      for t, row in zip(shared, rows)]
+            entries = [t.index(c) for t in tables]
+            feasible = scan.feasible([np.take(t.feas, e, axis=0)
+                                      for t, e in zip(tables, entries)])
+            sel = np.flatnonzero(feasible)
+            if sel.size == 0:
+                continue
+            value = scan.value([t.obj(e[sel])
+                                for t, e in zip(tables, entries)])
+            vmax = int(value.max())
+            if vmax > best:
+                best = vmax
+                best_at = offset + a + int(sel[np.argmax(value == vmax)])
     witness = None
-    seen = 0
-    for _, block in rref_blocks(q, ell, d, start, stop):
-        cnt = block.shape[0]
-        seen += cnt
-        flat = block.reshape(cnt * ell, d)
-        feas_blocks = field.matmul(flat, block_i).reshape(cnt, ell, ell)
-        feasible = batched_rank(field, feas_blocks) == ell
-        sel = np.nonzero(feasible)[0]
-        if sel.size == 0:
-            continue
-        prod = field.matmul(block[sel].reshape(sel.size * ell, d), targets)
-        cube = prod.reshape(sel.size, ell, n_cols, ell).transpose(0, 2, 1, 3)
-        if objective == "overlap":
-            ranks = batched_rank(field, cube.reshape(-1, ell, ell))
-            obj = (ell - ranks.reshape(sel.size, n_cols)).sum(axis=1)
-        else:
-            zero_col = (cube == 0).all(axis=2)
-            obj = zero_col.sum(axis=(1, 2))
-        omax = int(obj.max())
-        if omax > best:
-            k = int(np.argmax(obj == omax))
-            best = omax
-            witness = block[sel[k]].copy()
-    return best, witness, seen
+    if best_at is not None:
+        witness = next(rref_blocks(q, ell, d, best_at, best_at + 1))[1][0]
+    return best, witness, stop - start
+
+
+def _window_count(q: int, row, a: int, b: int) -> int:
+    """Entries of the table of ``row`` over the window [a, b)."""
+    _, o, f, _, _ = row
+    return min((b - 1) // q ** o - a // q ** o + 1, q ** f)
 
 
 def _resolve_range(total: int, index_range, budget: int):

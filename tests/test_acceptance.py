@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, exact integer assertions.
 
 Each test prints a single PASS line (visible with `pytest -s`) after all
-of its assertions, including the stated runtime ceiling, have held.  The
-long exhaustive scan is opt-in: `pytest -m extended`.
+of its assertions, including the stated runtime ceiling, have held.
 """
 
 import random
@@ -24,6 +23,7 @@ from mdsrepair.linalg import (
     batched_rank,
     gaussian_binomial,
     projective_point_count,
+    rref_blocks,
 )
 from mdsrepair.nrc import build, validate_params
 from mdsrepair.repair import (
@@ -84,15 +84,20 @@ def test_criterion_3_higher_redundancy_equality_suite(tower5):
     _report(3, "higher-redundancy equality, q=5 r=3 n=24..26", t0)
 
 
-@pytest.mark.extended
 def test_criterion_3_extended_full_scan(bundle5):
     t0 = time.perf_counter()
-    s = bundle5.skeleton
+    re = bundle5.realization
+    s = re.skeleton
     total = gaussian_binomial(s.ambient, s.ell, 5)
     assert total == 508431
-    value, witness = bruteforce_overlap(s, 0, index_range=(0, total))
-    assert value == 12
-    assert witness is not None
+    overlap = bruteforce_overlap(s, 0, index_range=(0, total))
+    hits = bruteforce_column_hits(re, 0, index_range=(0, total))
+    # the first maximizers sit at these enumeration indices
+    for (value, witness), index in ((overlap, 15763), (hits, 203200)):
+        assert value == 12
+        pinned = next(rref_blocks(5, s.ell, s.ambient, index, index + 1))[1][0]
+        assert np.array_equal(witness.array, pinned)
+    assert time.perf_counter() - t0 < 5.0
     _report("3x", "full 508431-candidate scan, q=5 n=24 node 1", t0)
 
 

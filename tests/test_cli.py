@@ -457,6 +457,20 @@ def test_jobs_below_one_rejected(workspace, monkeypatch, capsys, command,
     assert f"BadParameters: --jobs must be at least 1, got {jobs}" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--range", "0:10"]])
+def test_bruteforce_rejects_a_negative_budget(workspace, monkeypatch, capsys,
+                                              extra):
+    def boom(*args):
+        raise AssertionError("the code file was read before checking --budget")
+
+    monkeypatch.setattr(cli, "_load_json", boom)
+    assert main(["bruteforce", str(workspace / "code.json"), "--node", "1",
+                 "--budget", "-1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "BadParameters: --budget must be nonnegative, got -1" in err
+
+
 def test_sweep_rejects_an_empty_length_range(monkeypatch, capsys):
     _refuse_work(monkeypatch)
     assert main(["sweep", "--p", "3", "--ell", "2", "--r", "2",

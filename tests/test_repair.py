@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from bruteforce_oracle import bruteforce_oracle
 from mdsrepair.codes import realize, skeleton_new
 from mdsrepair.errors import (
     BadRank,
@@ -295,6 +296,96 @@ def test_bruteforce_same_with_and_without_rank_tables(bundle5, monkeypatch):
     assert tabled == eliminated
     assert all(value >= 0 and witness is not None
                for value, witness in tabled)
+
+
+def _mds_f3_ell6():
+    """H_1 = [I 0 0], H_2 = [0 I 0], H_3 = [0 0 I], H_4 = [I I I] in F_3^18.
+
+    Any three of the four span F_3^18, so the skeleton is MDS with l=6,
+    r=3, n=4; each node's basis rows are its columns.
+    """
+    tower = build_tower(3, 1, 6)
+    eye, zero = np.eye(6, dtype=np.int64), np.zeros((6, 6), dtype=np.int64)
+    rows = [np.hstack(parts) for parts in ((eye, zero, zero),
+                                           (zero, eye, zero),
+                                           (zero, zero, eye),
+                                           (eye, eye, eye))]
+    s = skeleton_new(tower, 3, [Subspace.from_rows(tower.base, r)
+                                for r in rows])
+    return realize(s, [list(r) for r in rows])
+
+
+def _scan_points(q3, q5):
+    """(realization, node, index range or None, patches) of the differential test."""
+    q4 = build(validate_params(build_tower(2, 2, 2), 2, 12)).realization
+    l3 = build(validate_params(build_tower(3, 1, 3), 2, 26)).realization
+    q9 = build(validate_params(build_tower(3, 2, 2), 3, 82)).realization
+    big = _mds_f3_ell6()
+    yield from ((q3, i, None, {}) for i in range(9))
+    yield from ((q4, i, None, {}) for i in range(12))
+    yield from ((l3, i, None, {}) for i in (0, 13, 25))
+    # the first pattern of q=9 r=3 holds 9^8 = 43046721 candidates
+    yield q9, 1, (43046721 - 2000, 43046721 + 2000), {}
+    yield q5, 5, (3000, 9000), {(linalg, "_RANK_TABLE_CAP"): 0}
+    # start and stop inside a row table, across the first pattern boundary
+    yield q5, 0, (100, 5000), {}
+    yield q5, 0, (390000, 391000), {}
+    # no row table is shared: every chunk builds its own
+    yield q5, 7, (2000, 20000), {(repair, "_ROW_TABLE_CELLS"): 0}
+    # indices past 2^62, rows of 3^12 entries, 6x6 blocks above the cap
+    yield from ((big, i, (2 ** 70, 2 ** 70 + 3000), {}) for i in (0, 1, 3))
+
+
+def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
+    calls = []
+    scan = repair._bruteforce
+
+    def both(*args):
+        got = scan(*args)
+        calls.append((got, bruteforce_oracle(*args)))
+        return got
+
+    monkeypatch.setattr(repair, "_bruteforce", both)
+    for re, i, rng, patches in _scan_points(bundle3.realization,
+                                            bundle5.realization):
+        with monkeypatch.context() as patch:
+            for (module, name), value in patches.items():
+                patch.setattr(module, name, value)
+            bruteforce_overlap(re.skeleton, i, index_range=rng)
+            bruteforce_column_hits(re, i, index_range=rng)
+    assert len(calls) == 2 * 32
+    for (value, witness, count), (o_value, o_witness, o_count) in calls:
+        assert (value, count) == (o_value, o_count)
+        if o_witness is None:
+            assert witness is None
+        else:
+            assert np.array_equal(witness, o_witness)
+    assert {c[0][0] for c in calls} >= {-1, 4, 5}  # infeasible ranges too
+
+
+def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
+    # a row table never has more entries than the scanned part of its
+    # pattern has candidates, and a shared one stays within the cell cap
+    counts = []
+    table = repair._RowTable
+
+    def spy(scan, row, a, b, bound, shared):
+        t = table(scan, row, a, b, bound, shared)
+        counts.append((t.count, b - a, shared))
+        return t
+
+    monkeypatch.setattr(repair, "_RowTable", spy)
+    re = _mds_f3_ell6()
+    bruteforce_column_hits(re, 0, index_range=(2 ** 70, 2 ** 70 + 3000))
+    assert counts and all(count <= span for count, span, _ in counts)
+    assert max(count for count, _, _ in counts) == 3000  # not 3^12
+    counts.clear()
+    monkeypatch.setattr(repair, "_ROW_TABLE_CELLS", 48 * 625 - 1)
+    bruteforce_overlap(bundle5.skeleton, 1, index_range=(0, 20000))
+    shared = [count for count, _, s in counts if s]
+    chunked = [count for count, _, s in counts if not s]
+    assert shared == [32]  # row 1: 20000 // 625 + 1 entries
+    assert chunked == [625] * 3  # row 0, once per chunk of 8192
 
 
 def test_bruteforce_budget(bundle5):
