@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    AmbientMismatch,
     BadParameters,
+    BadShape,
     DuplicatePoint,
     MalformedInput,
     NotMds,
@@ -45,6 +47,7 @@ from .linalg import (
     canonical_point,
     gaussian_binomial,
     kernel,
+    null_columns,
     projective_point_count,
 )
 
@@ -122,6 +125,34 @@ def skeleton_new(tower: FieldTower, r: int,
     return CodeSkeleton(tower, r, subspaces)
 
 
+def _mds_subsets(n: int, r: int, chunk: int):
+    """The r-subsets of n nodes in combinations order, ``chunk`` at most.
+
+    Yields (prefixes, which, last): a chunk's subsets are the distinct
+    (r-1)-node prefixes ``prefixes[which]`` each extended by its node
+    ``last``.  A prefix P, one of the C(n-1, r-1) with a node above it,
+    has n-1-max(P) extensions, and its subsets are consecutive, so the
+    prefixes are drawn ``chunk`` at a time and each chunk is read off
+    their cumulative extension counts, not built as tuples.
+    """
+    combos = itertools.combinations(range(n - 1), r - 1)
+    while True:
+        batch = list(itertools.islice(combos, chunk))
+        if not batch:
+            return
+        prefixes = np.array(batch, dtype=np.int64).reshape(len(batch), r - 1)
+        del batch  # the tuples take several times the array's memory
+        top = prefixes[:, -1] if r > 1 else np.full(len(prefixes), -1)
+        ends = np.cumsum(n - 1 - top)
+        for a in range(0, int(ends[-1]), chunk):
+            last = np.arange(a, min(a + chunk, int(ends[-1])))
+            which = np.searchsorted(ends, last, side="right")
+            last += n - ends[which]
+            first = which[0]
+            which -= first
+            yield prefixes[first:first + which[-1] + 1], which, last
+
+
 def check_mds(s: CodeSkeleton):
     """None if every r-subset of nodes spans the ambient space.
 
@@ -131,46 +162,28 @@ def check_mds(s: CodeSkeleton):
     to R_P, with pivot columns piv and free columns free.  Clearing the
     pivot columns of B_k against R_P leaves, on the free columns, the
     l x l matrix S = B_k[:, free] - B_k[:, piv] R_P[:, free] = B_k K_P,
-    where K_P is the kernel basis of R_P: the identity on the free rows
-    and -R_P[:, free] on the pivot rows.  So
-    rank [B_P; B_k] = rank R_P + rank S, and P + {k} spans exactly when
-    R_P has full rank (r-1)l and S is invertible.  Subsets are taken in
-    ``itertools.combinations`` order, ``_MDS_CHUNK`` at a time; a chunk
-    reduces its prefixes in one batch and ranks all its S in one
-    :func:`batched_rank` call.
+    where K_P is the kernel basis of R_P (:func:`linalg.null_columns`).
+    So rank [B_P; B_k] = rank R_P + rank S, and P + {k} spans exactly
+    when R_P has full rank (r-1)l and S is invertible.  Subsets are taken
+    in ``itertools.combinations`` order, at most ``_MDS_CHUNK`` at a time
+    (see :func:`_mds_subsets`); a chunk reduces its prefixes in one batch
+    and ranks all its S in one :func:`batched_rank` call.
     """
     field = s.tower.base
     ell, ambient = s.ell, s.ambient
     m = ambient - ell
     bases = s.basis_stack()
-    combos = itertools.combinations(range(s.n), s.r)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos,
-                                                              _MDS_CHUNK))
-        idx = np.fromiter(flat, dtype=np.int64).reshape(-1, s.r)
-        if not idx.size:
-            return None
-        # subsets with one prefix are consecutive; number the distinct ones
-        new = np.ones(len(idx), dtype=bool)
-        new[1:] = (idx[1:, :-1] != idx[:-1, :-1]).any(axis=1)
-        which = np.cumsum(new) - 1
-        prefixes = idx[new, :-1]
+    for prefixes, which, last in _mds_subsets(s.n, s.r, _MDS_CHUNK):
         reduced, ranks, is_piv = _elimination_ranks(
             field, bases[prefixes].reshape(len(prefixes), m, ambient))
-        # pivot columns first, then free ones, each ascending; only the
-        # order of a full-rank prefix is used
-        cols = np.argsort(~is_piv, axis=1, kind="stable")
-        piv, free = cols[:, :m], cols[:, m:]
-        kern = np.zeros((len(prefixes), ambient, ell), dtype=np.int64)
-        at = np.arange(len(prefixes))[:, None]
-        kern[at, free, np.arange(ell)] = 1
-        kern[at, piv] = field.arr_neg(
-            np.take_along_axis(reduced, free[:, None, :], axis=2))
-        schur = field.matmul(bases[idx[:, -1]], kern[which])
+        kern = null_columns(field, reduced, is_piv)
+        schur = field.matmul(bases[last], kern[which])
         spans = (ranks[which] == m) & (batched_rank(field, schur) == ell)
         bad = np.nonzero(~spans)[0]
         if bad.size:
-            return tuple(idx[bad[0]].tolist())
+            k = bad[0]
+            return tuple(prefixes[which[k]].tolist()) + (int(last[k]),)
+    return None
 
 
 class Realization:
@@ -211,34 +224,70 @@ class Realization:
         return self.parity_matrix().array
 
 
+def _require_inside(s: CodeSkeleton, points: list, owners: list) -> None:
+    """PointOutsideNode for the first listed point outside its node.
+
+    One product checks them all: p lies in node k exactly when p equals
+    p[piv_k] R_k, its entries on k's pivot columns times k's RREF basis.
+    """
+    if not points:
+        return
+    field = s.tower.base
+    pts = np.stack(points)
+    pivots = np.array([s.nodes[k].pivots for k in owners], dtype=np.int64)
+    combo = field.matmul(np.take_along_axis(pts, pivots, axis=1)[:, None, :],
+                         s.basis_stack()[owners])[:, 0]
+    outside = np.flatnonzero((pts != combo).any(axis=1))
+    if outside.size:
+        raise PointOutsideNode(f"node {owners[outside[0]]}: column point "
+                               "outside the node subspace")
+
+
 def realize(s: CodeSkeleton, column_sets) -> Realization:
     """Build the realization with the given projective column points.
 
-    Each node needs exactly l distinct nonzero points, all inside the node
-    subspace and jointly spanning it.  Input vectors are canonicalized
-    (first nonzero coordinate scaled to 1) before validation.
+    There must be one column set per node, and each needs exactly l
+    distinct nonzero points, all inside the node subspace and jointly
+    spanning it.  Input vectors are canonicalized (first nonzero
+    coordinate scaled to 1) before validation.  Membership is decided for
+    all points at once; a point outside its node is still reported
+    before any later point's or node's fault.
     """
     field = s.tower.base
     ell = s.ell
+    column_sets = list(column_sets)
+    if len(column_sets) != s.n:
+        raise BadShape(f"{len(column_sets)} column sets for {s.n} nodes")
+    points, owners = [], []  # canonical points not yet checked for membership
     stacks = []
     cleaned = []
     for i, pts in enumerate(column_sets):
-        if not all(np.any(p) for p in pts):
-            raise NotSpanning(f"node {i}: a column point is the zero vector")
-        pts = [canonical_point(field, p) for p in pts]
-        if len(pts) != ell:
-            raise NotSpanning(f"node {i}: need exactly {ell} column points")
-        seen = set()
-        for p in pts:
-            key = p.tobytes()
-            if key in seen:
-                raise DuplicatePoint(f"node {i}: repeated projective point")
-            seen.add(key)
-            if not s.nodes[i].contains(p):
-                raise PointOutsideNode(
-                    f"node {i}: column point outside the node subspace")
+        try:
+            if not all(np.any(p) for p in pts):
+                raise NotSpanning(
+                    f"node {i}: a column point is the zero vector")
+            pts = [canonical_point(field, p) for p in pts]
+            if len(pts) != ell:
+                raise NotSpanning(
+                    f"node {i}: need exactly {ell} column points")
+            seen = set()
+            for p in pts:
+                if p.shape != (s.ambient,):
+                    raise AmbientMismatch(f"node {i}: vector of length "
+                                          f"{p.shape} in ambient {s.ambient}")
+                key = p.tobytes()
+                if key in seen:
+                    raise DuplicatePoint(
+                        f"node {i}: repeated projective point")
+                seen.add(key)
+                points.append(p)
+                owners.append(i)
+        except RepairToolError:
+            _require_inside(s, points, owners)  # earlier points fail first
+            raise
         stacks.append(np.stack(pts))
         cleaned.append(tuple(tuple(int(x) for x in p) for p in pts))
+    _require_inside(s, points, owners)
     stacks = np.array(stacks, dtype=np.int64).reshape(-1, ell, s.ambient)
     short = np.flatnonzero(batched_rank(field, stacks) != ell)
     if short.size:

@@ -25,7 +25,7 @@ matrices, ``_elimination_ranks``; a single matrix is a batch of one.  Each
 linear-algebra question is one elimination of an augmented matrix
 (kernels reduce [m^T | I], intersections [[A, A], [B, 0]]), and callers
 with many matrices of one shape hand over the whole stack
-(:meth:`Subspace.from_stack`, :func:`kernels`).
+(:meth:`Subspace.from_stack`, :func:`kernels`, :func:`intersections`).
 """
 
 from __future__ import annotations
@@ -346,6 +346,27 @@ def kernels(field: Field, stack) -> list[Subspace]:
             for r, p in zip(reduced, is_piv)]
 
 
+def null_columns(field: Field, reduced: np.ndarray,
+                 is_piv: np.ndarray) -> np.ndarray:
+    """Right kernel bases of a stack of RREF blocks, as columns.
+
+    ``reduced`` is a (k, m, d) stack of blocks of rank m and ``is_piv``
+    their (k, d) pivot masks.  Block t's kernel {v : R_t v^T = 0} has the
+    d x (d - m) basis K_t that is the identity on the rows of the free
+    columns, each ascending, and minus R_t's free part on the rows of the
+    pivot columns.  A block of lower rank gets an unspecified K_t.
+    """
+    k, m, d = reduced.shape
+    cols = np.argsort(~is_piv, axis=1, kind="stable")
+    piv, free = cols[:, :m], cols[:, m:]
+    out = np.zeros((k, d, d - m), dtype=np.int64)
+    at = np.arange(k)[:, None]
+    out[at, free, np.arange(d - m)] = 1
+    out[at, piv] = field.arr_neg(
+        np.take_along_axis(reduced, free[:, None, :], axis=2))
+    return out
+
+
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v^T = 0} as a subspace of row vectors."""
     return kernels(m.field, m.array[None])[0]
@@ -363,20 +384,32 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - int(batched_rank(a.field, stacked[None])[0])
 
 
-def intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by the Zassenhaus form: one elimination of [[A, A], [B, 0]].
+def intersections(field: Field, a, b) -> list[Subspace]:
+    """Row-space intersections of two (k, ., d) stacks of bases, pairwise.
 
-    A row whose left half reduces to zero is (x A + y B, x A) with
-    x A = -y B, so its right half lies in both subspaces, and those
+    One elimination of every block's Zassenhaus form [[A, A], [B, 0]]: a
+    row whose left half reduces to zero is (x A + y B, x A) with
+    x A = -y B, so its right half lies in both row spaces, and those
     right halves span the intersection.
     """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[::2] != b.shape[::2]:
+        raise BadShape("expected two (k, rows, d) stacks of bases")
+    stacked = np.concatenate([np.concatenate([a, a], axis=2),
+                              np.concatenate([b, np.zeros_like(b)], axis=2)],
+                             axis=1)
+    _check_codes(field, stacked)
+    reduced, _, is_piv = _elimination_ranks(field, stacked)
+    return [_vanishing_rows(field, r, tuple(np.flatnonzero(p).tolist()),
+                            a.shape[2])
+            for r, p in zip(reduced, is_piv)]
+
+
+def intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of two subspaces: :func:`intersections` of one pair."""
     if a.ambient != b.ambient or a.field != b.field:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    aa, ba = a.basis.array, b.basis.array
-    stacked = np.vstack([np.hstack([aa, aa]),
-                         np.hstack([ba, np.zeros_like(ba)])])
-    r, _, pivots = rref(Matrix(a.field, stacked))
-    return _vanishing_rows(a.field, r.array, pivots, a.ambient)
+    return intersections(a.field, a.basis.array[None], b.basis.array[None])[0]
 
 
 def inverse(m: Matrix) -> Matrix:

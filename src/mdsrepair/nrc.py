@@ -40,22 +40,21 @@ from .errors import (
     RExceedsQ,
     ZeroB,
 )
+from . import linalg
 from .gf import FieldTower
 from .linalg import (
     Matrix,
     Subspace,
-    canonical_point,
-    intersection,
+    intersections,
     kernel,
     projective_point_count,
-    rref,
 )
 from .repair import (
     NodeMetrics,
     RepairScheme,
-    dual_cover,
+    SchemePass,
+    _scheme_pass,
     evaluate_scheme,
-    incidence_profile,
 )
 
 
@@ -253,18 +252,29 @@ class NrcBundle:
         return ["inf" if c is INF else str(c) for c in self.parameters]
 
 
-def _spanning_points(field, node: Subspace, gens: np.ndarray, forced):
-    """The forced point, then curve rows greedily from the top, as points.
+def _spanning_fill(field, cands: np.ndarray, ell: int) -> np.ndarray:
+    """Each block's first l candidate rows that raise its rank, as points.
 
-    The greedy choice is the pivot columns of one elimination of the
-    transposed candidate stack; it stops at the node's dimension.
+    ``cands`` is a (k, c, d) stack of candidate rows.  The greedy choice
+    is the first l pivot columns of one elimination of the transposed
+    stack, so a zero row is never chosen.  Returns the (k, l, d) chosen
+    rows, each scaled to its canonical projective point.
     """
-    ell = node.dim
-    cands = gens if forced is None else np.vstack([forced, gens])
-    pivots = rref(Matrix(field, cands.T))[2][:ell]
-    if len(pivots) != ell:
+    _, ranks, is_piv = linalg._elimination_ranks(
+        field, cands.transpose(0, 2, 1).copy())
+    if (ranks < ell).any():
         raise InternalInconsistency("column fill failed to span a node")
-    return [canonical_point(field, cands[p]) for p in pivots]
+    first = np.argsort(~is_piv, axis=1, kind="stable")[:, :ell]
+    rows = np.take_along_axis(cands, first[:, :, None], axis=1)
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=2)[:, :, None],
+                              axis=2)
+    return field.arr_mul(rows, field.arr_inv(lead))
+
+
+def _spanning_points(field, node: Subspace, gens: np.ndarray, forced):
+    """The forced point, then curve rows greedily from the top, as points."""
+    cands = gens if forced is None else np.vstack([forced, gens])
+    return list(_spanning_fill(field, np.asarray(cands)[None], node.dim)[0])
 
 
 def build(params: NrcParams) -> NrcBundle:
@@ -274,10 +284,14 @@ def build(params: NrcParams) -> NrcBundle:
     remaining finite parameters ascending (0 first), infinity last,
     truncated to n.  Nodes in the first block are repaired with the
     second block's kernel; every other node uses the first block's
-    kernel, which misses 0, infinity, and all other blocks.
+    kernel, which misses 0, infinity, and all other blocks.  The column
+    points of all nodes come from two stacked eliminations: one
+    intersects every constrained node with its kernel, one picks every
+    node's spanning points (a zero forced row where no point is forced).
     """
     tower, r, n = params.tower, params.r, params.n
     field = tower.base
+    ell = tower.ell
     part = block_partition(tower, r)
     block_a, block_b = part.blocks[0], part.blocks[1]
     w_a, m_a = repair_subspace(tower, r, block_a.rep)
@@ -292,49 +306,59 @@ def build(params: NrcParams) -> NrcBundle:
     skeleton = CodeSkeleton(tower, r, _curve_subspaces(tower, curves))
     scheme = RepairScheme([m_b if c in in_a else m_a for c in parameters])
 
-    column_sets = []
-    for idx, c in enumerate(parameters):
-        node = skeleton.nodes[idx]
-        forced = None
-        if c is not INF and c in in_a:
-            hit = intersection(w_a, node)
-        elif c is not INF and c in in_b:
-            hit = intersection(w_b, node)
-        else:
-            hit = None
-        if hit is not None:
-            if hit.dim != 1:
-                raise InternalInconsistency(
-                    "constrained node meets its kernel in dimension != 1")
-            forced = canonical_point(field, hit.basis.array[0])
-        column_sets.append(_spanning_points(field, node, curves[idx], forced))
-    realization = realize(skeleton, column_sets)
+    constrained = [idx for idx, c in enumerate(parameters)
+                   if c is not INF and (c in in_a or c in in_b)]
+    hitting = [w_a if parameters[idx] in in_a else w_b for idx in constrained]
+    cands = np.zeros((n, ell + 1, r * ell), dtype=np.int64)
+    cands[:, 1:] = curves
+    if constrained:
+        hits = intersections(field,
+                             np.stack([w.basis.array for w in hitting]),
+                             skeleton.basis_stack()[constrained])
+        if any(hit.dim != 1 for hit in hits):
+            raise InternalInconsistency(
+                "constrained node meets its kernel in dimension != 1")
+        # an RREF row leads with 1, so it is already a canonical point
+        cands[constrained, 0] = [hit.basis.array[0] for hit in hits]
+    realization = realize(skeleton, _spanning_fill(field, cands, ell))
 
+    checks = _scheme_pass(realization, scheme)
     bundle = NrcBundle(params=params, parameters=tuple(parameters),
                        partition=part, blocks_used=(block_a, block_b),
                        skeleton=skeleton, realization=realization,
                        scheme=scheme,
-                       metrics=evaluate_scheme(realization, scheme))
-    _verify_bundle(bundle)
+                       metrics=evaluate_scheme(realization, scheme,
+                                               scheme_pass=checks))
+    _verify_bundle(bundle, checks)
     return bundle
 
 
-def _verify_bundle(bundle: NrcBundle) -> None:
-    """Re-check every promised property of a finished bundle."""
+def _verify_bundle(bundle: NrcBundle, checks: SchemePass) -> None:
+    """Re-check every promised property of a finished bundle.
+
+    ``checks`` is the scheme's :func:`repair._scheme_pass`; its per-node
+    intersection dimensions and dual cover are read, not recomputed.
+    """
     s = bundle.skeleton
     tower = s.tower
     witness = s.mds_witness()
     if witness is not None:
         raise InternalInconsistency(f"constructed skeleton not MDS: {witness}")
     hits_expected = (s.r - 1) * projective_point_count(tower.q, s.ell)
-    for i in range(s.n):
-        profile = incidence_profile(bundle.scheme[i], s, i)
-        if any(t not in (0, 1) for t in profile.dims):
-            raise InternalInconsistency("a helper intersection exceeds dim 1")
-        if profile.sum_dims != hits_expected:
-            raise InternalInconsistency("wrong helper hit count at a node")
-        if not dual_cover(bundle.scheme[i], s, i).regular:
-            raise InternalInconsistency("dual cover is not (r-1)-regular")
+    dims = np.where(np.eye(s.n, dtype=bool), 0, checks.dims)
+    too_big = (dims > 1).any(axis=1)
+    wrong = dims.sum(axis=1) != hits_expected
+    irregular = (checks.mults != s.r - 1).any(axis=1)
+    bad = np.flatnonzero(too_big | wrong | irregular)
+    if bad.size:
+        i = int(bad[0])
+        if too_big[i]:
+            raise InternalInconsistency(
+                f"a helper intersection exceeds dim 1 at node {i}")
+        if wrong[i]:
+            raise InternalInconsistency(f"wrong helper hit count at node {i}")
+        raise InternalInconsistency(
+            f"dual cover is not (r-1)-regular at node {i}")
     if not bundle.metrics.equality:
         raise InternalInconsistency("constructed scheme misses the bound")
 

@@ -178,11 +178,6 @@ def bandwidth(m: Matrix, re: Realization, i: int) -> int:
     Also recomputes the same count through the kernel of m and the node
     subspaces; the two totals must agree exactly.
     """
-    return _bandwidth(m, re, i, kernel(m).basis.array)
-
-
-def _bandwidth(m: Matrix, re: Realization, i: int, w: np.ndarray) -> int:
-    """:func:`bandwidth` given a basis ``w`` of the kernel of m."""
     s = re.skeleton
     _check_repair_inputs(s, m, i)
     field = s.tower.base
@@ -193,7 +188,7 @@ def _bandwidth(m: Matrix, re: Realization, i: int, w: np.ndarray) -> int:
         raise NotARepairMatrix(i)
     helpers = [j for j in range(n) if j != i]
     bw = int(ranks[helpers].sum())
-    dims = _intersection_dims(s, w, helpers)
+    dims = _intersection_dims(s, kernel(m).basis.array, helpers)
     if bw != ell * (n - 1) - int(dims.sum()):
         raise InternalInconsistency(
             "rank route and kernel route disagree on bandwidth")
@@ -634,20 +629,142 @@ class NodeMetrics:
         }
 
 
-def evaluate_scheme(re: Realization, sch: RepairScheme) -> NodeMetrics:
-    """Achieved bandwidth/IO of the scheme at every node, with bound gaps."""
+# Entries of one chunk of the dual-cover product (nodes x helpers x
+# covectors x l), the largest array of the scheme pass; the pass takes
+# its nodes a chunk at a time, so that its memory stays small at any n.
+_PASS_CELLS = 1 << 15
+
+
+@dataclass(frozen=True)
+class SchemePass:
+    """Every node's repair numbers for one scheme, from batched products.
+
+    Row i of each (n, n) array is about repairing node i with M_i and
+    column j about node j: ``ranks`` is rank(M_i H_j) (the rank route),
+    ``dims`` is dim(W_i /\\ H_j) for W_i = ker M_i (the kernel route),
+    ``columns`` counts the nonzero columns of M_i H_j.  ``mults[i, k]`` is
+    the number of helpers j != i whose block M_i H_j the k-th canonical
+    covector of F_q^l annihilates (:func:`dual_cover`), and
+    ``points[i]`` the number of projective points of W_i inside the
+    helpers (:func:`incidence_profile`).  ``bandwidth`` and ``io`` sum the
+    helpers' ranks and nonzero columns.
+    """
+
+    ranks: np.ndarray
+    dims: np.ndarray
+    columns: np.ndarray
+    mults: np.ndarray
+    points: np.ndarray
+    bandwidth: tuple[int, ...]
+    io: tuple[int, ...]
+
+
+def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
+    """The numbers of :class:`SchemePass`, with every self-check applied.
+
+    The rank route forms every block M_i H_j with one product and ranks
+    all of them at once.  The kernel route takes every W_i from one
+    :func:`kernels` elimination and never forms M_i H_j: with K_i the
+    kernel basis of W_i's RREF (:func:`linalg.null_columns`), rank
+    [W_i; B_j] = dim W_i + rank(B_j K_i), so dim(W_i /\\ H_j) = l -
+    rank(B_j K_i), all of them ranked at once too.  The dual cover
+    multiplies the canonical covectors into the blocks.  "All" means all
+    of one chunk of nodes M_i: a chunk's dual-cover product has about
+    ``_PASS_CELLS`` entries, so memory stays bounded at any n and l.
+
+    Node by node, the checks are that M_i H_i is invertible (else
+    :class:`NotARepairMatrix`), that both routes agree on every block and
+    that io is not below bandwidth; then, node by node again, the
+    incidence cap, the dual-cover total against the ranks, and no
+    covector counted r times.  The cap and the r-fold cover are breaches
+    only on a verified MDS skeleton, which is consulted only then.  A
+    breach raises :class:`InternalInconsistency` naming its node.
+    """
     s = re.skeleton
-    if len(sch) != s.n:
-        raise BadShape(f"scheme has {len(sch)} matrices for {s.n} nodes")
-    # every kernel ker M_i from one elimination
-    ws = kernels(sch[0].field, np.stack([m.array for m in sch.matrices]))
-    bw = []
-    io = []
-    for i in range(s.n):
-        bw.append(_bandwidth(sch[i], re, i, ws[i].basis.array))
-        io.append(io_count(sch[i], re, i))
-        if io[i] < bw[i]:
-            raise InternalInconsistency("io below bandwidth at a node")
+    field = s.tower.base
+    n, ell, r = s.n, s.ell, s.r
+    q = field.order
+    if len(sch) != n:
+        raise BadShape(f"scheme has {len(sch)} matrices for {n} nodes")
+    _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape and field
+    ms = np.stack([m.array for m in sch.matrices])
+    helper = ~np.eye(n, dtype=bool)
+
+    ws = kernels(field, ms)
+    if any(w.dim != s.ambient - ell for w in ws):
+        raise InternalInconsistency("a repair kernel has the wrong dimension")
+    is_piv = np.zeros((n, s.ambient), dtype=bool)
+    for row, w in zip(is_piv, ws):
+        row[list(w.pivots)] = True
+    k = linalg.null_columns(field, np.stack([w.basis.array for w in ws]),
+                            is_piv)
+
+    covectors = projective_point_array(field, ell)
+    ranks = np.empty((n, n), dtype=np.int64)
+    dims = np.empty((n, n), dtype=np.int64)
+    columns = np.empty((n, n), dtype=np.int64)
+    mults = np.empty((n, len(covectors)), dtype=np.int64)
+    step = max(1, _PASS_CELLS // (n * len(covectors) * ell))
+    flat = (-1, ell, ell)
+    for a in range(0, n, step):
+        at = slice(a, a + step)
+        blocks = _compressed_blocks(field, ms[at], re.column_stack(), n, ell)
+        ranks[at] = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
+        columns[at] = (blocks != 0).any(axis=2).sum(axis=2)
+        s_blocks = field.matmul(s.basis_stack()[None], k[at, None])
+        dims[at] = ell - batched_rank(field, s_blocks.reshape(flat)
+                                      ).reshape(-1, n)
+        killed = (field.matmul(covectors, blocks) == 0).all(axis=3)
+        mults[at] = (killed & helper[at, :, None]).sum(axis=1)
+
+    points_of = np.array([projective_point_count(q, t)
+                          for t in range(ell + 1)])
+    bw = np.where(helper, ranks, 0).sum(axis=1)
+    io = np.where(helper, columns, 0).sum(axis=1)
+    points = np.where(helper, points_of[dims], 0).sum(axis=1)
+    covered = np.where(helper, points_of[ell - ranks], 0).sum(axis=1)
+
+    route = (ranks != ell - dims).any(axis=1)
+    for i in np.flatnonzero((ranks.diagonal() != ell) | route | (io < bw)):
+        if ranks[i, i] != ell:
+            raise NotARepairMatrix(int(i))
+        if route[i]:
+            raise InternalInconsistency(
+                f"rank route and kernel route disagree at node {i}")
+        raise InternalInconsistency(f"io below bandwidth at node {i}")
+    cap = (r - 1) * projective_point_count(q, ell)
+    over = (points > cap) | (mults.max(axis=1) > r - 1)
+    for i in np.flatnonzero(over | (mults.sum(axis=1) != covered)):
+        if points[i] > cap and s.is_mds:
+            raise InternalInconsistency(
+                f"incidence cap violated at node {i} on a verified MDS "
+                "skeleton")
+        if mults[i].sum() != covered[i]:
+            raise InternalInconsistency(
+                "dual cover bookkeeping does not match intersection "
+                f"dimensions at node {i}")
+        if mults[i].max() > r - 1 and s.is_mds:
+            raise InternalInconsistency(
+                f"dual point covered r times at node {i} on a verified MDS "
+                "skeleton")
+    # every entry is at most l, and the bundle check keeps these while it
+    # runs check_mds, so they are stored narrow
+    narrow = [a.astype(np.uint8) for a in (ranks, dims, columns)]
+    return SchemePass(*narrow, mults=mults, points=points,
+                      bandwidth=tuple(int(b) for b in bw),
+                      io=tuple(int(g) for g in io))
+
+
+def evaluate_scheme(re: Realization, sch: RepairScheme, *,
+                    scheme_pass: SchemePass | None = None) -> NodeMetrics:
+    """Achieved bandwidth/IO of the scheme at every node, with bound gaps.
+
+    Everything is read from one :func:`_scheme_pass`; a caller that
+    already has the scheme's pass hands it over as ``scheme_pass``.
+    """
+    s = re.skeleton
+    sp = _scheme_pass(re, sch) if scheme_pass is None else scheme_pass
+    bw, io = sp.bandwidth, sp.io
     rep = bounds_report(s.tower.q, s.ell, s.r, s.n)
     bw_gap = tuple(b - rep.im_bound for b in bw)
     io_gap = tuple(g - rep.im_bound for g in io)
@@ -655,7 +772,7 @@ def evaluate_scheme(re: Realization, sch: RepairScheme) -> NodeMetrics:
         raise InternalInconsistency("achieved cost below the proven bound")
     return NodeMetrics(
         n=s.n, ell=s.ell,
-        bandwidth=tuple(bw), io=tuple(io), bounds=rep,
+        bandwidth=bw, io=io, bounds=rep,
         bandwidth_avg=Fraction(sum(bw), s.n), bandwidth_max=max(bw),
         io_avg=Fraction(sum(io), s.n), io_max=max(io),
         bandwidth_gap=bw_gap, io_gap=io_gap,

@@ -491,3 +491,31 @@ def test_simulate_jobs_fan_out_writes_identical_bytes(workspace, tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_eval_wrong_width_scheme_exits_3(workspace, tmp_path, capsys):
+    scheme = json.loads((workspace / "scheme.json").read_text())
+    for cols in (3, 5):
+        for entry in scheme["per_node"]:
+            entry["M"] = {"rows": 2, "cols": cols,
+                          "entries": [1] + [0] * cols + [1] + [0] * (cols - 2)}
+        p = tmp_path / f"wide{cols}.json"
+        p.write_text(json.dumps(scheme))
+        assert main(["eval", str(workspace / "code.json"), str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "BadShape: repair matrix must be 2 x 4" in err
+        assert "Traceback" not in err and "ValueError" not in err
+
+
+def test_eval_names_the_node_a_matrix_cannot_repair(workspace, tmp_path,
+                                                    capsys):
+    scheme = json.loads((workspace / "scheme.json").read_text())
+    # node 9 (index 8) is repaired with the first block's kernel, which
+    # meets every first-block node, node 3 (index 2) among them
+    scheme["per_node"][2]["M"] = scheme["per_node"][8]["M"]
+    p = tmp_path / "swapped.json"
+    p.write_text(json.dumps(scheme))
+    assert main(["eval", str(workspace / "code.json"), str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "NotARepairMatrix: matrix does not repair node 2" in err
+    assert "Traceback" not in err

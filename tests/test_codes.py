@@ -22,11 +22,13 @@ from mdsrepair.codes import (
 )
 from mdsrepair.errors import (
     BadParameters,
+    BadShape,
     DuplicatePoint,
     MalformedInput,
     NotMds,
     NotSpanning,
     PointOutsideNode,
+    RepairToolError,
     TooFewNodes,
     WrongAmbient,
     WrongNodeDim,
@@ -406,3 +408,110 @@ def test_loading_a_code_eliminates_once_for_any_length(tower3, n, watch_calls):
     # column points in one rank call
     assert elims == [(n, 2, 4)]
     assert ranks == [(n, 2, 4)]
+
+
+# -- subset enumeration and batched realize checks ----------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 4096])
+def test_mds_subsets_follow_combinations_order(chunk):
+    # small chunks cut through one prefix's extensions
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            got = []
+            for prefixes, which, last in codes._mds_subsets(n, r, chunk):
+                assert len(last) <= chunk
+                assert (np.diff(which) >= 0).all() and which[0] == 0
+                assert which[-1] == len(prefixes) - 1
+                got += [tuple(prefixes[w].tolist()) + (int(k),)
+                        for w, k in zip(which, last)]
+            assert got == list(itertools.combinations(range(n), r))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_check_mds_keeps_the_first_witness_across_chunks(
+        monkeypatch, bundle3, chunk):
+    monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
+    sk = bundle3.skeleton
+    for a, b in ((8, 5), (3, 6), (0, 1), (7, 8)):
+        nodes = list(sk.nodes)
+        nodes[b] = nodes[a]
+        bad = skeleton_new(sk.tower, sk.r, nodes)
+        assert check_mds(bad) == _stacked_check_mds(bad) == \
+            tuple(sorted((a, b)))
+
+
+def _realize_oracle(s, column_sets):
+    """The per-point realize: each point's membership checked on its own."""
+    field = s.tower.base
+    ell = s.ell
+    stacks = []
+    for i, pts in enumerate(column_sets):
+        if not all(np.any(p) for p in pts):
+            raise NotSpanning(f"node {i}: a column point is the zero vector")
+        pts = [linalg.canonical_point(field, p) for p in pts]
+        if len(pts) != ell:
+            raise NotSpanning(f"node {i}: need exactly {ell} column points")
+        seen = set()
+        for p in pts:
+            key = p.tobytes()
+            if key in seen:
+                raise DuplicatePoint(f"node {i}: repeated projective point")
+            seen.add(key)
+            if not s.nodes[i].contains(p):
+                raise PointOutsideNode(
+                    f"node {i}: column point outside the node subspace")
+        stacks.append(np.stack(pts))
+    stacks = np.array(stacks, dtype=np.int64).reshape(-1, ell, s.ambient)
+    short = np.flatnonzero(batched_rank(field, stacks) != ell)
+    if short.size:
+        raise NotSpanning(f"node {short[0]}: column points do not span the node")
+    return stacks
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except RepairToolError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_realize_checks_points_in_the_per_point_order(bundle5):
+    re = bundle5.realization
+    s = re.skeleton
+    field = s.tower.base
+    rng = random.Random(24)
+    faults = 0
+    for _ in range(400):
+        sets = [[list(p) for p in pts] for pts in re.column_sets]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(s.n)
+            if len(sets[i]) < 2:
+                continue
+            k = rng.randrange(2)
+            kind = rng.randrange(5)
+            if kind == 0:    # a random vector, most likely outside
+                sets[i][k] = [rng.randrange(5) for _ in range(s.ambient)]
+            elif kind == 1:  # the zero vector
+                sets[i][k] = [0] * s.ambient
+            elif kind == 2:  # a multiple of the node's other point
+                other = np.array(sets[i][1 - k])
+                sets[i][k] = field.arr_mul(other, rng.randrange(1, 5)).tolist()
+            elif kind == 3:  # a point of another node
+                sets[i][k] = list(re.column_sets[(i + 1) % s.n][k])
+            else:            # a point too few
+                del sets[i][k:k + 1]
+        want = _outcome(_realize_oracle, s, sets)
+        assert _outcome(realize, s, sets) == want
+        faults += want is not None
+    assert faults > 300
+
+
+def test_realize_needs_one_column_set_per_node(bundle5):
+    re = bundle5.realization
+    sets = [list(map(list, pts)) for pts in re.column_sets]
+    for wrong in (sets[:5], sets + sets[:1], []):
+        with pytest.raises(BadShape, match=f"{len(wrong)} column sets "
+                                           "for 24 nodes"):
+            realize(re.skeleton, wrong)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mdsrepair import codes, linalg, nrc
+from mdsrepair import codes, linalg, nrc, repair
 from mdsrepair.codes import check_mds, realization_to_json
 from mdsrepair.errors import (
     BadParameters,
@@ -408,3 +409,64 @@ def test_build_redundancy_four():
     assert bundle.metrics.bounds.im_bound == 70
     assert set(bundle.metrics.bandwidth) == {70} == set(bundle.metrics.io)
     assert bundle.metrics.equality
+
+
+# -- stacked column fill and the verified pass -------------------------------------
+
+
+@pytest.mark.parametrize("p,m,ell,r", [(3, 1, 2, 2), (5, 1, 2, 3),
+                                       (3, 2, 2, 3)],
+                         ids=["q3", "q5", "q9"])
+def test_spanning_fill_of_a_stack_matches_greedy_route(p, m, ell, r):
+    # every case padded to one shape, a zero row where no point is forced
+    cases = list(_spanning_cases(build_tower(p, m, ell), r))
+    field, node = cases[0][0], cases[0][1]
+    width = max(len(gens) for _, _, gens, _ in cases) + 1
+    stack = np.zeros((len(cases), width, node.ambient), dtype=np.int64)
+    for block, (_, _, gens, forced) in zip(stack, cases):
+        if forced is not None:
+            block[0] = forced
+        block[1:1 + len(gens)] = gens
+    got = nrc._spanning_fill(field, stack, ell)
+    for points, (field, node, gens, forced) in zip(got, cases):
+        want = _greedy_spanning_points(field, node, gens, forced)
+        assert np.array_equal(points, np.stack(want))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls,
+                                             monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point was checked on its own")
+
+    monkeypatch.setattr(Subspace, "contains", refuse)
+    elims = watch_calls(linalg, "_elimination_ranks")
+    bundle = build(validate_params(tower3, 2, n))
+    # the 8 nodes of the two blocks meet their kernels in one Zassenhaus
+    # stack [[W, W], [B, 0]], and every node's points come from one stack
+    # of transposed candidates [forced; curve rows]
+    assert elims.count((8, 4, 8)) == 1
+    assert elims.count((n, 4, 3)) == 1
+    # the only batches of one are the two repair kernels [M^T | I]
+    assert [c for c in elims if c[0] == 1] == [(1, 4, 6)] * 2
+    assert bundle.metrics.equality
+
+
+def test_verify_bundle_reads_the_scheme_pass(bundle5):
+    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    nrc._verify_bundle(bundle5, sp)
+    dims = sp.dims.copy()
+    dims[3, 7] = 2
+    with pytest.raises(InternalInconsistency,
+                       match="exceeds dim 1 at node 3"):
+        nrc._verify_bundle(bundle5, dataclasses.replace(sp, dims=dims))
+    dims = sp.dims.copy()
+    dims[4, 0] = 1 - dims[4, 0]
+    with pytest.raises(InternalInconsistency,
+                       match="wrong helper hit count at node 4"):
+        nrc._verify_bundle(bundle5, dataclasses.replace(sp, dims=dims))
+    mults = sp.mults.copy()
+    mults[6, 0] += 1
+    with pytest.raises(InternalInconsistency,
+                       match="not \\(r-1\\)-regular at node 6"):
+        nrc._verify_bundle(bundle5, dataclasses.replace(sp, mults=mults))

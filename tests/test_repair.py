@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ from mdsrepair.errors import (
     BadRank,
     BadShape,
     BudgetExceeded,
+    InternalInconsistency,
     NotARepairMatrix,
     NotMds,
 )
@@ -481,3 +483,207 @@ def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     evaluate_scheme(bundle.realization, sch)
     # every ker M_i from one stack of [M_i^T | I], none from a batch of one
     assert [c for c in elims if c[1:] == (4, 6)] == [(n, 4, 6)]
+
+
+# -- the batched scheme pass against the per-node functions ----------------------
+
+
+@pytest.fixture(scope="module")
+def larger_bundles():
+    """q=9 r=3 n=82, q=7 r=4 n=48 and q=5 l=3 r=3 n=124."""
+    return [build(validate_params(build_tower(p, m, ell), r, n))
+            for p, m, ell, r, n in ((3, 2, 2, 3, 82), (7, 1, 2, 4, 48),
+                                    (5, 1, 3, 3, 124))]
+
+
+def _assert_pass_matches_per_node(re, sch):
+    """Node by node, the pass's numbers equal the public per-node oracles."""
+    s = re.skeleton
+    field = s.tower.base
+    sp = repair._scheme_pass(re, sch)
+    for i in range(s.n):
+        m = sch[i]
+        assert sp.bandwidth[i] == bandwidth(m, re, i)
+        assert sp.io[i] == io_count(m, re, i)
+        blocks = repair._compressed_blocks(field, m.array, re.column_stack(),
+                                           s.n, s.ell)
+        assert sp.ranks[i].tolist() == batched_rank(field, blocks).tolist()
+        assert sp.columns[i].tolist() == \
+            (blocks != 0).any(axis=1).sum(axis=1).tolist()
+        # every pair, the failed node included, through the stacked ranks
+        every = repair._intersection_dims(s, kernel(m).basis.array,
+                                          range(s.n))
+        assert sp.dims[i].tolist() == every.tolist()
+        pr = incidence_profile(m, s, i)
+        dims = tuple(int(t) for t in sp.dims[i, list(pr.helpers)])
+        assert pr.dims == dims and pr.sum_dims == sum(dims)
+        assert pr.sum_points == sp.points[i]
+        assert pr.holds == (sp.points[i] <= pr.cap)
+        assert dual_cover(m, s, i).mults == tuple(sp.mults[i].tolist())
+
+
+def test_scheme_pass_matches_per_node_on_constructions(bundle3, bundle5,
+                                                       larger_bundles):
+    for bundle in [bundle3, bundle5] + larger_bundles:
+        _assert_pass_matches_per_node(bundle.realization, bundle.scheme)
+        assert evaluate_scheme(bundle.realization,
+                               bundle.scheme) == bundle.metrics
+
+
+@pytest.mark.parametrize("cells", [1, 700, 1 << 30])
+def test_scheme_pass_is_the_same_in_any_chunks(bundle5, monkeypatch, cells):
+    # one node per chunk, chunks of a few nodes, and all nodes at once
+    whole = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    monkeypatch.setattr(repair, "_PASS_CELLS", cells)
+    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    for name in ("ranks", "dims", "columns", "mults", "points"):
+        assert np.array_equal(getattr(sp, name), getattr(whole, name))
+    assert (sp.bandwidth, sp.io) == (whole.bandwidth, whole.io)
+
+
+def _basis_realization(sk):
+    """Realize a skeleton with its nodes' RREF basis rows as column points."""
+    return realize(sk, [list(b) for b in sk.basis_stack()])
+
+
+def _random_scheme(sk, rng):
+    field = sk.tower.base
+    return RepairScheme([_random_feasible_matrix(field, sk, i, rng)
+                         for i in range(sk.n)])
+
+
+@pytest.mark.parametrize("p,m,ell,r,n", [
+    (2, 1, 2, 2, 3), (3, 1, 1, 2, 4), (3, 1, 2, 2, 4), (3, 1, 2, 3, 5),
+    (2, 2, 1, 3, 5), (5, 1, 1, 3, 6), (5, 1, 2, 2, 4), (5, 1, 2, 3, 5)])
+def test_scheme_pass_matches_per_node_on_random_schemes(p, m, ell, r, n):
+    from test_acceptance import _random_mds_skeleton
+
+    rng = random.Random(p * 1000 + m * 100 + ell * 10 + r + n)
+    sk = _random_mds_skeleton(build_tower(p, m, ell), r, n, rng)
+    re = _basis_realization(sk)
+    for _ in range(4):
+        _assert_pass_matches_per_node(re, _random_scheme(sk, rng))
+
+
+def _non_mds_bundle(bundle3):
+    """bundle3's skeleton with its last node replaced by its fourth-last."""
+    sk = bundle3.skeleton
+    nodes = list(sk.nodes)
+    nodes[-1] = nodes[-4]
+    bad = skeleton_new(sk.tower, sk.r, nodes)
+    assert not bad.is_mds
+    return bad
+
+
+def test_scheme_pass_matches_per_node_on_a_non_mds_skeleton(bundle3):
+    bad = _non_mds_bundle(bundle3)
+    re = _basis_realization(bad)
+    rng = random.Random(11)
+    for _ in range(4):
+        _assert_pass_matches_per_node(re, _random_scheme(bad, rng))
+
+
+# -- every self-check of the pass still fires ---------------------------------------
+
+
+def test_scheme_pass_catches_disagreeing_routes(bundle5, monkeypatch):
+    real = linalg.null_columns
+
+    def corrupted(field, reduced, is_piv):
+        out = real(field, reduced, is_piv)
+        out[3] = 0  # node 3's kernel route now sees no rank at all
+        return out
+
+    monkeypatch.setattr(linalg, "null_columns", corrupted)
+    with pytest.raises(InternalInconsistency,
+                       match="kernel route disagree at node 3"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme)
+
+
+def test_scheme_pass_catches_a_wrong_rank_route(bundle5, monkeypatch):
+    real = repair._compressed_blocks
+
+    def corrupted(field, m_arr, col_stack, n, ell):
+        out = real(field, m_arr, col_stack, n, ell)
+        out[5, 7] = 0  # block M_5 H_7 reads as zero
+        return out
+
+    monkeypatch.setattr(repair, "_compressed_blocks", corrupted)
+    with pytest.raises(InternalInconsistency,
+                       match="kernel route disagree at node 5"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme)
+
+
+def test_scheme_pass_names_the_node_it_cannot_repair(bundle3):
+    matrices = list(bundle3.scheme.matrices)
+    matrices[2] = matrices[8]  # M_8's kernel meets node 2 in dimension 1
+    with pytest.raises(NotARepairMatrix, match="node 2"):
+        evaluate_scheme(bundle3.realization, RepairScheme(matrices))
+
+
+def test_scheme_pass_catches_io_below_bandwidth(bundle5, monkeypatch):
+    def full(field, blocks):
+        # both routes read every block as invertible, so they agree, but
+        # the bandwidth exceeds the nonzero columns read
+        return np.full(len(blocks), blocks.shape[1], dtype=np.int64)
+
+    monkeypatch.setattr(repair, "batched_rank", full)
+    with pytest.raises(InternalInconsistency,
+                       match="io below bandwidth at node 0"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme)
+
+
+def test_scheme_pass_catches_a_broken_incidence_cap(bundle5, monkeypatch):
+    real = repair.projective_point_count
+
+    def inflated(q, dim):
+        return real(q, dim) + (100 if dim == 1 else 0)
+
+    monkeypatch.setattr(repair, "projective_point_count", inflated)
+    with pytest.raises(InternalInconsistency,
+                       match="incidence cap violated at node 0"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme)
+
+
+def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
+    real = repair.projective_point_array
+    # one covector listed twice: its kills are counted twice
+    monkeypatch.setattr(repair, "projective_point_array",
+                        lambda field, dim: np.vstack([real(field, dim)] * 2))
+    with pytest.raises(InternalInconsistency, match="bookkeeping"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme)
+    monkeypatch.setattr(repair, "projective_point_array", real)
+    # on a non-MDS skeleton whose node 8 repeats node 5, a repair matrix
+    # for node 0 whose kernel meets node 5 puts one covector on two helpers
+    bad = _non_mds_bundle(bundle3)
+    re = _basis_realization(bad)
+    rng = random.Random(8)
+    while True:
+        m = _random_feasible_matrix(bad.tower.base, bad, 0, rng)
+        sch = RepairScheme([m] + list(bundle3.scheme.matrices[1:]))
+        sp = repair._scheme_pass(re, sch)
+        if sp.dims[0, 5] == 1 and sp.points[0] <= 4:
+            break
+    assert sp.mults[0].max() == 2 > bad.r - 1
+    bad._mds = None  # the cached verdict "verified MDS"
+    with pytest.raises(InternalInconsistency,
+                       match="covered r times at node 0"):
+        repair._scheme_pass(re, sch)
+
+
+def test_evaluate_scheme_catches_a_cost_below_the_bound(bundle5):
+    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    low = dataclasses.replace(sp, bandwidth=(0,) * len(sp.bandwidth))
+    with pytest.raises(InternalInconsistency, match="below the proven bound"):
+        evaluate_scheme(bundle5.realization, bundle5.scheme, scheme_pass=low)
+
+
+def test_scheme_pass_checks_shape_before_any_product(bundle3):
+    field = bundle3.skeleton.tower.base
+    for shape in ((2, 5), (3, 4), (2, 3)):
+        m = Matrix(field, np.eye(*shape, dtype=np.int64))
+        with pytest.raises(BadShape):
+            evaluate_scheme(bundle3.realization, RepairScheme([m] * 9))
+    with pytest.raises(BadShape, match="8 matrices for 9 nodes"):
+        evaluate_scheme(bundle3.realization,
+                        RepairScheme(bundle3.scheme.matrices[:8]))
