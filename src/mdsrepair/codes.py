@@ -13,6 +13,14 @@ once; their sum spans all of F_q^(r*l) with the last node k exactly when
 it has dimension (r-1)l and k's basis times the kernel of P's basis is an
 invertible l x l matrix.  So each subset costs one l x l rank instead of
 one rl x rl elimination, and the answer is the same.
+
+Every MDS question goes through :meth:`CodeSkeleton.mds_witness`.  A
+skeleton whose node labels are curve parameters is first offered to
+:func:`nrc.curve_certificate`, which proves it MDS in O(n) when every
+node is the curve subspace of its label and the labels are distinct.
+Labels are untrusted, so a certificate that does not hold proves
+nothing, and :func:`check_mds` then decides all C(n, r) subsets, unless
+there are more than a budget of them (:class:`BudgetExceeded`).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +37,7 @@ from .errors import (
     AmbientMismatch,
     BadParameters,
     BadShape,
+    BudgetExceeded,
     DuplicatePoint,
     MalformedInput,
     NotMds,
@@ -57,18 +67,27 @@ CODEWORD_SAMPLER = "pcg64-integers-v1"
 
 _MDS_CHUNK = 4096
 
+# Most r-subsets, and most brute-force candidates, one check may decide.
+DEFAULT_BUDGET = 10_000_000
+
 # bounds_report's largest q (trial division to sqrt(q)) and value bits.
 _BOUNDS_Q_CAP = 1 << 32
 _BOUNDS_BITS = 1 << 13
 
 
 class CodeSkeleton:
-    """n node subspaces of F_q^(r*l), each of dimension l."""
+    """n node subspaces of F_q^(r*l), each of dimension l.
 
-    __slots__ = ("tower", "r", "nodes", "_bases", "_mds")
+    ``labels`` are the nodes' curve parameters as written in
+    ``code.json`` (decimal codes, ``"inf"``), or None; they are a claim
+    that :meth:`mds_witness` checks, never trusted.
+    """
+
+    __slots__ = ("tower", "r", "nodes", "labels", "_bases", "_mds")
 
     def __init__(self, tower: FieldTower, r: int,
-                 nodes: Sequence[Subspace]):
+                 nodes: Sequence[Subspace],
+                 labels: Sequence[str] | None = None):
         r = int(r)
         nodes = tuple(nodes)
         ell = tower.ell
@@ -85,6 +104,7 @@ class CodeSkeleton:
         self.tower = tower
         self.r = r
         self.nodes = nodes
+        self.labels = None if labels is None else tuple(map(str, labels))
         self._bases = None
         self._mds = False  # not yet checked
 
@@ -108,10 +128,27 @@ class CodeSkeleton:
             self._bases = b
         return self._bases
 
-    def mds_witness(self):
-        """Cached check_mds result; None means verified MDS."""
+    def mds_witness(self, budget: int = DEFAULT_BUDGET):
+        """None if the skeleton is verified MDS, else check_mds's witness.
+
+        The curve certificate is tried first; only when it does not hold
+        are the C(n, r) subsets ranked, and more than ``budget`` of them
+        raise :class:`BudgetExceeded` before any rank.  The verdict is
+        cached.
+        """
         if self._mds is False:
-            self._mds = check_mds(self)
+            from .nrc import curve_certificate  # nrc imports this module
+            if self.labels is not None and curve_certificate(self,
+                                                             self.labels):
+                self._mds = None
+            else:
+                subsets = comb(self.n, self.r)
+                if subsets > budget:
+                    raise BudgetExceeded(
+                        subsets, f"{self.r}-subsets of nodes",
+                        "the labels do not certify the code MDS; "
+                        "raise the budget")
+                self._mds = check_mds(self)
         return self._mds
 
     @property
@@ -489,7 +526,7 @@ def realization_from_json(obj: dict):
         column_sets.append(list(pts))
     subspaces = Subspace.from_stack(field, generators) if generators else []
     try:
-        skeleton = CodeSkeleton(tower, r, subspaces)
+        skeleton = CodeSkeleton(tower, r, subspaces, labels)
         re = realize(skeleton, column_sets)
     except RepairToolError as exc:
         raise MalformedInput(f"invariant violated on load: {exc}") from exc

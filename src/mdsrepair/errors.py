@@ -114,10 +114,13 @@ class NotARepairMatrix(RepairToolError):
 
 
 class BudgetExceeded(RepairToolError):
-    def __init__(self, count):
+    """More work asked for than a budget or cap allows; ``what`` names the unit."""
+
+    def __init__(self, count, what="candidates",
+                 remedy="pass an explicit index range or raise the budget"):
         self.count = count
-        super().__init__(f"enumeration of {count} candidates exceeds the budget; "
-                         "pass an explicit index range or raise the budget")
+        super().__init__(f"enumeration of {count} {what} exceeds the budget; "
+                         f"{remedy}")
 
 
 # ---------------------------------------------------------------------------

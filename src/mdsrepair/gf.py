@@ -435,13 +435,6 @@ class FieldTower:
             out.append(digit)
         return tuple(out)
 
-    def reduce_vector(self, xs: Sequence[int]) -> np.ndarray:
-        """Concatenated field-reduction coordinates of a top-level vector."""
-        out = np.empty(len(xs) * self.ell, dtype=np.int64)
-        for k, x in enumerate(xs):
-            out[k * self.ell:(k + 1) * self.ell] = self.field_reduce(x)
-        return out
-
     def multiplication_matrix(self, a: int) -> np.ndarray:
         """Matrix over F_q of y -> a*y in field-reduction coordinates.
 

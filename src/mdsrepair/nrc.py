@@ -4,7 +4,15 @@ Node subspaces come from the moment-curve points (1, c, c^2, ..., c^(r-1))
 over F_(q^l), read as l-dimensional F_q-subspaces of F_q^(r*l) through
 field reduction; the point at infinity contributes the last coordinate
 block.  Any r distinct parameters give a Vandermonde system, so every
-skeleton built this way is MDS.
+skeleton built this way is MDS.  That makes a certificate checkable in
+O(n) (:func:`curve_certificate`): a code is MDS when its node labels are
+distinct curve parameters and every node is the curve subspace of its
+label.  The curve rows of a parameter are already a canonical RREF basis
+(their first block is the identity, or their last one for infinity), so
+each node is compared with its recomputed rows as they stand; no
+elimination runs and no r-subset is ranked.  The builder and every load
+of ``code.json`` go through it (:meth:`codes.CodeSkeleton.mds_witness`),
+and the exhaustive scan runs only where it does not hold.
 
 Repair subspaces are kernels of the maps y -> y_(r-1) - b * y_0^q.  Such
 a kernel meets the node of parameter c nontrivially exactly when c^(r-1)
@@ -113,26 +121,34 @@ def validate_params(tower: FieldTower, r: int, n: int) -> NrcParams:
     return NrcParams(tower=tower, r=r, n=n)
 
 
-def _moment_vector(tower: FieldTower, r: int, c) -> list[int]:
-    if c is INF:
-        return [0] * (r - 1) + [1]
-    return [tower.top.pow(c, e) for e in range(r)]
+def _curve_stack(tower: FieldTower, r: int, params) -> np.ndarray:
+    """(k, l, r*l) stack of the curve rows of k parameters (ints or INF).
+
+    Row t of parameter c is the field reduction of z^t * (1, c, ...,
+    c^(r-1)), or of z^t * (0, ..., 0, 1) at infinity; the rows are an
+    F_q-basis because scaling a fixed nonzero vector by F_(q^l) is
+    injective.  All parameters at once: the powers by repeated
+    ``arr_mul``, one product by the codes q^t of z^t, then the base-q
+    digits of every code.  Parameters are not range-checked.
+    """
+    top, q, ell = tower.top, tower.q, tower.ell
+    at_inf = np.array([c is INF for c in params], dtype=bool)
+    c = np.array([0 if c is INF else c for c in params], dtype=np.int64)
+    nu = np.ones((len(c), r), dtype=np.int64)
+    for e in range(1, r):
+        nu[:, e] = top.arr_mul(nu[:, e - 1], c)
+    nu[at_inf] = 0
+    nu[at_inf, -1] = 1
+    zt = q ** np.arange(ell, dtype=np.int64)
+    scaled = top.arr_mul(nu[:, None, :], zt[:, None])  # (k, l, r)
+    return (scaled[..., None] // zt % q).reshape(len(c), ell, r * ell)
 
 
 def _curve_rows(tower: FieldTower, r: int, c) -> np.ndarray:
-    """F_q-basis rows of the field-reduced curve subspace at parameter c.
-
-    Row t is the reduction of z^t * (1, c, ..., c^(r-1)); the rows are an
-    F_q-basis because scaling a fixed nonzero vector by F_(q^l) is
-    injective.
-    """
-    nu = _moment_vector(tower, r, c)
-    top = tower.top
-    rows = np.empty((tower.ell, r * tower.ell), dtype=np.int64)
-    for t in range(tower.ell):
-        zt = tower.q ** t  # code of z^t
-        rows[t] = tower.reduce_vector([top.mul(zt, x) for x in nu])
-    return rows
+    """The (l, r*l) curve rows of one parameter c (or INF)."""
+    if c is not INF:
+        tower.top.check(c)
+    return _curve_stack(tower, r, [c])[0]
 
 
 def _curve_subspaces(tower: FieldTower, rows: np.ndarray) -> list[Subspace]:
@@ -146,6 +162,42 @@ def _curve_subspaces(tower: FieldTower, rows: np.ndarray) -> list[Subspace]:
 def nrc_subspace(tower: FieldTower, r: int, c) -> Subspace:
     """The l-dimensional node subspace of curve parameter c (or INF)."""
     return _curve_subspaces(tower, _curve_rows(tower, r, c)[None])[0]
+
+
+def _label(c) -> str:
+    return "inf" if c is INF else str(c)
+
+
+def _parameter(label: str, order: int):
+    """The curve parameter a label names, or None.
+
+    Only the label this module writes is read: ``"inf"``, or the decimal
+    code of a top-field element with no sign, space or leading zero.
+    """
+    if label == "inf":
+        return INF
+    if not (label.isascii() and label.isdigit()
+            and len(label) <= len(str(order))):
+        return None  # also keeps int() off very long strings
+    c = int(label)
+    return c if str(c) == label and c < order else None
+
+
+def curve_certificate(s: CodeSkeleton, labels) -> bool:
+    """True when the labels prove the skeleton MDS.
+
+    That is, every label names a curve parameter, no two labels are
+    equal, and every node's canonical basis equals the curve rows of its
+    label.  Such a code is MDS because any r distinct parameters give a
+    Vandermonde system.  False proves nothing: a wrong, repeated or
+    unreadable label fails, and so does a basis that was altered.
+    """
+    tower = s.tower
+    labels = list(labels)
+    params = [_parameter(lab, tower.top_order) for lab in labels]
+    if len(params) != s.n or None in params or len(set(labels)) != s.n:
+        return False
+    return np.array_equal(_curve_stack(tower, s.r, params), s.basis_stack())
 
 
 def norm_one_subgroup(tower: FieldTower) -> tuple[int, ...]:
@@ -249,7 +301,7 @@ class NrcBundle:
 
     @property
     def labels(self) -> list[str]:
-        return ["inf" if c is INF else str(c) for c in self.parameters]
+        return [_label(c) for c in self.parameters]
 
 
 def _spanning_fill(field, cands: np.ndarray, ell: int) -> np.ndarray:
@@ -302,8 +354,9 @@ def build(params: NrcParams) -> NrcBundle:
     parameters = (list(block_a.members) + list(block_b.members)
                   + rest + [INF])[:n]
 
-    curves = np.stack([_curve_rows(tower, r, c) for c in parameters])
-    skeleton = CodeSkeleton(tower, r, _curve_subspaces(tower, curves))
+    curves = _curve_stack(tower, r, parameters)
+    skeleton = CodeSkeleton(tower, r, _curve_subspaces(tower, curves),
+                            [_label(c) for c in parameters])
     scheme = RepairScheme([m_b if c in in_a else m_a for c in parameters])
 
     constrained = [idx for idx, c in enumerate(parameters)

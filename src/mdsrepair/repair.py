@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import BoundsReport, CodeSkeleton, Realization, bounds_report
+from .codes import (
+    DEFAULT_BUDGET,
+    BoundsReport,
+    CodeSkeleton,
+    Realization,
+    bounds_report,
+)
 from .errors import (
     BadRank,
     BadShape,
@@ -48,8 +54,6 @@ from .linalg import (
     projective_point_count,
     rref_blocks,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class RepairScheme:
@@ -634,6 +638,10 @@ class NodeMetrics:
 # its nodes a chunk at a time, so that its memory stays small at any n.
 _PASS_CELLS = 1 << 15
 
+# Most (n, n) cells a scheme pass keeps (n <= 4096): its three narrow
+# (n, n) arrays then take at most 48 MiB.
+_PASS_PAIRS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SchemePass:
@@ -647,7 +655,8 @@ class SchemePass:
     covector of F_q^l annihilates (:func:`dual_cover`), and
     ``points[i]`` the number of projective points of W_i inside the
     helpers (:func:`incidence_profile`).  ``bandwidth`` and ``io`` sum the
-    helpers' ranks and nonzero columns.
+    helpers' ranks and nonzero columns.  Every entry of the three (n, n)
+    arrays is at most l, so they are stored as uint8.
     """
 
     ranks: np.ndarray
@@ -670,7 +679,10 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     rank(B_j K_i), all of them ranked at once too.  The dual cover
     multiplies the canonical covectors into the blocks.  "All" means all
     of one chunk of nodes M_i: a chunk's dual-cover product has about
-    ``_PASS_CELLS`` entries, so memory stays bounded at any n and l.
+    ``_PASS_CELLS`` entries, and its per-node sums are taken before the
+    next chunk, so the only (n, n) arrays are the three narrow results.
+    An n with more than ``_PASS_PAIRS`` node pairs raises
+    :class:`BudgetExceeded` before any product.
 
     Node by node, the checks are that M_i H_i is invertible (else
     :class:`NotARepairMatrix`), that both routes agree on every block and
@@ -686,9 +698,11 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     q = field.order
     if len(sch) != n:
         raise BadShape(f"scheme has {len(sch)} matrices for {n} nodes")
+    if n * n > _PASS_PAIRS:
+        raise BudgetExceeded(n * n, "node pairs",
+                             f"a scheme pass takes at most {_PASS_PAIRS}")
     _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape and field
     ms = np.stack([m.array for m in sch.matrices])
-    helper = ~np.eye(n, dtype=bool)
 
     ws = kernels(field, ms)
     if any(w.dim != s.ambient - ell for w in ws):
@@ -700,31 +714,32 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
                             is_piv)
 
     covectors = projective_point_array(field, ell)
-    ranks = np.empty((n, n), dtype=np.int64)
-    dims = np.empty((n, n), dtype=np.int64)
-    columns = np.empty((n, n), dtype=np.int64)
+    points_of = np.array([projective_point_count(q, t)
+                          for t in range(ell + 1)])
+    ranks, dims, columns = (np.empty((n, n), dtype=np.uint8)
+                            for _ in range(3))
     mults = np.empty((n, len(covectors)), dtype=np.int64)
+    bw, io, points, covered = (np.empty(n, dtype=np.int64) for _ in range(4))
+    route = np.empty(n, dtype=bool)
     step = max(1, _PASS_CELLS // (n * len(covectors) * ell))
     flat = (-1, ell, ell)
     for a in range(0, n, step):
         at = slice(a, a + step)
+        helper = np.arange(n) != np.arange(n)[at, None]
         blocks = _compressed_blocks(field, ms[at], re.column_stack(), n, ell)
-        ranks[at] = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
-        columns[at] = (blocks != 0).any(axis=2).sum(axis=2)
+        rk = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
+        cols = (blocks != 0).any(axis=2).sum(axis=2)
         s_blocks = field.matmul(s.basis_stack()[None], k[at, None])
-        dims[at] = ell - batched_rank(field, s_blocks.reshape(flat)
-                                      ).reshape(-1, n)
+        dm = ell - batched_rank(field, s_blocks.reshape(flat)).reshape(-1, n)
         killed = (field.matmul(covectors, blocks) == 0).all(axis=3)
-        mults[at] = (killed & helper[at, :, None]).sum(axis=1)
+        mults[at] = (killed & helper[:, :, None]).sum(axis=1)
+        ranks[at], dims[at], columns[at] = rk, dm, cols
+        bw[at] = np.where(helper, rk, 0).sum(axis=1)
+        io[at] = np.where(helper, cols, 0).sum(axis=1)
+        points[at] = np.where(helper, points_of[dm], 0).sum(axis=1)
+        covered[at] = np.where(helper, points_of[ell - rk], 0).sum(axis=1)
+        route[at] = (rk != ell - dm).any(axis=1)
 
-    points_of = np.array([projective_point_count(q, t)
-                          for t in range(ell + 1)])
-    bw = np.where(helper, ranks, 0).sum(axis=1)
-    io = np.where(helper, columns, 0).sum(axis=1)
-    points = np.where(helper, points_of[dims], 0).sum(axis=1)
-    covered = np.where(helper, points_of[ell - ranks], 0).sum(axis=1)
-
-    route = (ranks != ell - dims).any(axis=1)
     for i in np.flatnonzero((ranks.diagonal() != ell) | route | (io < bw)):
         if ranks[i, i] != ell:
             raise NotARepairMatrix(int(i))
@@ -747,10 +762,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
             raise InternalInconsistency(
                 f"dual point covered r times at node {i} on a verified MDS "
                 "skeleton")
-    # every entry is at most l, and the bundle check keeps these while it
-    # runs check_mds, so they are stored narrow
-    narrow = [a.astype(np.uint8) for a in (ranks, dims, columns)]
-    return SchemePass(*narrow, mults=mults, points=points,
+    return SchemePass(ranks, dims, columns, mults=mults, points=points,
                       bandwidth=tuple(int(b) for b in bw),
                       io=tuple(int(g) for g in io))
 
