@@ -24,7 +24,6 @@ from . import __version__
 from .codes import (
     DEFAULT_BUDGET,
     bounds_report,
-    check_mds,  # noqa: F401 - part of this module's namespace
     realization_from_json,
     realization_to_json,
 )
@@ -215,9 +214,10 @@ def _metrics_table(doc: dict) -> str:
 
 
 def cmd_eval(args) -> int:
+    _check_budget(args)
     re, _, _ = _load_code(args.code)
     sch, _ = _load_scheme(args.scheme, re.skeleton.tower.base)
-    metrics = evaluate_scheme(re, sch)
+    metrics = evaluate_scheme(re, sch, budget=args.budget)
     doc = {"v": 1, **metrics.to_json_dict()}
     _emit(args, doc, _metrics_table(doc))
     if args.expect_equality and not metrics.equality:
@@ -229,19 +229,21 @@ def cmd_eval(args) -> int:
 # bruteforce
 
 
-def _bf_scan(re, node0, objective, start, stop):
+def _bf_scan(re, node0, objective, budget, start, stop):
     if objective == "bandwidth":
         value, witness = bruteforce_overlap(re.skeleton, node0,
-                                            index_range=(start, stop))
+                                            index_range=(start, stop),
+                                            budget=budget)
     else:
         value, witness = bruteforce_column_hits(re, node0,
-                                                index_range=(start, stop))
+                                                index_range=(start, stop),
+                                                budget=budget)
     return value, None if witness is None else witness.to_json_dict()
 
 
-def _bf_worker(code_obj, node0, objective, start, stop):
+def _bf_worker(code_obj, node0, objective, budget, start, stop):
     re, _, _ = realization_from_json(code_obj)
-    return _bf_scan(re, node0, objective, start, stop)
+    return _bf_scan(re, node0, objective, budget, start, stop)
 
 
 def _parse_range(text, total):
@@ -275,9 +277,10 @@ def cmd_bruteforce(args) -> int:
 
     if jobs > 1 and stop - start > 1:
         parts = _fan_out(_bf_worker, start, stop, jobs, code_obj, node0,
-                         args.objective)
+                         args.objective, args.budget)
     else:
-        parts = [_bf_scan(re, node0, args.objective, start, stop)]
+        parts = [_bf_scan(re, node0, args.objective, args.budget, start,
+                          stop)]
     value, witness = max(parts, key=lambda p: p[0])  # the first maximizer
 
     key = "alpha" if args.objective == "bandwidth" else "lambda"
@@ -296,11 +299,12 @@ def cmd_bruteforce(args) -> int:
 # simulate
 
 
-def _sim_worker(code_obj, scheme_obj, seed, nodes, first_trial, stop):
+def _sim_worker(code_obj, scheme_obj, seed, nodes, budget, first_trial,
+                stop):
     re, _, _ = realization_from_json(code_obj)
     sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
     return campaign(re, sch, trials=stop - first_trial, seed=seed, nodes=nodes,
-                    first_trial=first_trial)
+                    first_trial=first_trial, budget=budget)
 
 
 def cmd_simulate(args) -> int:
@@ -308,6 +312,7 @@ def cmd_simulate(args) -> int:
         raise BadParameters(f"--seed must be nonnegative, got {args.seed}")
     if args.trials < 1:
         raise BadParameters(f"--trials must be at least 1, got {args.trials}")
+    _check_budget(args)
     jobs = _workers(args.jobs)
     code_obj = _load_json(args.code)
     scheme_obj = _load_json(args.scheme)
@@ -327,13 +332,13 @@ def cmd_simulate(args) -> int:
 
     if jobs > 1 and args.trials > 1:
         parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
-                         scheme_obj, args.seed, nodes)
+                         scheme_obj, args.seed, nodes, args.budget)
         if len({(p.downloaded, p.accessed) for p in parts}) != 1:
             raise InternalInconsistency("workers disagree on transcript counts")
         rep = dataclasses.replace(parts[0], trials=args.trials)
     else:
         rep = campaign(re, sch, trials=args.trials, seed=args.seed,
-                       nodes=nodes)
+                       nodes=nodes, budget=args.budget)
 
     doc = {"v": 1, **rep.to_json_dict()}
     lines = [f"trials={doc['trials']} seed={doc['seed']} rng={doc['rng']}",
@@ -391,6 +396,12 @@ def _add_common(sp) -> None:
                     help="write the JSON report to this path")
 
 
+def _add_budget(sp, also: str = "") -> None:
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help=f"{also}most r-subsets to rank when the curve "
+                         "labels do not certify the code MDS")
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mdsrepair",
@@ -410,9 +421,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-mds", help="verify the r-wise spanning property")
     sp.add_argument("code", help="code.json path")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="most r-subsets to rank when the curve labels "
-                         "do not certify the code")
+    _add_budget(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_check_mds)
 
@@ -429,6 +438,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("scheme")
     sp.add_argument("--expect-equality", action="store_true",
                     help="exit 1 unless every gap is zero")
+    _add_budget(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_eval)
 
@@ -438,7 +448,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--node", type=int, required=True, help="1-based node")
     sp.add_argument("--objective", choices=("bandwidth", "io"),
                     default="bandwidth")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_budget(sp, "most candidates to scan without --range; ")
     sp.add_argument("--range", default=None, help="START:STOP candidate range")
     sp.add_argument("--jobs", type=int, default=1)
     _add_common(sp)
@@ -451,6 +461,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--node", default="all", help="1-based node or 'all'")
     sp.add_argument("--jobs", type=int, default=1)
+    _add_budget(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 

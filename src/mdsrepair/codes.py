@@ -138,8 +138,7 @@ class CodeSkeleton:
         """
         if self._mds is False:
             from .nrc import curve_certificate  # nrc imports this module
-            if self.labels is not None and curve_certificate(self,
-                                                             self.labels):
+            if curve_certificate(self):
                 self._mds = None
             else:
                 subsets = comb(self.n, self.r)

@@ -118,9 +118,12 @@ class BudgetExceeded(RepairToolError):
 
     def __init__(self, count, what="candidates",
                  remedy="pass an explicit index range or raise the budget"):
-        self.count = count
+        self.count, self.what, self.remedy = count, what, remedy
         super().__init__(f"enumeration of {count} {what} exceeds the budget; "
                          f"{remedy}")
+
+    def __reduce__(self):  # so a worker process hands it over intact
+        return type(self), (self.count, self.what, self.remedy)
 
 
 # ---------------------------------------------------------------------------

@@ -183,17 +183,18 @@ def _parameter(label: str, order: int):
     return c if str(c) == label and c < order else None
 
 
-def curve_certificate(s: CodeSkeleton, labels) -> bool:
-    """True when the labels prove the skeleton MDS.
+def curve_certificate(s: CodeSkeleton) -> bool:
+    """True when the skeleton's labels prove it MDS.
 
     That is, every label names a curve parameter, no two labels are
     equal, and every node's canonical basis equals the curve rows of its
     label.  Such a code is MDS because any r distinct parameters give a
-    Vandermonde system.  False proves nothing: a wrong, repeated or
-    unreadable label fails, and so does a basis that was altered.
+    Vandermonde system.  False proves nothing: missing, wrong, repeated
+    or unreadable labels fail, and so does a basis that was altered.
     """
-    tower = s.tower
-    labels = list(labels)
+    tower, labels = s.tower, s.labels
+    if labels is None:
+        return False
     params = [_parameter(lab, tower.top_order) for lab in labels]
     if len(params) != s.n or None in params or len(set(labels)) != s.n:
         return False

@@ -513,6 +513,12 @@ def _window_count(q: int, row, a: int, b: int) -> int:
     return min((b - 1) // q ** o - a // q ** o + 1, q ** f)
 
 
+def _require_mds(s: CodeSkeleton, budget: int) -> None:
+    witness = s.mds_witness(budget)
+    if witness is not None:
+        raise NotMds(witness)
+
+
 def _resolve_range(total: int, index_range, budget: int):
     if index_range is None:
         if total > budget:
@@ -531,12 +537,12 @@ def bruteforce_overlap(s: CodeSkeleton, i: int,
 
     Scans every feasible codimension-l repair subspace once; the optimal
     repair bandwidth for node i is l*(n-1) minus the returned value.
-    Returns (value, witness Matrix).
+    ``budget`` bounds the candidates scanned without ``index_range`` and
+    the r-subsets the MDS check may rank.  Returns (value, witness Matrix).
     """
     if not 0 <= int(i) < s.n:
         raise BadShape(f"node index {i} out of range for n={s.n}")
-    if not s.is_mds:
-        raise NotMds(s.mds_witness())
+    _require_mds(s, budget)
     field = s.tower.base
     ell, d = s.ell, s.ambient
     total = gaussian_binomial(d, ell, field.order)
@@ -558,13 +564,13 @@ def bruteforce_column_hits(re: Realization, i: int,
 
     The realization's actual column vectors are what count here; the
     optimal repair I/O for node i is l*(n-1) minus the returned value.
-    Returns (value, witness Matrix).
+    ``budget`` is as in :func:`bruteforce_overlap`.  Returns (value,
+    witness Matrix).
     """
     s = re.skeleton
     if not 0 <= int(i) < s.n:
         raise BadShape(f"node index {i} out of range for n={s.n}")
-    if not s.is_mds:
-        raise NotMds(s.mds_witness())
+    _require_mds(s, budget)
     field = s.tower.base
     ell, d = s.ell, s.ambient
     total = gaussian_binomial(d, ell, field.order)
@@ -638,9 +644,11 @@ class NodeMetrics:
 # its nodes a chunk at a time, so that its memory stays small at any n.
 _PASS_CELLS = 1 << 15
 
-# Most (n, n) cells a scheme pass keeps (n <= 4096): its three narrow
-# (n, n) arrays then take at most 48 MiB.
-_PASS_PAIRS = 1 << 24
+# Most bytes the three uint8 (n, n) arrays of a scheme pass may take, 3n^2
+# in all, so n <= 9459.  They are the pass's only arrays that grow as n^2.
+# Measured with eval on q = 2, l = 1 files (2-core host, one process):
+# n = 9459 ran 9.6 s with a 316 MB peak; n = 12000 would run 12 s, 480 MB.
+_PASS_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -668,7 +676,8 @@ class SchemePass:
     io: tuple[int, ...]
 
 
-def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
+def _scheme_pass(re: Realization, sch: RepairScheme,
+                 budget: int = DEFAULT_BUDGET) -> SchemePass:
     """The numbers of :class:`SchemePass`, with every self-check applied.
 
     The rank route forms every block M_i H_j with one product and ranks
@@ -681,7 +690,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     of one chunk of nodes M_i: a chunk's dual-cover product has about
     ``_PASS_CELLS`` entries, and its per-node sums are taken before the
     next chunk, so the only (n, n) arrays are the three narrow results.
-    An n with more than ``_PASS_PAIRS`` node pairs raises
+    An n whose three arrays would pass ``_PASS_BYTES`` raises
     :class:`BudgetExceeded` before any product.
 
     Node by node, the checks are that M_i H_i is invertible (else
@@ -689,8 +698,9 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     that io is not below bandwidth; then, node by node again, the
     incidence cap, the dual-cover total against the ranks, and no
     covector counted r times.  The cap and the r-fold cover are breaches
-    only on a verified MDS skeleton, which is consulted only then.  A
-    breach raises :class:`InternalInconsistency` naming its node.
+    only on a verified MDS skeleton, which is consulted only then (within
+    ``budget``, see :meth:`CodeSkeleton.mds_witness`).  A breach raises
+    :class:`InternalInconsistency` naming its node.
     """
     s = re.skeleton
     field = s.tower.base
@@ -698,10 +708,11 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     q = field.order
     if len(sch) != n:
         raise BadShape(f"scheme has {len(sch)} matrices for {n} nodes")
-    if n * n > _PASS_PAIRS:
-        raise BudgetExceeded(n * n, "node pairs",
-                             f"a scheme pass takes at most {_PASS_PAIRS}")
     _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape and field
+    if 3 * n * n > _PASS_BYTES:
+        raise BudgetExceeded(n * n, "node pairs",
+                             f"a scheme pass keeps 3 bytes a pair and at "
+                             f"most {_PASS_BYTES} bytes")
     ms = np.stack([m.array for m in sch.matrices])
 
     ws = kernels(field, ms)
@@ -750,7 +761,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
     cap = (r - 1) * projective_point_count(q, ell)
     over = (points > cap) | (mults.max(axis=1) > r - 1)
     for i in np.flatnonzero(over | (mults.sum(axis=1) != covered)):
-        if points[i] > cap and s.is_mds:
+        if points[i] > cap and s.mds_witness(budget) is None:
             raise InternalInconsistency(
                 f"incidence cap violated at node {i} on a verified MDS "
                 "skeleton")
@@ -758,7 +769,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
             raise InternalInconsistency(
                 "dual cover bookkeeping does not match intersection "
                 f"dimensions at node {i}")
-        if mults[i].max() > r - 1 and s.is_mds:
+        if mults[i].max() > r - 1 and s.mds_witness(budget) is None:
             raise InternalInconsistency(
                 f"dual point covered r times at node {i} on a verified MDS "
                 "skeleton")
@@ -768,19 +779,24 @@ def _scheme_pass(re: Realization, sch: RepairScheme) -> SchemePass:
 
 
 def evaluate_scheme(re: Realization, sch: RepairScheme, *,
-                    scheme_pass: SchemePass | None = None) -> NodeMetrics:
+                    scheme_pass: SchemePass | None = None,
+                    budget: int = DEFAULT_BUDGET) -> NodeMetrics:
     """Achieved bandwidth/IO of the scheme at every node, with bound gaps.
 
     Everything is read from one :func:`_scheme_pass`; a caller that
     already has the scheme's pass hands it over as ``scheme_pass``.
+    ``budget`` bounds the MDS check a breach asks for, as in
+    :func:`_scheme_pass`.
     """
     s = re.skeleton
-    sp = _scheme_pass(re, sch) if scheme_pass is None else scheme_pass
+    sp = (_scheme_pass(re, sch, budget) if scheme_pass is None
+          else scheme_pass)
     bw, io = sp.bandwidth, sp.io
     rep = bounds_report(s.tower.q, s.ell, s.r, s.n)
     bw_gap = tuple(b - rep.im_bound for b in bw)
     io_gap = tuple(g - rep.im_bound for g in io)
-    if any(g < 0 for g in bw_gap + io_gap) and s.is_mds:
+    if any(g < 0 for g in bw_gap + io_gap) and \
+            s.mds_witness(budget) is None:
         raise InternalInconsistency("achieved cost below the proven bound")
     return NodeMetrics(
         n=s.n, ell=s.ell,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .codes import (
     CODEWORD_SAMPLER,
+    DEFAULT_BUDGET,
     Realization,
     is_codeword,
     sample_codewords,
@@ -236,7 +237,8 @@ class CampaignReport:
 
 
 def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
-             nodes=None, first_trial: int = 0) -> CampaignReport:
+             nodes=None, first_trial: int = 0,
+             budget: int = DEFAULT_BUDGET) -> CampaignReport:
     """Run ``trials`` random codewords through every listed failure position.
 
     Codeword t is sampled with the derived seed (seed, t); identical
@@ -244,7 +246,9 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     lets workers replay disjoint trial ranges of the same campaign.
     Trials run in chunks (see the module docstring); every syndrome and
     every reconstructed block is checked, and transcript counts are
-    checked against the analytic per-node metrics on every chunk.
+    checked against the analytic per-node metrics on every chunk.  The
+    code must be MDS; ``budget`` bounds the r-subsets that check may rank
+    (:meth:`CodeSkeleton.mds_witness`).
     """
     s = re.skeleton
     if int(trials) < 1:
@@ -254,8 +258,9 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
         if not 0 <= i < s.n:
             raise BadShape(f"node index {i} out of range")
     session = RepairSession(re, sch)
-    metrics = evaluate_scheme(re, sch)
+    metrics = evaluate_scheme(re, sch, budget=budget)
     states = session._node_states(node_list)
+    s.mds_witness(budget)  # the verdict sample_codewords reads, cached
     stop = first_trial + int(trials)
     downloaded = {}
     accessed = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdsrepair import codes, nrc
+from mdsrepair import codes, nrc, repair
 from mdsrepair.cli import main
 from mdsrepair.codes import check_mds, realization_from_json
 from mdsrepair.errors import InternalInconsistency
@@ -66,17 +66,22 @@ def _bundle(p, m, ell, r, n):
     return build(validate_params(build_tower(p, m, ell), r, n))
 
 
+def _relabelled(s, labels):
+    return codes.CodeSkeleton(s.tower, s.r, s.nodes, labels)
+
+
 @pytest.mark.parametrize("point", NRC_POINTS, ids=str)
 def test_certificate_agrees_with_check_mds(point):
     s = _bundle(*point).skeleton
-    assert curve_certificate(s, s.labels)
+    assert curve_certificate(s)
     assert check_mds(s) is None
-    # the same nodes under any other labels are not certified
+    # the same nodes under any other labels, or none, are not certified
     rng = random.Random(point[-1])
     labels = list(s.labels)
     i, j = rng.sample(range(s.n), 2)
     labels[i], labels[j] = labels[j], labels[i]
-    assert not curve_certificate(s, labels)
+    assert not curve_certificate(_relabelled(s, labels))
+    assert not curve_certificate(_relabelled(s, None))
 
 
 @pytest.mark.parametrize("point", NRC_POINTS[:2] + [NRC_POINTS[4]], ids=str)
@@ -88,7 +93,7 @@ def test_certificate_never_passes_a_non_mds_skeleton(point):
         i, j = rng.sample(range(s.n), 2)
         nodes[i] = nodes[j]
         bad = codes.CodeSkeleton(s.tower, s.r, nodes, s.labels)
-        assert not curve_certificate(bad, s.labels)
+        assert not curve_certificate(bad)
         assert check_mds(bad) is not None
         assert bad.mds_witness() == check_mds(bad)
 
@@ -101,7 +106,8 @@ def test_certificate_holds_for_exactly_the_true_labels():
         labels = list(s.labels)
         for k in rng.sample(range(s.n), rng.randint(1, 3)):
             labels[k] = rng.choice(names)
-        assert curve_certificate(s, labels) == (labels == list(s.labels))
+        assert curve_certificate(_relabelled(s, labels)) == \
+            (labels == list(s.labels))
 
 
 def test_certificate_reads_only_canonical_labels():
@@ -115,8 +121,8 @@ def test_certificate_reads_only_canonical_labels():
         for text in texts:
             labels = list(s.labels)
             labels[at] = text
-            assert not curve_certificate(s, labels), (node, text)
-    assert curve_certificate(s, s.labels)
+            assert not curve_certificate(_relabelled(s, labels)), (node, text)
+    assert curve_certificate(s)
 
 
 # -- code.json variants --------------------------------------------------------------
@@ -189,8 +195,8 @@ def test_adversarial_labels_fall_back_to_the_scan(curve_code, tmp_path,
     witnesses = {}
     for name, change in _adversarial_changes(curve_code).items():
         path, obj = _variant(curve_code, tmp_path, change)
-        re, labels, _ = realization_from_json(obj)
-        assert not curve_certificate(re.skeleton, labels), name
+        re, _, _ = realization_from_json(obj)
+        assert not curve_certificate(re.skeleton), name
         witness = witnesses[name] = real(re.skeleton)
         calls.clear()
         rc = main(["check-mds", str(path), "--format", "json"])
@@ -223,6 +229,17 @@ def _commands(d):
     }
 
 
+def _free_labelled(curve: Path, free: Path) -> Path:
+    """A copy of the code and scheme in ``curve`` with every label "free"."""
+    free.mkdir()
+    obj = json.loads((curve / "code.json").read_text())
+    for nd in obj["nodes"]:
+        nd["label"] = "free"
+    (free / "code.json").write_text(json.dumps(obj))
+    (free / "scheme.json").write_text((curve / "scheme.json").read_text())
+    return free
+
+
 def test_check_mds_runs_only_without_a_certificate(tmp_path, monkeypatch,
                                                    capsys):
     calls = []
@@ -234,13 +251,7 @@ def test_check_mds_runs_only_without_a_certificate(tmp_path, monkeypatch,
                  "--n", "24", "--out", str(curve)]) == 0
     assert calls == []
     capsys.readouterr()
-    free = tmp_path / "free"
-    free.mkdir()
-    obj = json.loads((curve / "code.json").read_text())
-    for nd in obj["nodes"]:
-        nd["label"] = "free"
-    (free / "code.json").write_text(json.dumps(obj))
-    (free / "scheme.json").write_text((curve / "scheme.json").read_text())
+    free = _free_labelled(curve, tmp_path / "free")
     reports = {}
     for name, argv in _commands(curve).items():
         assert main(argv) == 0, name
@@ -254,7 +265,7 @@ def test_check_mds_runs_only_without_a_certificate(tmp_path, monkeypatch,
 
 
 def test_build_falls_back_to_check_mds(monkeypatch, tower3):
-    monkeypatch.setattr(nrc, "curve_certificate", lambda s, labels: False)
+    monkeypatch.setattr(nrc, "curve_certificate", lambda s: False)
     calls = []
     real = codes.check_mds
     monkeypatch.setattr(codes, "check_mds",
@@ -284,11 +295,7 @@ def test_check_mds_budget(tmp_path, monkeypatch, capsys):
     assert main(["construct", "--p", "5", "--ell", "2", "--r", "3",
                  "--n", "24", "--out", str(d)]) == 0
     capsys.readouterr()
-    obj = json.loads((d / "code.json").read_text())
-    for nd in obj["nodes"]:
-        nd["label"] = "free"
-    free = tmp_path / "free.json"
-    free.write_text(json.dumps(obj))
+    free = _free_labelled(d, tmp_path / "free") / "code.json"
     assert main(["check-mds", str(free), "--budget", "2024"]) == 0
     assert "ok: all 2024 subsets" in capsys.readouterr().out
 
@@ -309,6 +316,59 @@ def test_check_mds_budget(tmp_path, monkeypatch, capsys):
                  "--budget", "-1"]) == 2
     assert "BadParameters: --budget must be nonnegative, got -1" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "1", "--range", "0:50"],
+    ["simulate", "code.json", "scheme.json", "--trials", "2"],
+    ["simulate", "code.json", "scheme.json", "--trials", "2", "--jobs", "2"],
+], ids=["bruteforce", "simulate", "simulate-jobs"])
+def test_every_command_takes_the_subset_budget(tmp_path, monkeypatch, capsys,
+                                               command):
+    curve = tmp_path / "curve"
+    assert main(["construct", "--p", "5", "--ell", "2", "--r", "3",
+                 "--n", "24", "--out", str(curve)]) == 0
+    free = _free_labelled(curve, tmp_path / "free")
+    argv = [str(free / a) if a.endswith(".json") else a for a in command]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    capsys.readouterr()
+    assert main(argv + ["--budget", "2023"]) == 4
+    err = capsys.readouterr().err
+    assert ("BudgetExceeded: enumeration of 2024 3-subsets of nodes exceeds "
+            "the budget; the labels do not certify the code MDS") in err
+    assert main(argv + ["--budget", "2024", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["v"] == 1
+
+
+def test_eval_takes_the_subset_budget(tmp_path, capsys):
+    # every node repeats one of three points, so the pass breaches the
+    # incidence cap and asks whether the code is MDS: C(6, 2) = 15 subsets
+    code, scheme = _wide_code(tmp_path / "wide", 6)
+    assert main(["eval", code, scheme, "--budget", "14"]) == 4
+    assert "enumeration of 15 2-subsets of nodes" in capsys.readouterr().err
+    assert main(["eval", code, scheme, "--budget", "15"]) == 0
+    assert main(["eval", code, scheme, "--budget", "-1"]) == 2
+
+
+def test_bruteforce_budget_admits_a_long_free_labelled_code(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    curve = tmp_path / "curve"
+    assert main(["construct", "--p", "13", "--ell", "2", "--r", "4",
+                 "--n", "170", "--out", str(curve)]) == 0
+    free = _free_labelled(curve, tmp_path / "free") / "code.json"
+    subsets = math.comb(170, 4)  # 3.4e7, over the default budget
+    assert subsets > codes.DEFAULT_BUDGET
+    calls = []
+    # the scan itself takes seconds here; what matters is that it is asked
+    monkeypatch.setattr(codes, "check_mds", lambda s: calls.append(s.n))
+    argv = ["bruteforce", str(free), "--node", "1", "--range", "0:5"]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert f"enumeration of {subsets} 4-subsets" in capsys.readouterr().err
+    assert calls == []
+    assert main(argv + ["--budget", str(subsets)]) == 0
+    assert calls == [170]
 
 
 # -- input files that ask for too much work -----------------------------------------
@@ -385,6 +445,26 @@ def test_a_long_free_labelled_code_is_refused_by_the_budget(tmp_path):
     proc = _limited(["check-mds", code, "--format", "json"])
     assert proc.returncode == 0, proc.stderr[-500:]
     assert json.loads(proc.stdout) == {"v": 1, "ok": True, "subsets": subsets}
+
+
+def test_the_pass_cap_follows_the_scheme_checks(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(repair, "_PASS_BYTES", 3 * 10 * 10)
+    code, scheme = _wide_code(tmp_path / "ten", 10)
+    assert main(["eval", code, scheme]) == 0
+    code, scheme = _wide_code(tmp_path / "eleven", 11)
+    capsys.readouterr()
+    assert main(["eval", code, scheme]) == 4
+    assert ("BudgetExceeded: enumeration of 121 node pairs exceeds the "
+            "budget; a scheme pass keeps 3 bytes a pair and at most 300 "
+            "bytes") in capsys.readouterr().err
+    # a scheme of the wrong shape is malformed input at any n
+    obj = json.loads(Path(scheme).read_text())
+    for nd in obj["per_node"]:
+        nd["M"] = {"rows": 1, "cols": 3, "entries": [1, 0, 0]}
+    Path(scheme).write_text(json.dumps(obj))
+    assert main(["eval", code, scheme]) == 3
+    assert "BadShape" in capsys.readouterr().err
 
 
 def test_a_12000_node_scheme_pass_is_refused(tmp_path):

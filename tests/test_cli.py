@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mdsrepair import cli
 from mdsrepair.cli import main
-from mdsrepair.codes import realization_from_json
+from mdsrepair.codes import CodeSkeleton, realization_from_json
 from mdsrepair.errors import RepairToolError
 from mdsrepair.repair import scheme_from_json
 
@@ -399,9 +399,11 @@ def _refuse_work(monkeypatch):
     """Make every command's main computation fail loudly if it runs."""
     def boom(*args, **kwargs):
         raise AssertionError("the command computed before checking --out")
-    for name in ("build", "check_mds", "evaluate_scheme", "bruteforce_overlap",
+    for name in ("build", "evaluate_scheme", "bruteforce_overlap",
                  "bruteforce_column_hits", "campaign", "bounds_report"):
         monkeypatch.setattr(cli, name, boom)
+    # check-mds asks the skeleton, which holds the certificate and the scan
+    monkeypatch.setattr(CodeSkeleton, "mds_witness", boom)
 
 
 def test_construct_refuses_a_file_as_out_dir(tmp_path, monkeypatch, capsys):
