@@ -52,7 +52,7 @@ from .repair import (
     scheme_from_json,
     scheme_to_json,
 )
-from .simulate import campaign
+from .simulate import RepairSession, campaign
 
 _PARAM_ERRORS = (NonPrime, DegreeMismatch, ReduciblePolynomial, EllTooSmall,
                  Nondivisible, QuotientTooSmall, LengthOutOfRange, RExceedsQ,
@@ -331,6 +331,8 @@ def cmd_simulate(args) -> int:
         nodes = (node0,)
 
     if jobs > 1 and args.trials > 1:
+        RepairSession(re, sch)  # the scheme-length check of campaign
+        s.mds_witness(args.budget)  # then its verdict, before any worker
         parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
                          scheme_obj, args.seed, nodes, args.budget)
         if len({(p.downloaded, p.accessed) for p in parts}) != 1:

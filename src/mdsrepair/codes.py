@@ -5,7 +5,9 @@ dimension l; it is MDS when every r of them sum to the whole ambient
 space, and then any choice of l distinct spanning projective points per
 node realizes it as a concrete parity-check matrix whose column space at
 node i is the node subspace.  Codewords are elements of the kernel of
-that parity-check matrix, grouped into n blocks of l symbols.
+that parity-check matrix, grouped into n blocks of l symbols.  The node
+bases of a skeleton and the column points of a realization are each one
+read-only (n, l, r*l) array, and every check on them is a whole-array step.
 
 :func:`check_mds` decides every r-subset, but shares the work of the
 subsets that have the same first r-1 nodes P.  The bases of P are reduced
@@ -48,13 +50,15 @@ from .errors import (
     WrongAmbient,
     WrongNodeDim,
 )
+from . import linalg
 from .gf import FieldTower, prime_power
 from .linalg import (
     Matrix,
     Subspace,
-    _elimination_ranks,
+    _check_codes,
+    _columns,
     batched_rank,
-    canonical_point,
+    canonical_points,
     gaussian_binomial,
     kernel,
     null_columns,
@@ -78,39 +82,47 @@ _BOUNDS_BITS = 1 << 13
 class CodeSkeleton:
     """n node subspaces of F_q^(r*l), each of dimension l.
 
-    ``labels`` are the nodes' curve parameters as written in
-    ``code.json`` (decimal codes, ``"inf"``), or None; they are a claim
-    that :meth:`mds_witness` checks, never trusted.
+    ``bases`` is the read-only (n, l, r*l) array of the nodes' canonical
+    RREF bases and ``pivots`` the (n, l) array of their pivot columns,
+    both from one elimination of the (n, k, r*l) stack of node generator
+    rows the skeleton is built from.  ``labels`` are the nodes' curve
+    parameters as written in ``code.json`` (decimal codes, ``"inf"``), or
+    None; they are a claim that :meth:`mds_witness` checks, never trusted.
     """
 
-    __slots__ = ("tower", "r", "nodes", "labels", "_bases", "_mds")
+    __slots__ = ("tower", "r", "bases", "pivots", "labels", "_mds")
 
-    def __init__(self, tower: FieldTower, r: int,
-                 nodes: Sequence[Subspace],
+    def __init__(self, tower: FieldTower, r: int, generators,
                  labels: Sequence[str] | None = None):
         r = int(r)
-        nodes = tuple(nodes)
         ell = tower.ell
         ambient = r * ell
-        if len(nodes) < r or r < 1:
-            raise TooFewNodes(f"need at least r={r} nodes, got {len(nodes)}")
-        for i, s in enumerate(nodes):
-            if s.ambient != ambient or s.field != tower.base:
-                raise WrongAmbient(
-                    f"node {i} lives in ambient {s.ambient}, expected {ambient}")
-            if s.dim != ell:
-                raise WrongNodeDim(
-                    f"node {i} has dimension {s.dim}, expected {ell}")
+        if len(generators) < r or r < 1:
+            raise TooFewNodes(f"need at least r={r} nodes, "
+                              f"got {len(generators)}")
+        gens = np.array(generators, dtype=np.int64)
+        if gens.ndim != 3 or gens.shape[2] != ambient:
+            raise WrongAmbient(f"node generator rows of shape {gens.shape}, "
+                               f"expected (n, rows, {ambient})")
+        _check_codes(tower.base, gens)
+        reduced, ranks, is_piv = linalg._elimination_ranks(tower.base, gens)
+        short = np.flatnonzero(ranks != ell)
+        if short.size:
+            i = short[0]
+            raise WrongNodeDim(
+                f"node {i} has dimension {ranks[i]}, expected {ell}")
         self.tower = tower
         self.r = r
-        self.nodes = nodes
+        self.bases = np.ascontiguousarray(reduced[:, :ell])
+        self.bases.setflags(write=False)
+        self.pivots = np.nonzero(is_piv)[1].reshape(len(gens), ell)
+        self.pivots.setflags(write=False)
         self.labels = None if labels is None else tuple(map(str, labels))
-        self._bases = None
         self._mds = False  # not yet checked
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.bases)
 
     @property
     def ell(self) -> int:
@@ -119,14 +131,6 @@ class CodeSkeleton:
     @property
     def ambient(self) -> int:
         return self.r * self.tower.ell
-
-    def basis_stack(self) -> np.ndarray:
-        """All node bases as one (n, l, r*l) array (cached, read-only)."""
-        if self._bases is None:
-            b = np.stack([s.basis.array for s in self.nodes])
-            b.setflags(write=False)
-            self._bases = b
-        return self._bases
 
     def mds_witness(self, budget: int = DEFAULT_BUDGET):
         """None if the skeleton is verified MDS, else check_mds's witness.
@@ -158,7 +162,15 @@ class CodeSkeleton:
 def skeleton_new(tower: FieldTower, r: int,
                  subspaces: Sequence[Subspace]) -> CodeSkeleton:
     """Validate dimensions and assemble a skeleton (MDS-ness not asserted)."""
-    return CodeSkeleton(tower, r, subspaces)
+    ambient = int(r) * tower.ell
+    for i, s in enumerate(subspaces):
+        if s.ambient != ambient or s.field != tower.base:
+            raise WrongAmbient(
+                f"node {i} lives in ambient {s.ambient}, expected {ambient}")
+        if s.dim != tower.ell:
+            raise WrongNodeDim(
+                f"node {i} has dimension {s.dim}, expected {tower.ell}")
+    return CodeSkeleton(tower, r, [s.basis.array for s in subspaces])
 
 
 def _mds_subsets(n: int, r: int, chunk: int):
@@ -208,9 +220,9 @@ def check_mds(s: CodeSkeleton):
     field = s.tower.base
     ell, ambient = s.ell, s.ambient
     m = ambient - ell
-    bases = s.basis_stack()
+    bases = s.bases
     for prefixes, which, last in _mds_subsets(s.n, s.r, _MDS_CHUNK):
-        reduced, ranks, is_piv = _elimination_ranks(
+        reduced, ranks, is_piv = linalg._elimination_ranks(
             field, bases[prefixes].reshape(len(prefixes), m, ambient))
         kern = null_columns(field, reduced, is_piv)
         schur = field.matmul(bases[last], kern[which])
@@ -223,20 +235,19 @@ def check_mds(s: CodeSkeleton):
 
 
 class Realization:
-    """A skeleton together with concrete parity-check blocks and columns.
+    """A skeleton together with its chosen parity-check columns.
 
-    ``blocks[i]`` is the (r*l) x l block whose t-th column is the chosen
-    canonical representative of the t-th projective column point of node
-    i; ``column_sets[i]`` is that point list.
+    ``points`` is the read-only (n, l, r*l) array whose row t of block i
+    is the canonical representative (first nonzero coordinate 1) of the
+    t-th projective column point of node i; the parity-check matrix has
+    those rows as its columns, node by node.
     """
 
-    __slots__ = ("skeleton", "blocks", "column_sets", "_parity", "_kernel")
+    __slots__ = ("skeleton", "points", "_parity", "_kernel")
 
-    def __init__(self, skeleton: CodeSkeleton, blocks: Sequence[Matrix],
-                 column_sets):
+    def __init__(self, skeleton: CodeSkeleton, points: np.ndarray):
         self.skeleton = skeleton
-        self.blocks = tuple(blocks)
-        self.column_sets = tuple(tuple(pts) for pts in column_sets)
+        self.points = points
         self._parity = None
         self._kernel = None
 
@@ -246,8 +257,8 @@ class Realization:
 
     def parity_matrix(self) -> Matrix:
         if self._parity is None:
-            arr = np.hstack([b.array for b in self.blocks])
-            self._parity = Matrix(self.skeleton.tower.base, arr)
+            self._parity = Matrix(self.skeleton.tower.base,
+                                  _columns(self.points))
         return self._parity
 
     def kernel_basis(self) -> Matrix:
@@ -260,75 +271,64 @@ class Realization:
         return self.parity_matrix().array
 
 
-def _require_inside(s: CodeSkeleton, points: list, owners: list) -> None:
-    """PointOutsideNode for the first listed point outside its node.
-
-    One product checks them all: p lies in node k exactly when p equals
-    p[piv_k] R_k, its entries on k's pivot columns times k's RREF basis.
-    """
-    if not points:
-        return
-    field = s.tower.base
-    pts = np.stack(points)
-    pivots = np.array([s.nodes[k].pivots for k in owners], dtype=np.int64)
-    combo = field.matmul(np.take_along_axis(pts, pivots, axis=1)[:, None, :],
-                         s.basis_stack()[owners])[:, 0]
-    outside = np.flatnonzero((pts != combo).any(axis=1))
-    if outside.size:
-        raise PointOutsideNode(f"node {owners[outside[0]]}: column point "
-                               "outside the node subspace")
-
-
 def realize(s: CodeSkeleton, column_sets) -> Realization:
     """Build the realization with the given projective column points.
 
     There must be one column set per node, and each needs exactly l
     distinct nonzero points, all inside the node subspace and jointly
-    spanning it.  Input vectors are canonicalized (first nonzero
-    coordinate scaled to 1) before validation.  Membership is decided for
-    all points at once; a point outside its node is still reported
-    before any later point's or node's fault.
+    spanning it.  Only the structural checks (zero point, entry range,
+    point count, length) run node by node; the points that pass them are
+    canonicalized (first nonzero coordinate 1) and checked for repeats and
+    membership all at once (p lies in node k when p = p[piv_k] R_k, k's
+    RREF basis R_k).  The first fault in point order is raised.
     """
     field = s.tower.base
-    ell = s.ell
+    n, ell, d = s.n, s.ell, s.ambient
     column_sets = list(column_sets)
-    if len(column_sets) != s.n:
-        raise BadShape(f"{len(column_sets)} column sets for {s.n} nodes")
-    points, owners = [], []  # canonical points not yet checked for membership
-    stacks = []
-    cleaned = []
+    if len(column_sets) != n:
+        raise BadShape(f"{len(column_sets)} column sets for {n} nodes")
+    points = np.zeros((n, ell, d), dtype=np.int64)
+    flat = points.reshape(n * ell, d)
+    fault, end = None, 0  # flat[:end] passed the structural checks
     for i, pts in enumerate(column_sets):
         try:
             if not all(np.any(p) for p in pts):
                 raise NotSpanning(
                     f"node {i}: a column point is the zero vector")
-            pts = [canonical_point(field, p) for p in pts]
+            pts = [np.asarray(p, dtype=np.int64) for p in pts]
+            for p in pts:
+                _check_codes(field, p)
             if len(pts) != ell:
                 raise NotSpanning(
                     f"node {i}: need exactly {ell} column points")
-            seen = set()
             for p in pts:
-                if p.shape != (s.ambient,):
+                if p.shape != (d,):
                     raise AmbientMismatch(f"node {i}: vector of length "
-                                          f"{p.shape} in ambient {s.ambient}")
-                key = p.tobytes()
-                if key in seen:
-                    raise DuplicatePoint(
-                        f"node {i}: repeated projective point")
-                seen.add(key)
-                points.append(p)
-                owners.append(i)
-        except RepairToolError:
-            _require_inside(s, points, owners)  # earlier points fail first
-            raise
-        stacks.append(np.stack(pts))
-        cleaned.append(tuple(tuple(int(x) for x in p) for p in pts))
-    _require_inside(s, points, owners)
-    stacks = np.array(stacks, dtype=np.int64).reshape(-1, ell, s.ambient)
-    short = np.flatnonzero(batched_rank(field, stacks) != ell)
+                                          f"{p.shape} in ambient {d}")
+                flat[end] = p
+                end += 1
+        except RepairToolError as exc:
+            fault = exc
+            break
+    flat[:end] = canonical_points(field, flat[:end])
+    same = (points[:, :, None] == points[:, None]).all(axis=3)
+    repeat = np.tril(same, -1).any(axis=2)  # equals an earlier point
+    coeffs = np.take_along_axis(points, s.pivots[:, None, :], axis=2)
+    outside = (field.matmul(coeffs, s.bases) != points).any(axis=2)
+    first = np.flatnonzero((repeat | outside).reshape(-1)[:end])
+    if first.size:
+        i = first[0] // ell
+        if repeat.flat[first[0]]:
+            raise DuplicatePoint(f"node {i}: repeated projective point")
+        raise PointOutsideNode(f"node {i}: column point outside the node "
+                               "subspace")
+    if fault is not None:
+        raise fault
+    short = np.flatnonzero(batched_rank(field, points) != ell)
     if short.size:
         raise NotSpanning(f"node {short[0]}: column points do not span the node")
-    return Realization(s, [Matrix(field, p.T) for p in stacks], cleaned)
+    points.setflags(write=False)
+    return Realization(s, points)
 
 
 def sample_codewords(re: Realization, seeds) -> np.ndarray:
@@ -460,8 +460,8 @@ def realization_to_json(re: Realization, labels: Sequence[str] | None = None,
     for i in range(s.n):
         nodes.append({
             "label": str(labels[i]),
-            "H": [[int(x) for x in col] for col in re.blocks[i].array.T],
-            "X": [list(p) for p in re.column_sets[i]],
+            "H": re.points[i].tolist(),
+            "X": re.points[i].tolist(),
         })
     obj = {
         "v": 1,
@@ -504,7 +504,6 @@ def realization_from_json(obj: dict):
         raise MalformedInput("nodes must be a list")
     if len(raw_nodes) != n:
         raise MalformedInput("node count disagrees with n")
-    field = tower.base
     generators = []
     column_sets = []
     labels = []
@@ -519,20 +518,19 @@ def realization_from_json(obj: dict):
             raise MalformedInput("node H must be ell columns of length r*ell")
         if pts.shape != (ell, r * ell):
             raise MalformedInput("node X must be ell points of length r*ell")
-        if any(((a < 0) | (a >= field.order)).any() for a in (cols, pts)):
+        if any(((a < 0) | (a >= tower.q)).any() for a in (cols, pts)):
             raise MalformedInput("node H/X entry out of range for the field")
         generators.append(cols)
-        column_sets.append(list(pts))
-    subspaces = Subspace.from_stack(field, generators) if generators else []
+        column_sets.append(pts)
     try:
-        skeleton = CodeSkeleton(tower, r, subspaces, labels)
+        skeleton = CodeSkeleton(tower, r, generators, labels)
         re = realize(skeleton, column_sets)
     except RepairToolError as exc:
         raise MalformedInput(f"invariant violated on load: {exc}") from exc
     # the stored columns must equal the canonical realization columns
-    for i, nd in enumerate(raw_nodes):
-        if [list(map(int, c)) for c in re.blocks[i].array.T] != \
-                [list(map(int, c)) for c in nd["H"]]:
-            raise MalformedInput(f"node {i}: H columns are not canonical "
-                                 "representatives of X")
+    differ = np.flatnonzero(
+        (np.array(generators) != re.points).any(axis=(1, 2)))
+    if differ.size:
+        raise MalformedInput(f"node {differ[0]}: H columns are not canonical "
+                             "representatives of X")
     return re, labels, obj.get("provenance")

@@ -23,9 +23,10 @@ one lookup.  Larger blocks are eliminated.
 Every elimination is one batched Gauss-Jordan loop over a stack of
 matrices, ``_elimination_ranks``; a single matrix is a batch of one.  Each
 linear-algebra question is one elimination of an augmented matrix
-(kernels reduce [m^T | I], intersections [[A, A], [B, 0]]), and callers
-with many matrices of one shape hand over the whole stack
-(:meth:`Subspace.from_stack`, :func:`kernels`, :func:`intersections`).
+(kernels reduce [m^T | I], intersections [[A, A], [B, 0]]).  A stack in
+gives a stack out (:func:`kernels`, :func:`intersections`): (bases, pivot
+mask) arrays, each basis over zero rows; a :class:`Subspace` is made only
+from element 0 of one, by the single-subspace functions.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over order {self.field.order})"
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """The rows of a (k, l, d) stack as columns, side by side: (d, k*l)."""
+    return np.ascontiguousarray(
+        stack.transpose(2, 0, 1).reshape(stack.shape[2], -1))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -272,19 +279,11 @@ class Subspace:
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Subspace":
         a = np.atleast_2d(np.array(rows, dtype=np.int64))
-        return cls.from_stack(field, a[None])[0]
-
-    @classmethod
-    def from_stack(cls, field: Field, stack) -> list["Subspace"]:
-        """Row spaces of a (k, m, d) stack, all from one elimination."""
-        a = np.array(stack, dtype=np.int64)
-        if a.ndim != 3:
-            raise BadShape("expected a stack of 2-D arrays of generator rows")
+        if a.ndim != 2:
+            raise BadShape("expected a 2-D array of generator rows")
         _check_codes(field, a)
-        reduced, ranks, is_piv = _elimination_ranks(field, a)
-        return [cls(field, a.shape[2], Matrix(field, r[:rank]),
-                    tuple(np.flatnonzero(p).tolist()))
-                for r, rank, p in zip(reduced, ranks, is_piv)]
+        reduced, _, is_piv = _elimination_ranks(field, a[None])
+        return _first(field, reduced, is_piv)
 
     @property
     def dim(self) -> int:
@@ -314,27 +313,40 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def _vanishing_rows(field: Field, reduced: np.ndarray,
-                    pivots: tuple[int, ...], split: int) -> Subspace:
-    """Span of the rows of an RREF whose first ``split`` columns vanish.
+def _first(field: Field, bases: np.ndarray, is_piv: np.ndarray) -> Subspace:
+    """Block 0 of a (bases, pivot mask) stack as a :class:`Subspace`."""
+    pivots = np.flatnonzero(is_piv[0])
+    return Subspace(field, bases.shape[2],
+                    Matrix(field, bases[0, :len(pivots)]),
+                    tuple(pivots.tolist()))
+
+
+def _vanishing_rows(reduced: np.ndarray, is_piv: np.ndarray, split: int):
+    """Span of each RREF block's rows whose first ``split`` columns vanish.
 
     Those are the pivot rows past the last pivot left of ``split``.  Every
     pivot column is zero outside its own row, so their right parts are
     already the canonical basis of the span, with pivots shifted by
-    ``split``.
+    ``split``.  Returns (bases, pivot mask): each block's basis moved to
+    the top, over zero rows, and the mask of its pivot columns.
     """
-    k = sum(1 for p in pivots if p < split)
-    return Subspace(field, reduced.shape[1] - split,
-                    Matrix(field, reduced[k:len(pivots), split:]),
-                    tuple(p - split for p in pivots[k:]))
+    _, rows, cols = reduced.shape
+    skip = is_piv[:, :split].sum(axis=1)
+    mask = is_piv[:, split:]
+    size = min(rows, cols - split)
+    at = np.minimum(skip[:, None] + np.arange(size), rows - 1)
+    bases = np.take_along_axis(reduced[:, :, split:], at[:, :, None], axis=1)
+    bases[np.arange(size) >= mask.sum(axis=1)[:, None]] = 0
+    return bases, mask
 
 
-def kernels(field: Field, stack) -> list[Subspace]:
+def kernels(field: Field, stack):
     """Right kernels {v : m v^T = 0} of a (k, rows, d) stack of matrices.
 
     One elimination of every block's [m^T | I]: a row whose m^T part
     reduces to zero records a v with m v^T = 0, and the identity keeps
     all rows independent, so those rows are exactly a kernel basis.
+    Returns (bases, pivot mask) of shapes (k, d, d) and (k, d).
     """
     m = np.asarray(stack, dtype=np.int64)
     _check_codes(field, m)
@@ -342,8 +354,7 @@ def kernels(field: Field, stack) -> list[Subspace]:
     eye = np.broadcast_to(np.eye(d, dtype=np.int64), (k, d, d))
     reduced, _, is_piv = _elimination_ranks(
         field, np.concatenate([m.swapaxes(1, 2), eye], axis=2))
-    return [_vanishing_rows(field, r, tuple(np.flatnonzero(p).tolist()), rows)
-            for r, p in zip(reduced, is_piv)]
+    return _vanishing_rows(reduced, is_piv, rows)
 
 
 def null_columns(field: Field, reduced: np.ndarray,
@@ -369,7 +380,7 @@ def null_columns(field: Field, reduced: np.ndarray,
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v^T = 0} as a subspace of row vectors."""
-    return kernels(m.field, m.array[None])[0]
+    return _first(m.field, *kernels(m.field, m.array[None]))
 
 
 def contains(s: Subspace, v) -> bool:
@@ -384,13 +395,13 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - int(batched_rank(a.field, stacked[None])[0])
 
 
-def intersections(field: Field, a, b) -> list[Subspace]:
+def intersections(field: Field, a, b):
     """Row-space intersections of two (k, ., d) stacks of bases, pairwise.
 
     One elimination of every block's Zassenhaus form [[A, A], [B, 0]]: a
     row whose left half reduces to zero is (x A + y B, x A) with
     x A = -y B, so its right half lies in both row spaces, and those
-    right halves span the intersection.
+    right halves span the intersection.  Returns (bases, pivot mask).
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[::2] != b.shape[::2]:
@@ -400,16 +411,15 @@ def intersections(field: Field, a, b) -> list[Subspace]:
                              axis=1)
     _check_codes(field, stacked)
     reduced, _, is_piv = _elimination_ranks(field, stacked)
-    return [_vanishing_rows(field, r, tuple(np.flatnonzero(p).tolist()),
-                            a.shape[2])
-            for r, p in zip(reduced, is_piv)]
+    return _vanishing_rows(reduced, is_piv, a.shape[2])
 
 
 def intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces: :func:`intersections` of one pair."""
     if a.ambient != b.ambient or a.field != b.field:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return intersections(a.field, a.basis.array[None], b.basis.array[None])[0]
+    return _first(a.field, *intersections(a.field, a.basis.array[None],
+                                          b.basis.array[None]))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -423,14 +433,19 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(m.field, r.array[:, n:])
 
 
+def canonical_points(field: Field, a: np.ndarray) -> np.ndarray:
+    """Rows of a (..., d) code array scaled to lead with 1 (none may be 0)."""
+    lead = np.take_along_axis(a, (a != 0).argmax(axis=-1)[..., None], axis=-1)
+    return field.arr_mul(a, field.arr_inv(lead))
+
+
 def canonical_point(field: Field, v) -> np.ndarray:
     """Projective representative with first nonzero coordinate scaled to 1."""
     v = np.asarray(v, dtype=np.int64)
     _check_codes(field, v)
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
+    if not v.any():
         raise ValueError("the zero vector is not a projective point")
-    out = field.arr_mul(v, field.inv(int(v[nz[0]])))
+    out = canonical_points(field, v)
     out.setflags(write=False)
     return out
 

@@ -23,8 +23,11 @@ picks the two blocks containing the smallest parameter codes, lists
 their members first, repairs every node with the kernel that hits the
 opposite block (or the first block's kernel for nodes outside both), and
 forces each constrained node's column set to contain the one projective
-point its designated kernel captures.  Every property the construction
-promises is re-verified on the finished bundle.
+point its designated kernel captures.  Every stack stays an array: the
+skeleton reduces all curve rows at once, one stacked intersection finds
+the forced points, and one stacked fill picks every node's column points.
+Every property the construction promises is re-verified on the finished
+bundle.
 
 All choices left open by the mathematics (block choice, parameter order,
 column fill) are pinned to deterministic rules so rebuilt artifacts are
@@ -46,6 +49,7 @@ from .errors import (
     Nondivisible,
     QuotientTooSmall,
     RExceedsQ,
+    WrongNodeDim,
     ZeroB,
 )
 from . import linalg
@@ -151,17 +155,12 @@ def _curve_rows(tower: FieldTower, r: int, c) -> np.ndarray:
     return _curve_stack(tower, r, [c])[0]
 
 
-def _curve_subspaces(tower: FieldTower, rows: np.ndarray) -> list[Subspace]:
-    """Node subspaces of a (k, l, r*l) stack of curve rows, in one elimination."""
-    nodes = Subspace.from_stack(tower.base, rows)
-    if any(s.dim != tower.ell for s in nodes):
-        raise InternalInconsistency("curve subspace has wrong dimension")
-    return nodes
-
-
 def nrc_subspace(tower: FieldTower, r: int, c) -> Subspace:
     """The l-dimensional node subspace of curve parameter c (or INF)."""
-    return _curve_subspaces(tower, _curve_rows(tower, r, c)[None])[0]
+    node = Subspace.from_rows(tower.base, _curve_rows(tower, r, c))
+    if node.dim != tower.ell:
+        raise InternalInconsistency("curve subspace has wrong dimension")
+    return node
 
 
 def _label(c) -> str:
@@ -198,7 +197,7 @@ def curve_certificate(s: CodeSkeleton) -> bool:
     params = [_parameter(lab, tower.top_order) for lab in labels]
     if len(params) != s.n or None in params or len(set(labels)) != s.n:
         return False
-    return np.array_equal(_curve_stack(tower, s.r, params), s.basis_stack())
+    return np.array_equal(_curve_stack(tower, s.r, params), s.bases)
 
 
 def norm_one_subgroup(tower: FieldTower) -> tuple[int, ...]:
@@ -318,16 +317,8 @@ def _spanning_fill(field, cands: np.ndarray, ell: int) -> np.ndarray:
     if (ranks < ell).any():
         raise InternalInconsistency("column fill failed to span a node")
     first = np.argsort(~is_piv, axis=1, kind="stable")[:, :ell]
-    rows = np.take_along_axis(cands, first[:, :, None], axis=1)
-    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=2)[:, :, None],
-                              axis=2)
-    return field.arr_mul(rows, field.arr_inv(lead))
-
-
-def _spanning_points(field, node: Subspace, gens: np.ndarray, forced):
-    """The forced point, then curve rows greedily from the top, as points."""
-    cands = gens if forced is None else np.vstack([forced, gens])
-    return list(_spanning_fill(field, np.asarray(cands)[None], node.dim)[0])
+    return linalg.canonical_points(
+        field, np.take_along_axis(cands, first[:, :, None], axis=1))
 
 
 def build(params: NrcParams) -> NrcBundle:
@@ -356,8 +347,12 @@ def build(params: NrcParams) -> NrcBundle:
                   + rest + [INF])[:n]
 
     curves = _curve_stack(tower, r, parameters)
-    skeleton = CodeSkeleton(tower, r, _curve_subspaces(tower, curves),
-                            [_label(c) for c in parameters])
+    try:
+        skeleton = CodeSkeleton(tower, r, curves,
+                                [_label(c) for c in parameters])
+    except WrongNodeDim as exc:
+        raise InternalInconsistency("curve subspace has wrong dimension") \
+            from exc
     scheme = RepairScheme([m_b if c in in_a else m_a for c in parameters])
 
     constrained = [idx for idx, c in enumerate(parameters)
@@ -366,14 +361,14 @@ def build(params: NrcParams) -> NrcBundle:
     cands = np.zeros((n, ell + 1, r * ell), dtype=np.int64)
     cands[:, 1:] = curves
     if constrained:
-        hits = intersections(field,
-                             np.stack([w.basis.array for w in hitting]),
-                             skeleton.basis_stack()[constrained])
-        if any(hit.dim != 1 for hit in hits):
+        hits, hit_piv = intersections(
+            field, np.stack([w.basis.array for w in hitting]),
+            skeleton.bases[constrained])
+        if (hit_piv.sum(axis=1) != 1).any():
             raise InternalInconsistency(
                 "constrained node meets its kernel in dimension != 1")
         # an RREF row leads with 1, so it is already a canonical point
-        cands[constrained, 0] = [hit.basis.array[0] for hit in hits]
+        cands[constrained, 0] = hits[:, 0]
     realization = realize(skeleton, _spanning_fill(field, cands, ell))
 
     checks = _scheme_pass(realization, scheme)

@@ -44,6 +44,7 @@ from .gf import Field
 from .linalg import (
     Matrix,
     _check_codes,
+    _columns,
     _counter,
     _pivot_patterns,
     batched_rank,
@@ -134,13 +135,6 @@ def _compressed_blocks(field: Field, m_arr: np.ndarray,
     return np.ascontiguousarray(np.moveaxis(prod, -2, -3))
 
 
-def _skeleton_col_stack(s: CodeSkeleton) -> np.ndarray:
-    """Node basis vectors as columns, side by side: (r*l, n*l)."""
-    bases = s.basis_stack()
-    return np.ascontiguousarray(
-        bases.transpose(2, 0, 1).reshape(s.ambient, s.n * s.ell))
-
-
 def _check_repair_inputs(s: CodeSkeleton, m: Matrix, i: int) -> None:
     if not 0 <= int(i) < s.n:
         raise BadShape(f"node index {i} out of range for n={s.n}")
@@ -163,11 +157,10 @@ def _intersection_dims(s: CodeSkeleton, w_basis: np.ndarray,
     """dim(W /\\ H_j) for each listed node, via batched stacked ranks."""
     field = s.tower.base
     d = s.ambient
-    bases = s.basis_stack()
     wdim = w_basis.shape[0]
     stacked = np.empty((len(helpers), wdim + s.ell, d), dtype=np.int64)
     stacked[:, :wdim, :] = w_basis
-    stacked[:, wdim:, :] = bases[list(helpers)]
+    stacked[:, wdim:, :] = s.bases[list(helpers)]
     ranks = batched_rank(field, stacked)
     return wdim + s.ell - ranks
 
@@ -306,7 +299,7 @@ def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
     ell = s.ell
     _require_full_row_rank(field, m, ell)
     pts = projective_point_array(field, ell)
-    col_stack = _skeleton_col_stack(s)
+    col_stack = _columns(s.bases)
     compressed = field.matmul(m.array, col_stack)          # (l, n*l)
     prod = field.matmul(pts, compressed)                   # (t, n*l)
     killed = (prod.reshape(len(pts), s.n, ell) == 0).all(axis=2)
@@ -547,12 +540,9 @@ def bruteforce_overlap(s: CodeSkeleton, i: int,
     ell, d = s.ell, s.ambient
     total = gaussian_binomial(d, ell, field.order)
     start, stop = _resolve_range(total, index_range, budget)
-    bases = s.basis_stack()
     helpers = [j for j in range(s.n) if j != i]
-    targets = np.ascontiguousarray(
-        bases[helpers].transpose(2, 0, 1).reshape(d, len(helpers) * ell))
-    block_i = np.ascontiguousarray(bases[i].T)
-    best, witness, _ = _bruteforce(field, targets, block_i, ell, d,
+    best, witness, _ = _bruteforce(field, _columns(s.bases[helpers]),
+                                   _columns(s.bases[[i]]), ell, d,
                                    "overlap", start, stop)
     return best, None if witness is None else Matrix(field, witness)
 
@@ -576,10 +566,8 @@ def bruteforce_column_hits(re: Realization, i: int,
     total = gaussian_binomial(d, ell, field.order)
     start, stop = _resolve_range(total, index_range, budget)
     helpers = [j for j in range(s.n) if j != i]
-    targets = np.ascontiguousarray(
-        np.hstack([re.blocks[j].array for j in helpers]))
-    block_i = re.blocks[i].array
-    best, witness, _ = _bruteforce(field, targets, block_i, ell, d,
+    best, witness, _ = _bruteforce(field, _columns(re.points[helpers]),
+                                   _columns(re.points[[i]]), ell, d,
                                    "columns", start, stop)
     return best, None if witness is None else Matrix(field, witness)
 
@@ -715,14 +703,11 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
                              f"most {_PASS_BYTES} bytes")
     ms = np.stack([m.array for m in sch.matrices])
 
-    ws = kernels(field, ms)
-    if any(w.dim != s.ambient - ell for w in ws):
+    ws, is_piv = kernels(field, ms)
+    wdim = s.ambient - ell
+    if (is_piv.sum(axis=1) != wdim).any():
         raise InternalInconsistency("a repair kernel has the wrong dimension")
-    is_piv = np.zeros((n, s.ambient), dtype=bool)
-    for row, w in zip(is_piv, ws):
-        row[list(w.pivots)] = True
-    k = linalg.null_columns(field, np.stack([w.basis.array for w in ws]),
-                            is_piv)
+    k = linalg.null_columns(field, ws[:, :wdim], is_piv)
 
     covectors = projective_point_array(field, ell)
     points_of = np.array([projective_point_count(q, t)
@@ -740,7 +725,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
         blocks = _compressed_blocks(field, ms[at], re.column_stack(), n, ell)
         rk = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
         cols = (blocks != 0).any(axis=2).sum(axis=2)
-        s_blocks = field.matmul(s.basis_stack()[None], k[at, None])
+        s_blocks = field.matmul(s.bases[None], k[at, None])
         dm = ell - batched_rank(field, s_blocks.reshape(flat)).reshape(-1, n)
         killed = (field.matmul(covectors, blocks) == 0).all(axis=3)
         mults[at] = (killed & helper[:, :, None]).sum(axis=1)

@@ -248,7 +248,7 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     every reconstructed block is checked, and transcript counts are
     checked against the analytic per-node metrics on every chunk.  The
     code must be MDS; ``budget`` bounds the r-subsets that check may rank
-    (:meth:`CodeSkeleton.mds_witness`).
+    (:meth:`CodeSkeleton.mds_witness`), which runs before the scheme pass.
     """
     s = re.skeleton
     if int(trials) < 1:
@@ -258,9 +258,9 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
         if not 0 <= i < s.n:
             raise BadShape(f"node index {i} out of range")
     session = RepairSession(re, sch)
+    s.mds_witness(budget)  # before the pass; sample_codewords reads it cached
     metrics = evaluate_scheme(re, sch, budget=budget)
     states = session._node_states(node_list)
-    s.mds_witness(budget)  # the verdict sample_codewords reads, cached
     stop = first_trial + int(trials)
     downloaded = {}
     accessed = {}

@@ -144,7 +144,7 @@ def _random_mds_skeleton(tower, r, n, rng, tries=2000):
 
 
 def _random_feasible(field, s, i, rng):
-    cols_i = s.basis_stack()[i].T
+    cols_i = s.bases[i].T
     while True:
         m = np.array([[rng.randrange(field.order) for _ in range(s.ambient)]
                       for _ in range(s.ell)], dtype=np.int64)
@@ -167,7 +167,7 @@ def _audit(s, m, i):
     # download identity, rank route versus intersection route
     helpers = [j for j in range(s.n) if j != i]
     cols = np.ascontiguousarray(
-        s.basis_stack()[helpers].transpose(2, 0, 1).reshape(
+        s.bases[helpers].transpose(2, 0, 1).reshape(
             s.ambient, len(helpers) * s.ell))
     prod = field.matmul(m.array, cols)
     blocks = prod.reshape(s.ell, len(helpers), s.ell).transpose(1, 0, 2)

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdsrepair import codes, nrc, repair
+from mdsrepair import cli, codes, nrc, repair, simulate
 from mdsrepair.cli import main
 from mdsrepair.codes import check_mds, realization_from_json
 from mdsrepair.errors import InternalInconsistency
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import Matrix, Subspace
+from mdsrepair.linalg import Matrix
 from mdsrepair.nrc import INF, build, curve_certificate, validate_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,8 +58,7 @@ def test_curve_stack_matches_the_per_parameter_route(p, m, ell, r):
         assert np.array_equal(nrc._curve_rows(tower, r, c),
                               _scalar_curve_rows(tower, r, c))
     # the rows are their own canonical basis, which the certificate reads
-    bases = Subspace.from_stack(tower.base, stack)
-    assert np.array_equal(np.stack([b.basis.array for b in bases]), stack)
+    assert np.array_equal(codes.CodeSkeleton(tower, r, stack).bases, stack)
 
 
 def _bundle(p, m, ell, r, n):
@@ -67,7 +66,7 @@ def _bundle(p, m, ell, r, n):
 
 
 def _relabelled(s, labels):
-    return codes.CodeSkeleton(s.tower, s.r, s.nodes, labels)
+    return codes.CodeSkeleton(s.tower, s.r, s.bases, labels)
 
 
 @pytest.mark.parametrize("point", NRC_POINTS, ids=str)
@@ -89,10 +88,10 @@ def test_certificate_never_passes_a_non_mds_skeleton(point):
     s = _bundle(*point).skeleton
     rng = random.Random(sum(point))
     for _ in range(20):
-        nodes = list(s.nodes)
+        bases = s.bases.copy()
         i, j = rng.sample(range(s.n), 2)
-        nodes[i] = nodes[j]
-        bad = codes.CodeSkeleton(s.tower, s.r, nodes, s.labels)
+        bases[i] = bases[j]
+        bad = codes.CodeSkeleton(s.tower, s.r, bases, s.labels)
         assert not curve_certificate(bad)
         assert check_mds(bad) is not None
         assert bad.mds_witness() == check_mds(bad)
@@ -445,6 +444,23 @@ def test_a_long_free_labelled_code_is_refused_by_the_budget(tmp_path):
     proc = _limited(["check-mds", code, "--format", "json"])
     assert proc.returncode == 0, proc.stderr[-500:]
     assert json.loads(proc.stdout) == {"v": 1, "ok": True, "subsets": subsets}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_asks_the_budget_before_the_scheme_pass(tmp_path, monkeypatch,
+                                                         capsys, jobs):
+    code, scheme = _reed_solomon(tmp_path / "free", curve_labels=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(simulate, "evaluate_scheme", refuse)
+    monkeypatch.setattr(cli, "_fan_out", refuse)  # no worker pool either
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["simulate", code, scheme, "--trials", "2", "--jobs", jobs]
+    assert main(argv) == 4
+    assert (f"BudgetExceeded: enumeration of {math.comb(257, 64)} 64-subsets "
+            "of nodes") in capsys.readouterr().err
 
 
 def test_the_pass_cap_follows_the_scheme_checks(tmp_path, monkeypatch,

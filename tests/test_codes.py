@@ -21,9 +21,11 @@ from mdsrepair.codes import (
     skeleton_new,
 )
 from mdsrepair.errors import (
+    AmbientMismatch,
     BadParameters,
     BadShape,
     DuplicatePoint,
+    LevelMismatch,
     MalformedInput,
     NotMds,
     NotSpanning,
@@ -52,20 +54,28 @@ def _coordinate_skeleton(tower, r):
 def test_skeleton_validation(tower3):
     s = _coordinate_skeleton(tower3, 2)
     assert s.n == 2 and s.ell == 2 and s.ambient == 4
+    node1 = Subspace.from_rows(tower3.base, s.bases[1])
     with pytest.raises(WrongNodeDim):
         skeleton_new(tower3, 2, [Subspace.from_rows(tower3.base, [[1, 0, 0, 0]]),
-                                 s.nodes[1]])
+                                 node1])
     with pytest.raises(WrongAmbient):
         skeleton_new(tower3, 2, [Subspace.from_rows(tower3.base,
                                                     [[1, 0, 0], [0, 1, 0]]),
-                                 s.nodes[1]])
+                                 node1])
     with pytest.raises(TooFewNodes):
-        skeleton_new(tower3, 2, [s.nodes[0]])
+        skeleton_new(tower3, 2, [node1])
+    # a stack of generator rows is checked as a whole, naming the first node
+    with pytest.raises(WrongNodeDim, match="node 1 has dimension 1"):
+        CodeSkeleton(tower3, 2, [s.bases[0], [[0, 0, 1, 0], [0, 0, 2, 0]]])
+    with pytest.raises(WrongAmbient, match=r"\(2, 2, 3\), expected"):
+        CodeSkeleton(tower3, 2, s.bases[:, :, :3])
+    with pytest.raises(TooFewNodes):
+        CodeSkeleton(tower3, 2, s.bases[:1])
 
 
 def test_check_mds_duplicate_witness(tower3):
     s = _coordinate_skeleton(tower3, 2)
-    dup = skeleton_new(tower3, 2, [s.nodes[0], s.nodes[0], s.nodes[1]])
+    dup = CodeSkeleton(tower3, 2, s.bases[[0, 0, 1]])
     assert check_mds(dup) == (0, 1)
     assert check_mds(s) is None
 
@@ -114,7 +124,7 @@ def _stacked_check_mds(s):
     """Oracle: one stacked rl x rl rank per r-subset, in combinations order."""
     field = s.tower.base
     ambient = s.ambient
-    bases = s.basis_stack()
+    bases = s.bases
     combos = itertools.combinations(range(s.n), s.r)
     while True:
         batch = list(itertools.islice(combos, 2048))
@@ -206,9 +216,7 @@ def test_check_mds_matches_stacked_ranks_on_constructions(
         assert check_mds(sk) is None
         assert _stacked_check_mds(sk) is None
         # a late repeated node fails far into the scan
-        nodes = list(sk.nodes)
-        nodes[-1] = nodes[-4]
-        bad = skeleton_new(sk.tower, sk.r, nodes)
+        bad = CodeSkeleton(sk.tower, sk.r, sk.bases[[*range(sk.n - 1), -4]])
         assert check_mds(bad) == _stacked_check_mds(bad)
         assert check_mds(bad) is not None
 
@@ -220,8 +228,8 @@ def test_realize_coordinate_blocks(tower3):
         [[0, 0, 1, 0], [0, 0, 0, 1]],
     ]
     re = realize(s, sets)
-    assert re.blocks[0].array.tolist() == [[1, 0], [0, 1], [0, 0], [0, 0]]
-    assert re.blocks[1].array.tolist() == [[0, 0], [0, 0], [1, 0], [0, 1]]
+    assert re.points.tolist() == sets
+    assert re.parity_matrix().array.tolist() == np.eye(4, dtype=int).tolist()
 
 
 def test_realize_rejections(tower3):
@@ -242,10 +250,8 @@ def test_realize_rejections(tower3):
 
 def test_realize_extraction_roundtrip(bundle3):
     re = bundle3.realization
-    again = realize(re.skeleton, [list(map(list, pts))
-                                  for pts in re.column_sets])
-    assert all(a == b for a, b in zip(again.blocks, re.blocks))
-    assert again.column_sets == re.column_sets
+    again = realize(re.skeleton, re.points.tolist())
+    assert np.array_equal(again.points, re.points)
 
 
 def test_sample_codeword(bundle3):
@@ -262,7 +268,7 @@ def test_sample_codeword(bundle3):
 
 def test_sample_codeword_requires_mds(tower3):
     s = _coordinate_skeleton(tower3, 2)
-    dup = skeleton_new(tower3, 2, [s.nodes[0], s.nodes[0], s.nodes[1]])
+    dup = CodeSkeleton(tower3, 2, s.bases[[0, 0, 1]])
     sets = [[[1, 0, 0, 0], [0, 1, 0, 0]],
             [[1, 0, 0, 0], [0, 1, 0, 0]],
             [[0, 0, 1, 0], [0, 0, 0, 1]]]
@@ -434,9 +440,9 @@ def test_check_mds_keeps_the_first_witness_across_chunks(
     monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
     sk = bundle3.skeleton
     for a, b in ((8, 5), (3, 6), (0, 1), (7, 8)):
-        nodes = list(sk.nodes)
-        nodes[b] = nodes[a]
-        bad = skeleton_new(sk.tower, sk.r, nodes)
+        bases = sk.bases.copy()
+        bases[b] = bases[a]
+        bad = CodeSkeleton(sk.tower, sk.r, bases)
         assert check_mds(bad) == _stacked_check_mds(bad) == \
             tuple(sorted((a, b)))
 
@@ -454,11 +460,14 @@ def _realize_oracle(s, column_sets):
             raise NotSpanning(f"node {i}: need exactly {ell} column points")
         seen = set()
         for p in pts:
+            if p.shape != (s.ambient,):
+                raise AmbientMismatch(f"node {i}: vector of length "
+                                      f"{p.shape} in ambient {s.ambient}")
             key = p.tobytes()
             if key in seen:
                 raise DuplicatePoint(f"node {i}: repeated projective point")
             seen.add(key)
-            if not s.nodes[i].contains(p):
+            if not Subspace.from_rows(field, s.bases[i]).contains(p):
                 raise PointOutsideNode(
                     f"node {i}: column point outside the node subspace")
         stacks.append(np.stack(pts))
@@ -482,15 +491,15 @@ def test_realize_checks_points_in_the_per_point_order(bundle5):
     s = re.skeleton
     field = s.tower.base
     rng = random.Random(24)
-    faults = 0
+    kinds = {}  # fault class -> count
     for _ in range(400):
-        sets = [[list(p) for p in pts] for pts in re.column_sets]
+        sets = re.points.tolist()
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(s.n)
             if len(sets[i]) < 2:
                 continue
             k = rng.randrange(2)
-            kind = rng.randrange(5)
+            kind = rng.randrange(7)
             if kind == 0:    # a random vector, most likely outside
                 sets[i][k] = [rng.randrange(5) for _ in range(s.ambient)]
             elif kind == 1:  # the zero vector
@@ -499,18 +508,26 @@ def test_realize_checks_points_in_the_per_point_order(bundle5):
                 other = np.array(sets[i][1 - k])
                 sets[i][k] = field.arr_mul(other, rng.randrange(1, 5)).tolist()
             elif kind == 3:  # a point of another node
-                sets[i][k] = list(re.column_sets[(i + 1) % s.n][k])
-            else:            # a point too few
+                sets[i][k] = re.points[(i + 1) % s.n, k].tolist()
+            elif kind == 4:  # a point too few
                 del sets[i][k:k + 1]
+            elif kind == 5:  # a point one coordinate too long or too short
+                sets[i][k] = (sets[i][k] + [1] if rng.randrange(2)
+                              else sets[i][k][:-1])
+            else:            # an entry outside the field's codes
+                sets[i][k][rng.randrange(s.ambient)] = rng.choice([-1, 5])
         want = _outcome(_realize_oracle, s, sets)
         assert _outcome(realize, s, sets) == want
-        faults += want is not None
-    assert faults > 300
+        if want is not None:
+            kinds[want[0]] = kinds.get(want[0], 0) + 1
+    assert sum(kinds.values()) > 300
+    assert set(kinds) == {NotSpanning, DuplicatePoint, PointOutsideNode,
+                          AmbientMismatch, LevelMismatch}
 
 
 def test_realize_needs_one_column_set_per_node(bundle5):
     re = bundle5.realization
-    sets = [list(map(list, pts)) for pts in re.column_sets]
+    sets = re.points.tolist()
     for wrong in (sets[:5], sets + sets[:1], []):
         with pytest.raises(BadShape, match=f"{len(wrong)} column sets "
                                            "for 24 nodes"):

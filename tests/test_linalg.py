@@ -25,6 +25,7 @@ from mdsrepair.linalg import (
     gaussian_binomial,
     intersect_dim,
     intersection,
+    intersections,
     inverse,
     kernel,
     kernels,
@@ -658,18 +659,58 @@ def test_batch_of_one_routes_match_the_oracle(case):
             inverse(Matrix(field, sq))
 
 
+@st.composite
+def _mixed_stacks(draw):
+    """(field, m, a, b): a stack for kernels and a pair for intersections.
+
+    Blocks are products of random k x t and t x d factors for random t, so
+    their ranks differ within a stack.  The last two blocks of m are zero
+    and [I; 0], and the last two pairs of (a, b) are (0, [I; 0]) and
+    ([I; 0], [I; 0]), so every stack has dimensions 0 and d.
+    """
+    field = draw(st.sampled_from([F5, F9, F16]))
+    q = field.order
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(d, d + 2))
+    nb = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    full = np.eye(k, d, dtype=np.int64)
+    zero = np.zeros_like(full)
+
+    def stack(last):
+        blocks = []
+        for _ in range(nb):
+            t = draw(st.integers(0, d))
+            blocks.append(field.matmul(rng.integers(0, q, (k, t)),
+                                       rng.integers(0, q, (t, d))))
+        return np.array(blocks + last, dtype=np.int64).reshape(-1, k, d)
+
+    return field, stack([zero, full]), stack([zero, full]), \
+        stack([full, full])
+
+
 @settings(max_examples=100, deadline=None)
-@given(_block_stack())
+@given(_mixed_stacks())
 def test_stacked_constructors_match_batches_of_one(case):
-    field, blocks, _ = case
-    before = blocks.copy()
-    spans = Subspace.from_stack(field, blocks)
-    kerns = kernels(field, blocks)
-    assert np.array_equal(blocks, before)
-    assert len(spans) == len(kerns) == len(blocks)
-    for b, span, kern in zip(blocks, spans, kerns):
-        _same_subspace(span, Subspace.from_rows(field, b))
-        _same_subspace(kern, kernel(Matrix(field, b)))
+    # each block of a kernels or intersections stack is its batch of one:
+    # basis rows on top, zero rows past its dimension, its pivot mask
+    field, m, a, b = case
+    d = m.shape[2]
+    before = [x.copy() for x in (m, a, b)]
+    for (bases, is_piv), ones in (
+            (kernels(field, m), [kernel(Matrix(field, x)) for x in m]),
+            (intersections(field, a, b),
+             [intersection(Subspace.from_rows(field, x),
+                           Subspace.from_rows(field, y))
+              for x, y in zip(a, b)])):
+        dims = is_piv.sum(axis=1)
+        assert bases.shape == (len(ones), d, d)
+        assert {0, d} <= set(dims.tolist())
+        for block, piv, dim, one in zip(bases, is_piv, dims, ones):
+            assert tuple(np.flatnonzero(piv).tolist()) == one.pivots
+            assert np.array_equal(block[:dim], one.basis.array)
+            assert not block[dim:].any()
+    assert all(np.array_equal(x, y) for x, y in zip((m, a, b), before))
 
 
 def test_kernel_and_intersection_eliminate_once(watch_calls):

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from mdsrepair import codes, linalg, nrc, repair
-from mdsrepair.codes import check_mds, realization_to_json
+from mdsrepair.codes import (
+    check_mds,
+    realization_from_json,
+    realization_to_json,
+)
 from mdsrepair.errors import (
     BadParameters,
     EllTooSmall,
@@ -247,7 +251,7 @@ def test_build_forced_columns_present(bundle5):
     w_a, _ = repair_subspace(bundle5.params.tower, 3, block_a.rep)
     w_b, _ = repair_subspace(bundle5.params.tower, 3, block_b.rep)
     for idx, c in enumerate(bundle5.parameters):
-        node = bundle5.skeleton.nodes[idx]
+        node = Subspace.from_rows(field, bundle5.skeleton.bases[idx])
         if c in set(block_a.members):
             hit = intersection(w_a, node)
         elif c in set(block_b.members):
@@ -257,7 +261,7 @@ def test_build_forced_columns_present(bundle5):
         assert hit.dim == 1
         point = tuple(int(x) for x in canonical_point(field,
                                                       hit.basis.array[0]))
-        assert point in bundle5.realization.column_sets[idx]
+        assert point in map(tuple, bundle5.realization.points[idx].tolist())
 
 
 def _greedy_spanning_points(field, node, gens, forced):
@@ -298,13 +302,19 @@ def _spanning_cases(tower, r):
             yield field, node, np.vstack([scaled, gens[1:]]), forced
 
 
+def _spanning_points(field, node, gens, forced):
+    """The forced point, then curve rows greedily, from a stack of one."""
+    cands = gens if forced is None else np.vstack([forced, gens])
+    return list(nrc._spanning_fill(field, cands[None], node.dim)[0])
+
+
 @pytest.mark.parametrize("p,m,ell,r", [(3, 1, 2, 2), (5, 1, 2, 3),
                                        (3, 2, 2, 3)],
                          ids=["q3", "q5", "q9"])
 def test_spanning_points_match_greedy_route(p, m, ell, r):
     cases = 0
     for field, node, gens, forced in _spanning_cases(build_tower(p, m, ell), r):
-        got = nrc._spanning_points(field, node, gens, forced)
+        got = _spanning_points(field, node, gens, forced)
         want = _greedy_spanning_points(field, node, gens, forced)
         assert len(got) == len(want) == node.dim
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -316,7 +326,7 @@ def test_spanning_points_refuse_a_short_fill(tower3):
     field = tower3.base
     gens = nrc._curve_rows(tower3, 2, 1)
     node = nrc_subspace(tower3, 2, 1)
-    for fill in (nrc._spanning_points, _greedy_spanning_points):
+    for fill in (_spanning_points, _greedy_spanning_points):
         with pytest.raises(InternalInconsistency):
             fill(field, node, np.vstack([gens[:1], gens[:1]]), None)
 
@@ -326,7 +336,7 @@ def test_spanning_points_eliminate_once(tower5, watch_calls):
     node = nrc_subspace(tower5, 3, 7)
     forced = canonical_point(tower5.base, gens[1])
     calls = watch_calls(linalg, "_elimination_ranks")
-    nrc._spanning_points(tower5.base, node, gens, forced)
+    _spanning_points(tower5.base, node, gens, forced)
     assert len(calls) == 1
 
 
@@ -450,6 +460,24 @@ def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls,
     # the only batches of one are the two repair kernels [M^T | I]
     assert [c for c in elims if c[0] == 1] == [(1, 4, 6)] * 2
     assert bundle.metrics.equality
+
+
+def test_load_and_build_make_no_per_node_subspaces(bundle5, monkeypatch):
+    # node bases, kernels and column points stay arrays; the only Subspace
+    # objects are the two repair kernels of repair_subspace
+    obj = realization_to_json(bundle5.realization, bundle5.labels)
+    made = []
+    real = Subspace.__init__
+
+    def counted(self, field, ambient, basis, pivots):
+        made.append((ambient, basis.rows))
+        real(self, field, ambient, basis, pivots)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    realization_from_json(obj)
+    assert made == []
+    build(bundle5.params)
+    assert made == [(6, 4), (6, 4)]
 
 
 def test_verify_bundle_reads_the_scheme_pass(bundle5):

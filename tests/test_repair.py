@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bruteforce_oracle import bruteforce_oracle
-from mdsrepair.codes import realize, skeleton_new
+from mdsrepair.codes import CodeSkeleton, realize, skeleton_new
 from mdsrepair.errors import (
     BadRank,
     BadShape,
@@ -26,7 +26,6 @@ from mdsrepair.linalg import (
     gaussian_binomial,
     intersect_dim,
     kernel,
-    matmul,
     projective_point_count,
 )
 from mdsrepair.nrc import build, validate_params
@@ -77,7 +76,7 @@ def test_not_a_repair_matrix(bundle3):
     re = bundle3.realization
     # a matrix whose kernel contains the first node subspace cannot repair it
     m_bad = kernel(Matrix(re.skeleton.tower.base,
-                          re.skeleton.nodes[0].basis.array)).basis
+                          re.skeleton.bases[0])).basis
     with pytest.raises(NotARepairMatrix):
         bandwidth(Matrix(re.skeleton.tower.base, m_bad.array[:2]), re, 0)
     with pytest.raises(NotARepairMatrix):
@@ -86,7 +85,7 @@ def test_not_a_repair_matrix(bundle3):
 
 def _random_feasible_matrix(field, s, i, rng):
     ell, d = s.ell, s.ambient
-    cols_i = s.basis_stack()[i].T
+    cols_i = s.bases[i].T
     while True:
         m = np.array([[rng.randrange(field.order) for _ in range(d)]
                       for _ in range(ell)], dtype=np.int64)
@@ -216,7 +215,8 @@ def test_bruteforce_overlap_attaining_code(bundle3):
         # witness really is feasible and achieves the value
         pr = incidence_profile(witness, s, i)
         assert pr.sum_dims == 4
-        assert intersect_dim(kernel(witness), s.nodes[i]) == 0
+        node = Subspace.from_rows(s.tower.base, s.bases[i])
+        assert intersect_dim(kernel(witness), node) == 0
 
 
 def test_bruteforce_column_hits_attaining_code(bundle3):
@@ -245,11 +245,12 @@ def test_bruteforce_column_hits_against_naive_scan(bundle3):
     best = -1
     best_m = None
     for m in enumerate_rref(field, 2, 4):
-        if batched_rank(field, matmul(m, re.blocks[0]).array[None])[0] != 2:
+        block = field.matmul(m.array, re.points[0].T)
+        if batched_rank(field, block[None])[0] != 2:
             continue
         captured = 0
         for j in range(1, s.n):
-            prod = field.matmul(m.array, re.blocks[j].array)
+            prod = field.matmul(m.array, re.points[j].T)
             captured += int((~(prod != 0).any(axis=0)).sum())
         if captured > best:
             best = captured
@@ -262,12 +263,12 @@ def test_bruteforce_witness_is_first_maximizer(bundle3):
     s = bundle3.skeleton
     field = s.tower.base
     value, witness = bruteforce_overlap(s, 0)
+    nodes = [Subspace.from_rows(field, b) for b in s.bases]
     for m in enumerate_rref(field, 2, 4):
-        prod = field.matmul(m.array, s.basis_stack()[0].T)
+        prod = field.matmul(m.array, s.bases[0].T)
         if batched_rank(field, prod[None])[0] != 2:
             continue
-        total = sum(intersect_dim(kernel(m), s.nodes[j])
-                    for j in range(s.n) if j != 0)
+        total = sum(intersect_dim(kernel(m), node) for node in nodes[1:])
         if total == value:
             assert m == witness
             break
@@ -543,7 +544,7 @@ def test_scheme_pass_is_the_same_in_any_chunks(bundle5, monkeypatch, cells):
 
 def _basis_realization(sk):
     """Realize a skeleton with its nodes' RREF basis rows as column points."""
-    return realize(sk, [list(b) for b in sk.basis_stack()])
+    return realize(sk, [list(b) for b in sk.bases])
 
 
 def _random_scheme(sk, rng):
@@ -568,9 +569,7 @@ def test_scheme_pass_matches_per_node_on_random_schemes(p, m, ell, r, n):
 def _non_mds_bundle(bundle3):
     """bundle3's skeleton with its last node replaced by its fourth-last."""
     sk = bundle3.skeleton
-    nodes = list(sk.nodes)
-    nodes[-1] = nodes[-4]
-    bad = skeleton_new(sk.tower, sk.r, nodes)
+    bad = CodeSkeleton(sk.tower, sk.r, sk.bases[[*range(sk.n - 1), -4]])
     assert not bad.is_mds
     return bad
 

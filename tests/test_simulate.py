@@ -214,7 +214,7 @@ def bundle9():
 
 
 def _compressed(re, m, j):
-    return re.skeleton.tower.base.matmul(m.array, re.blocks[j].array)
+    return re.skeleton.tower.base.matmul(m.array, re.points[j].T)
 
 
 def _oracle_report(re, sch, trials, seed, nodes, first_trial=0):
