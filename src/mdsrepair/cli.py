@@ -241,8 +241,19 @@ def _bf_scan(re, node0, objective, budget, start, stop):
     return value, None if witness is None else witness.to_json_dict()
 
 
-def _bf_worker(code_obj, node0, objective, budget, start, stop):
+def _worker_code(code_obj, verdict):
+    """The code of ``code_obj`` holding the MDS verdict the parent asked.
+
+    ``verdict`` is the parent's :meth:`CodeSkeleton.mds_witness` of the
+    same file, so a worker scans no subsets again.
+    """
     re, _, _ = realization_from_json(code_obj)
+    re.skeleton._mds = verdict
+    return re
+
+
+def _bf_worker(code_obj, verdict, node0, objective, budget, start, stop):
+    re = _worker_code(code_obj, verdict)
     return _bf_scan(re, node0, objective, budget, start, stop)
 
 
@@ -276,8 +287,9 @@ def cmd_bruteforce(args) -> int:
     start, stop = rng if rng is not None else (0, total)
 
     if jobs > 1 and stop - start > 1:
-        parts = _fan_out(_bf_worker, start, stop, jobs, code_obj, node0,
-                         args.objective, args.budget)
+        verdict = s.mds_witness(args.budget)  # once, for every worker
+        parts = _fan_out(_bf_worker, start, stop, jobs, code_obj, verdict,
+                         node0, args.objective, args.budget)
     else:
         parts = [_bf_scan(re, node0, args.objective, args.budget, start,
                           stop)]
@@ -299,9 +311,9 @@ def cmd_bruteforce(args) -> int:
 # simulate
 
 
-def _sim_worker(code_obj, scheme_obj, seed, nodes, budget, first_trial,
-                stop):
-    re, _, _ = realization_from_json(code_obj)
+def _sim_worker(code_obj, verdict, scheme_obj, seed, nodes, budget,
+                first_trial, stop):
+    re = _worker_code(code_obj, verdict)
     sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
     return campaign(re, sch, trials=stop - first_trial, seed=seed, nodes=nodes,
                     first_trial=first_trial, budget=budget)
@@ -332,9 +344,9 @@ def cmd_simulate(args) -> int:
 
     if jobs > 1 and args.trials > 1:
         RepairSession(re, sch)  # the scheme-length check of campaign
-        s.mds_witness(args.budget)  # then its verdict, before any worker
+        verdict = s.mds_witness(args.budget)  # then its verdict, once
         parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
-                         scheme_obj, args.seed, nodes, args.budget)
+                         verdict, scheme_obj, args.seed, nodes, args.budget)
         if len({(p.downloaded, p.accessed) for p in parts}) != 1:
             raise InternalInconsistency("workers disagree on transcript counts")
         rep = dataclasses.replace(parts[0], trials=args.trials)

@@ -9,6 +9,16 @@ without string matching.
 class RepairToolError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):  # so a worker process hands it over intact
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    """The error ``cls(...)`` made, whatever arguments its __init__ takes."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
 
 class InternalInconsistency(RepairToolError):
     """A property that is mathematically guaranteed failed to verify.
@@ -121,9 +131,6 @@ class BudgetExceeded(RepairToolError):
         self.count, self.what, self.remedy = count, what, remedy
         super().__init__(f"enumeration of {count} {what} exceeds the budget; "
                          f"{remedy}")
-
-    def __reduce__(self):  # so a worker process hands it over intact
-        return type(self), (self.count, self.what, self.remedy)
 
 
 # ---------------------------------------------------------------------------

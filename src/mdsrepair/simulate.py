@@ -12,13 +12,16 @@ wrong.
 A session factors all helper blocks of the nodes it is asked for in one
 batched elimination of their transposes (H^T): the pivot columns of H^T
 pick the rows B, and its nonzero reduced rows are the columns of A, as in
-:func:`row_factor`, the one-matrix form kept as the reference.  A node's
-pipeline is then three matrices, so a campaign replays a chunk of T
-codewords at a node with three (., T) products.  Each chunk samples its
-words from their own per-trial seeds, checks all their syndromes in one
-product and compares every reconstructed block exactly.  A chunk holds
-at most ``_TRIAL_CHUNK`` trials.  Field products accumulate over their
-inner axis, so no array of a chunk is larger than n*l by T.
+:func:`row_factor`, the one-matrix form kept as the reference.  Helpers
+send from their own reads: a sent symbol is a combination of at most l
+symbols that its helper read, so a campaign forms every sent symbol of a
+node for a chunk of T codewords in at most l table steps over (., T)
+arrays, one per coordinate of a helper block.  Recombining them with the
+A factors and applying -(M H_i)^(-1) are then two (., T) products.  Each
+chunk samples its words from their own per-trial seeds, checks all their
+syndromes in one product and compares every reconstructed block exactly.
+A chunk holds at most ``_TRIAL_CHUNK`` trials.  Field products accumulate
+over their inner axis, so no array of a chunk is larger than n*l by T.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from .repair import (
     evaluate_scheme,
 )
 
-# Trials replayed together.
+# Trials replayed together: each step of a node's replay is one pass over
+# (rows, T) arrays of at most n*l rows.
 _TRIAL_CHUNK = 128
 
 
@@ -86,14 +90,40 @@ class RepairTranscript:
 class _NodeState:
     """The repair pipeline of node ``failed``.
 
-    ``gather`` indexes the symbols the helpers read in a flattened word,
-    ``b_compact`` (block diagonal, one B per helper) turns them into the
-    symbols sent, ``a_all`` recombines those, and ``neg_inv`` is
-    -(M H_i)^(-1).
+    ``gather`` indexes the symbols the helpers read in a flattened word.
+    Sent symbol r is the sum over slots c of ``send_coef[r, c]`` times
+    read ``send_idx[r, c]``: slot c is coordinate c of its helper's block,
+    so every index points at a read of its own helper, and a coordinate
+    the helper does not read has coefficient 0 and points at the helper's
+    first read.  ``a_all`` recombines the sent symbols and ``neg_inv`` is
+    -(M H_i)^(-1).  ``helpers``, ``counts`` (symbols sent) and ``read``
+    (coordinates read) are what :meth:`records` turns into a transcript.
     """
 
-    __slots__ = ("failed", "records", "neg_inv", "a_all", "b_compact",
-                 "gather", "downloaded", "accessed")
+    __slots__ = ("failed", "helpers", "counts", "read", "neg_inv", "a_all",
+                 "send_idx", "send_coef", "gather", "downloaded", "accessed")
+
+    def records(self) -> tuple[HelperRecord, ...]:
+        """One transcript entry per helper, made when a transcript asks."""
+        return tuple(
+            HelperRecord(helper=int(j), sent=int(c),
+                         accessed=tuple(np.flatnonzero(r).tolist()))
+            for j, c, r in zip(self.helpers, self.counts, self.read))
+
+
+def _send(field, st: _NodeState, read: np.ndarray) -> np.ndarray:
+    """The symbols the helpers of ``st`` send, from their (accessed, T) reads.
+
+    One product-table and one sum-table step per slot, over (sent, T)
+    arrays; the codes come back in the tables' dtype.
+    """
+    q, tabs = np.int64(field.order), field._tabs()
+    coef = st.send_coef * q
+    sent = tabs.mul[coef[:, :1] + read[st.send_idx[:, 0]]]
+    for c in range(1, coef.shape[1]):
+        sent = tabs.add[sent * q + tabs.mul[coef[:, c:c + 1]
+                                            + read[st.send_idx[:, c]]]]
+    return sent
 
 
 class RepairSession:
@@ -147,37 +177,47 @@ class RepairSession:
         # of B
         a_rows = np.arange(ell) < ranks[..., None]
         reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
+        cols = np.arange(ell)
         for a, i in enumerate(nodes):
-            helpers = np.array([j for j in range(n) if j != i], dtype=np.int64)
-            sent = ranks[a, helpers]
+            helpers = np.delete(np.arange(n), i)
             read = reads[a, helpers]
-            b_rows = blocks[a, helpers][is_piv[a, helpers]]
-            col_helper, col = np.nonzero(read)
-            row_helper = np.repeat(np.arange(len(helpers)), sent)
+            in_b = is_piv[a, helpers]  # the rows of each M H_j kept as B
+            # position of every read among the gathered ones; an unread
+            # coordinate takes its helper's first read
+            seen = np.cumsum(read).reshape(read.shape)
+            first = seen[:, -1] - read.sum(axis=1)
             st = _NodeState()
             st.failed = i
-            st.records = tuple(
-                HelperRecord(helper=int(j), sent=int(c),
-                             accessed=tuple(np.flatnonzero(r).tolist()))
-                for j, c, r in zip(helpers, sent, read))
+            st.helpers = helpers
+            st.counts = ranks[a, helpers]
+            st.read = read
             st.neg_inv = neg_inv[a]
             st.a_all = reduced[a, helpers][a_rows[a, helpers]].T
-            st.b_compact = np.where(row_helper[:, None] == col_helper,
-                                    b_rows[:, col], 0)
-            st.gather = helpers[col_helper] * ell + col
-            st.downloaded = int(sent.sum())
-            st.accessed = len(col)
+            st.send_coef = blocks[a, helpers][in_b]
+            st.send_idx = np.where(read, seen - 1,
+                                   first[:, None])[np.nonzero(in_b)[0]]
+            st.gather = (helpers[:, None] * ell + cols)[read]
+            st.downloaded = len(st.send_coef)
+            st.accessed = len(st.gather)
             self._states[i] = st
 
-    def _replay(self, st: _NodeState, words: np.ndarray) -> np.ndarray:
-        """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T)."""
+    def _replay(self, st: _NodeState, words: np.ndarray,
+                first_trial: int = 0) -> np.ndarray:
+        """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T).
+
+        Word t of the stack is trial ``first_trial + t``, which an
+        inconsistency names.
+        """
         field = self.realization.skeleton.tower.base
-        read = words.reshape(len(words), -1)[:, st.gather].T
-        sent = field.matmul(st.b_compact, read)
+        read = words.reshape(len(words), -1).T[st.gather]
+        sent = _send(field, st, read)
         block = field.matmul(st.neg_inv, field.matmul(st.a_all, sent))
-        if not np.array_equal(block, words[:, st.failed].T):
-            raise InternalInconsistency("reconstructed block differs from the "
-                                        "erased block")
+        erased = words[:, st.failed].T
+        if not np.array_equal(block, erased):
+            t = first_trial + int(np.flatnonzero((block != erased).any(0))[0])
+            raise InternalInconsistency(
+                f"reconstructed block of node {st.failed} differs from the "
+                f"erased block in trial {t}")
         return block
 
     def repair(self, cw: np.ndarray, i: int) -> RepairTranscript:
@@ -187,7 +227,7 @@ class RepairSession:
         st = self._node_states((i,))[0]
         block = self._replay(st, cw[None])[:, 0].copy()
         block.setflags(write=False)
-        return RepairTranscript(failed=i, helpers=st.records,
+        return RepairTranscript(failed=i, helpers=st.records(),
                                 reconstructed=block,
                                 downloaded=st.downloaded,
                                 accessed=st.accessed)
@@ -272,7 +312,7 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
         for i, st in zip(node_list, states):
-            session._replay(st, words)
+            session._replay(st, words, t0)
             if st.downloaded != metrics.bandwidth[i] or \
                     st.accessed != metrics.io[i]:
                 raise InternalInconsistency(

@@ -21,7 +21,7 @@ import pytest
 from mdsrepair import cli, codes, nrc, repair, simulate
 from mdsrepair.cli import main
 from mdsrepair.codes import check_mds, realization_from_json
-from mdsrepair.errors import InternalInconsistency
+from mdsrepair.errors import InternalInconsistency, NotMds
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import Matrix
 from mdsrepair.nrc import INF, build, curve_certificate, validate_params
@@ -368,6 +368,89 @@ def test_bruteforce_budget_admits_a_long_free_labelled_code(tmp_path,
     assert calls == []
     assert main(argv + ["--budget", str(subsets)]) == 0
     assert calls == [170]
+
+
+# -- --jobs workers take the parent's verdict ---------------------------------------
+
+
+@pytest.fixture
+def free_q5(tmp_path):
+    curve = tmp_path / "curve"
+    assert main(["construct", "--p", "5", "--ell", "2", "--r", "3",
+                 "--n", "24", "--out", str(curve)]) == 0
+    return _free_labelled(curve, tmp_path / "free")
+
+
+def _counted_scans(monkeypatch):
+    calls = []
+    real = codes.check_mds
+    monkeypatch.setattr(codes, "check_mds",
+                        lambda s: calls.append(s.n) or real(s))
+    return calls
+
+
+def test_workers_reuse_the_parent_verdict(free_q5, monkeypatch):
+    code_obj = json.loads((free_q5 / "code.json").read_text())
+    scheme_obj = json.loads((free_q5 / "scheme.json").read_text())
+    re, _, _ = realization_from_json(code_obj)
+    sch, _ = repair.scheme_from_json(scheme_obj, re.skeleton.tower.base)
+    want_sim = simulate.campaign(re, sch, trials=3, seed=5, first_trial=1)
+    want_bf = cli._bf_scan(re, 0, "io", 2024, 0, 50)
+    calls = _counted_scans(monkeypatch)
+    got = cli._sim_worker(code_obj, None, scheme_obj, 5, None, 2024, 1, 4)
+    assert got == want_sim
+    assert cli._bf_worker(code_obj, None, 0, "io", 2024, 0, 50) == want_bf
+    assert calls == []
+    # a witness the parent found stops the worker with the parent's error
+    for run in (lambda: cli._bf_worker(code_obj, (0, 2, 5), 0, "io",
+                                       2024, 0, 50),
+                lambda: cli._sim_worker(code_obj, (0, 2, 5), scheme_obj, 5,
+                                        None, 2024, 0, 3)):
+        with pytest.raises(NotMds, match=r"nodes \[0, 2, 5\] do not span"):
+            run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "1", "--range", "0:50"],
+    ["simulate", "code.json", "scheme.json", "--trials", "5"],
+], ids=["bruteforce", "simulate"])
+def test_jobs_scan_the_subsets_once(free_q5, monkeypatch, capsys, command):
+    def in_process(worker, start, stop, jobs, *args):
+        cuts = [start + (stop - start) * k // jobs for k in range(jobs + 1)]
+        return [worker(*args, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    monkeypatch.setattr(cli, "_fan_out", in_process)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = [str(free_q5 / a) if a.endswith(".json") else a for a in command]
+    calls = _counted_scans(monkeypatch)
+    capsys.readouterr()
+    assert main(argv + ["--jobs", "1", "--format", "json"]) == 0
+    solo = capsys.readouterr().out
+    assert calls == [24]
+    calls.clear()
+    assert main(argv + ["--jobs", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == solo
+    assert calls == [24]  # in the parent only
+
+
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "1", "--range", "0:50"],
+    ["simulate", "code.json", "scheme.json", "--trials", "4"],
+], ids=["bruteforce", "simulate"])
+def test_a_worker_error_keeps_its_message(free_q5, monkeypatch, capsys,
+                                          command):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    obj = json.loads((free_q5 / "code.json").read_text())
+    obj["nodes"][5] = obj["nodes"][2]  # nodes 0, 2 and 5 no longer span
+    (free_q5 / "code.json").write_text(json.dumps(obj))
+    argv = [str(free_q5 / a) if a.endswith(".json") else a for a in command]
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == ("NotMds: code skeleton is not MDS "
+                                  "(nodes [0, 2, 5] do not span)\n")
 
 
 # -- input files that ask for too much work -----------------------------------------

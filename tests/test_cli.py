@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import pickle
 import time
 
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mdsrepair import cli
 from mdsrepair.cli import main
 from mdsrepair.codes import CodeSkeleton, realization_from_json
-from mdsrepair.errors import RepairToolError
+from mdsrepair.errors import (
+    BudgetExceeded,
+    LengthOutOfRange,
+    MalformedInput,
+    NonPrime,
+    NotARepairMatrix,
+    NotMds,
+    ReduciblePolynomial,
+    RepairToolError,
+)
 from mdsrepair.repair import scheme_from_json
 
 
@@ -481,6 +491,17 @@ def test_sweep_rejects_an_empty_length_range(monkeypatch, capsys):
     assert captured.out == ""
     assert "BadParameters: --n-min 10 is greater than --n-max 8" \
         in captured.err
+
+
+def test_package_errors_survive_pickling():
+    # a --jobs worker hands its error to the parent through pickle
+    for exc in (NotMds((0, 2, 5)), NotARepairMatrix(3),
+                BudgetExceeded(7, "x", "y"), LengthOutOfRange(9, 4, 8),
+                NonPrime(4), ReduciblePolynomial("poly", (1, 0, 1)),
+                MalformedInput("bad input")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc) and vars(back) == vars(exc)
 
 
 def test_simulate_jobs_fan_out_writes_identical_bytes(workspace, tmp_path):

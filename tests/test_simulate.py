@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +214,12 @@ def bundle9():
     return build(validate_params(build_tower(3, 2, 2), 2, 20))
 
 
+@pytest.fixture(scope="module")
+def bundle27():
+    # l = 3 over F_3: most sent rows read fewer than l symbols
+    return build(validate_params(build_tower(3, 1, 3), 2, 26))
+
+
 def _compressed(re, m, j):
     return re.skeleton.tower.base.matmul(m.array, re.points[j].T)
 
@@ -256,7 +263,8 @@ def _oracle_report(re, sch, trials, seed, nodes, first_trial=0):
             "bounds": m.bounds.to_json_dict(), "equality": m.equality}
 
 
-@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9"])
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_campaign_matches_per_repair_oracle(request, monkeypatch, name, chunk):
     bundle = request.getfixturevalue(name)
@@ -292,7 +300,15 @@ def test_campaign_chunking_keeps_report(bundle3, monkeypatch):
         assert [len(c) for c in calls[:-1]] == [chunk] * (len(calls) - 1)
 
 
-@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9"])
+def _helper_factors(re, sch, st):
+    """row_factor of every helper block of node ``st.failed``, in order."""
+    field = re.skeleton.tower.base
+    return [row_factor(Matrix(field, _compressed(re, sch[st.failed], j)))
+            for j in range(re.n) if j != st.failed]
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
 def test_session_factors_match_row_factor(request, name):
     bundle = request.getfixturevalue(name)
     re, sch = bundle.realization, bundle.scheme
@@ -306,26 +322,83 @@ def test_session_factors_match_row_factor(request, name):
                               field.arr_neg(inverse(mh_i).array))
         row = col = 0
         gather = []
-        for rec in st.records:
-            a, b = row_factor(Matrix(field, _compressed(re, sch[i],
-                                                        rec.helper)))
+        records = st.records()
+        for rec, (a, b) in zip(records, _helper_factors(re, sch, st)):
             acc = list(rec.accessed)
             assert rec.sent == b.rows
             assert acc == np.flatnonzero(b.array.any(axis=0)).tolist()
             assert np.array_equal(st.a_all[:, row:row + b.rows], a.array)
-            blk = st.b_compact[row:row + b.rows]
-            assert np.array_equal(blk[:, col:col + len(acc)],
-                                  b.array[:, acc])
-            assert not blk[:, :col].any() and \
-                not blk[:, col + len(acc):].any()
+            # every slot of a sent row is coordinate c of its own helper:
+            # a read one among the helper's gathered reads, an unread one
+            # with coefficient 0 at the helper's first read
+            assert np.array_equal(st.send_coef[row:row + b.rows], b.array)
+            want = [col + acc.index(c) if c in acc else col
+                    for c in range(ell)]
+            assert (st.send_idx[row:row + b.rows] == want).all()
             gather += [rec.helper * ell + c for c in acc]
             row += b.rows
             col += len(acc)
-        assert [r.helper for r in st.records] == \
+        assert [r.helper for r in records] == \
             [j for j in range(re.n) if j != i]
-        assert st.b_compact.shape == (row, col) == \
-            (st.downloaded, st.accessed)
+        assert st.send_coef.shape == st.send_idx.shape == (row, ell)
+        assert st.a_all.shape == (ell, row)
+        assert (row, col) == (st.downloaded, st.accessed)
         assert st.gather.tolist() == gather
+
+
+def _dense_send(re, sch, st):
+    """The block-diagonal (sent, accessed) matrix of every helper's B."""
+    dense = np.zeros((st.downloaded, st.accessed), dtype=np.int64)
+    row = col = 0
+    for _, b in _helper_factors(re, sch, st):
+        acc = np.flatnonzero(b.array.any(axis=0))
+        dense[row:row + b.rows, col:col + len(acc)] = b.array[:, acc]
+        row += b.rows
+        col += len(acc)
+    return dense
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
+def test_sent_symbols_match_the_dense_product(request, name):
+    bundle = request.getfixturevalue(name)
+    re, sch = bundle.realization, bundle.scheme
+    field = re.skeleton.tower.base
+    ell = re.skeleton.ell
+    words = simulate.sample_codewords(re, [(6, t) for t in range(5)])
+    flat = words.reshape(len(words), -1)
+    short = 0
+    for st in RepairSession(re, sch)._node_states(range(re.n)):
+        read = flat[:, st.gather].T
+        want = field.matmul(_dense_send(re, sch, st), read)
+        assert np.array_equal(simulate._send(field, st, read), want)
+        short += int(((st.send_coef != 0).sum(axis=1) < ell).sum())
+    if name == "bundle27":
+        assert short == 1324  # sent rows that read fewer than l symbols
+
+
+def test_replay_makes_no_send_product(bundle9, monkeypatch):
+    re, sch = bundle9.realization, bundle9.scheme
+    states = RepairSession(re, sch)._node_states(range(re.n))
+    real = type(re.skeleton.tower.base).matmul
+    calls = []
+
+    def recording(field, a, b):
+        calls.append((sys._getframe(1).f_code.co_name, a))
+        return real(field, a, b)
+
+    monkeypatch.setattr(type(re.skeleton.tower.base), "matmul", recording)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 4)
+    campaign(re, sch, trials=10, seed=2)  # three chunks
+    replay = [a for caller, a in calls if caller == "_replay"]
+    # a_all, then neg_inv, at every node of every chunk; no product has
+    # the (sent, accessed) shape of a send matrix
+    assert len(replay) == 2 * re.n * 3
+    for k, a in enumerate(replay):
+        st = states[k // 2 % re.n]
+        assert np.array_equal(a, st.neg_inv if k % 2 else st.a_all)
+    shapes = {(st.downloaded, st.accessed) for st in states}
+    assert not any(np.shape(a) in shapes for _, a in calls)
 
 
 def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch,
@@ -340,7 +413,8 @@ def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch,
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("fault", ["neg_inv", "downloaded", "accessed"])
+@pytest.mark.parametrize("fault", ["neg_inv", "send_coef", "downloaded",
+                                   "accessed"])
 def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
     real = RepairSession._build
 
@@ -349,16 +423,46 @@ def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
         st = self._states.get(3)
         if st is None:
             return
-        if fault == "neg_inv":
-            st.neg_inv = np.zeros_like(st.neg_inv)
+        if fault in ("neg_inv", "send_coef"):
+            setattr(st, fault, np.zeros_like(getattr(st, fault)))
         else:
             setattr(st, fault, getattr(st, fault) + 1)
 
     monkeypatch.setattr(RepairSession, "_build", corrupt)
     re, sch = bundle3.realization, bundle3.scheme
-    with pytest.raises(InternalInconsistency):
+    if fault in ("neg_inv", "send_coef"):
+        # both rebuild a zero block: the first trial whose block 3 is not
+        # zero is named
+        first = next(t for t in range(5)
+                     if sample_codeword(re, (3, t))[3].any())
+        match = f"node 3 differs from the erased block in trial {first}$"
+    else:
+        match = "at node 3$"
+    with pytest.raises(InternalInconsistency, match=match):
         campaign(re, sch, trials=5, seed=3)
     campaign(re, sch, trials=5, seed=3, nodes=(2, 4))
+
+
+def test_replay_names_a_later_trial(bundle3, monkeypatch):
+    re, sch = bundle3.realization, bundle3.scheme
+    real = simulate.sample_codewords
+
+    def flip(re, seeds):
+        words = real(re, seeds)
+        if (7, 6) in seeds:  # erased block 3 of trial 6 no longer matches
+            k = seeds.index((7, 6))
+            words = words.copy()
+            words[k, 3, 0] = (words[k, 3, 0] + 1) % 3
+        return words
+
+    monkeypatch.setattr(simulate, "sample_codewords", flip)
+    monkeypatch.setattr(simulate, "syndromes",
+                        lambda re, words: np.zeros((1, len(words)), int))
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 4)
+    with pytest.raises(InternalInconsistency,
+                       match="node 3 differs from the erased block in "
+                             "trial 6$"):
+        campaign(re, sch, trials=8, seed=7, nodes=(3,))
 
 
 def test_campaign_checks_every_sampled_syndrome(bundle3, monkeypatch):
