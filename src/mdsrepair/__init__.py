@@ -15,11 +15,9 @@ from .codes import (
     Realization,
     bounds_report,
     check_mds,
-    is_codeword,
     realization_from_json,
     realization_to_json,
     realize,
-    sample_codeword,
     skeleton_new,
 )
 from .errors import RepairToolError
@@ -65,20 +63,13 @@ from .repair import (
     scheme_from_json,
     scheme_to_json,
 )
-from .simulate import (
-    CampaignReport,
-    RepairSession,
-    RepairTranscript,
-    campaign,
-    row_factor,
-    run_repair,
-)
+from .simulate import CampaignReport, campaign
 
 __all__ = [
     "__version__",
     "BoundsReport", "CodeSkeleton", "Realization", "bounds_report",
-    "check_mds", "is_codeword", "realization_from_json",
-    "realization_to_json", "realize", "sample_codeword", "skeleton_new",
+    "check_mds", "realization_from_json", "realization_to_json", "realize",
+    "skeleton_new",
     "RepairToolError",
     "Field", "FieldTower", "build_tower",
     "Matrix", "Subspace", "contains", "enumerate_rref", "gaussian_binomial",
@@ -91,6 +82,5 @@ __all__ = [
     "bandwidth", "bruteforce_column_hits", "bruteforce_overlap",
     "dual_cover", "evaluate_scheme", "hierarchy_check", "incidence_profile",
     "io_count", "scheme_from_json", "scheme_to_json",
-    "CampaignReport", "RepairSession", "RepairTranscript", "campaign",
-    "row_factor", "run_repair",
+    "CampaignReport", "campaign",
 ]

@@ -46,13 +46,14 @@ from .gf import build_tower
 from .linalg import gaussian_binomial
 from .nrc import build, bundle_provenance, validate_params
 from .repair import (
+    _check_scheme_length,
     bruteforce_column_hits,
     bruteforce_overlap,
     evaluate_scheme,
     scheme_from_json,
     scheme_to_json,
 )
-from .simulate import RepairSession, campaign
+from .simulate import campaign
 
 _PARAM_ERRORS = (NonPrime, DegreeMismatch, ReduciblePolynomial, EllTooSmall,
                  Nondivisible, QuotientTooSmall, LengthOutOfRange, RExceedsQ,
@@ -343,7 +344,7 @@ def cmd_simulate(args) -> int:
         nodes = (node0,)
 
     if jobs > 1 and args.trials > 1:
-        RepairSession(re, sch)  # the scheme-length check of campaign
+        _check_scheme_length(re, sch)  # as campaign does, before the pool
         verdict = s.mds_witness(args.budget)  # then its verdict, once
         parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
                          verdict, scheme_obj, args.seed, nodes, args.budget)

@@ -60,7 +60,6 @@ from .linalg import (
     batched_rank,
     canonical_points,
     gaussian_binomial,
-    kernel,
     null_columns,
     projective_point_count,
 )
@@ -262,8 +261,20 @@ class Realization:
         return self._parity
 
     def kernel_basis(self) -> Matrix:
+        """The canonical RREF basis of the code {c : H c = 0}.
+
+        One elimination of H with its columns reversed: each kernel vector
+        of :func:`linalg.null_columns` is 1 on one free column, 0 on the
+        others and nonzero elsewhere only on pivot columns left of it.
+        Read in the original order, it leads with that 1, so the vectors
+        in reverse are the RREF basis.
+        """
         if self._kernel is None:
-            self._kernel = kernel(self.parity_matrix()).basis
+            field = self.skeleton.tower.base
+            reduced, ranks, is_piv = linalg._elimination_ranks(
+                field, self.column_stack()[None, :, ::-1].copy())
+            k = null_columns(field, reduced[:, :ranks[0]], is_piv)[0]
+            self._kernel = Matrix(field, k.T[::-1, ::-1])
         return self._kernel
 
     def column_stack(self) -> np.ndarray:
@@ -354,24 +365,11 @@ def sample_codewords(re: Realization, seeds) -> np.ndarray:
     return words
 
 
-def sample_codeword(re: Realization, seed) -> np.ndarray:
-    """The codeword of :func:`sample_codewords` for one seed, shaped (n, l)."""
-    return sample_codewords(re, [seed])[0]
-
-
 def syndromes(re: Realization, words: np.ndarray) -> np.ndarray:
     """Parity checks of a (T, n, l) stack of words: column t is H c_t."""
     words = np.asarray(words, dtype=np.int64)
     return re.skeleton.tower.base.matmul(
         re.column_stack(), words.reshape(len(words), -1).T)
-
-
-def is_codeword(re: Realization, cw: np.ndarray) -> bool:
-    s = re.skeleton
-    cw = np.asarray(cw, dtype=np.int64)
-    if cw.shape != (s.n, s.ell):
-        return False
-    return not syndromes(re, cw[None]).any()
 
 
 # ---------------------------------------------------------------------------

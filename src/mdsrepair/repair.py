@@ -145,6 +145,11 @@ def _check_repair_inputs(s: CodeSkeleton, m: Matrix, i: int) -> None:
                        f"got {m.rows} x {m.cols}")
 
 
+def _check_scheme_length(re: Realization, sch: RepairScheme) -> None:
+    if len(sch) != re.n:
+        raise BadShape(f"scheme has {len(sch)} matrices for {re.n} nodes")
+
+
 def _require_full_row_rank(field: Field, m: Matrix, ell: int) -> None:
     if m.rows != ell:
         raise BadRank(f"expected {ell} rows, got {m.rows}")
@@ -506,21 +511,35 @@ def _window_count(q: int, row, a: int, b: int) -> int:
     return min((b - 1) // q ** o - a // q ** o + 1, q ** f)
 
 
-def _require_mds(s: CodeSkeleton, budget: int) -> None:
+def _scan_node(s: CodeSkeleton, stack: np.ndarray, i: int, objective: str,
+               index_range, budget: int):
+    """Scan node i with ``objective`` over the (n, l, d) ``stack`` it reads.
+
+    Checks the node index, the MDS verdict (within ``budget``) and the
+    range, which without ``index_range`` is every candidate and must fit
+    in ``budget``.  Returns (value, witness Matrix or None).
+    """
+    if not 0 <= int(i) < s.n:
+        raise BadShape(f"node index {i} out of range for n={s.n}")
     witness = s.mds_witness(budget)
     if witness is not None:
         raise NotMds(witness)
-
-
-def _resolve_range(total: int, index_range, budget: int):
+    field = s.tower.base
+    total = gaussian_binomial(s.ambient, s.ell, field.order)
     if index_range is None:
         if total > budget:
             raise BudgetExceeded(total)
-        return 0, total
-    start, stop = int(index_range[0]), int(index_range[1])
-    if not 0 <= start <= stop <= total:
-        raise BadShape(f"index range [{start}, {stop}) outside [0, {total})")
-    return start, stop
+        start, stop = 0, total
+    else:
+        start, stop = int(index_range[0]), int(index_range[1])
+        if not 0 <= start <= stop <= total:
+            raise BadShape(
+                f"index range [{start}, {stop}) outside [0, {total})")
+    helpers = [j for j in range(s.n) if j != i]
+    best, witness, _ = _bruteforce(field, _columns(stack[helpers]),
+                                   _columns(stack[[i]]), s.ell, s.ambient,
+                                   objective, start, stop)
+    return best, None if witness is None else Matrix(field, witness)
 
 
 def bruteforce_overlap(s: CodeSkeleton, i: int,
@@ -533,18 +552,7 @@ def bruteforce_overlap(s: CodeSkeleton, i: int,
     ``budget`` bounds the candidates scanned without ``index_range`` and
     the r-subsets the MDS check may rank.  Returns (value, witness Matrix).
     """
-    if not 0 <= int(i) < s.n:
-        raise BadShape(f"node index {i} out of range for n={s.n}")
-    _require_mds(s, budget)
-    field = s.tower.base
-    ell, d = s.ell, s.ambient
-    total = gaussian_binomial(d, ell, field.order)
-    start, stop = _resolve_range(total, index_range, budget)
-    helpers = [j for j in range(s.n) if j != i]
-    best, witness, _ = _bruteforce(field, _columns(s.bases[helpers]),
-                                   _columns(s.bases[[i]]), ell, d,
-                                   "overlap", start, stop)
-    return best, None if witness is None else Matrix(field, witness)
+    return _scan_node(s, s.bases, i, "overlap", index_range, budget)
 
 
 def bruteforce_column_hits(re: Realization, i: int,
@@ -557,19 +565,8 @@ def bruteforce_column_hits(re: Realization, i: int,
     ``budget`` is as in :func:`bruteforce_overlap`.  Returns (value,
     witness Matrix).
     """
-    s = re.skeleton
-    if not 0 <= int(i) < s.n:
-        raise BadShape(f"node index {i} out of range for n={s.n}")
-    _require_mds(s, budget)
-    field = s.tower.base
-    ell, d = s.ell, s.ambient
-    total = gaussian_binomial(d, ell, field.order)
-    start, stop = _resolve_range(total, index_range, budget)
-    helpers = [j for j in range(s.n) if j != i]
-    best, witness, _ = _bruteforce(field, _columns(re.points[helpers]),
-                                   _columns(re.points[[i]]), ell, d,
-                                   "columns", start, stop)
-    return best, None if witness is None else Matrix(field, witness)
+    return _scan_node(re.skeleton, re.points, i, "columns", index_range,
+                      budget)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +691,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
     field = s.tower.base
     n, ell, r = s.n, s.ell, s.r
     q = field.order
-    if len(sch) != n:
-        raise BadShape(f"scheme has {len(sch)} matrices for {n} nodes")
+    _check_scheme_length(re, sch)
     _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape and field
     if 3 * n * n > _PASS_BYTES:
         raise BudgetExceeded(n * n, "node pairs",

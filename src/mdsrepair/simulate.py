@@ -5,18 +5,19 @@ independent subset of the rows (taken greedily from the top), sends the
 rank-many symbols B C_j, and reads only the coordinates of C_j under the
 nonzero columns of B, which are exactly the nonzero columns of M H_j.
 The repairer recombines the summands with the A factors and applies
--(M H_i)^(-1).  Reconstruction is exact field arithmetic, so a transcript
-either matches the erased block bit for bit or the implementation is
+-(M H_i)^(-1).  Reconstruction is exact field arithmetic, so a replayed
+block either matches the erased block bit for bit or the implementation is
 wrong.
 
-A session factors all helper blocks of the nodes it is asked for in one
+A campaign factors all helper blocks of the nodes it replays in one
 batched elimination of their transposes (H^T): the pivot columns of H^T
-pick the rows B, and its nonzero reduced rows are the columns of A, as in
-:func:`row_factor`, the one-matrix form kept as the reference.  Helpers
-send from their own reads: a sent symbol is a combination of at most l
-symbols that its helper read, so a campaign forms every sent symbol of a
-node for a chunk of T codewords in at most l table steps over (., T)
-arrays, one per coordinate of a helper block.  Recombining them with the
+pick the rows B, and its nonzero reduced rows are the columns of A.  Its
+one-matrix form, the reference the tests compare against, lives in
+``tests/replay_oracle.py``.  Helpers send from their own reads: a sent
+symbol is a combination of at most l symbols that its helper read, so a
+campaign forms every sent symbol of a node for a chunk of T codewords in
+at most l table steps over (., T) arrays, one per coordinate of a helper
+block.  Recombining them with the
 A factors and applying -(M H_i)^(-1) are then two (., T) products.  Each
 chunk samples its words from their own per-trial seeds, checks all their
 syndromes in one product and compares every reconstructed block exactly.
@@ -34,7 +35,6 @@ from .codes import (
     CODEWORD_SAMPLER,
     DEFAULT_BUDGET,
     Realization,
-    is_codeword,
     sample_codewords,
     syndromes,
 )
@@ -44,10 +44,11 @@ from .errors import (
     NotACodeword,
     NotARepairMatrix,
 )
-from .linalg import Matrix, _elimination_ranks, rref
+from .linalg import _elimination_ranks
 from .repair import (
     NodeMetrics,
     RepairScheme,
+    _check_scheme_length,
     _compressed_blocks,
     evaluate_scheme,
 )
@@ -55,36 +56,6 @@ from .repair import (
 # Trials replayed together: each step of a node's replay is one pass over
 # (rows, T) arrays of at most n*l rows.
 _TRIAL_CHUNK = 128
-
-
-def row_factor(a: Matrix):
-    """Factor a = A @ B with B a maximal independent row subset of a.
-
-    B keeps the original row order (greedy from the top), its row count is
-    rank(a), and its nonzero-column set equals that of a.  A holds the
-    coefficients expressing every row of a over the rows of B.  Both come
-    from one elimination of a.T: its pivot columns are the greedy rows,
-    and its nonzero reduced rows are the columns of A.
-    """
-    r, rank, pivots = rref(Matrix(a.field, a.array.T))
-    return (Matrix(a.field, r.array[:rank].T),
-            Matrix(a.field, a.array[list(pivots)]))
-
-
-@dataclass(frozen=True)
-class HelperRecord:
-    helper: int
-    sent: int
-    accessed: tuple[int, ...]  # coordinate indices read inside the block
-
-
-@dataclass(frozen=True)
-class RepairTranscript:
-    failed: int
-    helpers: tuple[HelperRecord, ...]
-    reconstructed: np.ndarray
-    downloaded: int
-    accessed: int
 
 
 class _NodeState:
@@ -96,19 +67,11 @@ class _NodeState:
     so every index points at a read of its own helper, and a coordinate
     the helper does not read has coefficient 0 and points at the helper's
     first read.  ``a_all`` recombines the sent symbols and ``neg_inv`` is
-    -(M H_i)^(-1).  ``helpers``, ``counts`` (symbols sent) and ``read``
-    (coordinates read) are what :meth:`records` turns into a transcript.
+    -(M H_i)^(-1).
     """
 
-    __slots__ = ("failed", "helpers", "counts", "read", "neg_inv", "a_all",
-                 "send_idx", "send_coef", "gather", "downloaded", "accessed")
-
-    def records(self) -> tuple[HelperRecord, ...]:
-        """One transcript entry per helper, made when a transcript asks."""
-        return tuple(
-            HelperRecord(helper=int(j), sent=int(c),
-                         accessed=tuple(np.flatnonzero(r).tolist()))
-            for j, c, r in zip(self.helpers, self.counts, self.read))
+    __slots__ = ("failed", "neg_inv", "a_all", "send_idx", "send_coef",
+                 "gather", "downloaded", "accessed")
 
 
 def _send(field, st: _NodeState, read: np.ndarray) -> np.ndarray:
@@ -126,117 +89,77 @@ def _send(field, st: _NodeState, read: np.ndarray) -> np.ndarray:
     return sent
 
 
-class RepairSession:
-    """Precomputed repair pipelines for one realization and scheme.
+def _node_states(re: Realization, sch: RepairScheme,
+                 nodes) -> list[_NodeState]:
+    """The repair pipelines of ``nodes``, from one batched elimination.
 
-    The per-node factorizations depend only on the scheme, so they are
-    built once (lazily, for all nodes asked for at once) and reused
-    across trials.
+    The per-node factorizations depend only on the scheme, so a campaign
+    builds them once and reuses them across trials.
     """
-
-    def __init__(self, re: Realization, sch: RepairScheme):
-        if len(sch) != re.n:
-            raise BadShape(f"scheme has {len(sch)} matrices for {re.n} nodes")
-        self.realization = re
-        self.scheme = sch
-        self._states: dict[int, _NodeState] = {}
-
-    def _node_states(self, nodes) -> list[_NodeState]:
-        n = self.realization.n
-        nodes = [int(i) for i in nodes]
-        for i in nodes:
-            if not 0 <= i < n:
-                raise BadShape(f"node index {i} out of range for n={n}")
-        missing = [i for i in dict.fromkeys(nodes) if i not in self._states]
-        if missing:
-            self._build(missing)
-        return [self._states[i] for i in nodes]
-
-    def _build(self, nodes: list[int]) -> None:
-        re = self.realization
-        s = re.skeleton
-        field = s.tower.base
-        n, ell, k = s.n, s.ell, len(nodes)
-        m = np.stack([self.scheme[i].array for i in nodes])
-        blocks = _compressed_blocks(field, m, re.column_stack(), n, ell)
-        reduced, ranks, is_piv = _elimination_ranks(
-            field, blocks.swapaxes(-1, -2).reshape(k * n, ell, ell).copy())
-        reduced = reduced.reshape(k, n, ell, ell)
-        ranks = ranks.reshape(k, n)
-        is_piv = is_piv.reshape(k, n, ell)
-        for a, i in enumerate(nodes):
-            if ranks[a, i] != ell:
-                raise NotARepairMatrix(i)
-        # -(M H_i)^(-1) of every node from one elimination of [M H_i | I]
-        eye = np.broadcast_to(np.eye(ell, dtype=np.int64), (k, ell, ell))
-        diag = blocks[np.arange(k), nodes]
-        neg_inv = field.arr_neg(_elimination_ranks(
-            field, np.concatenate([diag, eye], axis=2))[0][:, :, ell:])
-        # B is the rows of M H_j at the pivot columns of its transpose, A^T
-        # the nonzero reduced rows, and a helper reads the nonzero columns
-        # of B
-        a_rows = np.arange(ell) < ranks[..., None]
-        reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
-        cols = np.arange(ell)
-        for a, i in enumerate(nodes):
-            helpers = np.delete(np.arange(n), i)
-            read = reads[a, helpers]
-            in_b = is_piv[a, helpers]  # the rows of each M H_j kept as B
-            # position of every read among the gathered ones; an unread
-            # coordinate takes its helper's first read
-            seen = np.cumsum(read).reshape(read.shape)
-            first = seen[:, -1] - read.sum(axis=1)
-            st = _NodeState()
-            st.failed = i
-            st.helpers = helpers
-            st.counts = ranks[a, helpers]
-            st.read = read
-            st.neg_inv = neg_inv[a]
-            st.a_all = reduced[a, helpers][a_rows[a, helpers]].T
-            st.send_coef = blocks[a, helpers][in_b]
-            st.send_idx = np.where(read, seen - 1,
-                                   first[:, None])[np.nonzero(in_b)[0]]
-            st.gather = (helpers[:, None] * ell + cols)[read]
-            st.downloaded = len(st.send_coef)
-            st.accessed = len(st.gather)
-            self._states[i] = st
-
-    def _replay(self, st: _NodeState, words: np.ndarray,
-                first_trial: int = 0) -> np.ndarray:
-        """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T).
-
-        Word t of the stack is trial ``first_trial + t``, which an
-        inconsistency names.
-        """
-        field = self.realization.skeleton.tower.base
-        read = words.reshape(len(words), -1).T[st.gather]
-        sent = _send(field, st, read)
-        block = field.matmul(st.neg_inv, field.matmul(st.a_all, sent))
-        erased = words[:, st.failed].T
-        if not np.array_equal(block, erased):
-            t = first_trial + int(np.flatnonzero((block != erased).any(0))[0])
-            raise InternalInconsistency(
-                f"reconstructed block of node {st.failed} differs from the "
-                f"erased block in trial {t}")
-        return block
-
-    def repair(self, cw: np.ndarray, i: int) -> RepairTranscript:
-        cw = np.asarray(cw, dtype=np.int64)
-        if not is_codeword(self.realization, cw):
-            raise NotACodeword("input does not satisfy the parity checks")
-        st = self._node_states((i,))[0]
-        block = self._replay(st, cw[None])[:, 0].copy()
-        block.setflags(write=False)
-        return RepairTranscript(failed=i, helpers=st.records(),
-                                reconstructed=block,
-                                downloaded=st.downloaded,
-                                accessed=st.accessed)
+    s = re.skeleton
+    field = s.tower.base
+    n, ell, k = s.n, s.ell, len(nodes)
+    m = np.stack([sch[i].array for i in nodes])
+    blocks = _compressed_blocks(field, m, re.column_stack(), n, ell)
+    reduced, ranks, is_piv = _elimination_ranks(
+        field, blocks.swapaxes(-1, -2).reshape(k * n, ell, ell).copy())
+    reduced = reduced.reshape(k, n, ell, ell)
+    ranks = ranks.reshape(k, n)
+    is_piv = is_piv.reshape(k, n, ell)
+    for a, i in enumerate(nodes):
+        if ranks[a, i] != ell:
+            raise NotARepairMatrix(i)
+    # -(M H_i)^(-1) of every node from one elimination of [M H_i | I]
+    eye = np.broadcast_to(np.eye(ell, dtype=np.int64), (k, ell, ell))
+    diag = blocks[np.arange(k), nodes]
+    neg_inv = field.arr_neg(_elimination_ranks(
+        field, np.concatenate([diag, eye], axis=2))[0][:, :, ell:])
+    # B is the rows of M H_j at the pivot columns of its transpose, A^T
+    # the nonzero reduced rows, and a helper reads the nonzero columns
+    # of B
+    a_rows = np.arange(ell) < ranks[..., None]
+    reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
+    cols = np.arange(ell)
+    states = []
+    for a, i in enumerate(nodes):
+        helpers = np.delete(np.arange(n), i)
+        read = reads[a, helpers]
+        in_b = is_piv[a, helpers]  # the rows of each M H_j kept as B
+        # position of every read among the gathered ones; an unread
+        # coordinate takes its helper's first read
+        seen = np.cumsum(read).reshape(read.shape)
+        first = seen[:, -1] - read.sum(axis=1)
+        st = _NodeState()
+        st.failed = i
+        st.neg_inv = neg_inv[a]
+        st.a_all = reduced[a, helpers][a_rows[a, helpers]].T
+        st.send_coef = blocks[a, helpers][in_b]
+        st.send_idx = np.where(read, seen - 1,
+                               first[:, None])[np.nonzero(in_b)[0]]
+        st.gather = (helpers[:, None] * ell + cols)[read]
+        st.downloaded = len(st.send_coef)
+        st.accessed = len(st.gather)
+        states.append(st)
+    return states
 
 
-def run_repair(re: Realization, sch: RepairScheme, cw: np.ndarray,
-               i: int) -> RepairTranscript:
-    """One repair of node i from the codeword cw (convenience wrapper)."""
-    return RepairSession(re, sch).repair(cw, i)
+def _replay(field, st: _NodeState, words: np.ndarray,
+            first_trial: int = 0) -> np.ndarray:
+    """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T).
+
+    Word t of the stack is trial ``first_trial + t``, which an
+    inconsistency names.
+    """
+    read = words.reshape(len(words), -1).T[st.gather]
+    sent = _send(field, st, read)
+    block = field.matmul(st.neg_inv, field.matmul(st.a_all, sent))
+    erased = words[:, st.failed].T
+    if not np.array_equal(block, erased):
+        t = first_trial + int(np.flatnonzero((block != erased).any(0))[0])
+        raise InternalInconsistency(
+            f"reconstructed block of node {st.failed} differs from the "
+            f"erased block in trial {t}")
+    return block
 
 
 @dataclass(frozen=True)
@@ -285,7 +208,7 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     arguments therefore produce identical reports, and ``first_trial``
     lets workers replay disjoint trial ranges of the same campaign.
     Trials run in chunks (see the module docstring); every syndrome and
-    every reconstructed block is checked, and transcript counts are
+    every reconstructed block is checked, and the replayed counts are
     checked against the analytic per-node metrics on every chunk.  The
     code must be MDS; ``budget`` bounds the r-subsets that check may rank
     (:meth:`CodeSkeleton.mds_witness`), which runs before the scheme pass.
@@ -297,10 +220,11 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     for i in node_list:
         if not 0 <= i < s.n:
             raise BadShape(f"node index {i} out of range")
-    session = RepairSession(re, sch)
+    _check_scheme_length(re, sch)
     s.mds_witness(budget)  # before the pass; sample_codewords reads it cached
     metrics = evaluate_scheme(re, sch, budget=budget)
-    states = session._node_states(node_list)
+    states = _node_states(re, sch, node_list)
+    field = s.tower.base
     stop = first_trial + int(trials)
     downloaded = {}
     accessed = {}
@@ -312,7 +236,7 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
         for i, st in zip(node_list, states):
-            session._replay(st, words, t0)
+            _replay(field, st, words, t0)
             if st.downloaded != metrics.bandwidth[i] or \
                     st.accessed != metrics.io[i]:
                 raise InternalInconsistency(

@@ -1,12 +1,14 @@
 import copy
 import hashlib
 import json
+import os
 import pickle
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mdsrepair
 from mdsrepair import cli
 from mdsrepair.cli import main
 from mdsrepair.codes import CodeSkeleton, realization_from_json
@@ -358,6 +360,33 @@ def test_simulate_rejects_bad_seed_and_trials(workspace, capsys, flag, value,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"BadParameters: {flag}" in err
+
+
+def test_simulate_jobs_checks_the_scheme_length_first(workspace, tmp_path,
+                                                      monkeypatch, capsys):
+    scheme = json.loads((workspace / "scheme.json").read_text())
+    del scheme["per_node"][-1]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(scheme))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the scheme-length check")
+
+    monkeypatch.setattr(CodeSkeleton, "mds_witness", refuse)
+    monkeypatch.setattr(cli, "_fan_out", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["simulate", str(workspace / "code.json"), str(short),
+                 "--trials", "4", "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "BadShape: scheme has 8 matrices for 9 nodes" in err
+    assert "Traceback" not in err
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mdsrepair.__all__
+               if not hasattr(mdsrepair, name)]
+    assert missing == []
+    assert len(set(mdsrepair.__all__)) == len(mdsrepair.__all__)
 
 
 def test_sweep(capsys):

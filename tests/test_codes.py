@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +12,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mdsrepair import codes, linalg
 from mdsrepair.codes import (
     CodeSkeleton,
+    Realization,
     bounds_report,
     check_mds,
-    is_codeword,
     realization_from_json,
     realization_to_json,
     realize,
-    sample_codeword,
     skeleton_new,
 )
 from mdsrepair.errors import (
@@ -38,6 +38,8 @@ from mdsrepair.errors import (
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import Subspace, batched_rank
 from mdsrepair.nrc import build, nrc_subspace, validate_params
+
+from replay_oracle import is_codeword, sample_codeword
 
 
 def _coordinate_skeleton(tower, r):
@@ -264,6 +266,52 @@ def test_sample_codeword(bundle3):
         assert is_codeword(re, cw)
     assert np.array_equal(sample_codeword(re, 123), sample_codeword(re, 123))
     assert not np.array_equal(sample_codeword(re, 1), sample_codeword(re, 2))
+
+
+KERNEL_BUNDLES = [(3, 1, 2, 2, 9), (5, 1, 2, 3, 24), (3, 2, 2, 2, 20),
+                  (3, 1, 3, 2, 26), (7, 1, 2, 4, 48)]
+
+
+@pytest.mark.parametrize("params", KERNEL_BUNDLES, ids=str)
+def test_kernel_basis_matches_the_kernel_oracle(params):
+    p, m, ell, r, n = params
+    re = build(validate_params(build_tower(p, m, ell), r, n)).realization
+    assert re.kernel_basis() == linalg.kernel(re.parity_matrix()).basis
+    assert re.kernel_basis().rows == (n - r) * ell
+
+
+KERNEL_TOWERS = {"F2": build_tower(2, 1, 1), "F3": build_tower(3, 1, 1),
+                 "F4": build_tower(2, 2, 1), "F5": build_tower(5, 1, 1),
+                 "F9": build_tower(3, 2, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_TOWERS)), rows=st.integers(1, 6),
+       n=st.integers(1, 5), ell=st.integers(1, 3),
+       rank_cap=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_basis_of_random_checks(name, rows, n, ell, rank_cap, seed):
+    tower = KERNEL_TOWERS[name]
+    field = tower.base
+    rng = np.random.default_rng(seed)
+    # a product through a rank_cap-wide middle forces rank deficiency
+    h = field.matmul(rng.integers(0, field.order, (rows, rank_cap)),
+                     rng.integers(0, field.order, (rank_cap, n * ell)))
+    # only the parity columns and the field are read
+    re = Realization(types.SimpleNamespace(tower=tower),
+                     h.T.reshape(n, ell, rows))
+    assert np.array_equal(re.column_stack(), h)
+    assert re.kernel_basis() == linalg.kernel(re.parity_matrix()).basis
+
+
+def test_kernel_basis_eliminates_h_once(bundle5, watch_calls):
+    re = bundle5.realization
+    want = re.kernel_basis()
+    calls = watch_calls(linalg, "_elimination_ranks")
+    fresh = Realization(re.skeleton, re.points)
+    assert fresh.kernel_basis() == want
+    assert calls == [(1, 3 * 2, 24 * 2)]  # (1, r*l, n*l)
+    fresh.kernel_basis()
+    assert len(calls) == 1
 
 
 def test_sample_codeword_requires_mds(tower3):

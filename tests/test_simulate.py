@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdsrepair import simulate
-from mdsrepair.codes import CODEWORD_SAMPLER, is_codeword, sample_codeword
+from mdsrepair.codes import CODEWORD_SAMPLER
 from mdsrepair.errors import (
     InternalInconsistency,
     NotACodeword,
@@ -26,13 +26,9 @@ from mdsrepair.repair import (
     evaluate_scheme,
     io_count,
 )
-from mdsrepair.simulate import (
-    RepairSession,
-    campaign,
-    row_factor,
-    run_repair,
-)
+from mdsrepair.simulate import _node_states, _replay, campaign
 
+from replay_oracle import is_codeword, row_factor, sample_codeword
 from rref_oracle import rref_oracle
 
 F3 = build_tower(3, 1, 1).base
@@ -122,41 +118,21 @@ def test_row_factor_matches_greedy_definition(name, rows, cols, rank_cap, seed):
 
 def test_run_repair_zero_codeword(bundle3):
     re = bundle3.realization
-    cw = np.zeros((9, 2), dtype=np.int64)
-    tr = run_repair(re, bundle3.scheme, cw, 0)
-    assert not tr.reconstructed.any()
-    assert tr.downloaded == 12 and tr.accessed == 12
-
-
-def test_run_repair_all_nodes_random(bundle3):
-    re = bundle3.realization
-    for seed in range(10):
-        cw = sample_codeword(re, seed)
-        for i in range(9):
-            tr = run_repair(re, bundle3.scheme, cw, i)
-            assert np.array_equal(tr.reconstructed, cw[i])
+    field = re.skeleton.tower.base
+    st = _node_states(re, bundle3.scheme, [0])[0]
+    block = _replay(field, st, np.zeros((1, 9, 2), dtype=np.int64))
+    assert block.shape == (2, 1) and not block.any()
+    assert st.downloaded == 12 and st.accessed == 12
 
 
 def test_transcript_counts_match_metrics(bundle3, bundle5):
     for bundle in (bundle3, bundle5):
         re = bundle.realization
-        cw = sample_codeword(re, 5)
-        session = RepairSession(re, bundle.scheme)
-        for i in range(re.skeleton.n):
-            tr = session.repair(cw, i)
-            assert tr.downloaded == bandwidth(bundle.scheme[i], re, i)
-            assert tr.accessed == io_count(bundle.scheme[i], re, i)
-            assert sum(h.sent for h in tr.helpers) == tr.downloaded
-            assert sum(len(h.accessed) for h in tr.helpers) == tr.accessed
-
-
-def test_run_repair_rejects_noncodeword(bundle3):
-    re = bundle3.realization
-    cw = sample_codeword(re, 0).copy()
-    cw.setflags(write=True)
-    cw[0, 0] = (cw[0, 0] + 1) % 3
-    with pytest.raises(NotACodeword):
-        run_repair(re, bundle3.scheme, cw, 3)
+        states = _node_states(re, bundle.scheme, range(re.n))
+        for i, st in enumerate(states):
+            assert st.failed == i
+            assert st.downloaded == bandwidth(bundle.scheme[i], re, i)
+            assert st.accessed == io_count(bundle.scheme[i], re, i)
 
 
 def test_run_repair_rejects_bad_scheme(bundle3):
@@ -165,24 +141,28 @@ def test_run_repair_rejects_bad_scheme(bundle3):
     # kernel of [0 0 I 0] style matrix contains some node; find one
     bad = Matrix(field, [[0, 0, 1, 0], [0, 0, 0, 1]])
     sch = RepairScheme([bad] * 9)
-    cw = sample_codeword(re, 1)
     hit = False
     for i in range(9):
         try:
-            run_repair(re, sch, cw, i)
+            _node_states(re, sch, [i])
         except NotARepairMatrix:
             hit = True
     assert hit  # the kernel is a spread member, so some node collides
+    with pytest.raises(NotARepairMatrix):
+        _node_states(re, sch, range(9))
 
 
 def test_campaign_single_trial_equals_sweep(bundle3):
     re = bundle3.realization
+    field = re.skeleton.tower.base
     rep = campaign(re, bundle3.scheme, trials=1, seed=9)
     cw = sample_codeword(re, (9, 0))
-    for k, i in enumerate(rep.nodes):
-        tr = run_repair(re, bundle3.scheme, cw, i)
-        assert rep.downloaded[k] == tr.downloaded
-        assert rep.accessed[k] == tr.accessed
+    states = _node_states(re, bundle3.scheme, rep.nodes)
+    for k, st in enumerate(states):
+        block = _replay(field, st, cw[None])
+        assert np.array_equal(block[:, 0], cw[st.failed])
+        assert rep.downloaded[k] == st.downloaded
+        assert rep.accessed[k] == st.accessed
 
 
 def test_campaign_deterministic(bundle3):
@@ -314,18 +294,21 @@ def test_session_factors_match_row_factor(request, name):
     re, sch = bundle.realization, bundle.scheme
     field = re.skeleton.tower.base
     ell = re.skeleton.ell
-    session = RepairSession(re, sch)
-    states = session._node_states(range(re.n))
+    states = _node_states(re, sch, range(re.n))
     for i, st in enumerate(states):
         mh_i = Matrix(field, _compressed(re, sch[i], i))
         assert np.array_equal(st.neg_inv,
                               field.arr_neg(inverse(mh_i).array))
+        # the helper of every read, and of every sent row's first slot
+        read_by = st.gather // ell
+        sent_by = st.gather[st.send_idx[:, 0]] // ell
+        helpers = [j for j in range(re.n) if j != i]
         row = col = 0
         gather = []
-        records = st.records()
-        for rec, (a, b) in zip(records, _helper_factors(re, sch, st)):
-            acc = list(rec.accessed)
-            assert rec.sent == b.rows
+        for j, (a, b) in zip(helpers, _helper_factors(re, sch, st)):
+            acc = (st.gather[read_by == j] % ell).tolist()
+            assert (sent_by == j).sum() == b.rows
+            assert (sent_by[row:row + b.rows] == j).all()
             assert acc == np.flatnonzero(b.array.any(axis=0)).tolist()
             assert np.array_equal(st.a_all[:, row:row + b.rows], a.array)
             # every slot of a sent row is coordinate c of its own helper:
@@ -335,11 +318,9 @@ def test_session_factors_match_row_factor(request, name):
             want = [col + acc.index(c) if c in acc else col
                     for c in range(ell)]
             assert (st.send_idx[row:row + b.rows] == want).all()
-            gather += [rec.helper * ell + c for c in acc]
+            gather += [j * ell + c for c in acc]
             row += b.rows
             col += len(acc)
-        assert [r.helper for r in records] == \
-            [j for j in range(re.n) if j != i]
         assert st.send_coef.shape == st.send_idx.shape == (row, ell)
         assert st.a_all.shape == (ell, row)
         assert (row, col) == (st.downloaded, st.accessed)
@@ -368,7 +349,7 @@ def test_sent_symbols_match_the_dense_product(request, name):
     words = simulate.sample_codewords(re, [(6, t) for t in range(5)])
     flat = words.reshape(len(words), -1)
     short = 0
-    for st in RepairSession(re, sch)._node_states(range(re.n)):
+    for st in _node_states(re, sch, range(re.n)):
         read = flat[:, st.gather].T
         want = field.matmul(_dense_send(re, sch, st), read)
         assert np.array_equal(simulate._send(field, st, read), want)
@@ -379,7 +360,7 @@ def test_sent_symbols_match_the_dense_product(request, name):
 
 def test_replay_makes_no_send_product(bundle9, monkeypatch):
     re, sch = bundle9.realization, bundle9.scheme
-    states = RepairSession(re, sch)._node_states(range(re.n))
+    states = _node_states(re, sch, range(re.n))
     real = type(re.skeleton.tower.base).matmul
     calls = []
 
@@ -401,34 +382,30 @@ def test_replay_makes_no_send_product(bundle9, monkeypatch):
     assert not any(np.shape(a) in shapes for _, a in calls)
 
 
-def test_session_builds_all_nodes_in_one_elimination(bundle5, monkeypatch,
-                                                      watch_calls):
+def test_session_builds_all_nodes_in_one_elimination(bundle5, watch_calls):
     calls = watch_calls(simulate, "_elimination_ranks")
-    monkeypatch.setattr(simulate, "rref", None)  # row_factor unused
-    session = RepairSession(bundle5.realization, bundle5.scheme)
-    session._node_states(range(24))
+    _node_states(bundle5.realization, bundle5.scheme, range(24))
     # every helper block, then every node's [M H_i | I]
     assert calls == [(24 * 24, 2, 2), (24, 2, 4)]
-    session._node_states(range(24))
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fault", ["neg_inv", "send_coef", "downloaded",
                                    "accessed"])
 def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
-    real = RepairSession._build
+    real = simulate._node_states
 
-    def corrupt(self, nodes):
-        real(self, nodes)
-        st = self._states.get(3)
-        if st is None:
-            return
-        if fault in ("neg_inv", "send_coef"):
-            setattr(st, fault, np.zeros_like(getattr(st, fault)))
-        else:
-            setattr(st, fault, getattr(st, fault) + 1)
+    def corrupt(re, sch, nodes):
+        states = real(re, sch, nodes)
+        for st in states:
+            if st.failed != 3:
+                continue
+            if fault in ("neg_inv", "send_coef"):
+                setattr(st, fault, np.zeros_like(getattr(st, fault)))
+            else:
+                setattr(st, fault, getattr(st, fault) + 1)
+        return states
 
-    monkeypatch.setattr(RepairSession, "_build", corrupt)
+    monkeypatch.setattr(simulate, "_node_states", corrupt)
     re, sch = bundle3.realization, bundle3.scheme
     if fault in ("neg_inv", "send_coef"):
         # both rebuild a zero block: the first trial whose block 3 is not
@@ -480,15 +457,3 @@ def test_campaign_checks_every_sampled_syndrome(bundle3, monkeypatch):
     campaign(re, sch, trials=9, seed=6)
     with pytest.raises(NotACodeword, match="trial 9"):
         campaign(re, sch, trials=10, seed=6)
-
-
-def test_session_repair_rejects_noncodewords(bundle3):
-    re = bundle3.realization
-    session = RepairSession(re, bundle3.scheme)
-    cw = sample_codeword(re, 2)
-    assert np.array_equal(session.repair(cw, 3).reconstructed, cw[3])
-    bad = cw.copy()
-    bad[5, 1] = (bad[5, 1] + 1) % 3
-    for word in (bad, np.vstack([cw, cw[:1]]), cw[:, :1]):
-        with pytest.raises(NotACodeword):
-            session.repair(word, 3)
