@@ -18,22 +18,10 @@ from .codes import (
     realization_from_json,
     realization_to_json,
     realize,
-    skeleton_new,
 )
 from .errors import RepairToolError
 from .gf import Field, FieldTower, build_tower
-from .linalg import (
-    Matrix,
-    Subspace,
-    contains,
-    enumerate_rref,
-    gaussian_binomial,
-    intersect_dim,
-    intersection,
-    kernel,
-    projective_point_count,
-    rref,
-)
+from .linalg import Matrix, gaussian_binomial, projective_point_count
 from .nrc import (
     INF,
     Block,
@@ -43,7 +31,6 @@ from .nrc import (
     block_partition,
     build,
     norm_one_subgroup,
-    nrc_subspace,
     repair_subspace,
     validate_params,
 )
@@ -69,15 +56,12 @@ __all__ = [
     "__version__",
     "BoundsReport", "CodeSkeleton", "Realization", "bounds_report",
     "check_mds", "realization_from_json", "realization_to_json", "realize",
-    "skeleton_new",
     "RepairToolError",
     "Field", "FieldTower", "build_tower",
-    "Matrix", "Subspace", "contains", "enumerate_rref", "gaussian_binomial",
-    "intersect_dim", "intersection", "kernel", "projective_point_count",
-    "rref",
+    "Matrix", "gaussian_binomial", "projective_point_count",
     "INF", "Block", "BlockPartition", "NrcBundle", "NrcParams",
-    "block_partition", "build", "norm_one_subgroup", "nrc_subspace",
-    "repair_subspace", "validate_params",
+    "block_partition", "build", "norm_one_subgroup", "repair_subspace",
+    "validate_params",
     "DualCover", "IncidenceProfile", "NodeMetrics", "RepairScheme",
     "bandwidth", "bruteforce_column_hits", "bruteforce_overlap",
     "dual_cover", "evaluate_scheme", "hierarchy_check", "incidence_profile",

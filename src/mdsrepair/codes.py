@@ -49,12 +49,12 @@ from .errors import (
     TooFewNodes,
     WrongAmbient,
     WrongNodeDim,
+    json_ints,
 )
 from . import linalg
 from .gf import FieldTower, prime_power
 from .linalg import (
     Matrix,
-    Subspace,
     _check_codes,
     _columns,
     batched_rank,
@@ -83,10 +83,13 @@ class CodeSkeleton:
 
     ``bases`` is the read-only (n, l, r*l) array of the nodes' canonical
     RREF bases and ``pivots`` the (n, l) array of their pivot columns,
-    both from one elimination of the (n, k, r*l) stack of node generator
-    rows the skeleton is built from.  ``labels`` are the nodes' curve
-    parameters as written in ``code.json`` (decimal codes, ``"inf"``), or
-    None; they are a claim that :meth:`mds_witness` checks, never trusted.
+    both from one elimination of the node generator rows the skeleton is
+    built from, stacked with zero rows under any node with fewer rows than
+    the others.  A row of the wrong length raises :class:`WrongAmbient`,
+    a node not of dimension l :class:`WrongNodeDim`.  ``labels`` are the
+    nodes' curve parameters as written in ``code.json`` (decimal codes,
+    ``"inf"``), or None; they are a claim that :meth:`mds_witness`
+    checks, never trusted.
     """
 
     __slots__ = ("tower", "r", "bases", "pivots", "labels", "_mds")
@@ -99,10 +102,22 @@ class CodeSkeleton:
         if len(generators) < r or r < 1:
             raise TooFewNodes(f"need at least r={r} nodes, "
                               f"got {len(generators)}")
-        gens = np.array(generators, dtype=np.int64)
-        if gens.ndim != 3 or gens.shape[2] != ambient:
-            raise WrongAmbient(f"node generator rows of shape {gens.shape}, "
-                               f"expected (n, rows, {ambient})")
+        nodes = []
+        for i, rows in enumerate(generators):
+            try:
+                rows = np.asarray(rows, dtype=np.int64)
+            except ValueError as exc:  # e.g. rows of different lengths
+                raise WrongAmbient(f"node {i}: generator rows do not form "
+                                   f"an array: {exc}") from exc
+            if rows.ndim != 2 or rows.shape[1] != ambient:
+                raise WrongAmbient(f"node {i}: generator rows of shape "
+                                   f"{rows.shape}, expected (rows, {ambient})")
+            nodes.append(rows)
+        # zero rows span nothing, so nodes with fewer rows are padded
+        gens = np.zeros((len(nodes), max(map(len, nodes)), ambient),
+                        dtype=np.int64)
+        for rows, out in zip(nodes, gens):
+            out[:len(rows)] = rows
         _check_codes(tower.base, gens)
         reduced, ranks, is_piv = linalg._elimination_ranks(tower.base, gens)
         short = np.flatnonzero(ranks != ell)
@@ -156,20 +171,6 @@ class CodeSkeleton:
     @property
     def is_mds(self) -> bool:
         return self.mds_witness() is None
-
-
-def skeleton_new(tower: FieldTower, r: int,
-                 subspaces: Sequence[Subspace]) -> CodeSkeleton:
-    """Validate dimensions and assemble a skeleton (MDS-ness not asserted)."""
-    ambient = int(r) * tower.ell
-    for i, s in enumerate(subspaces):
-        if s.ambient != ambient or s.field != tower.base:
-            raise WrongAmbient(
-                f"node {i} lives in ambient {s.ambient}, expected {ambient}")
-        if s.dim != tower.ell:
-            raise WrongNodeDim(
-                f"node {i} has dimension {s.dim}, expected {tower.ell}")
-    return CodeSkeleton(tower, r, [s.basis.array for s in subspaces])
 
 
 def _mds_subsets(n: int, r: int, chunk: int):
@@ -476,7 +477,8 @@ def realization_to_json(re: Realization, labels: Sequence[str] | None = None,
 
 def _node_codes(nd: dict, key: str, i: int) -> np.ndarray:
     try:
-        return np.array(nd[key], dtype=np.int64)
+        return np.array(json_ints(nd[key], f"node {i} {key}", 2),
+                        dtype=np.int64)
     except OverflowError as exc:
         raise MalformedInput(f"node {i}: {key} entry does not fit in 64 bits"
                              ) from exc
@@ -489,10 +491,10 @@ def realization_from_json(obj: dict):
     dimensions, column membership/spanning, and the X/H correspondence.
     """
     try:
-        if obj.get("v") != 1:
+        if obj.get("v") != 1 or type(obj["v"]) is not int:
             raise MalformedInput(f"unsupported schema version {obj.get('v')!r}")
         tower = FieldTower.from_json_dict(obj["tower"])
-        ell, r, n = int(obj["ell"]), int(obj["r"]), int(obj["n"])
+        ell, r, n = (json_ints(obj[key], key) for key in ("ell", "r", "n"))
         raw_nodes = obj["nodes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad code object: {exc}") from exc

@@ -5,6 +5,8 @@ Every error raised on purpose by this package derives from
 without string matching.
 """
 
+import itertools
+
 
 class RepairToolError(Exception):
     """Base class for all package errors."""
@@ -176,3 +178,21 @@ class NotACodeword(RepairToolError):
 
 class MalformedInput(RepairToolError):
     """A persisted file failed structural validation on load."""
+
+
+def json_ints(value, name: str, depth: int = 0):
+    """``value`` if it is a JSON integer, or ``depth`` levels of lists of them.
+
+    A JSON integer is a Python int that is not a bool: ``json`` reads 1.5,
+    true and "1" as float, bool and str, which int() or an int64 array
+    would silently take as 1.  Anything else raises MalformedInput naming
+    ``name``.
+    """
+    level = [value]
+    for _ in range(depth):
+        if not set(map(type, level)) <= {list}:
+            raise MalformedInput(f"{name} must be {depth} levels of lists")
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int}:
+        raise MalformedInput(f"{name} must hold JSON integers only")
+    return value

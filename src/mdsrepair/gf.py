@@ -49,6 +49,7 @@ from .errors import (
     MalformedInput,
     NonPrime,
     ReduciblePolynomial,
+    json_ints,
 )
 
 # Largest supported field order; its q x q operation tables take <= 2 MB each.
@@ -466,12 +467,13 @@ class FieldTower:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FieldTower":
         for key in ("p", "m", "ell"):
-            if type(obj[key]) is not int:
-                raise MalformedInput(f"tower.{key} must be an integer")
+            json_ints(obj[key], f"tower.{key}")
+        polys = {key: json_ints(obj.get(key) or [], f"tower.{key}", 1)
+                 for key in ("base_poly", "ext_poly")}
         try:
             return build_tower(obj["p"], obj["m"], obj["ell"],
-                               base_poly=obj.get("base_poly") or None,
-                               ext_poly=obj.get("ext_poly") or None)
+                               base_poly=polys["base_poly"] or None,
+                               ext_poly=polys["ext_poly"] or None)
         except BadParameters as exc:  # the field size cap, naming p, m or ell
             raise MalformedInput(f"tower.{exc}") from exc
 

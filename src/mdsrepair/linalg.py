@@ -1,18 +1,21 @@
 """Exact matrices and canonical subspaces over a finite field.
 
-Vectors are row vectors throughout: a subspace is the row space of its
-basis matrix, and the basis is kept in reduced row-echelon form with no
-zero rows, so equal subspaces have identical basis matrices and equality
-is a plain array comparison.
+Vectors are row vectors throughout.  A subspace is the row space of its
+canonical basis, the reduced row-echelon form with no zero rows, so equal
+subspaces have identical bases and equality is a plain array comparison.
+A subspace is kept only as such a basis, in a stack of them: a (bases,
+pivot mask) pair from :func:`kernels` or :func:`intersections`, each
+block's basis over zero rows, or the (n, l, r*l) node bases of a code
+skeleton.
 
 The module also provides the canonical enumeration of all rank-k RREF
-matrices of a given shape.  Distinct outputs have distinct row spaces and
-their kernels range exactly once over all codimension-k subspaces, which
-is what the brute-force repair optimizer scans.  The enumeration order is
-fixed: pivot column sets in lexicographic order, then the free entries as
-a little-endian base-q counter over the free positions in row-major
-order, so a stream can be split by index range across workers and always
-replays identically.
+matrices of a given shape (:func:`rref_blocks`).  Distinct outputs have
+distinct row spaces and their kernels range exactly once over all
+codimension-k subspaces, which is what the brute-force repair optimizer
+scans.  The enumeration order is fixed: pivot column sets in
+lexicographic order, then the free entries as a little-endian base-q
+counter over the free positions in row-major order, so a stream can be
+split by index range across workers and always replays identically.
 
 Ranks of stacks of small blocks (:func:`batched_rank`) come from a table
 whenever the block shape has at most ``_RANK_TABLE_CAP`` code matrices:
@@ -21,12 +24,9 @@ per process by the batched column elimination, and answers a stack in
 one lookup.  Larger blocks are eliminated.
 
 Every elimination is one batched Gauss-Jordan loop over a stack of
-matrices, ``_elimination_ranks``; a single matrix is a batch of one.  Each
-linear-algebra question is one elimination of an augmented matrix
-(kernels reduce [m^T | I], intersections [[A, A], [B, 0]]).  A stack in
-gives a stack out (:func:`kernels`, :func:`intersections`): (bases, pivot
-mask) arrays, each basis over zero rows; a :class:`Subspace` is made only
-from element 0 of one, by the single-subspace functions.
+matrices, ``_elimination_ranks``.  Each linear-algebra question is one
+elimination of an augmented matrix (kernels reduce [m^T | I],
+intersections [[A, A], [B, 0]]), a stack in giving a stack out.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbientMismatch,
-    BadShape,
-    DivisionByZero,
-    LevelMismatch,
-    MalformedInput,
-)
+from .errors import BadShape, LevelMismatch, MalformedInput, json_ints
 from .gf import Field
 
 
@@ -113,9 +107,10 @@ class Matrix:
     @classmethod
     def from_json_dict(cls, field: Field, obj: dict) -> "Matrix":
         try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            entries = list(obj["entries"])
-        except (KeyError, TypeError, ValueError) as exc:
+            rows = json_ints(obj["rows"], "matrix rows")
+            cols = json_ints(obj["cols"], "matrix cols")
+            entries = json_ints(obj["entries"], "matrix entries", 1)
+        except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad matrix object: {exc}") from exc
         if len(entries) != rows * cols:
             raise MalformedInput("matrix entry count does not match shape")
@@ -142,14 +137,6 @@ def _columns(stack: np.ndarray) -> np.ndarray:
     """The rows of a (k, l, d) stack as columns, side by side: (d, k*l)."""
     return np.ascontiguousarray(
         stack.transpose(2, 0, 1).reshape(stack.shape[2], -1))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field:
-        raise AmbientMismatch("matrices over different fields")
-    if a.cols != b.rows:
-        raise BadShape(f"cannot multiply {a.shape} by {b.shape}")
-    return Matrix(a.field, a.field.matmul(a.array, b.array))
 
 
 # Blocks whose shape has at most this many code matrices (q ** (rows*cols))
@@ -204,13 +191,6 @@ def _elimination_ranks(field: Field, a: np.ndarray):
     return a, piv_row, is_piv
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Unique reduced row-echelon form, with rank and pivot columns."""
-    reduced, ranks, is_piv = _elimination_ranks(m.field, m.array[None].copy())
-    return (Matrix(m.field, reduced[0]), int(ranks[0]),
-            tuple(np.flatnonzero(is_piv[0]).tolist()))
-
-
 def _code_weights(q: int, rows: int, cols: int) -> np.ndarray:
     """Weight q ** (i*cols + j) of entry (i, j) in a rank-table code."""
     return q ** np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
@@ -262,63 +242,6 @@ def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
         idx = a.reshape(nb, size) @ _code_weights(q, rows, cols).ravel()
         return table[idx].astype(np.int64)
     return _elimination_ranks(field, a.copy())[1]
-
-
-class Subspace:
-    """A subspace of F_q^d stored as a canonical RREF basis."""
-
-    __slots__ = ("field", "ambient", "basis", "pivots")
-
-    def __init__(self, field: Field, ambient: int, basis: Matrix,
-                 pivots: tuple[int, ...]):
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Subspace":
-        a = np.atleast_2d(np.array(rows, dtype=np.int64))
-        if a.ndim != 2:
-            raise BadShape("expected a 2-D array of generator rows")
-        _check_codes(field, a)
-        reduced, _, is_piv = _elimination_ranks(field, a[None])
-        return _first(field, reduced, is_piv)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape != (self.ambient,):
-            raise AmbientMismatch(
-                f"vector of length {v.shape} in ambient {self.ambient}")
-        _check_codes(self.field, v)
-        if self.dim == 0:
-            return not v.any()
-        coeffs = v[list(self.pivots)]
-        combo = self.field.matmul(coeffs[None, :], self.basis.array)[0]
-        return not self.field.arr_sub(v, combo).any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def _first(field: Field, bases: np.ndarray, is_piv: np.ndarray) -> Subspace:
-    """Block 0 of a (bases, pivot mask) stack as a :class:`Subspace`."""
-    pivots = np.flatnonzero(is_piv[0])
-    return Subspace(field, bases.shape[2],
-                    Matrix(field, bases[0, :len(pivots)]),
-                    tuple(pivots.tolist()))
 
 
 def _vanishing_rows(reduced: np.ndarray, is_piv: np.ndarray, split: int):
@@ -378,23 +301,6 @@ def null_columns(field: Field, reduced: np.ndarray,
     return out
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v^T = 0} as a subspace of row vectors."""
-    return _first(m.field, *kernels(m.field, m.array[None]))
-
-
-def contains(s: Subspace, v) -> bool:
-    return s.contains(v)
-
-
-def intersect_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a) + dim(b) - dim(a + b), computed from one stacked rank."""
-    if a.ambient != b.ambient or a.field != b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    stacked = np.vstack([a.basis.array, b.basis.array])
-    return a.dim + b.dim - int(batched_rank(a.field, stacked[None])[0])
-
-
 def intersections(field: Field, a, b):
     """Row-space intersections of two (k, ., d) stacks of bases, pairwise.
 
@@ -414,40 +320,10 @@ def intersections(field: Field, a, b):
     return _vanishing_rows(reduced, is_piv, a.shape[2])
 
 
-def intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces: :func:`intersections` of one pair."""
-    if a.ambient != b.ambient or a.field != b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    return _first(a.field, *intersections(a.field, a.basis.array[None],
-                                          b.basis.array[None]))
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise BadShape("only square matrices can be inverted")
-    n = m.rows
-    aug = np.hstack([m.array, np.eye(n, dtype=np.int64)])
-    r, _, pivots = rref(Matrix(m.field, aug))
-    if pivots[:n] != tuple(range(n)):
-        raise DivisionByZero("matrix is singular")
-    return Matrix(m.field, r.array[:, n:])
-
-
 def canonical_points(field: Field, a: np.ndarray) -> np.ndarray:
     """Rows of a (..., d) code array scaled to lead with 1 (none may be 0)."""
     lead = np.take_along_axis(a, (a != 0).argmax(axis=-1)[..., None], axis=-1)
     return field.arr_mul(a, field.arr_inv(lead))
-
-
-def canonical_point(field: Field, v) -> np.ndarray:
-    """Projective representative with first nonzero coordinate scaled to 1."""
-    v = np.asarray(v, dtype=np.int64)
-    _check_codes(field, v)
-    if not v.any():
-        raise ValueError("the zero vector is not a projective point")
-    out = canonical_points(field, v)
-    out.setflags(write=False)
-    return out
 
 
 def projective_point_array(field: Field, dim: int) -> np.ndarray:
@@ -544,16 +420,3 @@ def _counter(first: int, count: int, bound: int) -> np.ndarray:
     """
     big = bound > 2 ** 62
     return np.arange(count, dtype=object if big else np.int64) + first
-
-
-def enumerate_rref(field: Field, k: int, d: int, start: int = 0,
-                   stop: int | None = None) -> Iterator[Matrix]:
-    """Every rank-k RREF matrix with k rows and d columns, exactly once.
-
-    Deterministic order (see :func:`rref_blocks`); the total count equals
-    gaussian_binomial(d, k, q).  ``start``/``stop`` select a sub-range of
-    the enumeration so independent workers can scan disjoint pieces.
-    """
-    for _, block in rref_blocks(field.order, k, d, start, stop):
-        for row in block:
-            yield Matrix(field, row)

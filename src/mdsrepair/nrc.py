@@ -23,9 +23,11 @@ picks the two blocks containing the smallest parameter codes, lists
 their members first, repairs every node with the kernel that hits the
 opposite block (or the first block's kernel for nodes outside both), and
 forces each constrained node's column set to contain the one projective
-point its designated kernel captures.  Every stack stays an array: the
-skeleton reduces all curve rows at once, one stacked intersection finds
-the forced points, and one stacked fill picks every node's column points.
+point its designated kernel captures.  Every subspace is an array of
+its canonical basis: a node's curve rows as they stand, a repair kernel
+the basis from one :func:`linalg.kernels` call.  The skeleton reduces
+all curve rows at once, one stacked intersection finds the forced
+points, and one stacked fill picks every node's column points.
 Every property the construction promises is re-verified on the finished
 bundle.
 
@@ -54,13 +56,7 @@ from .errors import (
 )
 from . import linalg
 from .gf import FieldTower
-from .linalg import (
-    Matrix,
-    Subspace,
-    intersections,
-    kernel,
-    projective_point_count,
-)
+from .linalg import Matrix, intersections, kernels, projective_point_count
 from .repair import (
     NodeMetrics,
     RepairScheme,
@@ -153,14 +149,6 @@ def _curve_rows(tower: FieldTower, r: int, c) -> np.ndarray:
     if c is not INF:
         tower.top.check(c)
     return _curve_stack(tower, r, [c])[0]
-
-
-def nrc_subspace(tower: FieldTower, r: int, c) -> Subspace:
-    """The l-dimensional node subspace of curve parameter c (or INF)."""
-    node = Subspace.from_rows(tower.base, _curve_rows(tower, r, c))
-    if node.dim != tower.ell:
-        raise InternalInconsistency("curve subspace has wrong dimension")
-    return node
 
 
 def _label(c) -> str:
@@ -266,8 +254,8 @@ def repair_subspace(tower: FieldTower, r: int, b: int):
     """Kernel of y -> y_(r-1) - b * y_0^q, expanded over F_q.
 
     Returns (W, M) where M is the l x (r*l) block row
-    [-(multiply-by-b o Frobenius) | 0 | ... | 0 | I] and W = ker(M) has
-    dimension (r-1)*l.
+    [-(multiply-by-b o Frobenius) | 0 | ... | 0 | I] and W is the
+    ((r-1)*l, r*l) canonical basis array of ker(M).
     """
     b = tower.top.check(b)
     if b == 0:
@@ -279,11 +267,11 @@ def repair_subspace(tower: FieldTower, r: int, b: int):
     m = np.zeros((ell, r * ell), dtype=np.int64)
     m[:, :ell] = field.arr_neg(amat)
     m[:, (r - 1) * ell:] = np.eye(ell, dtype=np.int64)
-    mat = Matrix(field, m)
-    w = kernel(mat)
-    if w.dim != (r - 1) * ell:
+    bases, is_piv = kernels(field, m[None])
+    wdim = (r - 1) * ell
+    if is_piv.sum() != wdim:
         raise InternalInconsistency("repair kernel has wrong dimension")
-    return w, mat
+    return bases[0, :wdim], Matrix(field, m)
 
 
 @dataclass(frozen=True)
@@ -361,9 +349,8 @@ def build(params: NrcParams) -> NrcBundle:
     cands = np.zeros((n, ell + 1, r * ell), dtype=np.int64)
     cands[:, 1:] = curves
     if constrained:
-        hits, hit_piv = intersections(
-            field, np.stack([w.basis.array for w in hitting]),
-            skeleton.bases[constrained])
+        hits, hit_piv = intersections(field, np.stack(hitting),
+                                      skeleton.bases[constrained])
         if (hit_piv.sum(axis=1) != 1).any():
             raise InternalInconsistency(
                 "constrained node meets its kernel in dimension != 1")

@@ -38,6 +38,7 @@ from .errors import (
     MalformedInput,
     NotARepairMatrix,
     NotMds,
+    json_ints,
 )
 from . import linalg
 from .gf import Field
@@ -49,7 +50,6 @@ from .linalg import (
     _pivot_patterns,
     batched_rank,
     gaussian_binomial,
-    kernel,
     kernels,
     projective_point_array,
     projective_point_count,
@@ -58,9 +58,12 @@ from .linalg import (
 
 
 class RepairScheme:
-    """One repair matrix per node, each of full row rank l."""
+    """One repair matrix per node, each of full row rank l.
 
-    __slots__ = ("matrices",)
+    ``stack`` is the read-only (n, l, r*l) array of all the matrices.
+    """
+
+    __slots__ = ("matrices", "stack")
 
     def __init__(self, matrices: Sequence[Matrix]):
         matrices = tuple(matrices)
@@ -71,11 +74,13 @@ class RepairScheme:
         for i, m in enumerate(matrices):
             if m.shape != shape or m.field != field:
                 raise BadShape(f"matrix {i} has mismatched shape or field")
-        ranks = batched_rank(field, np.stack([m.array for m in matrices]))
-        short = np.flatnonzero(ranks != shape[0])
+        stack = np.stack([m.array for m in matrices])
+        short = np.flatnonzero(batched_rank(field, stack) != shape[0])
         if short.size:
             raise BadRank(f"matrix {short[0]} does not have full row rank")
+        stack.setflags(write=False)
         self.matrices = matrices
+        self.stack = stack
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -97,7 +102,7 @@ def scheme_to_json(sch: RepairScheme, provenance: dict | None = None) -> dict:
 
 def scheme_from_json(obj: dict, field: Field):
     try:
-        if obj.get("v") != 1:
+        if obj.get("v") != 1 or type(obj["v"]) is not int:
             raise MalformedInput(f"unsupported schema version {obj.get('v')!r}")
         rows = list(obj["per_node"])
     except (KeyError, TypeError) as exc:
@@ -105,7 +110,7 @@ def scheme_from_json(obj: dict, field: Field):
     by_index = {}
     for entry in rows:
         try:
-            i = int(entry["i"])
+            i = json_ints(entry["i"], "scheme entry i")
             m = Matrix.from_json_dict(field, entry["M"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad scheme entry: {exc}") from exc
@@ -157,12 +162,14 @@ def _require_full_row_rank(field: Field, m: Matrix, ell: int) -> None:
         raise BadRank("matrix does not have full row rank")
 
 
-def _intersection_dims(s: CodeSkeleton, w_basis: np.ndarray,
+def _intersection_dims(s: CodeSkeleton, m: Matrix,
                        helpers: Sequence[int]) -> np.ndarray:
-    """dim(W /\\ H_j) for each listed node, via batched stacked ranks."""
+    """dim(W /\\ H_j) for W = ker m and each listed node, via stacked ranks."""
     field = s.tower.base
     d = s.ambient
-    wdim = w_basis.shape[0]
+    bases, is_piv = kernels(field, m.array[None])
+    wdim = int(is_piv.sum())
+    w_basis = bases[0, :wdim]
     stacked = np.empty((len(helpers), wdim + s.ell, d), dtype=np.int64)
     stacked[:, :wdim, :] = w_basis
     stacked[:, wdim:, :] = s.bases[list(helpers)]
@@ -190,7 +197,7 @@ def bandwidth(m: Matrix, re: Realization, i: int) -> int:
         raise NotARepairMatrix(i)
     helpers = [j for j in range(n) if j != i]
     bw = int(ranks[helpers].sum())
-    dims = _intersection_dims(s, kernel(m).basis.array, helpers)
+    dims = _intersection_dims(s, m, helpers)
     if bw != ell * (n - 1) - int(dims.sum()):
         raise InternalInconsistency(
             "rank route and kernel route disagree on bandwidth")
@@ -239,9 +246,8 @@ def incidence_profile(m: Matrix, s: CodeSkeleton, i: int) -> IncidenceProfile:
     field = s.tower.base
     q = field.order
     _require_full_row_rank(field, m, s.ell)
-    w = kernel(m)
     helpers = tuple(j for j in range(s.n) if j != i)
-    dims = _intersection_dims(s, w.basis.array, helpers)
+    dims = _intersection_dims(s, m, helpers)
     sum_dims = int(dims.sum())
     sum_points = sum(projective_point_count(q, int(t)) for t in dims)
     cap = (s.r - 1) * projective_point_count(q, s.ell)
@@ -697,7 +703,7 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
         raise BudgetExceeded(n * n, "node pairs",
                              f"a scheme pass keeps 3 bytes a pair and at "
                              f"most {_PASS_BYTES} bytes")
-    ms = np.stack([m.array for m in sch.matrices])
+    ms = sch.stack
 
     ws, is_piv = kernels(field, ms)
     wdim = s.ambient - ell

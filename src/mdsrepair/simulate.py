@@ -99,8 +99,8 @@ def _node_states(re: Realization, sch: RepairScheme,
     s = re.skeleton
     field = s.tower.base
     n, ell, k = s.n, s.ell, len(nodes)
-    m = np.stack([sch[i].array for i in nodes])
-    blocks = _compressed_blocks(field, m, re.column_stack(), n, ell)
+    blocks = _compressed_blocks(field, sch.stack[list(nodes)],
+                                re.column_stack(), n, ell)
     reduced, ranks, is_piv = _elimination_ranks(
         field, blocks.swapaxes(-1, -2).reshape(k * n, ell, ell).copy())
     reduced = reduced.reshape(k, n, ell, ell)
@@ -207,10 +207,11 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     Codeword t is sampled with the derived seed (seed, t); identical
     arguments therefore produce identical reports, and ``first_trial``
     lets workers replay disjoint trial ranges of the same campaign.
-    Trials run in chunks (see the module docstring); every syndrome and
-    every reconstructed block is checked, and the replayed counts are
-    checked against the analytic per-node metrics on every chunk.  The
-    code must be MDS; ``budget`` bounds the r-subsets that check may rank
+    The replayed counts are fixed by the scheme, so they are checked
+    against the analytic per-node metrics once, before any trial.  Trials
+    run in chunks (see the module docstring); every syndrome and every
+    reconstructed block is checked.  The code must be MDS; ``budget``
+    bounds the r-subsets that check may rank
     (:meth:`CodeSkeleton.mds_witness`), which runs before the scheme pass.
     """
     s = re.skeleton
@@ -224,10 +225,13 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     s.mds_witness(budget)  # before the pass; sample_codewords reads it cached
     metrics = evaluate_scheme(re, sch, budget=budget)
     states = _node_states(re, sch, node_list)
+    for i, st in zip(node_list, states):
+        if st.downloaded != metrics.bandwidth[i] or \
+                st.accessed != metrics.io[i]:
+            raise InternalInconsistency(
+                f"transcript counts diverge from metrics at node {i}")
     field = s.tower.base
     stop = first_trial + int(trials)
-    downloaded = {}
-    accessed = {}
     for t0 in range(first_trial, stop, _TRIAL_CHUNK):
         words = sample_codewords(
             re, [(seed, t) for t in range(t0, min(t0 + _TRIAL_CHUNK, stop))])
@@ -235,19 +239,12 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
         if bad.size:
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
-        for i, st in zip(node_list, states):
+        for st in states:
             _replay(field, st, words, t0)
-            if st.downloaded != metrics.bandwidth[i] or \
-                    st.accessed != metrics.io[i]:
-                raise InternalInconsistency(
-                    f"transcript counts diverge from metrics at node {i}")
-            prev = downloaded.setdefault(i, st.downloaded)
-            if prev != st.downloaded or accessed.setdefault(i, st.accessed) != st.accessed:
-                raise InternalInconsistency("transcript counts vary across trials")
     return CampaignReport(
         trials=int(trials), seed=int(seed), rng=CODEWORD_SAMPLER,
         nodes=node_list,
-        downloaded=tuple(downloaded[i] for i in node_list),
-        accessed=tuple(accessed[i] for i in node_list),
+        downloaded=tuple(st.downloaded for st in states),
+        accessed=tuple(st.accessed for st in states),
         failures=(), matches_metrics=True, metrics=metrics,
     )

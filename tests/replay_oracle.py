@@ -10,7 +10,8 @@ elimination and samples and checks its words a chunk at a time.
 import numpy as np
 
 from mdsrepair.codes import sample_codewords, syndromes
-from mdsrepair.linalg import Matrix, rref
+from mdsrepair.linalg import Matrix
+from rref_oracle import rref_oracle
 
 
 def row_factor(a: Matrix):
@@ -19,11 +20,11 @@ def row_factor(a: Matrix):
     B keeps the original row order (greedy from the top), its row count is
     rank(a), and its nonzero-column set equals that of a.  A holds the
     coefficients expressing every row of a over the rows of B.  Both come
-    from one elimination of a.T: its pivot columns are the greedy rows,
-    and its nonzero reduced rows are the columns of A.
+    from one ``rref_oracle`` elimination of a.T: its pivot columns are the
+    greedy rows, and its nonzero reduced rows are the columns of A.
     """
-    r, rank, pivots = rref(Matrix(a.field, a.array.T))
-    return (Matrix(a.field, r.array[:rank].T),
+    r, rank, pivots = rref_oracle(a.field, a.array.T)
+    return (Matrix(a.field, r[:rank].T),
             Matrix(a.field, a.array[list(pivots)]))
 
 

@@ -33,3 +33,15 @@ def rref_oracle(field, a):
         pivots.append(col)
         row += 1
     return a, row, tuple(pivots)
+
+
+def span_oracle(field, rows):
+    """The canonical basis of the row space of ``rows``: its nonzero RREF rows."""
+    reduced, rank, _ = rref_oracle(field, rows)
+    return reduced[:rank]
+
+
+def meet_dim_oracle(field, a, b):
+    """dim(span a /\\ span b) = rank a + rank b - rank [a; b]."""
+    return (rref_oracle(field, a)[1] + rref_oracle(field, b)[1]
+            - rref_oracle(field, np.vstack([a, b]))[1])

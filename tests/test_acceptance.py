@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mdsrepair.codes import bounds_report, check_mds, skeleton_new
+from mdsrepair.codes import CodeSkeleton, bounds_report, check_mds
 from mdsrepair.errors import (
     EllTooSmall,
     LengthOutOfRange,
@@ -19,7 +19,6 @@ from mdsrepair.errors import (
 )
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
-    Subspace,
     batched_rank,
     gaussian_binomial,
     projective_point_count,
@@ -134,10 +133,9 @@ def _random_mds_skeleton(tower, r, n, rng, tries=2000):
         while len(nodes) < n:
             rows = np.array([[rng.randrange(field.order) for _ in range(d)]
                              for _ in range(ell)], dtype=np.int64)
-            s = Subspace.from_rows(field, rows)
-            if s.dim == ell:
-                nodes.append(s)
-        sk = skeleton_new(tower, r, nodes)
+            if batched_rank(field, rows[None])[0] == ell:
+                nodes.append(rows)
+        sk = CodeSkeleton(tower, r, nodes)
         if check_mds(sk) is None:
             return sk
     raise RuntimeError(f"no MDS skeleton found for q={tower.q}, r={r}, n={n}")

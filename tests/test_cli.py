@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from mdsrepair.cli import main
 from mdsrepair.codes import CodeSkeleton, realization_from_json
 from mdsrepair.errors import (
     BudgetExceeded,
+    InternalInconsistency,
     LengthOutOfRange,
     MalformedInput,
     NonPrime,
@@ -218,6 +220,50 @@ def test_loader_faults_exit_3(workspace, tmp_path, capsys, case):
         assert f"MalformedInput: tower.{path[2]} = {value} " in err
 
 
+# case -> (command, [(path, retype)]): each value keeps the number a lax
+# loader would read (int(1.5) == 1, int(True) == 1, np.int64("1") == 1)
+# but is not a JSON integer, so only its type is at fault
+LAX_INTEGERS = {
+    "scheme entry 1.5": ("eval", [(("scheme", "per_node", 0, "M", "entries",
+                                    0), lambda v: v + 0.5)], "matrix entries"),
+    "rows 2.7": ("eval", [(("scheme", "per_node", 0, "M", "rows"),
+                           lambda v: v + 0.7)], "matrix rows"),
+    "i true": ("eval", [(("scheme", "per_node", 0, "i"), lambda v: v == 1)],
+               "scheme entry i"),
+    "n 9.9": ("check-mds", [(("code", "n"), lambda v: v + 0.9)], "n must"),
+    "H float, X bool": ("check-mds",
+                        [(("code", "nodes", 0, "H", 0, 0), lambda v: v + 0.5),
+                         # a canonical point's first entry is 0 or 1
+                         (("code", "nodes", 0, "X", 0, 0), bool)],
+                        "node 0 H"),
+    "X string": ("check-mds", [(("code", "nodes", 2, "X", 1, 3), str)],
+                 "node 2 X"),
+    "ext_poly 1.0": ("check-mds", [(("code", "tower", "ext_poly", 2), float)],
+                     "tower.ext_poly"),
+    "code v true": ("check-mds", [(("code", "v"), lambda v: v == 1)],
+                    "unsupported schema version True"),
+    "scheme v 1.0": ("eval", [(("scheme", "v"), float)],
+                     "unsupported schema version 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(LAX_INTEGERS))
+def test_loaders_take_only_json_integers(workspace, tmp_path, capsys, case):
+    docs = {name: json.loads((workspace / f"{name}.json").read_text())
+            for name in ("code", "scheme")}
+    command, faults, named = LAX_INTEGERS[case]
+    for path, retype in faults:
+        target = docs
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = retype(target[path[-1]])
+    code, scheme = _write_docs(docs, tmp_path)
+    argv = [command, code] + ([scheme] if command == "eval" else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"MalformedInput: {named}" in err and "Traceback" not in err
+
+
 def _mutable_paths(obj, path=()):
     """Paths to the integer and list fields of a JSON document.
 
@@ -380,6 +426,25 @@ def test_simulate_jobs_checks_the_scheme_length_first(workspace, tmp_path,
     err = capsys.readouterr().err
     assert "BadShape: scheme has 8 matrices for 9 nodes" in err
     assert "Traceback" not in err
+
+
+def test_simulate_jobs_refuses_workers_that_disagree(workspace, monkeypatch):
+    # every worker replays the same scheme, so their counts can only differ
+    # through a fault; the parts are computed in this process
+    def skewed(worker, start, stop, jobs, *args):
+        mid = (start + stop) // 2
+        parts = [worker(*args, start, mid), worker(*args, mid, stop)]
+        parts[1] = dataclasses.replace(
+            parts[1], accessed=tuple(a + 1 for a in parts[1].accessed))
+        return parts
+
+    monkeypatch.setattr(cli, "_fan_out", skewed)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["simulate", str(workspace / "code.json"),
+            str(workspace / "scheme.json"), "--trials", "4", "--jobs", "2"]
+    with pytest.raises(InternalInconsistency,
+                       match="workers disagree on transcript counts"):
+        main(argv)
 
 
 def test_every_exported_name_resolves():

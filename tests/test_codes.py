@@ -18,7 +18,6 @@ from mdsrepair.codes import (
     realization_from_json,
     realization_to_json,
     realize,
-    skeleton_new,
 )
 from mdsrepair.errors import (
     AmbientMismatch,
@@ -36,10 +35,11 @@ from mdsrepair.errors import (
     WrongNodeDim,
 )
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import Subspace, batched_rank
-from mdsrepair.nrc import build, nrc_subspace, validate_params
+from mdsrepair.linalg import batched_rank
+from mdsrepair.nrc import _curve_rows, build, validate_params
 
 from replay_oracle import is_codeword, sample_codeword
+from rref_oracle import meet_dim_oracle
 
 
 def _coordinate_skeleton(tower, r):
@@ -49,27 +49,32 @@ def _coordinate_skeleton(tower, r):
     for i in range(r):
         rows = np.zeros((ell, r * ell), dtype=np.int64)
         rows[:, i * ell:(i + 1) * ell] = np.eye(ell, dtype=np.int64)
-        nodes.append(Subspace.from_rows(tower.base, rows))
-    return skeleton_new(tower, r, nodes)
+        nodes.append(rows)
+    return CodeSkeleton(tower, r, nodes)
 
 
 def test_skeleton_validation(tower3):
     s = _coordinate_skeleton(tower3, 2)
     assert s.n == 2 and s.ell == 2 and s.ambient == 4
-    node1 = Subspace.from_rows(tower3.base, s.bases[1])
-    with pytest.raises(WrongNodeDim):
-        skeleton_new(tower3, 2, [Subspace.from_rows(tower3.base, [[1, 0, 0, 0]]),
-                                 node1])
-    with pytest.raises(WrongAmbient):
-        skeleton_new(tower3, 2, [Subspace.from_rows(tower3.base,
-                                                    [[1, 0, 0], [0, 1, 0]]),
-                                 node1])
+    node1 = s.bases[1].tolist()
+    # nodes may have different row counts: each is the span of its rows
+    with pytest.raises(WrongNodeDim, match="node 0 has dimension 1"):
+        CodeSkeleton(tower3, 2, [[[1, 0, 0, 0]], node1])
+    with pytest.raises(WrongNodeDim, match="node 1 has dimension 1"):
+        CodeSkeleton(tower3, 2, [node1, [[1, 0, 0, 0]]])
+    padded = CodeSkeleton(tower3, 2, [[[1, 0, 0, 0], [0, 1, 0, 0],
+                                       [1, 1, 0, 0]], node1])
+    assert np.array_equal(padded.bases, s.bases)
+    with pytest.raises(WrongAmbient, match="node 0: .*expected"):
+        CodeSkeleton(tower3, 2, [[[1, 0, 0], [0, 1, 0]], node1])
+    with pytest.raises(WrongAmbient, match="node 1: .*form an array"):
+        CodeSkeleton(tower3, 2, [node1, [[1, 0, 0, 0], [0, 1, 0]]])
     with pytest.raises(TooFewNodes):
-        skeleton_new(tower3, 2, [node1])
+        CodeSkeleton(tower3, 2, [node1])
     # a stack of generator rows is checked as a whole, naming the first node
     with pytest.raises(WrongNodeDim, match="node 1 has dimension 1"):
         CodeSkeleton(tower3, 2, [s.bases[0], [[0, 0, 1, 0], [0, 0, 2, 0]]])
-    with pytest.raises(WrongAmbient, match=r"\(2, 2, 3\), expected"):
+    with pytest.raises(WrongAmbient, match=r"node 0: .*\(2, 3\), expected"):
         CodeSkeleton(tower3, 2, s.bases[:, :, :3])
     with pytest.raises(TooFewNodes):
         CodeSkeleton(tower3, 2, s.bases[:1])
@@ -85,8 +90,7 @@ def test_check_mds_duplicate_witness(tower3):
 def test_check_mds_nrc_skeleton(tower3, bundle3):
     assert check_mds(bundle3.skeleton) is None
     # a skeleton built directly from curve parameters is also valid
-    nodes = [nrc_subspace(tower3, 2, c) for c in range(5)]
-    s = skeleton_new(tower3, 2, nodes)
+    s = CodeSkeleton(tower3, 2, [_curve_rows(tower3, 2, c) for c in range(5)])
     assert check_mds(s) is None
 
 
@@ -108,14 +112,13 @@ def test_check_mds_agrees_with_block_invertibility(tower3):
         while len(nodes) < 4:
             rows = np.array([[rng.randrange(3) for _ in range(4)]
                              for _ in range(2)], dtype=np.int64)
-            s = Subspace.from_rows(field, rows)
-            if s.dim == 2:
-                nodes.append(s)
-        sk = skeleton_new(tower3, 2, nodes)
+            if batched_rank(field, rows[None])[0] == 2:
+                nodes.append(rows)
+        sk = CodeSkeleton(tower3, 2, nodes)
         witness = check_mds(sk)
         failing = [subset for subset in itertools.combinations(range(4), 2)
                    if batched_rank(field, np.vstack(
-                       [nodes[j].basis.array for j in subset])[None])[0] != 4]
+                       [nodes[j] for j in subset])[None])[0] != 4]
         if failing:
             assert witness == failing[0]
         else:
@@ -169,10 +172,9 @@ def _random_skeletons(draw):
             nodes.append(nodes[draw(st.integers(0, len(nodes) - 1))])
             continue
         rows = rng.integers(0, field.order, (ell, r * ell))
-        node = Subspace.from_rows(field, rows)
-        if node.dim == ell:
-            nodes.append(node)
-    return skeleton_new(tower, r, nodes)
+        if batched_rank(field, rows[None])[0] == ell:
+            nodes.append(rows)
+    return CodeSkeleton(tower, r, nodes)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3",
@@ -196,14 +198,14 @@ def test_check_mds_sends_large_schur_blocks_to_elimination(monkeypatch):
     rng = np.random.default_rng(5)
     nodes = []
     while len(nodes) < 7:
-        node = Subspace.from_rows(field, rng.integers(0, 5, (3, 9)))
-        if node.dim == 3:
+        node = rng.integers(0, 5, (3, 9))
+        if batched_rank(field, node[None])[0] == 3:
             nodes.append(node)
     for chunk in (1, 3, 4096):
         monkeypatch.setattr(codes, "_MDS_CHUNK", chunk)
-        for sk in (skeleton_new(tower, 3, nodes),
-                   skeleton_new(tower, 3, nodes[:5] + [nodes[1], nodes[6]]),
-                   skeleton_new(tower, 3, [nodes[0]] + nodes[:6])):
+        for sk in (CodeSkeleton(tower, 3, nodes),
+                   CodeSkeleton(tower, 3, nodes[:5] + [nodes[1], nodes[6]]),
+                   CodeSkeleton(tower, 3, [nodes[0]] + nodes[:6])):
             assert check_mds(sk) == _stacked_check_mds(sk)
     assert (field, 3, 3) not in linalg._rank_tables
 
@@ -268,6 +270,13 @@ def test_sample_codeword(bundle3):
     assert not np.array_equal(sample_codeword(re, 1), sample_codeword(re, 2))
 
 
+def _kernel_of(re):
+    """The code's basis, {c : H c = 0}, from one :func:`linalg.kernels` call."""
+    bases, is_piv = linalg.kernels(re.skeleton.tower.base,
+                                   re.column_stack()[None])
+    return bases[0, :is_piv.sum()]
+
+
 KERNEL_BUNDLES = [(3, 1, 2, 2, 9), (5, 1, 2, 3, 24), (3, 2, 2, 2, 20),
                   (3, 1, 3, 2, 26), (7, 1, 2, 4, 48)]
 
@@ -276,7 +285,7 @@ KERNEL_BUNDLES = [(3, 1, 2, 2, 9), (5, 1, 2, 3, 24), (3, 2, 2, 2, 20),
 def test_kernel_basis_matches_the_kernel_oracle(params):
     p, m, ell, r, n = params
     re = build(validate_params(build_tower(p, m, ell), r, n)).realization
-    assert re.kernel_basis() == linalg.kernel(re.parity_matrix()).basis
+    assert np.array_equal(re.kernel_basis().array, _kernel_of(re))
     assert re.kernel_basis().rows == (n - r) * ell
 
 
@@ -300,7 +309,7 @@ def test_kernel_basis_of_random_checks(name, rows, n, ell, rank_cap, seed):
     re = Realization(types.SimpleNamespace(tower=tower),
                      h.T.reshape(n, ell, rows))
     assert np.array_equal(re.column_stack(), h)
-    assert re.kernel_basis() == linalg.kernel(re.parity_matrix()).basis
+    assert np.array_equal(re.kernel_basis().array, _kernel_of(re))
 
 
 def test_kernel_basis_eliminates_h_once(bundle5, watch_calls):
@@ -503,7 +512,10 @@ def _realize_oracle(s, column_sets):
     for i, pts in enumerate(column_sets):
         if not all(np.any(p) for p in pts):
             raise NotSpanning(f"node {i}: a column point is the zero vector")
-        pts = [linalg.canonical_point(field, p) for p in pts]
+        pts = [np.asarray(p, dtype=np.int64) for p in pts]
+        for p in pts:
+            linalg._check_codes(field, p)
+        pts = [linalg.canonical_points(field, p) for p in pts]
         if len(pts) != ell:
             raise NotSpanning(f"node {i}: need exactly {ell} column points")
         seen = set()
@@ -515,7 +527,7 @@ def _realize_oracle(s, column_sets):
             if key in seen:
                 raise DuplicatePoint(f"node {i}: repeated projective point")
             seen.add(key)
-            if not Subspace.from_rows(field, s.bases[i]).contains(p):
+            if meet_dim_oracle(field, s.bases[i], p[None]) != 1:
                 raise PointOutsideNode(
                     f"node {i}: column point outside the node subspace")
         stacks.append(np.stack(pts))

@@ -6,37 +6,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdsrepair import linalg
-from mdsrepair.errors import (
-    AmbientMismatch,
-    BadShape,
-    DivisionByZero,
-    LevelMismatch,
-)
+from mdsrepair.errors import BadShape, LevelMismatch
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
     _RANK_TABLE_CAP,
     _elimination_ranks,
     _rank_table,
-    Subspace,
     batched_rank,
-    canonical_point,
-    enumerate_rref,
+    canonical_points,
     gaussian_binomial,
-    intersect_dim,
-    intersection,
     intersections,
-    inverse,
-    kernel,
     kernels,
-    matmul,
     projective_point_array,
     projective_point_count,
-    rref,
     rref_blocks,
 )
 
-from rref_oracle import rref_oracle
+from rref_oracle import meet_dim_oracle, rref_oracle, span_oracle
 
 F2 = build_tower(2, 1, 1).base
 F3 = build_tower(3, 1, 1).base
@@ -50,57 +37,64 @@ def _rank(m):
     return batched_rank(m.field, m.array[None])[0]
 
 
-def _zero_space(field, d):
-    return Subspace(field, d, Matrix(field, np.zeros((0, d), dtype=np.int64)), ())
+def _rref(field, a):
+    """(reduced, rank, pivots) of one matrix, as a batch of one."""
+    reduced, ranks, is_piv = _elimination_ranks(
+        field, np.array(a, dtype=np.int64)[None])
+    return reduced[0], int(ranks[0]), tuple(np.flatnonzero(is_piv[0]).tolist())
 
 
-def _full_space(field, d):
-    return Subspace(field, d, Matrix(field, np.eye(d, dtype=np.int64)),
-                    tuple(range(d)))
+def _first(bases, is_piv):
+    """Block 0 of a (bases, pivot mask) stack: (basis, pivots)."""
+    pivots = tuple(np.flatnonzero(is_piv[0]).tolist())
+    return bases[0, :len(pivots)], pivots
 
 
-# -- reference routes: the eliminations kernel and intersection replaced --------
+def _kernel(field, m):
+    return _first(*kernels(field, np.asarray(m)[None]))
 
 
-def _span_oracle(field, rows, d):
-    """The canonical row space of ``rows``, reduced by the oracle loop."""
-    r, rank, pivots = rref_oracle(field, rows)
-    return Subspace(field, d, Matrix(field, r[:rank]), pivots)
+def _meet(field, a, b):
+    return _first(*intersections(field, np.asarray(a)[None],
+                                 np.asarray(b)[None]))
 
 
-def _kernel_oracle(m):
+def _rows_of(field, d, count, rng):
+    return np.array([[rng.randrange(field.order) for _ in range(d)]
+                     for _ in range(count)], dtype=np.int64).reshape(count, d)
+
+
+# -- reference routes: the eliminations kernels and intersections replaced -----
+
+
+def _kernel_oracle(field, m):
     """One basis row per free column of the oracle RREF of m, reduced again."""
-    r, _, pivots = rref_oracle(m.field, m.array)
-    d = m.cols
+    r, _, pivots = rref_oracle(field, m)
+    d = m.shape[1]
     free = [c for c in range(d) if c not in pivots]
-    if not free:
-        return _zero_space(m.field, d)
     rows = np.zeros((len(free), d), dtype=np.int64)
     for k, f in enumerate(free):
         rows[k, f] = 1
         for i, pc in enumerate(pivots):
-            rows[k, pc] = m.field.neg(int(r[i, f]))
-    return _span_oracle(m.field, rows, d)
+            rows[k, pc] = field.neg(int(r[i, f]))
+    return span_oracle(field, rows)
 
 
-def _sum_oracle(a, b):
-    if a.ambient != b.ambient or a.field != b.field:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    return _span_oracle(a.field, np.vstack([a.basis.array, b.basis.array]),
-                        a.ambient)
+def _sum_oracle(field, a, b):
+    return span_oracle(field, np.vstack([a, b]))
 
 
-def _annihilator_oracle(s):
-    """{y : x . y = 0 for all x in s} under the standard bilinear form."""
-    if s.dim == 0:
-        return _full_space(s.field, s.ambient)
-    return _kernel_oracle(s.basis)
+def _annihilator_oracle(field, s):
+    """{y : x . y = 0 for all x in span s} under the standard bilinear form."""
+    if len(s) == 0:
+        return np.eye(s.shape[1], dtype=np.int64)
+    return _kernel_oracle(field, s)
 
 
-def _intersection_oracle(a, b):
+def _intersection_oracle(field, a, b):
     """(a^o + b^o)^o: three annihilators and a sum."""
-    return _annihilator_oracle(_sum_oracle(_annihilator_oracle(a),
-                                           _annihilator_oracle(b)))
+    return _annihilator_oracle(field, _sum_oracle(
+        field, _annihilator_oracle(field, a), _annihilator_oracle(field, b)))
 
 
 def _row_space(field, rows, width=None):
@@ -118,12 +112,12 @@ def _row_space(field, rows, width=None):
 
 
 def test_rref_identity_and_zero():
-    ident = Matrix(F3, np.eye(3, dtype=np.int64))
-    r, rank, piv = rref(ident)
-    assert r == ident and rank == 3 and piv == (0, 1, 2)
-    z = Matrix(F3, np.zeros((2, 4), dtype=np.int64))
-    r, rank, piv = rref(z)
-    assert r == z and rank == 0 and piv == ()
+    ident = np.eye(3, dtype=np.int64)
+    r, rank, piv = _rref(F3, ident)
+    assert np.array_equal(r, ident) and rank == 3 and piv == (0, 1, 2)
+    z = np.zeros((2, 4), dtype=np.int64)
+    r, rank, piv = _rref(F3, z)
+    assert np.array_equal(r, z) and rank == 0 and piv == ()
 
 
 def test_rref_rank_with_row_space_oracle():
@@ -131,11 +125,11 @@ def test_rref_rank_with_row_space_oracle():
     # so the row space has 3 elements and the rank is 1
     rows = [[1, 2], [2, 1]]
     assert len(_row_space(F3, rows)) == 3
-    assert rref(Matrix(F3, rows))[1] == 1
+    assert _rref(F3, rows)[1] == 1
     # a genuinely invertible companion
     rows2 = [[1, 2], [2, 2]]
     assert len(_row_space(F3, rows2)) == 9
-    assert rref(Matrix(F3, rows2))[1] == 2
+    assert _rref(F3, rows2)[1] == 2
 
 
 def _random_invertible(field, d, rng):
@@ -156,56 +150,46 @@ def test_rref_canonical_under_row_operations():
             a = np.array([[rng.randrange(field.order) for _ in range(cols)]
                           for _ in range(rows)], dtype=np.int64)
             p = _random_invertible(field, rows, rng)
-            ra = rref(Matrix(field, a))[0]
-            rpa = rref(Matrix(field, field.matmul(p, a)))[0]
-            assert ra == rpa
+            ra = _rref(field, a)[0]
+            rpa = _rref(field, field.matmul(p, a))[0]
+            assert np.array_equal(ra, rpa)
             trials += 1
     assert trials >= 1000
 
 
 def test_kernel_basics():
-    assert kernel(Matrix(F3, np.eye(3, dtype=np.int64))).dim == 0
-    full = kernel(Matrix(F3, np.zeros((1, 4), dtype=np.int64)))
-    assert full.dim == 4
+    assert len(_kernel(F3, np.eye(3, dtype=np.int64))[0]) == 0
+    full, pivots = _kernel(F3, np.zeros((1, 4), dtype=np.int64))
+    assert np.array_equal(full, np.eye(4)) and pivots == (0, 1, 2, 3)
     # full-row-rank l x (r*l) matrix has kernel of dimension (r-1)*l
     m = Matrix(F3, [[1, 0, 1, 2, 0, 1], [0, 1, 2, 2, 1, 0]])
     assert _rank(m) == 2
-    k = kernel(m)
-    assert k.dim == 4
-    for v in k.basis.array:
-        assert not F3.matmul(m.array, v.reshape(-1, 1)).any()
+    k, _ = _kernel(F3, m.array)
+    assert len(k) == 4
+    assert not F3.matmul(m.array, k.T).any()
 
 
 def test_contains_against_multiplication_oracle():
+    # v lies in the kernel's span exactly when m v^T = 0
     rng = random.Random(7)
     for _ in range(100):
         rows = rng.randrange(1, 4)
         cols = rng.randrange(2, 6)
-        m = Matrix(F5, [[rng.randrange(5) for _ in range(cols)]
-                        for _ in range(rows)])
-        k = kernel(m)
+        m = _rows_of(F5, cols, rows, rng)
+        k, _ = _kernel(F5, m)
         v = np.array([rng.randrange(5) for _ in range(cols)], dtype=np.int64)
-        assert k.contains(v) == (not F5.matmul(m.array, v.reshape(-1, 1)).any())
-
-
-def test_contains_trivia():
-    s = Subspace.from_rows(F3, [[1, 0, 0], [0, 1, 0]])
-    assert s.contains([0, 0, 0])
-    zero = _zero_space(F3, 3)
-    assert not zero.contains([0, 1, 0])
-    with pytest.raises(AmbientMismatch):
-        s.contains([1, 0])
+        inside = rref_oracle(F5, np.vstack([k, v]))[1] == len(k)
+        assert inside == (not F5.matmul(m, v.reshape(-1, 1)).any())
 
 
 def test_intersect_dim_examples():
-    s = Subspace.from_rows(F3, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert intersect_dim(s, s) == 2
-    t = Subspace.from_rows(F3, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert intersect_dim(s, t) == 0
-    u = Subspace.from_rows(F3, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    assert intersect_dim(s, u) == 1
-    with pytest.raises(AmbientMismatch):
-        intersect_dim(s, _zero_space(F3, 3))
+    s = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    t = np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
+    u = np.array([[0, 1, 0, 0], [0, 0, 1, 0]])
+    for b, dim in ((s, 2), (t, 0), (u, 1)):
+        assert len(_meet(F3, s, b)[0]) == dim == meet_dim_oracle(F3, s, b)
+    with pytest.raises(BadShape):
+        intersections(F3, s[None], np.eye(3, dtype=np.int64)[None])
 
 
 def test_intersect_dim_against_membership_oracle():
@@ -213,70 +197,79 @@ def test_intersect_dim_against_membership_oracle():
     for field in (F2, F3):
         for _ in range(40):
             d = rng.randrange(2, 5)
-            da = rng.randrange(1, d + 1)
-            db = rng.randrange(1, d + 1)
-            a = Subspace.from_rows(field, [[rng.randrange(field.order)
-                                            for _ in range(d)] for _ in range(da)])
-            b = Subspace.from_rows(field, [[rng.randrange(field.order)
-                                            for _ in range(d)] for _ in range(db)])
-            if field.order ** a.dim > 10 ** 4:
+            a = span_oracle(field, _rows_of(field, d, rng.randrange(1, d + 1),
+                                            rng))
+            b = span_oracle(field, _rows_of(field, d, rng.randrange(1, d + 1),
+                                            rng))
+            if field.order ** len(a) > 10 ** 4:
                 continue
-            common = sum(1 for v in _row_space(field, list(a.basis.array), d)
-                         if b.contains(np.array(v)))
-            assert field.order ** intersect_dim(a, b) == common
+            common = sum(1 for v in _row_space(field, list(a), d)
+                         if rref_oracle(field, np.vstack([b, v]))[1] == len(b))
+            assert field.order ** len(_meet(field, a, b)[0]) == common
 
 
 def test_intersection_subspace_consistent_with_dim():
     rng = random.Random(5)
     for _ in range(60):
         d = rng.randrange(2, 6)
-        a = Subspace.from_rows(F3, [[rng.randrange(3) for _ in range(d)]
-                                    for _ in range(rng.randrange(1, d + 1))])
-        b = Subspace.from_rows(F3, [[rng.randrange(3) for _ in range(d)]
-                                    for _ in range(rng.randrange(1, d + 1))])
-        inter = intersection(a, b)
-        assert inter.dim == intersect_dim(a, b)
-        for v in inter.basis.array:
-            assert a.contains(v) and b.contains(v)
-        assert _sum_oracle(a, b).dim == a.dim + b.dim - inter.dim
+        a = _rows_of(F3, d, rng.randrange(1, d + 1), rng)
+        b = _rows_of(F3, d, rng.randrange(1, d + 1), rng)
+        inter, _ = _meet(F3, a, b)
+        assert len(inter) == meet_dim_oracle(F3, a, b)
+        for v in inter:
+            assert meet_dim_oracle(F3, a, v[None]) == 1
+            assert meet_dim_oracle(F3, b, v[None]) == 1
+        assert len(_sum_oracle(F3, a, b)) == \
+            rref_oracle(F3, a)[1] + rref_oracle(F3, b)[1] - len(inter)
 
 
 def test_annihilator_dimensions():
-    s = Subspace.from_rows(F5, [[1, 2, 3, 4]])
-    assert _annihilator_oracle(s).dim == 3
-    assert _annihilator_oracle(_zero_space(F5, 4)).dim == 4
-    assert _annihilator_oracle(_full_space(F5, 4)).dim == 0
+    assert len(_annihilator_oracle(F5, np.array([[1, 2, 3, 4]]))) == 3
+    assert len(_annihilator_oracle(F5, np.zeros((0, 4), dtype=np.int64))) == 4
+    assert len(_annihilator_oracle(F5, np.eye(4, dtype=np.int64))) == 0
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
+def _enumerate(q, k, d, start=0, stop=None):
+    """Every matrix of the canonical RREF enumeration, one by one."""
+    return [m for _, block in rref_blocks(q, k, d, start, stop)
+            for m in block]
+
+
 def test_enumerate_rref_k_equals_d():
-    ms = list(enumerate_rref(F3, 2, 2))
+    ms = _enumerate(3, 2, 2)
     assert len(ms) == 1
-    assert ms[0] == Matrix(F3, np.eye(2, dtype=np.int64))
+    assert np.array_equal(ms[0], np.eye(2))
 
 
 def test_enumerate_rref_full_census_2_4_3():
-    ms = list(enumerate_rref(F3, 2, 4))
+    ms = _enumerate(3, 2, 4)
     assert len(ms) == 130 == gaussian_binomial(4, 2, 3)
-    seen_matrices = {m.array.tobytes() for m in ms}
+    seen_matrices = {m.tobytes() for m in ms}
     assert len(seen_matrices) == 130
     for m in ms:
-        assert _rank(m) == 2
-        r, _, _ = rref(m)
-        assert r == m  # already canonical
-    kernels = {kernel(m).basis.array.tobytes() for m in ms}
-    assert len(kernels) == 130  # kernels cover each codim-2 subspace once
+        r, rank, _ = rref_oracle(F3, m)
+        assert rank == 2 and np.array_equal(r, m)  # already canonical
+    bases, is_piv = kernels(F3, np.stack(ms))
+    assert (is_piv.sum(axis=1) == 2).all()
+    found = {b[:2].tobytes() for b in bases}
+    assert len(found) == 130  # kernels cover each codim-2 subspace once
 
 
 def test_enumerate_rref_deterministic_and_splittable():
-    full = [m.array.tobytes() for m in enumerate_rref(F3, 2, 4)]
-    again = [m.array.tobytes() for m in enumerate_rref(F3, 2, 4)]
+    full = [m.tobytes() for m in _enumerate(3, 2, 4)]
+    again = [m.tobytes() for m in _enumerate(3, 2, 4)]
     assert full == again
-    split = [m.array.tobytes() for m in enumerate_rref(F3, 2, 4, 0, 57)]
-    split += [m.array.tobytes() for m in enumerate_rref(F3, 2, 4, 57, 130)]
+    split = [m.tobytes() for m in _enumerate(3, 2, 4, 0, 57)]
+    split += [m.tobytes() for m in _enumerate(3, 2, 4, 57, 130)]
     assert split == full
+    # chunks of any size list the same matrices with the right base index
+    chunked = list(rref_blocks(3, 2, 4, 10, 130, chunk=7))
+    assert [base for base, _ in chunked] == \
+        list(itertools.accumulate([10] + [len(b) for _, b in chunked[:-1]]))
+    assert [m.tobytes() for _, b in chunked for m in b] == full[10:]
 
 
 def test_enumerate_rref_large_count_via_blocks():
@@ -286,9 +279,9 @@ def test_enumerate_rref_large_count_via_blocks():
 
 def test_enumerate_rref_bad_shape():
     with pytest.raises(BadShape):
-        list(enumerate_rref(F3, 3, 2))
+        list(rref_blocks(3, 3, 2))
     with pytest.raises(BadShape):
-        list(enumerate_rref(F3, 1, 2, 0, 99))
+        list(rref_blocks(3, 1, 2, 0, 99))
 
 
 def test_gaussian_binomial_values():
@@ -301,12 +294,10 @@ def test_gaussian_binomial_values():
 
 def test_gaussian_binomial_counts_subspaces_oracle():
     # enumerate every 2x4 matrix over F_3, collect distinct rank-2 row spaces
-    spaces = set()
-    for entries in itertools.product(range(3), repeat=8):
-        m = Matrix(F3, np.array(entries, dtype=np.int64).reshape(2, 4))
-        r, rank, _ = rref(m)
-        if rank == 2:
-            spaces.add(r.array.tobytes())
+    every = np.array(list(itertools.product(range(3), repeat=8)),
+                     dtype=np.int64).reshape(-1, 2, 4)
+    reduced, ranks, _ = _elimination_ranks(F3, every.copy())
+    spaces = {r.tobytes() for r in reduced[ranks == 2]}
     assert len(spaces) == gaussian_binomial(4, 2, 3) == 130
 
 
@@ -389,29 +380,33 @@ def test_rank_table_is_filled_once(monkeypatch):
 
 
 def test_inverse_and_solve():
-    m = Matrix(F5, [[1, 2], [3, 4]])
-    assert matmul(m, inverse(m)) == Matrix(F5, np.eye(2, dtype=np.int64))
-    with pytest.raises(DivisionByZero):
-        inverse(Matrix(F5, [[1, 2], [2, 4]]))
+    # the inverse of A is the right half of the RREF of [A | I], exactly
+    # when the left half reduces to I
+    eye = np.eye(2, dtype=np.int64)
+    m = np.array([[1, 2], [3, 4]])
+    r, _, pivots = _rref(F5, np.hstack([m, eye]))
+    assert pivots == (0, 1)
+    assert np.array_equal(F5.matmul(m, r[:, 2:]), eye)
+    assert _rref(F5, np.hstack([[[1, 2], [2, 4]], eye]))[2][:2] != (0, 1)
     # a full-column-rank system a @ x = b: reducing [a | b] leaves the
     # identity over x and zero rows below it
-    a = Matrix(F5, [[1, 0], [2, 1], [1, 1]])
-    x = Matrix(F5, [[2, 1], [0, 2]])
-    r, _, pivots = rref_oracle(F5, np.hstack([a.array, matmul(a, x).array]))
+    a = np.array([[1, 0], [2, 1], [1, 1]])
+    x = np.array([[2, 1], [0, 2]])
+    r, _, pivots = rref_oracle(F5, np.hstack([a, F5.matmul(a, x)]))
     assert pivots == (0, 1)
-    assert Matrix(F5, r[:2, 2:]) == x and not r[2:].any()
+    assert np.array_equal(r[:2, 2:], x) and not r[2:].any()
 
 
 @pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
 @pytest.mark.parametrize("bad", [-1, 9, 2 ** 40])
 def test_entries_outside_the_field_are_refused(field, bad):
     # the array kernel indexes tables by code: a stray entry must not wrap
-    row = [1, bad, 0]
-    s = Subspace.from_rows(field, [[1, 0, 0]])
-    for call in (lambda: Matrix(field, [row]),
-                 lambda: Subspace.from_rows(field, [row]),
-                 lambda: s.contains(row),
-                 lambda: canonical_point(field, row)):
+    row = [[1, bad, 0]]
+    good = [[1, 0, 0]]
+    for call in (lambda: Matrix(field, row),
+                 lambda: kernels(field, [row]),
+                 lambda: intersections(field, [row], [good]),
+                 lambda: intersections(field, [good], [row])):
         with pytest.raises(LevelMismatch):
             call()
 
@@ -431,10 +426,9 @@ def test_batched_rank_refuses_entries_outside_the_field(size, bad):
 
 
 def test_canonical_point():
-    p = canonical_point(F5, [0, 2, 4])
-    assert p.tolist() == [0, 1, 2]
-    with pytest.raises(ValueError):
-        canonical_point(F5, [0, 0, 0])
+    pts = canonical_points(F5, np.array([[0, 2, 4], [3, 0, 1], [1, 1, 1]]))
+    assert pts.tolist() == [[0, 1, 2], [1, 0, 2], [1, 1, 1]]
+    assert canonical_points(F5, np.array([0, 2, 4])).tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("field,dim", [(F2, 3), (F3, 2), (F5, 2), (F4, 2)])
@@ -443,8 +437,7 @@ def test_projective_point_array(field, dim):
     assert len(pts) == projective_point_count(field.order, dim)
     seen = {p.tobytes() for p in pts}
     assert len(seen) == len(pts)
-    for p in pts:
-        assert np.array_equal(canonical_point(field, p), p)
+    assert np.array_equal(canonical_points(field, pts), pts)
 
 
 # -- property tests -----------------------------------------------------------------
@@ -463,20 +456,18 @@ def _subspace_pair(draw):
 @settings(max_examples=120, deadline=None)
 @given(_subspace_pair())
 def test_dimension_formula_property(pair):
-    rows_a, rows_b = pair
-    a = Subspace.from_rows(F3, np.array(rows_a, dtype=np.int64))
-    b = Subspace.from_rows(F3, np.array(rows_b, dtype=np.int64))
-    assert _sum_oracle(a, b).dim + intersect_dim(a, b) == a.dim + b.dim
+    a, b = (np.array(rows, dtype=np.int64) for rows in pair)
+    assert len(_sum_oracle(F3, a, b)) + len(_meet(F3, a, b)[0]) == \
+        rref_oracle(F3, a)[1] + rref_oracle(F3, b)[1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
                 min_size=1, max_size=4))
 def test_rref_idempotent_property(rows):
-    m = Matrix(F5, np.array(rows, dtype=np.int64))
-    r, rank, piv = rref(m)
-    r2, rank2, piv2 = rref(r)
-    assert r2 == r and rank2 == rank and piv2 == piv
+    r, rank, piv = _rref(F5, rows)
+    r2, rank2, piv2 = _rref(F5, r)
+    assert np.array_equal(r2, r) and rank2 == rank and piv2 == piv
 
 
 @st.composite
@@ -553,65 +544,71 @@ _ORACLE_FIELDS = [F2, F3, F4, F5, F9]
 def _matrix_case(draw):
     field = draw(st.sampled_from(_ORACLE_FIELDS))
     d = draw(st.integers(1, 7))
-    return Matrix(field, _rows(draw, field, draw(st.integers(0, d + 1)), d))
+    return field, _rows(draw, field, draw(st.integers(0, d + 1)), d)
 
 
 @st.composite
 def _subspace_case(draw):
+    """Two generator row arrays of one width, often zero, full or nested."""
     field = draw(st.sampled_from(_ORACLE_FIELDS))
     d = draw(st.integers(1, 7))
 
     def some():
-        rows = _rows(draw, field, draw(st.integers(0, d + 1)), d)
-        return Subspace.from_rows(field, rows)
+        return _rows(draw, field, draw(st.integers(0, d + 1)), d)
 
     kind = draw(st.sampled_from(["random", "zero", "full", "equal", "nested"]))
     a = some()
     if kind == "zero":
-        b = _zero_space(field, d)
+        b = np.zeros((0, d), dtype=np.int64)
     elif kind == "full":
-        b = _full_space(field, d)
+        b = np.eye(d, dtype=np.int64)
     elif kind == "equal":
-        b = Subspace.from_rows(field, a.basis.array)
+        b = span_oracle(field, a)
     elif kind == "nested":
-        b = Subspace.from_rows(field, np.vstack([a.basis.array,
-                                                 some().basis.array]))
+        b = np.vstack([a, some()])
     else:
         b = some()
-    return (a, b) if draw(st.booleans()) else (b, a)
+    return (field, a, b) if draw(st.booleans()) else (field, b, a)
 
 
 def _same_subspace(got, want):
-    # Subspace equality compares the ambient and the basis matrix exactly
-    assert got == want and got.pivots == want.pivots
+    # a subspace is its canonical basis: compare the arrays exactly, and
+    # the pivot mask with the leading columns of the oracle's rows
+    basis, pivots = got
+    assert np.array_equal(basis, want)
+    assert pivots == tuple(int(np.flatnonzero(row)[0]) for row in want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_matrix_case())
-def test_kernel_matches_free_column_route(m):
-    k = kernel(m)
-    _same_subspace(k, _kernel_oracle(m))
-    assert not m.field.matmul(m.array, k.basis.array.T).any()
+def test_kernel_matches_free_column_route(case):
+    field, m = case
+    k = _kernel(field, m)
+    _same_subspace(k, _kernel_oracle(field, m))
+    assert not field.matmul(m, k[0].T).any()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_subspace_case())
-def test_intersection_matches_annihilator_route(pair):
-    a, b = pair
-    got = intersection(a, b)
-    _same_subspace(got, _intersection_oracle(a, b))
-    assert got.dim == intersect_dim(a, b)
+def test_intersection_matches_annihilator_route(case):
+    field, a, b = case
+    got = _meet(field, a, b)
+    _same_subspace(got, _intersection_oracle(field, a, b))
+    assert len(got[0]) == meet_dim_oracle(field, a, b)
 
 
 def test_intersection_edge_cases_match_annihilator_route():
     for field in _ORACLE_FIELDS:
         for d in (1, 4):
-            zero, full = _zero_space(field, d), _full_space(field, d)
-            line = Subspace.from_rows(field, [[1] * d])
+            zero = np.zeros((0, d), dtype=np.int64)
+            full = np.eye(d, dtype=np.int64)
+            line = np.ones((1, d), dtype=np.int64)
             for a, b in itertools.product([zero, full, line], repeat=2):
-                _same_subspace(intersection(a, b), _intersection_oracle(a, b))
-    with pytest.raises(AmbientMismatch):
-        intersection(_full_space(F3, 3), _full_space(F3, 4))
+                _same_subspace(_meet(field, a, b),
+                               _intersection_oracle(field, a, b))
+    with pytest.raises(BadShape):
+        intersections(F3, np.eye(3, dtype=np.int64)[None],
+                      np.eye(4, dtype=np.int64)[None])
 
 
 @st.composite
@@ -644,19 +641,20 @@ def test_batch_of_one_routes_match_the_oracle(case):
     field, a, b, sq = case
     d = a.shape[1]
     want, rank, pivots = rref_oracle(field, a)
-    assert rref(Matrix(field, a)) == (Matrix(field, want), rank, pivots)
-    sa, sb = Subspace.from_rows(field, a), Subspace.from_rows(field, b)
-    _same_subspace(sa, _span_oracle(field, a, d))
-    _same_subspace(kernel(Matrix(field, a)), _kernel_oracle(Matrix(field, a)))
-    _same_subspace(intersection(sa, sb), _intersection_oracle(sa, sb))
-    assert intersect_dim(sa, sb) == \
-        sa.dim + sb.dim - _span_oracle(field, np.vstack([a, b]), d).dim
-    r, _, piv = rref_oracle(field, np.hstack([sq, np.eye(d, dtype=np.int64)]))
+    got, got_rank, got_pivots = _rref(field, a)
+    assert np.array_equal(got, want) and (got_rank, got_pivots) == (rank, pivots)
+    reduced, _, is_piv = _elimination_ranks(field, a[None].copy())
+    _same_subspace(_first(reduced, is_piv), span_oracle(field, a))
+    _same_subspace(_kernel(field, a), _kernel_oracle(field, a))
+    _same_subspace(_meet(field, a, b), _intersection_oracle(field, a, b))
+    assert len(_meet(field, a, b)[0]) == meet_dim_oracle(field, a, b)
+    # an inverse, as the replay forms -(M H_i)^(-1): the RREF of [A | I]
+    aug = np.hstack([sq, np.eye(d, dtype=np.int64)])
+    r, _, piv = rref_oracle(field, aug)
+    got, _, got_piv = _rref(field, aug)
+    assert np.array_equal(got, r) and got_piv == piv
     if piv[:d] == tuple(range(d)):
-        assert inverse(Matrix(field, sq)) == Matrix(field, r[:, d:])
-    else:
-        with pytest.raises(DivisionByZero):
-            inverse(Matrix(field, sq))
+        assert np.array_equal(field.matmul(sq, r[:, d:]), np.eye(d))
 
 
 @st.composite
@@ -692,32 +690,34 @@ def _mixed_stacks(draw):
 @settings(max_examples=100, deadline=None)
 @given(_mixed_stacks())
 def test_stacked_constructors_match_batches_of_one(case):
-    # each block of a kernels or intersections stack is its batch of one:
-    # basis rows on top, zero rows past its dimension, its pivot mask
+    # each block of a kernels or intersections stack is its batch of one
+    # and the oracle's basis: basis rows on top, zero rows past its
+    # dimension, its pivot mask
     field, m, a, b = case
     d = m.shape[2]
     before = [x.copy() for x in (m, a, b)]
-    for (bases, is_piv), ones in (
-            (kernels(field, m), [kernel(Matrix(field, x)) for x in m]),
+    for (bases, is_piv), ones, wants in (
+            (kernels(field, m), [_kernel(field, x) for x in m],
+             [_kernel_oracle(field, x) for x in m]),
             (intersections(field, a, b),
-             [intersection(Subspace.from_rows(field, x),
-                           Subspace.from_rows(field, y))
-              for x, y in zip(a, b)])):
+             [_meet(field, x, y) for x, y in zip(a, b)],
+             [_intersection_oracle(field, x, y) for x, y in zip(a, b)])):
         dims = is_piv.sum(axis=1)
         assert bases.shape == (len(ones), d, d)
         assert {0, d} <= set(dims.tolist())
-        for block, piv, dim, one in zip(bases, is_piv, dims, ones):
-            assert tuple(np.flatnonzero(piv).tolist()) == one.pivots
-            assert np.array_equal(block[:dim], one.basis.array)
+        for block, piv, dim, one, want in zip(bases, is_piv, dims, ones,
+                                              wants):
+            _same_subspace(_first(block[None], piv[None]), want)
+            _same_subspace(one, want)
             assert not block[dim:].any()
     assert all(np.array_equal(x, y) for x, y in zip((m, a, b), before))
 
 
 def test_kernel_and_intersection_eliminate_once(watch_calls):
     calls = watch_calls(linalg, "_elimination_ranks")
-    m = Matrix(F5, [[1, 2, 0, 4, 1], [0, 1, 1, 0, 3], [1, 3, 1, 4, 4]])
-    a, b = kernel(m), _full_space(F5, 5)
+    m = np.array([[1, 2, 0, 4, 1], [0, 1, 1, 0, 3], [1, 3, 1, 4, 4]])
+    a = _kernel(F5, m)[0]
     assert len(calls) == 1
     calls.clear()
-    intersection(a, b)
+    _meet(F5, a, np.eye(5, dtype=np.int64))
     assert len(calls) == 1

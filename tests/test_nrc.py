@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from mdsrepair import codes, linalg, nrc, repair
-from mdsrepair.codes import (
-    check_mds,
-    realization_from_json,
-    realization_to_json,
-)
+from mdsrepair.codes import check_mds, realization_to_json
 from mdsrepair.errors import (
     BadParameters,
     EllTooSmall,
@@ -22,9 +18,8 @@ from mdsrepair.errors import (
 )
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
-    Subspace,
-    canonical_point,
-    intersect_dim,
+    canonical_points,
+    intersections,
     projective_point_count,
 )
 from mdsrepair.nrc import (
@@ -33,11 +28,12 @@ from mdsrepair.nrc import (
     build,
     bundle_provenance,
     norm_one_subgroup,
-    nrc_subspace,
     repair_subspace,
     validate_params,
 )
 from mdsrepair.repair import scheme_to_json
+
+from rref_oracle import meet_dim_oracle, rref_oracle, span_oracle
 
 
 # -- parameter gate ---------------------------------------------------------------
@@ -85,17 +81,19 @@ def test_validate_params_r_bounds(tower3):
 
 
 def test_nrc_subspace_infinity_and_zero(tower3):
-    s_inf = nrc_subspace(tower3, 3, INF)
-    assert s_inf.basis.array.tolist() == [
+    assert nrc._curve_rows(tower3, 3, INF).tolist() == [
         [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
-    s0 = nrc_subspace(tower3, 3, 0)
-    assert s0.basis.array.tolist() == [
+    assert nrc._curve_rows(tower3, 3, 0).tolist() == [
         [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
 
 
 def test_nrc_subspace_dimensions_all_parameters(tower3):
+    # the curve rows of every parameter are already a canonical basis of
+    # an l-dimensional node subspace
     for c in list(range(9)) + [INF]:
-        assert nrc_subspace(tower3, 3, c).dim == 2
+        rows = nrc._curve_rows(tower3, 3, c)
+        assert rows.shape == (2, 6)
+        assert np.array_equal(span_oracle(tower3.base, rows), rows)
 
 
 # -- norm-one subgroup ----------------------------------------------------------------
@@ -177,12 +175,16 @@ def test_repair_subspace_rejects_zero(tower3):
 
 
 def test_repair_subspace_dimension_and_extremes(tower5):
+    field = tower5.base
     for b in (1, 7, 24):
         w, m = repair_subspace(tower5, 3, b)
-        assert w.dim == 4  # (r-1) * l
+        assert w.shape == (4, 6)  # (r-1) * l canonical basis rows
+        assert np.array_equal(span_oracle(field, w), w)
         assert m.shape == (2, 6)
-        assert intersect_dim(w, nrc_subspace(tower5, 3, 0)) == 0
-        assert intersect_dim(w, nrc_subspace(tower5, 3, INF)) == 0
+        assert not field.matmul(m.array, w.T).any()
+        for c in (0, INF):
+            rows = nrc._curve_rows(tower5, 3, c)
+            assert meet_dim_oracle(field, w, rows) == 0
 
 
 def test_repair_subspace_hit_pattern_exhaustive(tower5):
@@ -195,7 +197,8 @@ def test_repair_subspace_hit_pattern_exhaustive(tower5):
         coset = {top.mul(b, s) for s in sigma}
         for c in tower5.top_units():
             expected = 1 if top.pow(c, 2) in coset else 0
-            assert intersect_dim(w, nrc_subspace(tower5, 3, c)) == expected
+            rows = nrc._curve_rows(tower5, 3, c)
+            assert meet_dim_oracle(tower5.base, w, rows) == expected
 
 
 def test_repair_subspace_hit_pattern_two_parity(tower3):
@@ -205,7 +208,8 @@ def test_repair_subspace_hit_pattern_two_parity(tower3):
         w, _ = repair_subspace(tower3, 2, b)
         for c in tower3.top_units():
             expected = 1 if c in {top.mul(b, s) for s in sigma} else 0
-            assert intersect_dim(w, nrc_subspace(tower3, 2, c)) == expected
+            rows = nrc._curve_rows(tower3, 2, c)
+            assert meet_dim_oracle(tower3.base, w, rows) == expected
 
 
 # -- the full construction -----------------------------------------------------------------
@@ -244,38 +248,35 @@ def test_build_higher_redundancy_lengths(tower5):
 def test_build_forced_columns_present(bundle5):
     # every node of the two chosen blocks carries the unique projective
     # point its designated hitting kernel captures
-    from mdsrepair.linalg import intersection
-
     field = bundle5.skeleton.tower.base
     block_a, block_b = bundle5.blocks_used
     w_a, _ = repair_subspace(bundle5.params.tower, 3, block_a.rep)
     w_b, _ = repair_subspace(bundle5.params.tower, 3, block_b.rep)
     for idx, c in enumerate(bundle5.parameters):
-        node = Subspace.from_rows(field, bundle5.skeleton.bases[idx])
+        node = bundle5.skeleton.bases[idx]
         if c in set(block_a.members):
-            hit = intersection(w_a, node)
+            w = w_a
         elif c in set(block_b.members):
-            hit = intersection(w_b, node)
+            w = w_b
         else:
             continue
-        assert hit.dim == 1
-        point = tuple(int(x) for x in canonical_point(field,
-                                                      hit.basis.array[0]))
+        hit, is_piv = intersections(field, w[None], node[None])
+        assert is_piv.sum() == 1 == meet_dim_oracle(field, w, node)
+        point = tuple(int(x) for x in canonical_points(field, hit[0, 0]))
         assert point in map(tuple, bundle5.realization.points[idx].tolist())
 
 
-def _greedy_spanning_points(field, node, gens, forced):
+def _greedy_spanning_points(field, ell, gens, forced):
     """Reference: keep each new canonical point that raises the rank."""
-    ell = node.dim
     chosen = [] if forced is None else [forced]
     rank = len(chosen)
     for row in gens:
         if rank == ell:
             break
-        p = canonical_point(field, row)
+        p = canonical_points(field, row)
         if any(np.array_equal(p, c) for c in chosen):
             continue
-        new_rank = Subspace.from_rows(field, np.vstack(chosen + [p])).dim
+        new_rank = rref_oracle(field, np.vstack(chosen + [p]))[1]
         if new_rank > rank:
             chosen.append(p)
             rank = new_rank
@@ -290,22 +291,22 @@ def _spanning_cases(tower, r):
     field = tower.base
     for c in list(tower.top_elements()) + [INF]:
         gens = nrc._curve_rows(tower, r, c)
-        node = nrc_subspace(tower, r, c)
+        ell = len(gens)
         mixed = field.arr_add(gens[0], gens[-1])
         scaled = field.arr_mul(gens[0], field.order - 1)
-        for forced in (None, canonical_point(field, gens[0]),
-                       canonical_point(field, gens[-1]),
-                       canonical_point(field, mixed)):
-            yield field, node, gens, forced
-            yield field, node, np.vstack([gens[:1], gens]), forced
-            yield field, node, np.vstack([gens[:1], scaled, gens[1:]]), forced
-            yield field, node, np.vstack([scaled, gens[1:]]), forced
+        for forced in (None, canonical_points(field, gens[0]),
+                       canonical_points(field, gens[-1]),
+                       canonical_points(field, mixed)):
+            yield field, ell, gens, forced
+            yield field, ell, np.vstack([gens[:1], gens]), forced
+            yield field, ell, np.vstack([gens[:1], scaled, gens[1:]]), forced
+            yield field, ell, np.vstack([scaled, gens[1:]]), forced
 
 
-def _spanning_points(field, node, gens, forced):
+def _spanning_points(field, ell, gens, forced):
     """The forced point, then curve rows greedily, from a stack of one."""
     cands = gens if forced is None else np.vstack([forced, gens])
-    return list(nrc._spanning_fill(field, cands[None], node.dim)[0])
+    return list(nrc._spanning_fill(field, cands[None], ell)[0])
 
 
 @pytest.mark.parametrize("p,m,ell,r", [(3, 1, 2, 2), (5, 1, 2, 3),
@@ -313,10 +314,10 @@ def _spanning_points(field, node, gens, forced):
                          ids=["q3", "q5", "q9"])
 def test_spanning_points_match_greedy_route(p, m, ell, r):
     cases = 0
-    for field, node, gens, forced in _spanning_cases(build_tower(p, m, ell), r):
-        got = _spanning_points(field, node, gens, forced)
-        want = _greedy_spanning_points(field, node, gens, forced)
-        assert len(got) == len(want) == node.dim
+    for field, ell, gens, forced in _spanning_cases(build_tower(p, m, ell), r):
+        got = _spanning_points(field, ell, gens, forced)
+        want = _greedy_spanning_points(field, ell, gens, forced)
+        assert len(got) == len(want) == ell
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         cases += 1
     assert cases == 16 * (p ** (m * ell) + 1)
@@ -325,18 +326,16 @@ def test_spanning_points_match_greedy_route(p, m, ell, r):
 def test_spanning_points_refuse_a_short_fill(tower3):
     field = tower3.base
     gens = nrc._curve_rows(tower3, 2, 1)
-    node = nrc_subspace(tower3, 2, 1)
     for fill in (_spanning_points, _greedy_spanning_points):
         with pytest.raises(InternalInconsistency):
-            fill(field, node, np.vstack([gens[:1], gens[:1]]), None)
+            fill(field, 2, np.vstack([gens[:1], gens[:1]]), None)
 
 
 def test_spanning_points_eliminate_once(tower5, watch_calls):
     gens = nrc._curve_rows(tower5, 3, 7)
-    node = nrc_subspace(tower5, 3, 7)
-    forced = canonical_point(tower5.base, gens[1])
+    forced = canonical_points(tower5.base, gens[1])
     calls = watch_calls(linalg, "_elimination_ranks")
-    _spanning_points(tower5.base, node, gens, forced)
+    _spanning_points(tower5.base, 2, gens, forced)
     assert len(calls) == 1
 
 
@@ -430,26 +429,21 @@ def test_build_redundancy_four():
 def test_spanning_fill_of_a_stack_matches_greedy_route(p, m, ell, r):
     # every case padded to one shape, a zero row where no point is forced
     cases = list(_spanning_cases(build_tower(p, m, ell), r))
-    field, node = cases[0][0], cases[0][1]
+    field = cases[0][0]
     width = max(len(gens) for _, _, gens, _ in cases) + 1
-    stack = np.zeros((len(cases), width, node.ambient), dtype=np.int64)
+    stack = np.zeros((len(cases), width, r * ell), dtype=np.int64)
     for block, (_, _, gens, forced) in zip(stack, cases):
         if forced is not None:
             block[0] = forced
         block[1:1 + len(gens)] = gens
     got = nrc._spanning_fill(field, stack, ell)
-    for points, (field, node, gens, forced) in zip(got, cases):
-        want = _greedy_spanning_points(field, node, gens, forced)
+    for points, (field, ell, gens, forced) in zip(got, cases):
+        want = _greedy_spanning_points(field, ell, gens, forced)
         assert np.array_equal(points, np.stack(want))
 
 
 @pytest.mark.parametrize("n", [9, 10])
-def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls,
-                                             monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a point was checked on its own")
-
-    monkeypatch.setattr(Subspace, "contains", refuse)
+def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls):
     elims = watch_calls(linalg, "_elimination_ranks")
     bundle = build(validate_params(tower3, 2, n))
     # the 8 nodes of the two blocks meet their kernels in one Zassenhaus
@@ -460,24 +454,6 @@ def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls,
     # the only batches of one are the two repair kernels [M^T | I]
     assert [c for c in elims if c[0] == 1] == [(1, 4, 6)] * 2
     assert bundle.metrics.equality
-
-
-def test_load_and_build_make_no_per_node_subspaces(bundle5, monkeypatch):
-    # node bases, kernels and column points stay arrays; the only Subspace
-    # objects are the two repair kernels of repair_subspace
-    obj = realization_to_json(bundle5.realization, bundle5.labels)
-    made = []
-    real = Subspace.__init__
-
-    def counted(self, field, ambient, basis, pivots):
-        made.append((ambient, basis.rows))
-        real(self, field, ambient, basis, pivots)
-
-    monkeypatch.setattr(Subspace, "__init__", counted)
-    realization_from_json(obj)
-    assert made == []
-    build(bundle5.params)
-    assert made == [(6, 4), (6, 4)]
 
 
 def test_verify_bundle_reads_the_scheme_pass(bundle5):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bruteforce_oracle import bruteforce_oracle
-from mdsrepair.codes import CodeSkeleton, realize, skeleton_new
+from rref_oracle import meet_dim_oracle
+from mdsrepair.codes import CodeSkeleton, realize
 from mdsrepair.errors import (
     BadRank,
     BadShape,
@@ -20,15 +21,14 @@ from mdsrepair import linalg, repair
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
-    Subspace,
     batched_rank,
-    enumerate_rref,
     gaussian_binomial,
-    intersect_dim,
-    kernel,
+    kernels,
     projective_point_count,
+    rref_blocks,
 )
 from mdsrepair.nrc import build, validate_params
+from mdsrepair.simulate import _node_states
 from mdsrepair.repair import (
     RepairScheme,
     bandwidth,
@@ -44,6 +44,18 @@ from mdsrepair.repair import (
 )
 
 
+def _kernel_basis(m):
+    """Canonical basis of ker m, from one :func:`linalg.kernels` call."""
+    bases, is_piv = kernels(m.field, m.array[None])
+    return bases[0, :is_piv.sum()]
+
+
+def _enumerate(field, k, d):
+    """Every matrix of the canonical RREF enumeration, in order."""
+    return [Matrix(field, m) for _, block in rref_blocks(field.order, k, d)
+            for m in block]
+
+
 def _coordinate_realization(tower):
     """Two coordinate-block nodes of F_q^4 with the standard basis columns."""
     ell = tower.ell
@@ -51,8 +63,8 @@ def _coordinate_realization(tower):
     for i in range(2):
         rows = np.zeros((ell, 2 * ell), dtype=np.int64)
         rows[:, i * ell:(i + 1) * ell] = np.eye(ell, dtype=np.int64)
-        nodes.append(Subspace.from_rows(tower.base, rows))
-    s = skeleton_new(tower, 2, nodes)
+        nodes.append(rows)
+    s = CodeSkeleton(tower, 2, nodes)
     sets = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
     return realize(s, sets)
 
@@ -75,12 +87,12 @@ def test_bandwidth_on_attaining_code(bundle3):
 def test_not_a_repair_matrix(bundle3):
     re = bundle3.realization
     # a matrix whose kernel contains the first node subspace cannot repair it
-    m_bad = kernel(Matrix(re.skeleton.tower.base,
-                          re.skeleton.bases[0])).basis
+    field = re.skeleton.tower.base
+    m_bad = kernels(field, re.skeleton.bases[:1])[0][0, :2]
     with pytest.raises(NotARepairMatrix):
-        bandwidth(Matrix(re.skeleton.tower.base, m_bad.array[:2]), re, 0)
+        bandwidth(Matrix(field, m_bad), re, 0)
     with pytest.raises(NotARepairMatrix):
-        io_count(Matrix(re.skeleton.tower.base, m_bad.array[:2]), re, 0)
+        io_count(Matrix(field, m_bad), re, 0)
 
 
 def _random_feasible_matrix(field, s, i, rng):
@@ -188,19 +200,18 @@ def test_bruteforce_direct_sum_exhaustive_oracle():
     # maximize the helper overlap; the optimizer must match the oracle
     tower = build_tower(2, 1, 1)
     field = tower.base
-    nodes = [Subspace.from_rows(field, [[1, 0]]),
-             Subspace.from_rows(field, [[0, 1]])]
-    s = skeleton_new(tower, 2, nodes)
+    nodes = [np.array([[1, 0]]), np.array([[0, 1]])]
+    s = CodeSkeleton(tower, 2, nodes)
     best = -1
     for vec in ([0, 1], [1, 0], [1, 1]):
-        w = Subspace.from_rows(field, [vec])
-        if intersect_dim(w, nodes[0]) != 0:
+        w = np.array([vec])
+        if meet_dim_oracle(field, w, nodes[0]) != 0:
             continue  # not feasible for node 0
-        best = max(best, intersect_dim(w, nodes[1]))
+        best = max(best, meet_dim_oracle(field, w, nodes[1]))
     assert best == 1  # W = H_2 itself is feasible and meets H_2 fully
     value, witness = bruteforce_overlap(s, 0)
     assert value == best == 1
-    assert kernel(witness).dim == 1
+    assert len(_kernel_basis(witness)) == 1
     # the multiplicity cap (r-1) * (projective points of F_2^1) = 1 holds
     assert value <= 1
 
@@ -215,8 +226,8 @@ def test_bruteforce_overlap_attaining_code(bundle3):
         # witness really is feasible and achieves the value
         pr = incidence_profile(witness, s, i)
         assert pr.sum_dims == 4
-        node = Subspace.from_rows(s.tower.base, s.bases[i])
-        assert intersect_dim(kernel(witness), node) == 0
+        assert meet_dim_oracle(s.tower.base, _kernel_basis(witness),
+                               s.bases[i]) == 0
 
 
 def test_bruteforce_column_hits_attaining_code(bundle3):
@@ -244,7 +255,7 @@ def test_bruteforce_column_hits_against_naive_scan(bundle3):
     field = s.tower.base
     best = -1
     best_m = None
-    for m in enumerate_rref(field, 2, 4):
+    for m in _enumerate(field, 2, 4):
         block = field.matmul(m.array, re.points[0].T)
         if batched_rank(field, block[None])[0] != 2:
             continue
@@ -263,12 +274,12 @@ def test_bruteforce_witness_is_first_maximizer(bundle3):
     s = bundle3.skeleton
     field = s.tower.base
     value, witness = bruteforce_overlap(s, 0)
-    nodes = [Subspace.from_rows(field, b) for b in s.bases]
-    for m in enumerate_rref(field, 2, 4):
+    for m in _enumerate(field, 2, 4):
         prod = field.matmul(m.array, s.bases[0].T)
         if batched_rank(field, prod[None])[0] != 2:
             continue
-        total = sum(intersect_dim(kernel(m), node) for node in nodes[1:])
+        w = _kernel_basis(m)
+        total = sum(meet_dim_oracle(field, w, node) for node in s.bases[1:])
         if total == value:
             assert m == witness
             break
@@ -313,8 +324,7 @@ def _mds_f3_ell6():
                                            (zero, eye, zero),
                                            (zero, zero, eye),
                                            (eye, eye, eye))]
-    s = skeleton_new(tower, 3, [Subspace.from_rows(tower.base, r)
-                                for r in rows])
+    s = CodeSkeleton(tower, 3, rows)
     return realize(s, [list(r) for r in rows])
 
 
@@ -402,8 +412,7 @@ def test_bruteforce_budget(bundle5):
 
 
 def test_bruteforce_requires_mds(tower3):
-    nodes = [Subspace.from_rows(tower3.base, [[1, 0, 0, 0], [0, 1, 0, 0]])] * 2
-    s = skeleton_new(tower3, 2, nodes)
+    s = CodeSkeleton(tower3, 2, [[[1, 0, 0, 0], [0, 1, 0, 0]]] * 2)
     with pytest.raises(NotMds):
         bruteforce_overlap(s, 0)
 
@@ -486,6 +495,24 @@ def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     assert [c for c in elims if c[1:] == (4, 6)] == [(n, 4, 6)]
 
 
+def test_scheme_keeps_one_read_only_stack(bundle3):
+    re, sch = bundle3.realization, bundle3.scheme
+    assert sch.stack.shape == (9, 2, 4) and not sch.stack.flags.writeable
+    assert all(np.array_equal(a, m.array)
+               for a, m in zip(sch.stack, sch.matrices))
+    # the scheme pass and the replay read the stack, not the matrices: a
+    # scheme whose stack holds the trivial matrix of every node is
+    # evaluated as that trivial scheme
+    trivial = RepairScheme([Matrix(re.skeleton.tower.base,
+                                   [[1, 0, 0, 0], [0, 1, 0, 0]])] * 9)
+    swapped = RepairScheme(sch.matrices)
+    swapped.stack = trivial.stack
+    assert repair._scheme_pass(re, swapped).bandwidth == (16,) * 9
+    assert [st.downloaded for st in _node_states(re, swapped, range(9))] == \
+        [16] * 9
+    assert scheme_to_json(swapped) == scheme_to_json(sch)
+
+
 # -- the batched scheme pass against the per-node functions ----------------------
 
 
@@ -512,9 +539,11 @@ def _assert_pass_matches_per_node(re, sch):
         assert sp.columns[i].tolist() == \
             (blocks != 0).any(axis=1).sum(axis=1).tolist()
         # every pair, the failed node included, through the stacked ranks
-        every = repair._intersection_dims(s, kernel(m).basis.array,
-                                          range(s.n))
+        every = repair._intersection_dims(s, m, range(s.n))
         assert sp.dims[i].tolist() == every.tolist()
+        w = _kernel_basis(m)
+        assert every.tolist() == [meet_dim_oracle(field, w, b)
+                                  for b in s.bases]
         pr = incidence_profile(m, s, i)
         dims = tuple(int(t) for t in sp.dims[i, list(pr.helpers)])
         assert pr.dims == dims and pr.sum_dims == sum(dims)

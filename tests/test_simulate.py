@@ -13,12 +13,7 @@ from mdsrepair.errors import (
     NotARepairMatrix,
 )
 from mdsrepair.gf import build_tower
-from mdsrepair.linalg import (
-    Matrix,
-    batched_rank,
-    inverse,
-    matmul,
-)
+from mdsrepair.linalg import Matrix, batched_rank
 from mdsrepair.nrc import build, validate_params
 from mdsrepair.repair import (
     RepairScheme,
@@ -34,6 +29,18 @@ from rref_oracle import rref_oracle
 F3 = build_tower(3, 1, 1).base
 
 
+def _product(fa, fb):
+    return Matrix(fa.field, fa.field.matmul(fa.array, fb.array))
+
+
+def _inverse_oracle(field, a):
+    """a^(-1): the right half of the oracle RREF of [a | I]."""
+    d = len(a)
+    r, _, pivots = rref_oracle(field, np.hstack([a, np.eye(d, dtype=np.int64)]))
+    assert pivots[:d] == tuple(range(d)), "singular"
+    return r[:, d:]
+
+
 def test_row_factor_full_rank():
     a = Matrix(F3, [[1, 2, 0], [0, 1, 1]])
     fa, fb = row_factor(a)
@@ -45,14 +52,14 @@ def test_row_factor_zero():
     a = Matrix(F3, np.zeros((2, 3), dtype=np.int64))
     fa, fb = row_factor(a)
     assert fb.rows == 0 and fa.shape == (2, 0)
-    assert matmul(fa, fb) == a
+    assert _product(fa, fb) == a
 
 
 def test_row_factor_rank_one():
     a = Matrix(F3, [[1, 2, 0], [2, 1, 0]])  # second row = 2 * first
     fa, fb = row_factor(a)
     assert fb == Matrix(F3, [[1, 2, 0]])
-    assert matmul(fa, fb) == a
+    assert _product(fa, fb) == a
 
 
 def test_row_factor_properties_random():
@@ -63,7 +70,7 @@ def test_row_factor_properties_random():
         a = Matrix(F3, [[rng.randrange(3) for _ in range(cols)]
                         for _ in range(rows)])
         fa, fb = row_factor(a)
-        assert matmul(fa, fb) == a
+        assert _product(fa, fb) == a
         assert fb.rows == batched_rank(F3, a.array[None])[0]
         # nonzero-column sets agree
         nz_a = (a.array != 0).any(axis=0)
@@ -227,7 +234,7 @@ def _oracle_report(re, sch, trials, seed, nodes, first_trial=0):
                     total, field.matmul(mh[j], cw[j][:, None])[:, 0])
                 dl += int(batched_rank(field, mh[j][None])[0])
                 ac += int((mh[j] != 0).any(axis=0).sum())
-            inv = inverse(Matrix(field, mh[i])).array
+            inv = _inverse_oracle(field, mh[i])
             block = field.arr_neg(field.matmul(inv, total[:, None])[:, 0])
             assert np.array_equal(block, cw[i])
             assert counts.setdefault(i, (dl, ac)) == (dl, ac)
@@ -296,9 +303,9 @@ def test_session_factors_match_row_factor(request, name):
     ell = re.skeleton.ell
     states = _node_states(re, sch, range(re.n))
     for i, st in enumerate(states):
-        mh_i = Matrix(field, _compressed(re, sch[i], i))
+        mh_i = _compressed(re, sch[i], i)
         assert np.array_equal(st.neg_inv,
-                              field.arr_neg(inverse(mh_i).array))
+                              field.arr_neg(_inverse_oracle(field, mh_i)))
         # the helper of every read, and of every sent row's first slot
         read_by = st.gather // ell
         sent_by = st.gather[st.send_idx[:, 0]] // ell
@@ -418,6 +425,27 @@ def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
     with pytest.raises(InternalInconsistency, match=match):
         campaign(re, sch, trials=5, seed=3)
     campaign(re, sch, trials=5, seed=3, nodes=(2, 4))
+
+
+def test_campaign_checks_the_counts_before_any_trial(bundle3, monkeypatch):
+    # the counts are fixed when the pipelines are built, so a wrong count
+    # is named before a word is sampled, and only once
+    real = simulate._node_states
+
+    def miscounted(re, sch, nodes):
+        states = real(re, sch, nodes)
+        states[-1].downloaded += 1
+        return states
+
+    def refuse(*args):
+        raise AssertionError("a trial ran before the counts were checked")
+
+    monkeypatch.setattr(simulate, "_node_states", miscounted)
+    monkeypatch.setattr(simulate, "sample_codewords", refuse)
+    with pytest.raises(InternalInconsistency,
+                       match="diverge from metrics at node 6$"):
+        campaign(bundle3.realization, bundle3.scheme, trials=300, seed=1,
+                 nodes=(2, 6))
 
 
 def test_replay_names_a_later_trial(bundle3, monkeypatch):
