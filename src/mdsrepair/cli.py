@@ -70,6 +70,8 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's stack
+        raise MalformedInput(f"cannot read {path}: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise MalformedInput(f"{path}: expected a JSON object")
     return obj

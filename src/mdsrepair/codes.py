@@ -27,6 +27,7 @@ there are more than a budget of them (:class:`BudgetExceeded`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -343,24 +344,159 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
     return Realization(s, points)
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of each row e.
+
+    ``entropy`` is a (T, 2) uint32 array; the four words come back as four
+    (T,) uint64 arrays.  The pool of 4 holds the hashed entropy and two
+    hashed zeros, every word is then mixed into every other, and the
+    state is read off the pool by a second hash.  The hash constants run
+    through the same values for every row, so each step is one array
+    operation on all rows.
+    """
+    hc = _INIT_A
+
+    def hashed(value, mult):
+        nonlocal hc
+        value = value ^ hc
+        hc = hc * mult & _M32
+        value = value * np.uint32(hc)
+        return value ^ value >> 16
+
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashed(v, _MULT_A)
+            for v in (entropy[:, 0], entropy[:, 1], zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashed(pool[src], _MULT_A))
+                pool[dst] = mixed ^ mixed >> 16
+    hc = _INIT_B
+    state = [hashed(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of two uint64 arrays."""
+    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+@functools.lru_cache(maxsize=16)
+def _pcg64_jumps(outputs: int) -> tuple[np.ndarray, ...]:
+    """M^(k+2) and 1 + M + ... + M^(k+1) mod 2^128 for k < ``outputs``.
+
+    As (hi, lo, hi, lo) read-only uint64 rows, M the PCG64 multiplier.
+    """
+    a, c = _PCG_MULT, 1
+    rows = []
+    for _ in range(outputs):
+        a, c = a * _PCG_MULT % (1 << 128), (c + a) % (1 << 128)
+        rows.append((a >> 64, a & (1 << 64) - 1, c >> 64, c & (1 << 64) - 1))
+    jumps = tuple(np.array(col, dtype=np.uint64).reshape(1, outputs)
+                  for col in zip(*rows))
+    for j in jumps:
+        j.setflags(write=False)
+    return jumps
+
+
+def _pcg64_draws(words: list[np.ndarray], count: int) -> np.ndarray:
+    """The first ``count`` 32-bit draws of PCG64 seeded by each row's words.
+
+    Seeding is ``srandom(state, inc)`` with state = w0 2^64 + w1 and inc =
+    ((w2 2^64 + w3) << 1) | 1, so after it the state is M x + inc, x =
+    state + inc, and 64-bit output k is the XSL-RR of M^(k+2) x + (1 + M
+    + ... + M^(k+1)) inc.  Every output of every row is one array step of
+    128-bit arithmetic on uint64 limbs.  Draw j is the low 32 bits of
+    output j // 2 if j is even, its high 32 bits if j is odd.  Returns a
+    (T, count) uint64 array.
+    """
+    w0, w1, w2, w3 = (w[:, None] for w in words)
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    x_lo = w1 + inc_lo
+    x_hi = w0 + inc_hi + (x_lo < inc_lo)
+    a_hi, a_lo, c_hi, c_lo = _pcg64_jumps((count + 1) // 2)
+    ax_lo, cinc_lo = x_lo * a_lo, inc_lo * c_lo
+    lo = ax_lo + cinc_lo
+    hi = (_mulhi64(x_lo, a_lo) + x_lo * a_hi + x_hi * a_lo
+          + _mulhi64(inc_lo, c_lo) + inc_lo * c_hi + inc_hi * c_lo
+          + (lo < ax_lo))
+    rot = hi >> 58
+    out = hi ^ lo
+    out = out >> rot | out << (-rot & 63)
+    draws = np.stack([out & _M32, out >> 32], axis=2)
+    return draws.reshape(len(out), -1)[:, :count]
+
+
+def _lemire(draws: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's 32-bit bounded draw in [0, q) from each 32-bit draw.
+
+    The value of draw u is (u q) >> 32.  numpy rejects a draw whose low
+    32 bits of u q are below 2^32 mod q and draws again, which shifts
+    every later draw of its trial; the second array flags the rows that
+    have such a draw.  Exact for 1 <= q <= 2^32.
+    """
+    m = draws * np.uint64(q)
+    return (m >> 32).astype(np.int64), ((m & _M32) < (1 << 32) % q).any(axis=1)
+
+
+def _coefficients(seeds, q: int, count: int) -> np.ndarray:
+    """``default_rng(seed).integers(0, q, size=count, dtype=int64)`` per seed.
+
+    A (T, count) int64 array.  Seeds that are 2-tuples of ints in [0,
+    2^32) are drawn together in whole-array steps (:func:`_seed_words`,
+    :func:`_pcg64_draws`, :func:`_lemire`); every other seed, and every
+    trial with a draw that numpy rejects, goes through numpy's generator
+    as before, which also raises numpy's error on a bad seed.
+    """
+    out = np.empty((len(seeds), count), dtype=np.int64)
+    fast = np.array([type(s) is tuple and len(s) == 2
+                     and type(s[0]) is int and type(s[1]) is int
+                     and 0 <= s[0] <= _M32 and 0 <= s[1] <= _M32
+                     for s in seeds], dtype=bool)
+    rows = np.flatnonzero(fast)
+    if rows.size and count:
+        entropy = np.array([seeds[i] for i in rows], dtype=np.uint32)
+        values, rejected = _lemire(
+            _pcg64_draws(_seed_words(entropy), count), q)
+        out[rows] = values
+        fast[rows[rejected]] = False
+    for i in np.flatnonzero(~fast):
+        out[i] = np.random.default_rng(seeds[i]).integers(
+            0, q, size=count, dtype=np.int64)
+    return out
+
+
 def sample_codewords(re: Realization, seeds) -> np.ndarray:
     """One seed-determined uniform random codeword per seed, shaped (T, n, l).
 
-    Coefficients over the kernel basis are drawn from numpy's PCG64
-    generator (see CODEWORD_SAMPLER), one generator per seed, so a word
-    depends on its own seed only; the whole stack is encoded with one
-    product against the kernel basis.  A seed may be an int or a sequence
-    of ints.
+    Coefficients over the kernel basis are the draws of numpy's PCG64
+    generator (see CODEWORD_SAMPLER), ``default_rng(seed).integers(0, q,
+    size, dtype=int64)`` for each seed, so a word depends on its own seed
+    only.  They are computed for all seeds at once in whole-array steps
+    that reproduce that stream bit for bit (:func:`_coefficients`); a
+    trial whose seed is not a pair of ints in [0, 2^32), or that hits
+    the bounded draw's rejection zone, is drawn by numpy's generator
+    itself.  The whole stack is encoded with one product against the
+    kernel basis.  A seed may be an int or a sequence of ints.
     """
     s = re.skeleton
     if not s.is_mds:
         raise NotMds(s.mds_witness())
     field = s.tower.base
     kb = re.kernel_basis().array
-    coeffs = np.empty((len(seeds), kb.shape[0]), dtype=np.int64)
-    for row, seed in zip(coeffs, seeds):
-        row[:] = np.random.default_rng(seed).integers(
-            0, field.order, size=kb.shape[0], dtype=np.int64)
+    coeffs = _coefficients(seeds, field.order, kb.shape[0])
     words = field.matmul(coeffs, kb).reshape(len(seeds), s.n, s.ell)
     words.setflags(write=False)
     return words

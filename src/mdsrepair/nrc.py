@@ -144,13 +144,6 @@ def _curve_stack(tower: FieldTower, r: int, params) -> np.ndarray:
     return (scaled[..., None] // zt % q).reshape(len(c), ell, r * ell)
 
 
-def _curve_rows(tower: FieldTower, r: int, c) -> np.ndarray:
-    """The (l, r*l) curve rows of one parameter c (or INF)."""
-    if c is not INF:
-        tower.top.check(c)
-    return _curve_stack(tower, r, [c])[0]
-
-
 def _label(c) -> str:
     return "inf" if c is INF else str(c)
 

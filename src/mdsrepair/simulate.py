@@ -19,7 +19,11 @@ campaign forms every sent symbol of a node for a chunk of T codewords in
 at most l table steps over (., T) arrays, one per coordinate of a helper
 block.  Recombining them with the
 A factors and applying -(M H_i)^(-1) are then two (., T) products.  Each
-chunk samples its words from their own per-trial seeds, checks all their
+chunk samples its words from their own per-trial seeds (seed, t): one
+set of whole-array steps draws the same PCG64 words as a numpy generator
+per trial, and only a trial whose draws numpy would reject, or whose seed
+is not a pair of ints in [0, 2^32), is drawn by numpy's generator itself
+(:func:`codes.sample_codewords`).  The chunk then checks all its
 syndromes in one product and compares every reconstructed block exactly.
 A chunk holds at most ``_TRIAL_CHUNK`` trials.  Field products accumulate
 over their inner axis, so no array of a chunk is larger than n*l by T.

@@ -26,6 +26,8 @@ from mdsrepair.gf import build_tower
 from mdsrepair.linalg import Matrix
 from mdsrepair.nrc import INF, build, curve_certificate, validate_params
 
+from curve_rows import curve_rows
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (p, m, ell, r, n) of every constructed point the suite checks
@@ -55,7 +57,7 @@ def test_curve_stack_matches_the_per_parameter_route(p, m, ell, r):
     assert stack.shape == (len(params), ell, r * ell)
     assert np.array_equal(stack, want)
     for c in (0, 1, INF, tower.top_order - 1):
-        assert np.array_equal(nrc._curve_rows(tower, r, c),
+        assert np.array_equal(curve_rows(tower, r, c),
                               _scalar_curve_rows(tower, r, c))
     # the rows are their own canonical basis, which the certificate reads
     assert np.array_equal(codes.CodeSkeleton(tower, r, stack).bases, stack)

@@ -264,6 +264,32 @@ def test_loaders_take_only_json_integers(workspace, tmp_path, capsys, case):
     assert f"MalformedInput: {named}" in err and "Traceback" not in err
 
 
+DEEP_FILES = {"code": ("tower",), "scheme": ("per_node",)}
+DEEP_COMMANDS = {"check-mds": ["code"], "eval": ["code", "scheme"],
+                 "bruteforce": ["code"], "simulate": ["code", "scheme"]}
+
+
+@pytest.mark.parametrize("command,deep", [
+    (command, name) for command, files in DEEP_COMMANDS.items()
+    for name in files])
+def test_deeply_nested_json_exits_3(workspace, tmp_path, capsys, command,
+                                    deep):
+    # 100000 nested lists are deeper than json's decoder can recurse
+    doc = json.loads((workspace / f"{deep}.json").read_text())
+    doc[DEEP_FILES[deep][0]] = "@"
+    (tmp_path / f"{deep}.json").write_text(
+        json.dumps(doc).replace('"@"', "[" * 100_000 + "]" * 100_000))
+    paths = [str((tmp_path if name == deep else workspace) / f"{name}.json")
+             for name in DEEP_COMMANDS[command]]
+    extra = {"bruteforce": ["--node", "1"], "simulate": ["--trials", "2"]}
+    start = time.perf_counter()
+    assert main([command, *paths, *extra.get(command, [])]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def _mutable_paths(obj, path=()):
     """Paths to the integer and list fields of a JSON document.
 

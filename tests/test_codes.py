@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -36,8 +37,9 @@ from mdsrepair.errors import (
 )
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import batched_rank
-from mdsrepair.nrc import _curve_rows, build, validate_params
+from mdsrepair.nrc import build, validate_params
 
+from curve_rows import curve_rows
 from replay_oracle import is_codeword, sample_codeword
 from rref_oracle import meet_dim_oracle
 
@@ -90,7 +92,7 @@ def test_check_mds_duplicate_witness(tower3):
 def test_check_mds_nrc_skeleton(tower3, bundle3):
     assert check_mds(bundle3.skeleton) is None
     # a skeleton built directly from curve parameters is also valid
-    s = CodeSkeleton(tower3, 2, [_curve_rows(tower3, 2, c) for c in range(5)])
+    s = CodeSkeleton(tower3, 2, [curve_rows(tower3, 2, c) for c in range(5)])
     assert check_mds(s) is None
 
 
@@ -332,6 +334,163 @@ def test_sample_codeword_requires_mds(tower3):
     re = realize(dup, sets)
     with pytest.raises(NotMds):
         sample_codeword(re, 0)
+
+
+# -- the codeword sampler against numpy's per-trial generator -------------------
+
+
+def _numpy_coefficients(seeds, q, count):
+    """The oracle: one numpy generator per seed, as CODEWORD_SAMPLER pins."""
+    out = np.empty((len(seeds), count), dtype=np.int64)
+    for row, seed in zip(out, seeds):
+        row[:] = np.random.default_rng(seed).integers(0, q, size=count,
+                                                      dtype=np.int64)
+    return out
+
+
+def _array_route(seeds, count, q):
+    """The whole-array draws alone, no fallback: (values, rejected rows)."""
+    words = codes._seed_words(np.array(seeds, dtype=np.uint32))
+    return codes._lemire(codes._pcg64_draws(words, count), q)
+
+
+SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from([0, 1, 2 ** 31, 2 ** 32 - 1]),
+                  st.integers(2 ** 32, 2 ** 70))
+FIRST_TRIALS = st.one_of(st.integers(0, 2 ** 33),
+                         st.integers(2 ** 32 - 40, 2 ** 32 + 5))  # crosses 2^32
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, first=FIRST_TRIALS, trials=st.integers(1, 40),
+       q=st.integers(2, 1024),
+       count=st.one_of(st.just(1), st.integers(0, 48).map(lambda k: 2 * k + 1),
+                       st.integers(0, 100)))
+def test_coefficients_match_numpy_per_trial(seed, first, trials, q, count):
+    seeds = [(seed, t) for t in range(first, first + trials)]
+    assert np.array_equal(codes._coefficients(seeds, q, count),
+                          _numpy_coefficients(seeds, q, count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 41))
+def test_stream_layers_match_numpy(seed, t, count):
+    words = codes._seed_words(np.array([(seed, t)], dtype=np.uint32))
+    want = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+    assert [int(w[0]) for w in words] == want.tolist()
+    raw = np.random.PCG64((seed, t)).random_raw((count + 1) // 2)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
+    assert codes._pcg64_draws(words, count)[0].tolist() == \
+        halves[:count].tolist()
+
+
+def test_coefficients_match_numpy_at_every_field_order():
+    seeds = [(2026, t) for t in range(6)]
+    for q in range(2, 1025):
+        for count in (1, 6):
+            assert np.array_equal(codes._coefficients(seeds, q, count),
+                                  _numpy_coefficients(seeds, q, count)), q
+
+
+def test_rejected_draws_take_numpy_generator():
+    # at seed 0, q=997, c=64 these trials draw a word in Lemire's rejection
+    # zone, where numpy draws again and every later draw shifts
+    seeds = [(0, t) for t in (389, 51292, 59360)]
+    want = _numpy_coefficients(seeds, 997, 64)
+    values, rejected = _array_route(seeds, 64, 997)
+    assert rejected.all()
+    assert not (values == want).all(axis=1).any()
+    assert np.array_equal(codes._coefficients(seeds, 997, 64), want)
+    # their neighbours need no redraw, and the array route alone is right
+    near = [(0, t) for t in (388, 390, 51291, 59361)]
+    values, rejected = _array_route(near, 64, 997)
+    assert not rejected.any()
+    assert np.array_equal(values, _numpy_coefficients(near, 997, 64))
+
+
+def test_every_trial_can_take_the_fallback(monkeypatch, bundle3):
+    re = bundle3.realization
+    seeds = [(7, t) for t in range(200)]
+    want = codes.sample_codewords(re, seeds)
+    built = []
+    real_rng = np.random.default_rng
+
+    def counted(seed):
+        built.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    # q = 3 puts 2^32 mod 3 = 1 words per 2^32 in the rejection zone: no
+    # trial here hits it, so no generator is built
+    assert np.array_equal(codes.sample_codewords(re, seeds), want)
+    assert built == []
+    real_lemire = codes._lemire
+
+    def reject_all(draws, q):
+        values, _ = real_lemire(draws, q)
+        return values + 1, np.ones(len(draws), dtype=bool)
+
+    monkeypatch.setattr(codes, "_lemire", reject_all)
+    assert np.array_equal(codes.sample_codewords(re, seeds), want)
+    assert built == seeds
+
+
+def test_sampled_words_do_not_depend_on_chunking(bundle3):
+    re = bundle3.realization
+    kb = re.kernel_basis().array
+    field = re.skeleton.tower.base
+    # in-range seeds, and seeds whose trials cross 2^32 in one call
+    for seeds in ([(31, t) for t in range(300)],
+                  [(5, t) for t in range(2 ** 32 - 150, 2 ** 32 + 150)]):
+        whole = codes.sample_codewords(re, seeds)
+        want = field.matmul(_numpy_coefficients(seeds, field.order, len(kb)),
+                            kb)
+        assert np.array_equal(whole.reshape(len(seeds), -1), want)
+        for cut in (1, 127, 128, 129, 299):
+            parts = [codes.sample_codewords(re, seeds[a:a + cut])
+                     for a in range(0, len(seeds), cut)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("seed", [5, (3,), (1, 2, 3), [7, 1], (True, 3),
+                                  (np.int64(4), 2), (np.uint32(9), 2 ** 31),
+                                  (2 ** 40, 5), (5, 2 ** 64), ()], ids=repr)
+def test_other_seeds_go_through_numpy(seed):
+    seeds = [(0, 0), seed, (0, 1)]
+    assert np.array_equal(codes._coefficients(seeds, 9, 13),
+                          _numpy_coefficients(seeds, 9, 13))
+
+
+@pytest.mark.parametrize("seed", [(-1, 0), (0, -1), -3, (1.5, 2)], ids=repr)
+def test_bad_seeds_raise_numpy_error(seed):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(seed)
+    with pytest.raises(want.type) as got:
+        codes._coefficients([(0, 0), seed], 5, 3)
+    assert str(got.value) == str(want.value)
+
+
+# sha256 of the words of the q=5 r=3 n=24 code, sampled in chunks of 128
+# trials, taken before the sampler drew in whole-array steps
+SAMPLER_DIGEST = \
+    "33a1c78a3cc8e9dddf58f04051a24141d1870bff291dc40fc583073e22a0120f"
+
+
+def test_sampled_words_are_pinned(tmp_path):
+    from mdsrepair.cli import main
+    assert main(["construct", "--p", "5", "--ell", "2", "--r", "3", "--n",
+                 "24", "--out", str(tmp_path)]) == 0
+    loaded, _, _ = realization_from_json(
+        json.loads((tmp_path / "code.json").read_text()))
+    digest = hashlib.sha256()
+    for seed in (0, 2030, 2 ** 32 - 1, 2 ** 40):
+        for t0 in range(0, 1000, 128):
+            words = codes.sample_codewords(
+                loaded, [(seed, t) for t in range(t0, min(t0 + 128, 1000))])
+            digest.update(np.asarray(words, dtype=np.int64).tobytes())
+    # a later numpy that changes Generator.integers fails here
+    assert digest.hexdigest() == SAMPLER_DIGEST
 
 
 # -- bounds ---------------------------------------------------------------------

@@ -33,6 +33,7 @@ from mdsrepair.nrc import (
 )
 from mdsrepair.repair import scheme_to_json
 
+from curve_rows import curve_rows
 from rref_oracle import meet_dim_oracle, rref_oracle, span_oracle
 
 
@@ -81,9 +82,9 @@ def test_validate_params_r_bounds(tower3):
 
 
 def test_nrc_subspace_infinity_and_zero(tower3):
-    assert nrc._curve_rows(tower3, 3, INF).tolist() == [
+    assert curve_rows(tower3, 3, INF).tolist() == [
         [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
-    assert nrc._curve_rows(tower3, 3, 0).tolist() == [
+    assert curve_rows(tower3, 3, 0).tolist() == [
         [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
 
 
@@ -91,7 +92,7 @@ def test_nrc_subspace_dimensions_all_parameters(tower3):
     # the curve rows of every parameter are already a canonical basis of
     # an l-dimensional node subspace
     for c in list(range(9)) + [INF]:
-        rows = nrc._curve_rows(tower3, 3, c)
+        rows = curve_rows(tower3, 3, c)
         assert rows.shape == (2, 6)
         assert np.array_equal(span_oracle(tower3.base, rows), rows)
 
@@ -183,7 +184,7 @@ def test_repair_subspace_dimension_and_extremes(tower5):
         assert m.shape == (2, 6)
         assert not field.matmul(m.array, w.T).any()
         for c in (0, INF):
-            rows = nrc._curve_rows(tower5, 3, c)
+            rows = curve_rows(tower5, 3, c)
             assert meet_dim_oracle(field, w, rows) == 0
 
 
@@ -197,7 +198,7 @@ def test_repair_subspace_hit_pattern_exhaustive(tower5):
         coset = {top.mul(b, s) for s in sigma}
         for c in tower5.top_units():
             expected = 1 if top.pow(c, 2) in coset else 0
-            rows = nrc._curve_rows(tower5, 3, c)
+            rows = curve_rows(tower5, 3, c)
             assert meet_dim_oracle(tower5.base, w, rows) == expected
 
 
@@ -208,7 +209,7 @@ def test_repair_subspace_hit_pattern_two_parity(tower3):
         w, _ = repair_subspace(tower3, 2, b)
         for c in tower3.top_units():
             expected = 1 if c in {top.mul(b, s) for s in sigma} else 0
-            rows = nrc._curve_rows(tower3, 2, c)
+            rows = curve_rows(tower3, 2, c)
             assert meet_dim_oracle(tower3.base, w, rows) == expected
 
 
@@ -290,7 +291,7 @@ def _spanning_cases(tower, r):
     non-canonical rows."""
     field = tower.base
     for c in list(tower.top_elements()) + [INF]:
-        gens = nrc._curve_rows(tower, r, c)
+        gens = curve_rows(tower, r, c)
         ell = len(gens)
         mixed = field.arr_add(gens[0], gens[-1])
         scaled = field.arr_mul(gens[0], field.order - 1)
@@ -325,14 +326,14 @@ def test_spanning_points_match_greedy_route(p, m, ell, r):
 
 def test_spanning_points_refuse_a_short_fill(tower3):
     field = tower3.base
-    gens = nrc._curve_rows(tower3, 2, 1)
+    gens = curve_rows(tower3, 2, 1)
     for fill in (_spanning_points, _greedy_spanning_points):
         with pytest.raises(InternalInconsistency):
             fill(field, 2, np.vstack([gens[:1], gens[:1]]), None)
 
 
 def test_spanning_points_eliminate_once(tower5, watch_calls):
-    gens = nrc._curve_rows(tower5, 3, 7)
+    gens = curve_rows(tower5, 3, 7)
     forced = canonical_points(tower5.base, gens[1])
     calls = watch_calls(linalg, "_elimination_ranks")
     _spanning_points(tower5.base, 2, gens, forced)
