@@ -247,8 +247,11 @@ def _bf_scan(re, node0, objective, budget, start, stop):
 def _worker_code(code_obj, verdict):
     """The code of ``code_obj`` holding the MDS verdict the parent asked.
 
-    ``verdict`` is the parent's :meth:`CodeSkeleton.mds_witness` of the
-    same file, so a worker scans no subsets again.
+    ``code_obj`` is the parent's loaded code written out again by
+    :func:`realization_to_json`, so a worker is sent only the fields it
+    reads (no provenance of any depth), and ``verdict`` is the parent's
+    :meth:`CodeSkeleton.mds_witness` of it, so a worker scans no subsets
+    again.
     """
     re, _, _ = realization_from_json(code_obj)
     re.skeleton._mds = verdict
@@ -276,7 +279,7 @@ def _parse_range(text, total):
 def cmd_bruteforce(args) -> int:
     _check_budget(args)
     code_obj = _load_json(args.code)
-    re, _, _ = realization_from_json(code_obj)
+    re, labels, _ = realization_from_json(code_obj)
     s = re.skeleton
     node0 = args.node - 1
     if not 0 <= node0 < s.n:
@@ -291,8 +294,9 @@ def cmd_bruteforce(args) -> int:
 
     if jobs > 1 and stop - start > 1:
         verdict = s.mds_witness(args.budget)  # once, for every worker
-        parts = _fan_out(_bf_worker, start, stop, jobs, code_obj, verdict,
-                         node0, args.objective, args.budget)
+        parts = _fan_out(_bf_worker, start, stop, jobs,
+                         realization_to_json(re, labels), verdict, node0,
+                         args.objective, args.budget)
     else:
         parts = [_bf_scan(re, node0, args.objective, args.budget, start,
                           stop)]
@@ -331,7 +335,7 @@ def cmd_simulate(args) -> int:
     jobs = _workers(args.jobs)
     code_obj = _load_json(args.code)
     scheme_obj = _load_json(args.scheme)
-    re, _, _ = realization_from_json(code_obj)
+    re, labels, _ = realization_from_json(code_obj)
     sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
     s = re.skeleton
     if args.node == "all":
@@ -348,8 +352,9 @@ def cmd_simulate(args) -> int:
     if jobs > 1 and args.trials > 1:
         _check_scheme_length(re, sch)  # as campaign does, before the pool
         verdict = s.mds_witness(args.budget)  # then its verdict, once
-        parts = _fan_out(_sim_worker, 0, args.trials, jobs, code_obj,
-                         verdict, scheme_obj, args.seed, nodes, args.budget)
+        parts = _fan_out(_sim_worker, 0, args.trials, jobs,
+                         realization_to_json(re, labels), verdict,
+                         scheme_to_json(sch), args.seed, nodes, args.budget)
         if len({(p.downloaded, p.accessed) for p in parts}) != 1:
             raise InternalInconsistency("workers disagree on transcript counts")
         rep = dataclasses.replace(parts[0], trials=args.trials)

@@ -47,10 +47,13 @@ from .linalg import (
     _check_codes,
     _columns,
     _counter,
+    _elimination_ranks,
     _pivot_patterns,
     batched_rank,
+    canonical_points,
     gaussian_binomial,
     kernels,
+    null_columns,
     projective_point_array,
     projective_point_count,
     rref_blocks,
@@ -630,9 +633,15 @@ class NodeMetrics:
         }
 
 
-# Entries of one chunk of the dual-cover product (nodes x helpers x
-# covectors x l), the largest array of the scheme pass; the pass takes
-# its nodes a chunk at a time, so that its memory stays small at any n.
+# Most entries of one chunk's left-kernel points (nodes x helpers x t x l,
+# t = (q^l - 1)/(q - 1)): a helper block adds at most t points of l
+# entries, all t only when it is zero, so on any input, MDS or not, a
+# chunk's points take at most this many entries (or n t l, for a chunk of
+# one node).  On a verified MDS code, where no point is covered r times,
+# they take at most (r - 1) t l per node.  The pass takes its nodes a
+# chunk at a time, so that its memory stays small at any n; this bound
+# also keeps a chunk's blocks M_i H_j, and the extension-field product
+# steps that form them, at l/t of it.
 _PASS_CELLS = 1 << 15
 
 # Most bytes the three uint8 (n, n) arrays of a scheme pass may take, 3n^2
@@ -651,7 +660,8 @@ class SchemePass:
     ``dims`` is dim(W_i /\\ H_j) for W_i = ker M_i (the kernel route),
     ``columns`` counts the nonzero columns of M_i H_j.  ``mults[i, k]`` is
     the number of helpers j != i whose block M_i H_j the k-th canonical
-    covector of F_q^l annihilates (:func:`dual_cover`), and
+    covector of F_q^l annihilates (:func:`dual_cover`), counted from the
+    points of each block's left kernel rather than from a product, and
     ``points[i]`` the number of projective points of W_i inside the
     helpers (:func:`incidence_profile`).  ``bandwidth`` and ``io`` sum the
     helpers' ranks and nonzero columns.  Every entry of the three (n, n)
@@ -667,6 +677,40 @@ class SchemePass:
     io: tuple[int, ...]
 
 
+def _left_kernel_points(field: Field, blocks: np.ndarray,
+                        lookup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covector index of every projective point in each left kernel.
+
+    ``blocks`` is a (g, l, l) stack.  One elimination of its transposes
+    gives each left kernel {y : y B = 0}, the right kernel of B^T, whose
+    basis (:func:`null_columns`, one call per rank) times the projective
+    points of F_q^d, d = l - rank, lists the kernel's points.  Each is
+    scaled to lead with 1 and read off ``lookup``, the covector index of
+    every base-q code (-1 off the canonical covectors).  Returns (block,
+    index) arrays with one entry a point; a zero point gets index -1.
+    """
+    ell = blocks.shape[1]
+    reduced, ranks, is_piv = _elimination_ranks(
+        field, blocks.swapaxes(1, 2).copy())
+    block = [np.empty(0, dtype=np.int64)]
+    points = [np.empty((0, ell), dtype=np.int64)]
+    for m in range(ell):
+        grp = np.flatnonzero(ranks == m)
+        if grp.size == 0:
+            continue
+        basis = null_columns(field, reduced[grp, :m], is_piv[grp])
+        pts = field.matmul(projective_point_array(field, ell - m),
+                           basis.swapaxes(1, 2))
+        block.append(np.repeat(grp, pts.shape[1]))
+        points.append(pts.reshape(-1, ell))
+    pts = np.concatenate(points)
+    index = np.full(len(pts), -1)
+    nonzero = pts.any(axis=1)
+    index[nonzero] = lookup[canonical_points(field, pts[nonzero])
+                            @ field.order ** np.arange(ell)]
+    return np.concatenate(block), index
+
+
 def _scheme_pass(re: Realization, sch: RepairScheme,
                  budget: int = DEFAULT_BUDGET) -> SchemePass:
     """The numbers of :class:`SchemePass`, with every self-check applied.
@@ -676,11 +720,18 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
     :func:`kernels` elimination and never forms M_i H_j: with K_i the
     kernel basis of W_i's RREF (:func:`linalg.null_columns`), rank
     [W_i; B_j] = dim W_i + rank(B_j K_i), so dim(W_i /\\ H_j) = l -
-    rank(B_j K_i), all of them ranked at once too.  The dual cover
-    multiplies the canonical covectors into the blocks.  "All" means all
-    of one chunk of nodes M_i: a chunk's dual-cover product has about
-    ``_PASS_CELLS`` entries, and its per-node sums are taken before the
-    next chunk, so the only (n, n) arrays are the three narrow results.
+    rank(B_j K_i), all of them ranked at once too.  The dual cover lists
+    the left kernel of every helper block of rank below l: a block of
+    rank l - d is annihilated by exactly the (q^d - 1)/(q - 1) covectors
+    of its left kernel, so only those are counted
+    (:func:`_left_kernel_points`), with one scatter-add into ``mults``.
+    Their kernel dimensions come from their own elimination, not from the
+    ranks, so the dual-cover total is still checked against another
+    computation.
+    "All" means all of one chunk of nodes M_i: a chunk's left-kernel
+    points have at most about ``_PASS_CELLS`` entries, and its per-node
+    sums are taken before the next chunk, so the only (n, n) arrays are
+    the three narrow results.
     An n whose three arrays would pass ``_PASS_BYTES`` raises
     :class:`BudgetExceeded` before any product.
 
@@ -712,14 +763,17 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
     k = linalg.null_columns(field, ws[:, :wdim], is_piv)
 
     covectors = projective_point_array(field, ell)
-    points_of = np.array([projective_point_count(q, t)
-                          for t in range(ell + 1)])
+    t = len(covectors)
+    lookup = np.full(q ** ell, -1, dtype=np.int64)  # q^l <= 1024 entries
+    lookup[covectors @ q ** np.arange(ell)] = np.arange(t)
+    points_of = np.array([projective_point_count(q, d)
+                          for d in range(ell + 1)])
     ranks, dims, columns = (np.empty((n, n), dtype=np.uint8)
                             for _ in range(3))
-    mults = np.empty((n, len(covectors)), dtype=np.int64)
+    mults = np.empty((n, t), dtype=np.int64)
     bw, io, points, covered = (np.empty(n, dtype=np.int64) for _ in range(4))
     route = np.empty(n, dtype=bool)
-    step = max(1, _PASS_CELLS // (n * len(covectors) * ell))
+    step = max(1, _PASS_CELLS // (n * t * ell))
     flat = (-1, ell, ell)
     for a in range(0, n, step):
         at = slice(a, a + step)
@@ -729,8 +783,15 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
         cols = (blocks != 0).any(axis=2).sum(axis=2)
         s_blocks = field.matmul(s.bases[None], k[at, None])
         dm = ell - batched_rank(field, s_blocks.reshape(flat)).reshape(-1, n)
-        killed = (field.matmul(covectors, blocks) == 0).all(axis=3)
-        mults[at] = (killed & helper[:, :, None]).sum(axis=1)
+        node, j = np.nonzero(helper & (rk < ell))
+        block, index = _left_kernel_points(field, blocks[node, j], lookup)
+        owner = node[block]
+        if (index < 0).any():
+            raise InternalInconsistency(
+                "a left-kernel point is not a canonical covector at node "
+                f"{a + owner[np.argmax(index < 0)]}")
+        mults[at] = np.bincount(owner * t + index,
+                                minlength=len(rk) * t).reshape(-1, t)
         ranks[at], dims[at], columns[at] = rk, dm, cols
         bw[at] = np.where(helper, rk, 0).sum(axis=1)
         io[at] = np.where(helper, cols, 0).sum(axis=1)

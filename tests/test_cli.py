@@ -454,6 +454,32 @@ def test_simulate_jobs_checks_the_scheme_length_first(workspace, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["bruteforce", "code.json", "--node", "1", "--range", "0:100"],
+    ["simulate", "code.json", "scheme.json", "--trials", "4", "--seed", "2"],
+], ids=["bruteforce", "simulate"])
+def test_jobs_send_workers_only_the_loaded_code(workspace, tmp_path,
+                                                monkeypatch, command):
+    # a provenance 900 lists deep loads, but pickling it to a worker
+    # would pass the recursion limit; workers get the code written anew
+    deep = []
+    for _ in range(899):
+        deep = [deep]
+    for name in ("code.json", "scheme.json"):
+        doc = json.loads((workspace / name).read_text())
+        doc["provenance"] = deep
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(argv + ["--jobs", jobs, "--format", "json",
+                            "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_simulate_jobs_refuses_workers_that_disagree(workspace, monkeypatch):
     # every worker replays the same scheme, so their counts can only differ
     # through a fault; the parts are computed in this process
@@ -502,6 +528,10 @@ PINNED_ARTIFACTS = {
     "q5-r3-n24": (["--p", "5", "--ell", "2", "--r", "3", "--n", "24"],
                   "5234125e9c2eefd47e091c828f0315cbb2b253933593a211e28e78ed469fc0f4",
                   "0c11a1f30931496b70d5b61e0f959662fc18336ffe870e1b6725f6a858edf025"),
+    # the build workload's code; the hashes of perfbench/references.json
+    "q9-r3-n82": (["--p", "3", "--m", "2", "--ell", "2", "--r", "3", "--n", "82"],
+                  "abd4d3a46c7d6905c293f938c0b8750bf714dd7a5c8df92cc8d6458a12f22cb5",
+                  "9f337630ce22bd6e760ec634b25ee48cd97337bda7bfeeafb824110a1aa4c851"),
 }
 
 
@@ -512,6 +542,25 @@ def test_construct_artifacts_pinned(tmp_path, point):
     for name, sha in (("code", code_sha), ("scheme", scheme_sha)):
         data = (tmp_path / f"{name}.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha, name
+
+
+# sha256 of the eval --format json report on construct's files
+PINNED_EVAL = {
+    "q9-r3-n82": "4b44df7dce028ea92d7a0a2401ae00c749d4842b760c2d901e5973d1725fc0b9",
+    "q5-r3-n24": "e7f6481ff2dbcbc3e99ddf5f439005d068bba244a7cfceacdbc4619f8ffd12e4",
+}
+
+
+@pytest.mark.parametrize("point", list(PINNED_EVAL))
+def test_eval_report_pinned(tmp_path, point):
+    argv = PINNED_ARTIFACTS[point][0]
+    assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+    report = tmp_path / "eval.json"
+    assert main(["eval", str(tmp_path / "code.json"),
+                 str(tmp_path / "scheme.json"), "--format", "json",
+                 "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        PINNED_EVAL[point]
 
 
 def test_construct_reruns_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bruteforce_oracle import bruteforce_oracle
+from dual_cover_oracle import dual_cover_oracle
 from rref_oracle import meet_dim_oracle
 from mdsrepair.codes import CodeSkeleton, realize
 from mdsrepair.errors import (
@@ -529,6 +530,7 @@ def _assert_pass_matches_per_node(re, sch):
     s = re.skeleton
     field = s.tower.base
     sp = repair._scheme_pass(re, sch)
+    assert np.array_equal(sp.mults, dual_cover_oracle(re, sch))
     for i in range(s.n):
         m = sch[i]
         assert sp.bandwidth[i] == bandwidth(m, re, i)
@@ -560,26 +562,61 @@ def test_scheme_pass_matches_per_node_on_constructions(bundle3, bundle5,
                                bundle.scheme) == bundle.metrics
 
 
-@pytest.mark.parametrize("cells", [1, 700, 1 << 30])
-def test_scheme_pass_is_the_same_in_any_chunks(bundle5, monkeypatch, cells):
-    # one node per chunk, chunks of a few nodes, and all nodes at once
-    whole = repair._scheme_pass(bundle5.realization, bundle5.scheme)
-    monkeypatch.setattr(repair, "_PASS_CELLS", cells)
-    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
-    for name in ("ranks", "dims", "columns", "mults", "points"):
-        assert np.array_equal(getattr(sp, name), getattr(whole, name))
-    assert (sp.bandwidth, sp.io) == (whole.bandwidth, whole.io)
-
-
 def _basis_realization(sk):
     """Realize a skeleton with its nodes' RREF basis rows as column points."""
     return realize(sk, [list(b) for b in sk.bases])
+
+
+def _zero_block_case(bundle3):
+    """Nodes 0 and 1 of bundle3's skeleton made the coordinate halves of
+    F_3^4, and a scheme in which node 1 sends every other node a zero
+    block: M_1 = [0 | I] and every other M_i = [I | 0]."""
+    sk = bundle3.skeleton
+    eye = np.eye(4, dtype=np.int64)
+    zs = CodeSkeleton(sk.tower, sk.r,
+                      np.concatenate([eye[None, :2], eye[None, 2:],
+                                      sk.bases[2:]]))
+    field = sk.tower.base
+    sch = RepairScheme([Matrix(field, eye[2:] if i == 1 else eye[:2])
+                        for i in range(zs.n)])
+    return _basis_realization(zs), sch
 
 
 def _random_scheme(sk, rng):
     field = sk.tower.base
     return RepairScheme([_random_feasible_matrix(field, sk, i, rng)
                          for i in range(sk.n)])
+
+
+def test_scheme_pass_counts_every_covector_of_a_zero_block(bundle3):
+    re, sch = _zero_block_case(bundle3)
+    _assert_pass_matches_per_node(re, sch)
+    sp = repair._scheme_pass(re, sch)
+    helpers = np.arange(re.n) != 1
+    assert (sp.ranks[helpers, 1] == 0).all()
+    # a rank-0 block's left kernel is all of F_q^l: every covector kills it
+    assert (sp.mults[helpers] >= 1).all()
+    assert sp.mults[0].tolist() == [1] * 4
+
+
+@pytest.mark.parametrize("cells", [1, 700, 1 << 30])
+def test_scheme_pass_is_the_same_in_any_chunks(bundle3, bundle5, monkeypatch,
+                                               cells):
+    # one node per chunk, chunks of a few nodes, and all nodes at once, on
+    # a construction, on zero blocks and on a non-MDS skeleton
+    bad = _non_mds_bundle(bundle3)
+    for re, sch in [(bundle5.realization, bundle5.scheme),
+                    _zero_block_case(bundle3),
+                    (_basis_realization(bad),
+                     _random_scheme(bad, random.Random(3)))]:
+        whole = repair._scheme_pass(re, sch)
+        with monkeypatch.context() as mp:
+            mp.setattr(repair, "_PASS_CELLS", cells)
+            sp = repair._scheme_pass(re, sch)
+        for name in ("ranks", "dims", "columns", "mults", "points"):
+            assert np.array_equal(getattr(sp, name), getattr(whole, name))
+        assert (sp.bandwidth, sp.io) == (whole.bandwidth, whole.io)
+        assert np.array_equal(sp.mults, dual_cover_oracle(re, sch))
 
 
 @pytest.mark.parametrize("p,m,ell,r,n", [
@@ -673,14 +710,64 @@ def test_scheme_pass_catches_a_broken_incidence_cap(bundle5, monkeypatch):
         evaluate_scheme(bundle5.realization, bundle5.scheme)
 
 
+def _one_node_a_chunk(monkeypatch, name, fault, call):
+    """Run the pass one node a chunk, with ``fault`` applied to the output
+    of repair's ``name`` on its ``call``-th call (counting from 0).
+
+    Every node of bundle5 has rank-1 helper blocks only, so each chunk
+    makes one left-kernel elimination and one ``null_columns`` call: the
+    faulty call is node ``call``'s.
+    """
+    real = getattr(repair, name)
+    calls = []
+
+    def faulty(*args):
+        out = real(*args)
+        calls.append(None)
+        return fault(out) if len(calls) == call + 1 else out
+
+    monkeypatch.setattr(repair, "_PASS_CELLS", 1)
+    monkeypatch.setattr(repair, name, faulty)
+
+
+def test_scheme_pass_refuses_a_stray_left_kernel_point(bundle5, monkeypatch):
+    re, sch = bundle5.realization, bundle5.scheme
+    field = re.skeleton.tower.base
+
+    def zero_basis(basis):  # the chunk's first left kernel spans nothing
+        basis[0] = 0
+        return basis
+
+    def doubled(pts):  # points that lead with 2 are no covector's code
+        return field.arr_mul(pts, 2)
+
+    # a zero point, or one off the lookup (-1), would have been counted in
+    # the previous node's last covector column
+    for name, fault, node in (("null_columns", zero_basis, 3),
+                              ("canonical_points", doubled, 7)):
+        with monkeypatch.context() as mp:
+            _one_node_a_chunk(mp, name, fault, node)
+            with pytest.raises(InternalInconsistency,
+                               match="not a canonical covector at node "
+                                     f"{node}"):
+                repair._scheme_pass(re, sch)
+
+
 def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
-    real = repair.projective_point_array
-    # one covector listed twice: its kills are counted twice
-    monkeypatch.setattr(repair, "projective_point_array",
-                        lambda field, dim: np.vstack([real(field, dim)] * 2))
-    with pytest.raises(InternalInconsistency, match="bookkeeping"):
-        evaluate_scheme(bundle5.realization, bundle5.scheme)
-    monkeypatch.setattr(repair, "projective_point_array", real)
+    def extra_dimension(out):
+        # block 0 of the elimination drops its pivot: its left kernel
+        # reads as all of F_5^2, one dimension more, so q more points than
+        # its rank accounts for
+        reduced, ranks, is_piv = out
+        ranks[0] -= 1
+        is_piv[0, np.flatnonzero(is_piv[0])[-1]] = False
+        return reduced, ranks, is_piv
+
+    with monkeypatch.context() as mp:
+        _one_node_a_chunk(mp, "_elimination_ranks", extra_dimension, 5)
+        with pytest.raises(InternalInconsistency,
+                           match="bookkeeping .* at node 5"):
+            evaluate_scheme(bundle5.realization, bundle5.scheme)
     # on a non-MDS skeleton whose node 8 repeats node 5, a repair matrix
     # for node 0 whose kernel meets node 5 puts one covector on two helpers
     bad = _non_mds_bundle(bundle3)
