@@ -351,7 +351,8 @@ def build(params: NrcParams) -> NrcBundle:
         cands[constrained, 0] = hits[:, 0]
     realization = realize(skeleton, _spanning_fill(field, cands, ell))
 
-    checks = _scheme_pass(realization, scheme)
+    checks = _scheme_pass(skeleton, realization.column_stack(), range(n),
+                          scheme.stack)
     bundle = NrcBundle(params=params, parameters=tuple(parameters),
                        partition=part, blocks_used=(block_a, block_b),
                        skeleton=skeleton, realization=realization,

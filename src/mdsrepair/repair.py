@@ -9,6 +9,12 @@ identity rank(M H_j) = l - dim(W /\\ H_j) ties both quantities to how the
 codimension-l subspace W meets the helper node subspaces, which is what
 the diagnostics in this module count.
 
+Every per-node number has one route: :func:`_scheme_pass`, which takes a
+list of nodes and their repair matrices and computes them all with
+batched products and every self-check.  :func:`evaluate_scheme` passes
+over every node of a scheme; :func:`bandwidth`, :func:`io_count`,
+:func:`incidence_profile` and :func:`dual_cover` pass over one node.
+
 The brute-force optimizers scan every codimension-l subspace exactly once
 by enumerating canonical full-rank RREF matrices M (row space <-> kernel
 is a bijection), so their maxima are exact and their witnesses are the
@@ -158,71 +164,42 @@ def _check_scheme_length(re: Realization, sch: RepairScheme) -> None:
         raise BadShape(f"scheme has {len(sch)} matrices for {re.n} nodes")
 
 
-def _require_full_row_rank(field: Field, m: Matrix, ell: int) -> None:
-    if m.rows != ell:
-        raise BadRank(f"expected {ell} rows, got {m.rows}")
-    if batched_rank(field, m.array[None, :, :])[0] != ell:
-        raise BadRank("matrix does not have full row rank")
-
-
-def _intersection_dims(s: CodeSkeleton, m: Matrix,
-                       helpers: Sequence[int]) -> np.ndarray:
-    """dim(W /\\ H_j) for W = ker m and each listed node, via stacked ranks."""
-    field = s.tower.base
-    d = s.ambient
-    bases, is_piv = kernels(field, m.array[None])
-    wdim = int(is_piv.sum())
-    w_basis = bases[0, :wdim]
-    stacked = np.empty((len(helpers), wdim + s.ell, d), dtype=np.int64)
-    stacked[:, :wdim, :] = w_basis
-    stacked[:, wdim:, :] = s.bases[list(helpers)]
-    ranks = batched_rank(field, stacked)
-    return wdim + s.ell - ranks
+def _node_pass(m: Matrix, s: CodeSkeleton, col_stack: np.ndarray,
+               i: int) -> SchemePass:
+    """The scheme pass over node i alone, repaired with m, reading the
+    (r*l, n*l) ``col_stack``."""
+    _check_repair_inputs(s, m, i)
+    return _scheme_pass(s, col_stack, [i], RepairScheme([m]).stack)
 
 
 # ---------------------------------------------------------------------------
-# per-matrix metrics
+# per-matrix metrics and counting diagnostics: one-node scheme passes
 
 
 def bandwidth(m: Matrix, re: Realization, i: int) -> int:
     """Symbols downloaded when m repairs node i: sum of rank(M H_j).
 
-    Also recomputes the same count through the kernel of m and the node
-    subspaces; the two totals must agree exactly.
+    Read off the scheme pass over node i alone, which also counts it
+    through the kernel of m and the node subspaces; the two routes must
+    agree on every helper.  Raises :class:`BadShape` for a bad index, shape or
+    field, :class:`BadRank` for an m without full row rank,
+    :class:`NotARepairMatrix` naming node i when M H_i is singular, and
+    :class:`InternalInconsistency` when a self-check of the pass fails.
+    A node that breaches the incidence cap or covers a dual point r times
+    consults the MDS verdict within ``DEFAULT_BUDGET``
+    (:meth:`CodeSkeleton.mds_witness`); the breach raises only on a
+    verified MDS skeleton.
     """
-    s = re.skeleton
-    _check_repair_inputs(s, m, i)
-    field = s.tower.base
-    n, ell = s.n, s.ell
-    blocks = _compressed_blocks(field, m.array, re.column_stack(), n, ell)
-    ranks = batched_rank(field, blocks)
-    if ranks[i] != ell:
-        raise NotARepairMatrix(i)
-    helpers = [j for j in range(n) if j != i]
-    bw = int(ranks[helpers].sum())
-    dims = _intersection_dims(s, m, helpers)
-    if bw != ell * (n - 1) - int(dims.sum()):
-        raise InternalInconsistency(
-            "rank route and kernel route disagree on bandwidth")
-    return bw
+    return _node_pass(m, re.skeleton, re.column_stack(), i).bandwidth[0]
 
 
 def io_count(m: Matrix, re: Realization, i: int) -> int:
-    """Symbols read at the helpers: sum of nonzero columns of M H_j."""
-    s = re.skeleton
-    _check_repair_inputs(s, m, i)
-    field = s.tower.base
-    n, ell = s.n, s.ell
-    blocks = _compressed_blocks(field, m.array, re.column_stack(), n, ell)
-    if batched_rank(field, blocks[i][None])[0] != ell:
-        raise NotARepairMatrix(i)
-    nonzero_cols = (blocks != 0).any(axis=1).sum(axis=1)
-    nonzero_cols[i] = 0
-    return int(nonzero_cols.sum())
+    """Symbols read at the helpers: sum of nonzero columns of M H_j.
 
-
-# ---------------------------------------------------------------------------
-# counting diagnostics
+    Raises as :func:`bandwidth` does, consulting the MDS verdict within
+    ``DEFAULT_BUDGET`` on a breach.
+    """
+    return _node_pass(m, re.skeleton, re.column_stack(), i).io[0]
 
 
 @dataclass(frozen=True)
@@ -245,23 +222,20 @@ class IncidenceProfile:
 
 
 def incidence_profile(m: Matrix, s: CodeSkeleton, i: int) -> IncidenceProfile:
-    _check_repair_inputs(s, m, i)
-    field = s.tower.base
-    q = field.order
-    _require_full_row_rank(field, m, s.ell)
+    """The profile of W = ker m at node i.
+
+    The pass over node i reads the node bases as columns: ranks,
+    intersection dimensions and points depend only on the span of each
+    block.  Raises as :func:`bandwidth` does.
+    """
+    sp = _node_pass(m, s, _columns(s.bases), i)
     helpers = tuple(j for j in range(s.n) if j != i)
-    dims = _intersection_dims(s, m, helpers)
-    sum_dims = int(dims.sum())
-    sum_points = sum(projective_point_count(q, int(t)) for t in dims)
-    cap = (s.r - 1) * projective_point_count(q, s.ell)
-    holds = sum_points <= cap
-    if not holds and s.is_mds:
-        raise InternalInconsistency(
-            "incidence cap violated on a verified MDS skeleton")
-    return IncidenceProfile(failed=i, helpers=helpers,
-                            dims=tuple(int(t) for t in dims),
-                            sum_dims=sum_dims, sum_points=sum_points,
-                            cap=cap, holds=holds)
+    dims = tuple(int(t) for t in sp.dims[0, list(helpers)])
+    cap = (s.r - 1) * projective_point_count(s.tower.base.order, s.ell)
+    sum_points = int(sp.points[0])
+    return IncidenceProfile(failed=i, helpers=helpers, dims=dims,
+                            sum_dims=sum(dims), sum_points=sum_points,
+                            cap=cap, holds=sum_points <= cap)
 
 
 @dataclass(frozen=True)
@@ -307,36 +281,17 @@ class DualCover:
 
 
 def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
-    _check_repair_inputs(s, m, i)
-    field = s.tower.base
-    q = field.order
-    ell = s.ell
-    _require_full_row_rank(field, m, ell)
-    pts = projective_point_array(field, ell)
-    col_stack = _columns(s.bases)
-    compressed = field.matmul(m.array, col_stack)          # (l, n*l)
-    prod = field.matmul(pts, compressed)                   # (t, n*l)
-    killed = (prod.reshape(len(pts), s.n, ell) == 0).all(axis=2)
-    killed[:, i] = False
-    mults = killed.sum(axis=1)
-    blocks = np.ascontiguousarray(
-        compressed.reshape(ell, s.n, ell).transpose(1, 0, 2))
-    dims = ell - batched_rank(field, blocks)
-    expected = sum(projective_point_count(q, int(dims[j]))
-                   for j in range(s.n) if j != i)
-    total = int(mults.sum())
-    if total != expected:
-        raise InternalInconsistency(
-            "dual cover bookkeeping does not match intersection dimensions")
-    max_mult = int(mults.max()) if len(mults) else 0
-    if max_mult > s.r - 1 and s.is_mds:
-        raise InternalInconsistency(
-            "dual point covered r times on a verified MDS skeleton")
-    return DualCover(failed=i, points=pts,
-                     mults=tuple(int(x) for x in mults),
-                     max_mult=max_mult,
+    """The dual cover of m at node i, read like :func:`incidence_profile`.
+
+    Raises as :func:`bandwidth` does.
+    """
+    sp = _node_pass(m, s, _columns(s.bases), i)
+    mults = tuple(int(x) for x in sp.mults[0])
+    return DualCover(failed=i, points=projective_point_array(s.tower.base,
+                                                             s.ell),
+                     mults=mults, max_mult=max(mults),
                      regular=all(x == s.r - 1 for x in mults),
-                     total=total)
+                     total=sum(mults))
 
 
 # ---------------------------------------------------------------------------
@@ -644,28 +599,30 @@ class NodeMetrics:
 # steps that form them, at l/t of it.
 _PASS_CELLS = 1 << 15
 
-# Most bytes the three uint8 (n, n) arrays of a scheme pass may take, 3n^2
-# in all, so n <= 9459.  They are the pass's only arrays that grow as n^2.
-# Measured with eval on q = 2, l = 1 files (2-core host, one process):
-# n = 9459 ran 9.6 s with a 316 MB peak; n = 12000 would run 12 s, 480 MB.
+# Most bytes the three uint8 (k, n) arrays of a pass over k nodes may take,
+# 3kn in all, so a whole scheme has n <= 9459.  They are the pass's only
+# arrays that grow as k n.  Measured with eval on q = 2, l = 1 files
+# (2-core host, one process): n = 9459 ran 9.6 s with a 316 MB peak; n =
+# 12000 would run 12 s, 480 MB.
 _PASS_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
 class SchemePass:
-    """Every node's repair numbers for one scheme, from batched products.
+    """The repair numbers of k (node, matrix) pairs, from batched products.
 
-    Row i of each (n, n) array is about repairing node i with M_i and
-    column j about node j: ``ranks`` is rank(M_i H_j) (the rank route),
-    ``dims`` is dim(W_i /\\ H_j) for W_i = ker M_i (the kernel route),
-    ``columns`` counts the nonzero columns of M_i H_j.  ``mults[i, k]`` is
-    the number of helpers j != i whose block M_i H_j the k-th canonical
-    covector of F_q^l annihilates (:func:`dual_cover`), counted from the
-    points of each block's left kernel rather than from a product, and
-    ``points[i]`` the number of projective points of W_i inside the
-    helpers (:func:`incidence_profile`).  ``bandwidth`` and ``io`` sum the
-    helpers' ranks and nonzero columns.  Every entry of the three (n, n)
-    arrays is at most l, so they are stored as uint8.
+    Row a of each (k, n) array is about repairing node i = ``nodes[a]``
+    with its matrix M of the pass, and column j about node j: ``ranks``
+    is rank(M H_j) (the rank route), ``dims`` is dim(W /\\ H_j) for W =
+    ker M (the kernel route), ``columns`` counts the nonzero columns of M
+    H_j.  ``mults[a, c]`` is the number of helpers j != i whose block M
+    H_j the c-th canonical covector of F_q^l annihilates
+    (:func:`dual_cover`), counted from the points of each block's left
+    kernel rather than from a product, and ``points[a]`` the number of
+    projective points of W inside the helpers (:func:`incidence_profile`).
+    ``bandwidth`` and ``io`` sum the helpers' ranks and nonzero columns.
+    Every entry of the three (k, n) arrays is at most l, so they are
+    stored as uint8.  A whole scheme's pass has row i about node i.
     """
 
     ranks: np.ndarray
@@ -711,56 +668,59 @@ def _left_kernel_points(field: Field, blocks: np.ndarray,
     return np.concatenate(block), index
 
 
-def _scheme_pass(re: Realization, sch: RepairScheme,
-                 budget: int = DEFAULT_BUDGET) -> SchemePass:
+def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
+                 ms: np.ndarray, budget: int = DEFAULT_BUDGET) -> SchemePass:
     """The numbers of :class:`SchemePass`, with every self-check applied.
 
-    The rank route forms every block M_i H_j with one product and ranks
-    all of them at once.  The kernel route takes every W_i from one
-    :func:`kernels` elimination and never forms M_i H_j: with K_i the
-    kernel basis of W_i's RREF (:func:`linalg.null_columns`), rank
-    [W_i; B_j] = dim W_i + rank(B_j K_i), so dim(W_i /\\ H_j) = l -
-    rank(B_j K_i), all of them ranked at once too.  The dual cover lists
-    the left kernel of every helper block of rank below l: a block of
-    rank l - d is annihilated by exactly the (q^d - 1)/(q - 1) covectors
-    of its left kernel, so only those are counted
-    (:func:`_left_kernel_points`), with one scatter-add into ``mults``.
-    Their kernel dimensions come from their own elimination, not from the
-    ranks, so the dual-cover total is still checked against another
-    computation.
-    "All" means all of one chunk of nodes M_i: a chunk's left-kernel
-    points have at most about ``_PASS_CELLS`` entries, and its per-node
-    sums are taken before the next chunk, so the only (n, n) arrays are
+    ``col_stack`` is the (r*l, n*l) stack of every node's columns H_j,
+    ``nodes`` the k nodes to repair (repeats allowed) and ``ms`` their
+    (k, l, r*l) matrices, each of full row rank; the caller checks their
+    shapes and indices.  A whole scheme is every node with its own
+    matrix, a per-matrix question one node.
+
+    The rank route forms every block M H_j with one product and ranks
+    all of them at once.  The kernel route takes every W from one
+    :func:`kernels` elimination and never forms M H_j: with K the kernel
+    basis of W's RREF (:func:`linalg.null_columns`), rank [W; B_j] = dim
+    W + rank(B_j K), so dim(W /\\ H_j) = l - rank(B_j K), all of them
+    ranked at once too.  The dual cover lists the left kernel of every
+    helper block of rank below l: a block of rank l - d is annihilated by
+    exactly the (q^d - 1)/(q - 1) covectors of its left kernel, so only
+    those are counted (:func:`_left_kernel_points`), with one scatter-add
+    into ``mults``.  Their kernel dimensions come from their own
+    elimination, not from the ranks, so the dual-cover total is still
+    checked against another computation.
+    "All" means all of one chunk of matrices: a chunk's left-kernel
+    points have at most about ``_PASS_CELLS`` entries, and its per-row
+    sums are taken before the next chunk, so the only (k, n) arrays are
     the three narrow results.
-    An n whose three arrays would pass ``_PASS_BYTES`` raises
+    A k whose three arrays would pass ``_PASS_BYTES`` raises
     :class:`BudgetExceeded` before any product.
 
-    Node by node, the checks are that M_i H_i is invertible (else
-    :class:`NotARepairMatrix`), that both routes agree on every block and
-    that io is not below bandwidth; then, node by node again, the
-    incidence cap, the dual-cover total against the ranks, and no
-    covector counted r times.  The cap and the r-fold cover are breaches
-    only on a verified MDS skeleton, which is consulted only then (within
-    ``budget``, see :meth:`CodeSkeleton.mds_witness`).  A breach raises
-    :class:`InternalInconsistency` naming its node.
+    Row by row, the checks are that M H_i is invertible (else
+    :class:`NotARepairMatrix` naming node i), that both routes agree on
+    every block and that io is not below bandwidth; then, row by row
+    again, the incidence cap, the dual-cover total against the ranks, and
+    no covector counted r times.  The cap and the r-fold cover are
+    breaches only on a verified MDS skeleton, which is consulted only
+    then (within ``budget``, see :meth:`CodeSkeleton.mds_witness`).  A
+    breach raises :class:`InternalInconsistency` naming its node.
     """
-    s = re.skeleton
     field = s.tower.base
     n, ell, r = s.n, s.ell, s.r
     q = field.order
-    _check_scheme_length(re, sch)
-    _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape and field
-    if 3 * n * n > _PASS_BYTES:
-        raise BudgetExceeded(n * n, "node pairs",
+    nodes = np.asarray(nodes, dtype=np.int64)
+    k = len(nodes)
+    if 3 * k * n > _PASS_BYTES:
+        raise BudgetExceeded(k * n, "node pairs",
                              f"a scheme pass keeps 3 bytes a pair and at "
                              f"most {_PASS_BYTES} bytes")
-    ms = sch.stack
 
     ws, is_piv = kernels(field, ms)
     wdim = s.ambient - ell
     if (is_piv.sum(axis=1) != wdim).any():
         raise InternalInconsistency("a repair kernel has the wrong dimension")
-    k = linalg.null_columns(field, ws[:, :wdim], is_piv)
+    kb = linalg.null_columns(field, ws[:, :wdim], is_piv)
 
     covectors = projective_point_array(field, ell)
     t = len(covectors)
@@ -768,28 +728,28 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
     lookup[covectors @ q ** np.arange(ell)] = np.arange(t)
     points_of = np.array([projective_point_count(q, d)
                           for d in range(ell + 1)])
-    ranks, dims, columns = (np.empty((n, n), dtype=np.uint8)
+    ranks, dims, columns = (np.empty((k, n), dtype=np.uint8)
                             for _ in range(3))
-    mults = np.empty((n, t), dtype=np.int64)
-    bw, io, points, covered = (np.empty(n, dtype=np.int64) for _ in range(4))
-    route = np.empty(n, dtype=bool)
+    mults = np.empty((k, t), dtype=np.int64)
+    bw, io, points, covered = (np.empty(k, dtype=np.int64) for _ in range(4))
+    route = np.empty(k, dtype=bool)
     step = max(1, _PASS_CELLS // (n * t * ell))
     flat = (-1, ell, ell)
-    for a in range(0, n, step):
+    for a in range(0, k, step):
         at = slice(a, a + step)
-        helper = np.arange(n) != np.arange(n)[at, None]
-        blocks = _compressed_blocks(field, ms[at], re.column_stack(), n, ell)
+        helper = nodes[at, None] != np.arange(n)
+        blocks = _compressed_blocks(field, ms[at], col_stack, n, ell)
         rk = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
         cols = (blocks != 0).any(axis=2).sum(axis=2)
-        s_blocks = field.matmul(s.bases[None], k[at, None])
+        s_blocks = field.matmul(s.bases[None], kb[at, None])
         dm = ell - batched_rank(field, s_blocks.reshape(flat)).reshape(-1, n)
-        node, j = np.nonzero(helper & (rk < ell))
-        block, index = _left_kernel_points(field, blocks[node, j], lookup)
-        owner = node[block]
+        row, j = np.nonzero(helper & (rk < ell))
+        block, index = _left_kernel_points(field, blocks[row, j], lookup)
+        owner = row[block]
         if (index < 0).any():
             raise InternalInconsistency(
                 "a left-kernel point is not a canonical covector at node "
-                f"{a + owner[np.argmax(index < 0)]}")
+                f"{nodes[a + owner[np.argmax(index < 0)]]}")
         mults[at] = np.bincount(owner * t + index,
                                 minlength=len(rk) * t).reshape(-1, t)
         ranks[at], dims[at], columns[at] = rk, dm, cols
@@ -799,25 +759,28 @@ def _scheme_pass(re: Realization, sch: RepairScheme,
         covered[at] = np.where(helper, points_of[ell - rk], 0).sum(axis=1)
         route[at] = (rk != ell - dm).any(axis=1)
 
-    for i in np.flatnonzero((ranks.diagonal() != ell) | route | (io < bw)):
-        if ranks[i, i] != ell:
-            raise NotARepairMatrix(int(i))
-        if route[i]:
+    singular = ranks[np.arange(k), nodes] != ell
+    for a in np.flatnonzero(singular | route | (io < bw)):
+        i = int(nodes[a])
+        if singular[a]:
+            raise NotARepairMatrix(i)
+        if route[a]:
             raise InternalInconsistency(
                 f"rank route and kernel route disagree at node {i}")
         raise InternalInconsistency(f"io below bandwidth at node {i}")
     cap = (r - 1) * projective_point_count(q, ell)
     over = (points > cap) | (mults.max(axis=1) > r - 1)
-    for i in np.flatnonzero(over | (mults.sum(axis=1) != covered)):
-        if points[i] > cap and s.mds_witness(budget) is None:
+    for a in np.flatnonzero(over | (mults.sum(axis=1) != covered)):
+        i = int(nodes[a])
+        if points[a] > cap and s.mds_witness(budget) is None:
             raise InternalInconsistency(
                 f"incidence cap violated at node {i} on a verified MDS "
                 "skeleton")
-        if mults[i].sum() != covered[i]:
+        if mults[a].sum() != covered[a]:
             raise InternalInconsistency(
                 "dual cover bookkeeping does not match intersection "
                 f"dimensions at node {i}")
-        if mults[i].max() > r - 1 and s.mds_witness(budget) is None:
+        if mults[a].max() > r - 1 and s.mds_witness(budget) is None:
             raise InternalInconsistency(
                 f"dual point covered r times at node {i} on a verified MDS "
                 "skeleton")
@@ -831,14 +794,18 @@ def evaluate_scheme(re: Realization, sch: RepairScheme, *,
                     budget: int = DEFAULT_BUDGET) -> NodeMetrics:
     """Achieved bandwidth/IO of the scheme at every node, with bound gaps.
 
-    Everything is read from one :func:`_scheme_pass`; a caller that
-    already has the scheme's pass hands it over as ``scheme_pass``.
-    ``budget`` bounds the MDS check a breach asks for, as in
-    :func:`_scheme_pass`.
+    Everything is read from one :func:`_scheme_pass` over every node; a
+    caller that already has the scheme's pass hands it over as
+    ``scheme_pass``.  ``budget`` bounds the MDS check a breach asks for,
+    as in :func:`_scheme_pass`.
     """
     s = re.skeleton
-    sp = (_scheme_pass(re, sch, budget) if scheme_pass is None
-          else scheme_pass)
+    sp = scheme_pass
+    if sp is None:
+        _check_scheme_length(re, sch)
+        _check_repair_inputs(s, sch[0], 0)  # every matrix has its shape
+        sp = _scheme_pass(s, re.column_stack(), range(s.n), sch.stack,
+                          budget)
     bw, io = sp.bandwidth, sp.io
     rep = bounds_report(s.tower.q, s.ell, s.r, s.n)
     bw_gap = tuple(b - rep.im_bound for b in bw)

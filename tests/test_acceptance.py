@@ -25,7 +25,9 @@ from mdsrepair.linalg import (
     rref_blocks,
 )
 from mdsrepair.nrc import build, validate_params
+from mdsrepair import linalg, repair
 from mdsrepair.repair import (
+    IncidenceProfile,
     bruteforce_column_hits,
     bruteforce_overlap,
     dual_cover,
@@ -153,24 +155,36 @@ def _random_feasible(field, s, i, rng):
             return Matrix(field, m)
 
 
-def _audit(s, m, i):
-    """All four properties for one feasible matrix; any breach raises."""
+def _audit(s, audited):
+    """All four properties for every (node, feasible matrix) pair of one
+    skeleton, from one scheme pass over the list; any breach raises."""
     field = s.tower.base
     q = field.order
-    pr = incidence_profile(m, s, i)  # raises on a cap breach (skeleton is MDS)
-    assert pr.holds
-    assert all(ln.holds for ln in hierarchy_check(pr, s.ell, s.r, q))
-    dc = dual_cover(m, s, i)  # raises if any dual point is covered r times
-    assert dc.max_mult <= s.r - 1
-    # download identity, rank route versus intersection route
-    helpers = [j for j in range(s.n) if j != i]
-    cols = np.ascontiguousarray(
-        s.bases[helpers].transpose(2, 0, 1).reshape(
-            s.ambient, len(helpers) * s.ell))
-    prod = field.matmul(m.array, cols)
-    blocks = prod.reshape(s.ell, len(helpers), s.ell).transpose(1, 0, 2)
-    ranks = batched_rank(field, np.ascontiguousarray(blocks))
-    assert int(ranks.sum()) + pr.sum_dims == s.ell * (s.n - 1)
+    nodes = [i for i, _ in audited]
+    stack = np.stack([m.array for _, m in audited])
+    # raises on a cap breach or a dual point covered r times (the skeleton
+    # is MDS)
+    sp = repair._scheme_pass(s, linalg._columns(s.bases), nodes, stack)
+    cap = (s.r - 1) * projective_point_count(q, s.ell)
+    # download identity, rank route versus intersection route: every block
+    # M H_j of every audited matrix from one product
+    blocks = field.matmul(stack, linalg._columns(s.bases)).reshape(
+        len(audited), s.ell, s.n, s.ell).transpose(0, 2, 1, 3)
+    ranks = batched_rank(field, np.ascontiguousarray(blocks).reshape(
+        -1, s.ell, s.ell)).reshape(len(audited), s.n)
+    for a, i in enumerate(nodes):
+        helpers = tuple(j for j in range(s.n) if j != i)
+        dims = tuple(int(t) for t in sp.dims[a, list(helpers)])
+        pr = IncidenceProfile(failed=i, helpers=helpers, dims=dims,
+                              sum_dims=sum(dims),
+                              sum_points=int(sp.points[a]), cap=cap,
+                              holds=int(sp.points[a]) <= cap)
+        assert pr.holds
+        assert all(ln.holds for ln in hierarchy_check(pr, s.ell, s.r, q))
+        assert sp.mults[a].max() <= s.r - 1
+        assert int(ranks[a, list(helpers)].sum()) + pr.sum_dims == \
+            s.ell * (s.n - 1)
+    return len(audited)
 
 
 def test_criterion_5_counting_property_suite(bundle3, bundle5, tower5):
@@ -193,23 +207,24 @@ def test_criterion_5_counting_property_suite(bundle3, bundle5, tower5):
     for p, m, ell, r, n in configs:
         tower = build_tower(2, 2, ell) if m is None else build_tower(p, m, ell)
         sk = _random_mds_skeleton(tower, r, n, rng)
+        pairs = []
         for _ in range(per_skeleton):
             i = rng.randrange(sk.n)
-            _audit(sk, _random_feasible(tower.base, sk, i, rng), i)
-            audited += 1
+            pairs.append((i, _random_feasible(tower.base, sk, i, rng)))
+        audited += _audit(sk, pairs)
 
     bundles = [bundle3, bundle5,
                build(validate_params(bundle3.params.tower, 2, 10)),
                build(validate_params(tower5, 3, 26))]
     for bundle in bundles:
         sk = bundle.skeleton
+        pairs = []
         for _ in range(750):
             i = rng.randrange(sk.n)
-            _audit(sk, _random_feasible(sk.tower.base, sk, i, rng), i)
-            audited += 1
-        for i in range(sk.n):  # the constructed scheme matrices themselves
-            _audit(sk, bundle.scheme[i], i)
-            audited += 1
+            pairs.append((i, _random_feasible(sk.tower.base, sk, i, rng)))
+        # the constructed scheme matrices themselves
+        pairs += list(enumerate(bundle.scheme.matrices))
+        audited += _audit(sk, pairs)
 
     assert audited >= 10_000
     _report(5, f"counting properties over {audited} feasible matrices", t0)

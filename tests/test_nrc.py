@@ -458,7 +458,9 @@ def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls):
 
 
 def test_verify_bundle_reads_the_scheme_pass(bundle5):
-    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    re = bundle5.realization
+    sp = repair._scheme_pass(re.skeleton, re.column_stack(), range(re.n),
+                             bundle5.scheme.stack)
     nrc._verify_bundle(bundle5, sp)
     dims = sp.dims.copy()
     dims[3, 7] = 2

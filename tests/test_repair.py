@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from bruteforce_oracle import bruteforce_oracle
-from dual_cover_oracle import dual_cover_oracle
+from pass_oracle import (
+    bandwidth_oracle,
+    dual_cover_oracle,
+    incidence_profile_oracle,
+    intersection_dims,
+    io_count_oracle,
+    mults_oracle,
+)
 from rref_oracle import meet_dim_oracle
 from mdsrepair.codes import CodeSkeleton, realize
 from mdsrepair.errors import (
@@ -32,6 +39,7 @@ from mdsrepair.nrc import build, validate_params
 from mdsrepair.simulate import _node_states
 from mdsrepair.repair import (
     RepairScheme,
+    SchemePass,
     bandwidth,
     bruteforce_column_hits,
     bruteforce_overlap,
@@ -484,6 +492,73 @@ def test_input_guards(bundle3, tower5):
         dual_cover(Matrix(s.tower.base, good.array[:, :2]), s, 0)
 
 
+def test_the_views_share_one_error_contract(bundle3, tower5):
+    re = bundle3.realization
+    s = re.skeleton
+    field = s.tower.base
+    good = bundle3.scheme[0]
+    low = Matrix(field, [[1, 0, 1, 0], [2, 0, 2, 0]])  # rank 1
+    # full rank, but its kernel is node 0's subspace: M H_0 is zero
+    singular = Matrix(field, kernels(field, s.bases[:1])[0][0, :2])
+    for view, arg in ((bandwidth, re), (io_count, re),
+                      (incidence_profile, s), (dual_cover, s)):
+        for m, i in ((good, 9), (good, -1),
+                     (Matrix(tower5.base, good.array), 0),
+                     (Matrix(field, good.array[:, :2]), 0)):
+            with pytest.raises(BadShape):
+                view(m, arg, i)
+        with pytest.raises(BadRank):
+            view(low, arg, 0)
+        with pytest.raises(NotARepairMatrix, match="node 0"):
+            view(singular, arg, 0)
+
+
+def test_the_views_consult_the_mds_verdict_on_a_breach(bundle3):
+    re, m = _covering_twice(bundle3)
+    s = re.skeleton
+    # not MDS: the covector on two helpers is no breach, so every view
+    # answers
+    assert dual_cover(m, s, 0).max_mult == 2
+    assert bandwidth(m, re, 0) == bandwidth_oracle(m, re, 0)
+    assert io_count(m, re, 0) == io_count_oracle(m, re, 0)
+    assert incidence_profile(m, s, 0) == incidence_profile_oracle(m, s, 0)
+    s._mds = None  # the cached verdict "verified MDS"
+    for view, arg in ((bandwidth, re), (io_count, re),
+                      (incidence_profile, s), (dual_cover, s)):
+        with pytest.raises(InternalInconsistency,
+                           match="covered r times at node 0"):
+            view(m, arg, 0)
+
+
+@pytest.mark.parametrize("view", [bandwidth, io_count, incidence_profile,
+                                  dual_cover])
+def test_each_view_is_one_pass_over_one_node(bundle5, monkeypatch, view):
+    re = bundle5.realization
+    passes, outside, inside = [], [], []
+    real_pass = repair._scheme_pass
+
+    def one_pass(s, col_stack, nodes, ms, *args):
+        passes.append((list(nodes), ms.shape))
+        inside.append(None)
+        try:
+            return real_pass(s, col_stack, nodes, ms, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(repair, "_scheme_pass", one_pass)
+    for name in ("batched_rank", "kernels", "_elimination_ranks"):
+        def watched(field, a, _real=getattr(repair, name), _name=name):
+            if not inside:
+                outside.append((_name, np.shape(a)))
+            return _real(field, a)
+        monkeypatch.setattr(repair, name, watched)
+    arg = re if view in (bandwidth, io_count) else re.skeleton
+    view(bundle5.scheme[7], arg, 7)
+    assert passes == [([7], (1, 2, 6))]
+    # outside the pass, only the repair scheme's full-row-rank check
+    assert outside == [("batched_rank", (1, 2, 6))]
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     bundle = build(validate_params(tower3, 2, n))
@@ -508,13 +583,19 @@ def test_scheme_keeps_one_read_only_stack(bundle3):
                                    [[1, 0, 0, 0], [0, 1, 0, 0]])] * 9)
     swapped = RepairScheme(sch.matrices)
     swapped.stack = trivial.stack
-    assert repair._scheme_pass(re, swapped).bandwidth == (16,) * 9
+    assert _pass(re, swapped).bandwidth == (16,) * 9
     assert [st.downloaded for st in _node_states(re, swapped, range(9))] == \
         [16] * 9
     assert scheme_to_json(swapped) == scheme_to_json(sch)
 
 
-# -- the batched scheme pass against the per-node functions ----------------------
+# -- the batched scheme pass and its one-node views against the oracle -----------
+
+
+def _pass(re, sch):
+    """The scheme pass over every node of ``sch``."""
+    return repair._scheme_pass(re.skeleton, re.column_stack(), range(re.n),
+                               sch.stack)
 
 
 @pytest.fixture(scope="module")
@@ -525,33 +606,61 @@ def larger_bundles():
                                     (5, 1, 3, 3, 124))]
 
 
-def _assert_pass_matches_per_node(re, sch):
-    """Node by node, the pass's numbers equal the public per-node oracles."""
+def _oracle(re, sch):
+    """The oracle's numbers for every node of a scheme: the whole pass as
+    a :class:`SchemePass`, and each node's (bandwidth, io, incidence
+    profile, dual cover)."""
     s = re.skeleton
     field = s.tower.base
-    sp = repair._scheme_pass(re, sch)
-    assert np.array_equal(sp.mults, dual_cover_oracle(re, sch))
+    ranks, dims, columns, views = [], [], [], []
     for i in range(s.n):
         m = sch[i]
-        assert sp.bandwidth[i] == bandwidth(m, re, i)
-        assert sp.io[i] == io_count(m, re, i)
         blocks = repair._compressed_blocks(field, m.array, re.column_stack(),
                                            s.n, s.ell)
-        assert sp.ranks[i].tolist() == batched_rank(field, blocks).tolist()
-        assert sp.columns[i].tolist() == \
-            (blocks != 0).any(axis=1).sum(axis=1).tolist()
+        ranks.append(batched_rank(field, blocks))
+        columns.append((blocks != 0).any(axis=1).sum(axis=1))
         # every pair, the failed node included, through the stacked ranks
-        every = repair._intersection_dims(s, m, range(s.n))
-        assert sp.dims[i].tolist() == every.tolist()
-        w = _kernel_basis(m)
-        assert every.tolist() == [meet_dim_oracle(field, w, b)
-                                  for b in s.bases]
-        pr = incidence_profile(m, s, i)
-        dims = tuple(int(t) for t in sp.dims[i, list(pr.helpers)])
-        assert pr.dims == dims and pr.sum_dims == sum(dims)
-        assert pr.sum_points == sp.points[i]
-        assert pr.holds == (sp.points[i] <= pr.cap)
-        assert dual_cover(m, s, i).mults == tuple(sp.mults[i].tolist())
+        dims.append(intersection_dims(s, m, range(s.n)))
+        views.append((bandwidth_oracle(m, re, i), io_count_oracle(m, re, i),
+                      incidence_profile_oracle(m, s, i),
+                      dual_cover_oracle(m, s, i)))
+    want = SchemePass(np.array(ranks), np.array(dims), np.array(columns),
+                      mults=mults_oracle(re, sch),
+                      points=np.array([v[2].sum_points for v in views]),
+                      bandwidth=tuple(v[0] for v in views),
+                      io=tuple(v[1] for v in views))
+    return want, views
+
+
+def _assert_same_pass(sp, want):
+    for name in ("ranks", "dims", "columns", "mults", "points"):
+        assert np.array_equal(getattr(sp, name), getattr(want, name)), name
+    assert (sp.bandwidth, sp.io) == (want.bandwidth, want.io)
+
+
+def _assert_pass_matches_per_node(re, sch):
+    """The whole pass, and at every node the four one-node views at the
+    default chunk size and at one node a chunk, equal the oracle."""
+    s = re.skeleton
+    field = s.tower.base
+    want, views = _oracle(re, sch)
+    _assert_same_pass(_pass(re, sch), want)
+    for i in range(s.n):
+        w = _kernel_basis(sch[i])
+        assert want.dims[i].tolist() == [meet_dim_oracle(field, w, b)
+                                         for b in s.bases]
+    for cells in (repair._PASS_CELLS, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repair, "_PASS_CELLS", cells)
+            for i, (bw, io, pr, dc) in enumerate(views):
+                m = sch[i]
+                assert bandwidth(m, re, i) == bw
+                assert io_count(m, re, i) == io
+                assert incidence_profile(m, s, i) == pr
+                got = dual_cover(m, s, i)
+                assert np.array_equal(got.points, dc.points)
+                assert dataclasses.replace(got, points=None) == \
+                    dataclasses.replace(dc, points=None)
 
 
 def test_scheme_pass_matches_per_node_on_constructions(bundle3, bundle5,
@@ -591,7 +700,7 @@ def _random_scheme(sk, rng):
 def test_scheme_pass_counts_every_covector_of_a_zero_block(bundle3):
     re, sch = _zero_block_case(bundle3)
     _assert_pass_matches_per_node(re, sch)
-    sp = repair._scheme_pass(re, sch)
+    sp = _pass(re, sch)
     helpers = np.arange(re.n) != 1
     assert (sp.ranks[helpers, 1] == 0).all()
     # a rank-0 block's left kernel is all of F_q^l: every covector kills it
@@ -609,14 +718,10 @@ def test_scheme_pass_is_the_same_in_any_chunks(bundle3, bundle5, monkeypatch,
                     _zero_block_case(bundle3),
                     (_basis_realization(bad),
                      _random_scheme(bad, random.Random(3)))]:
-        whole = repair._scheme_pass(re, sch)
+        want, _ = _oracle(re, sch)
         with monkeypatch.context() as mp:
             mp.setattr(repair, "_PASS_CELLS", cells)
-            sp = repair._scheme_pass(re, sch)
-        for name in ("ranks", "dims", "columns", "mults", "points"):
-            assert np.array_equal(getattr(sp, name), getattr(whole, name))
-        assert (sp.bandwidth, sp.io) == (whole.bandwidth, whole.io)
-        assert np.array_equal(sp.mults, dual_cover_oracle(re, sch))
+            _assert_same_pass(_pass(re, sch), want)
 
 
 @pytest.mark.parametrize("p,m,ell,r,n", [
@@ -638,6 +743,21 @@ def _non_mds_bundle(bundle3):
     bad = CodeSkeleton(sk.tower, sk.r, sk.bases[[*range(sk.n - 1), -4]])
     assert not bad.is_mds
     return bad
+
+
+def _covering_twice(bundle3):
+    """A realization of the non-MDS skeleton of :func:`_non_mds_bundle`,
+    whose node 8 repeats node 5, and a repair matrix for node 0 whose
+    kernel meets node 5 within the incidence cap: one covector kills the
+    blocks of both helpers 5 and 8."""
+    bad = _non_mds_bundle(bundle3)
+    re = _basis_realization(bad)
+    rng = random.Random(8)
+    while True:
+        m = _random_feasible_matrix(bad.tower.base, bad, 0, rng)
+        pr = incidence_profile_oracle(m, bad, 0)
+        if pr.dims[4] == 1 and pr.sum_points <= 4:  # helper 5
+            return re, m
 
 
 def test_scheme_pass_matches_per_node_on_a_non_mds_skeleton(bundle3):
@@ -750,7 +870,7 @@ def test_scheme_pass_refuses_a_stray_left_kernel_point(bundle5, monkeypatch):
             with pytest.raises(InternalInconsistency,
                                match="not a canonical covector at node "
                                      f"{node}"):
-                repair._scheme_pass(re, sch)
+                _pass(re, sch)
 
 
 def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
@@ -770,24 +890,18 @@ def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
             evaluate_scheme(bundle5.realization, bundle5.scheme)
     # on a non-MDS skeleton whose node 8 repeats node 5, a repair matrix
     # for node 0 whose kernel meets node 5 puts one covector on two helpers
-    bad = _non_mds_bundle(bundle3)
-    re = _basis_realization(bad)
-    rng = random.Random(8)
-    while True:
-        m = _random_feasible_matrix(bad.tower.base, bad, 0, rng)
-        sch = RepairScheme([m] + list(bundle3.scheme.matrices[1:]))
-        sp = repair._scheme_pass(re, sch)
-        if sp.dims[0, 5] == 1 and sp.points[0] <= 4:
-            break
-    assert sp.mults[0].max() == 2 > bad.r - 1
+    re, m = _covering_twice(bundle3)
+    bad = re.skeleton
+    sch = RepairScheme([m] + list(bundle3.scheme.matrices[1:]))
+    assert _pass(re, sch).mults[0].max() == 2 > bad.r - 1
     bad._mds = None  # the cached verdict "verified MDS"
     with pytest.raises(InternalInconsistency,
                        match="covered r times at node 0"):
-        repair._scheme_pass(re, sch)
+        _pass(re, sch)
 
 
 def test_evaluate_scheme_catches_a_cost_below_the_bound(bundle5):
-    sp = repair._scheme_pass(bundle5.realization, bundle5.scheme)
+    sp = _pass(bundle5.realization, bundle5.scheme)
     low = dataclasses.replace(sp, bandwidth=(0,) * len(sp.bandwidth))
     with pytest.raises(InternalInconsistency, match="below the proven bound"):
         evaluate_scheme(bundle5.realization, bundle5.scheme, scheme_pass=low)

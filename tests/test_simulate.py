@@ -15,14 +15,10 @@ from mdsrepair.errors import (
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import Matrix, batched_rank
 from mdsrepair.nrc import build, validate_params
-from mdsrepair.repair import (
-    RepairScheme,
-    bandwidth,
-    evaluate_scheme,
-    io_count,
-)
+from mdsrepair.repair import RepairScheme, evaluate_scheme
 from mdsrepair.simulate import _node_states, _replay, campaign
 
+from pass_oracle import bandwidth_oracle, io_count_oracle
 from replay_oracle import is_codeword, row_factor, sample_codeword
 from rref_oracle import rref_oracle
 
@@ -138,8 +134,8 @@ def test_transcript_counts_match_metrics(bundle3, bundle5):
         states = _node_states(re, bundle.scheme, range(re.n))
         for i, st in enumerate(states):
             assert st.failed == i
-            assert st.downloaded == bandwidth(bundle.scheme[i], re, i)
-            assert st.accessed == io_count(bundle.scheme[i], re, i)
+            assert st.downloaded == bandwidth_oracle(bundle.scheme[i], re, i)
+            assert st.accessed == io_count_oracle(bundle.scheme[i], re, i)
 
 
 def test_run_repair_rejects_bad_scheme(bundle3):
