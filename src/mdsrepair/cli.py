@@ -6,7 +6,14 @@ randomized commands, the seed, so reruns are byte-identical.
 
 Exit codes are a stable contract: 0 success, 1 verdict failure (a failing
 MDS witness, or --expect-equality with a positive gap), 2 parameter
-rejection, 3 malformed input, 4 budget exceeded.
+rejection, 3 malformed input, 4 budget exceeded.  Each package error
+carries its code (:attr:`RepairToolError.exit_code`).
+
+``bruteforce`` and ``simulate`` split their candidate or trial range into
+at most --jobs parts (:func:`_fan_out`).  Each part runs the same worker
+on the loaded code and scheme; with more than one part they are pickled
+to a process pool, the code's MDS verdict with them, which the parent
+asks once before any part starts.
 """
 
 from __future__ import annotations
@@ -30,17 +37,9 @@ from .codes import (
 from .errors import (
     BadParameters,
     BudgetExceeded,
-    DegreeMismatch,
-    EllTooSmall,
     InternalInconsistency,
-    LengthOutOfRange,
     MalformedInput,
-    Nondivisible,
-    NonPrime,
-    QuotientTooSmall,
     RepairToolError,
-    RExceedsQ,
-    ReduciblePolynomial,
 )
 from .gf import build_tower
 from .linalg import gaussian_binomial
@@ -54,10 +53,6 @@ from .repair import (
     scheme_to_json,
 )
 from .simulate import campaign
-
-_PARAM_ERRORS = (NonPrime, DegreeMismatch, ReduciblePolynomial, EllTooSmall,
-                 Nondivisible, QuotientTooSmall, LengthOutOfRange, RExceedsQ,
-                 BadParameters)
 
 
 def _dumps(obj: dict) -> str:
@@ -93,9 +88,15 @@ def _workers(jobs: int) -> int:
 
 
 def _fan_out(worker, start: int, stop: int, jobs: int, *args) -> list:
-    """worker(*args, lo, hi) over jobs parts of [start, stop), in order."""
+    """worker(*args, lo, hi) over at most jobs parts of [start, stop), in order.
+
+    One part, or an empty range, runs in this process; more parts run in a
+    pool of jobs processes, each sent ``args`` pickled.
+    """
     cuts = [start + (stop - start) * k // jobs for k in range(jobs + 1)]
     parts = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if len(parts) <= 1:
+        return [worker(*args, start, stop)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, *zip(*(args + part for part in parts))))
 
@@ -244,25 +245,6 @@ def _bf_scan(re, node0, objective, budget, start, stop):
     return value, None if witness is None else witness.to_json_dict()
 
 
-def _worker_code(code_obj, verdict):
-    """The code of ``code_obj`` holding the MDS verdict the parent asked.
-
-    ``code_obj`` is the parent's loaded code written out again by
-    :func:`realization_to_json`, so a worker is sent only the fields it
-    reads (no provenance of any depth), and ``verdict`` is the parent's
-    :meth:`CodeSkeleton.mds_witness` of it, so a worker scans no subsets
-    again.
-    """
-    re, _, _ = realization_from_json(code_obj)
-    re.skeleton._mds = verdict
-    return re
-
-
-def _bf_worker(code_obj, verdict, node0, objective, budget, start, stop):
-    re = _worker_code(code_obj, verdict)
-    return _bf_scan(re, node0, objective, budget, start, stop)
-
-
 def _parse_range(text, total):
     if text is None:
         return None
@@ -278,8 +260,7 @@ def _parse_range(text, total):
 
 def cmd_bruteforce(args) -> int:
     _check_budget(args)
-    code_obj = _load_json(args.code)
-    re, labels, _ = realization_from_json(code_obj)
+    re, _, _ = _load_code(args.code)
     s = re.skeleton
     node0 = args.node - 1
     if not 0 <= node0 < s.n:
@@ -291,15 +272,9 @@ def cmd_bruteforce(args) -> int:
     if rng is None and total > args.budget:
         raise BudgetExceeded(total)
     start, stop = rng if rng is not None else (0, total)
-
-    if jobs > 1 and stop - start > 1:
-        verdict = s.mds_witness(args.budget)  # once, for every worker
-        parts = _fan_out(_bf_worker, start, stop, jobs,
-                         realization_to_json(re, labels), verdict, node0,
-                         args.objective, args.budget)
-    else:
-        parts = [_bf_scan(re, node0, args.objective, args.budget, start,
-                          stop)]
+    s.mds_witness(args.budget)  # once, before any part
+    parts = _fan_out(_bf_scan, start, stop, jobs, re, node0, args.objective,
+                     args.budget)
     value, witness = max(parts, key=lambda p: p[0])  # the first maximizer
 
     key = "alpha" if args.objective == "bandwidth" else "lambda"
@@ -318,10 +293,7 @@ def cmd_bruteforce(args) -> int:
 # simulate
 
 
-def _sim_worker(code_obj, verdict, scheme_obj, seed, nodes, budget,
-                first_trial, stop):
-    re = _worker_code(code_obj, verdict)
-    sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
+def _sim_worker(re, sch, seed, nodes, budget, first_trial, stop):
     return campaign(re, sch, trials=stop - first_trial, seed=seed, nodes=nodes,
                     first_trial=first_trial, budget=budget)
 
@@ -333,10 +305,8 @@ def cmd_simulate(args) -> int:
         raise BadParameters(f"--trials must be at least 1, got {args.trials}")
     _check_budget(args)
     jobs = _workers(args.jobs)
-    code_obj = _load_json(args.code)
-    scheme_obj = _load_json(args.scheme)
-    re, labels, _ = realization_from_json(code_obj)
-    sch, _ = scheme_from_json(scheme_obj, re.skeleton.tower.base)
+    re, _, _ = _load_code(args.code)
+    sch, _ = _load_scheme(args.scheme, re.skeleton.tower.base)
     s = re.skeleton
     if args.node == "all":
         nodes = None
@@ -349,18 +319,13 @@ def cmd_simulate(args) -> int:
             raise BadParameters(f"--node must be in 1..{s.n}")
         nodes = (node0,)
 
-    if jobs > 1 and args.trials > 1:
-        _check_scheme_length(re, sch)  # as campaign does, before the pool
-        verdict = s.mds_witness(args.budget)  # then its verdict, once
-        parts = _fan_out(_sim_worker, 0, args.trials, jobs,
-                         realization_to_json(re, labels), verdict,
-                         scheme_to_json(sch), args.seed, nodes, args.budget)
-        if len({(p.downloaded, p.accessed) for p in parts}) != 1:
-            raise InternalInconsistency("workers disagree on transcript counts")
-        rep = dataclasses.replace(parts[0], trials=args.trials)
-    else:
-        rep = campaign(re, sch, trials=args.trials, seed=args.seed,
-                       nodes=nodes, budget=args.budget)
+    _check_scheme_length(re, sch)  # as campaign does, before any part
+    s.mds_witness(args.budget)  # then the verdict, once
+    parts = _fan_out(_sim_worker, 0, args.trials, jobs, re, sch, args.seed,
+                     nodes, args.budget)
+    if len({(p.downloaded, p.accessed) for p in parts}) != 1:
+        raise InternalInconsistency("workers disagree on transcript counts")
+    rep = dataclasses.replace(parts[0], trials=args.trials)
 
     doc = {"v": 1, **rep.to_json_dict()}
     lines = [f"trials={doc['trials']} seed={doc['seed']} rng={doc['rng']}",
@@ -505,17 +470,11 @@ def main(argv=None) -> int:
     try:
         _check_out(args)
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except _PARAM_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except InternalInconsistency:
         raise
     except RepairToolError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

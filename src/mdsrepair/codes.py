@@ -624,7 +624,9 @@ def realization_from_json(obj: dict):
     """Rebuild (realization, labels, provenance) from a code.json dict.
 
     Every type invariant is re-validated: tower polynomials, node
-    dimensions, column membership/spanning, and the X/H correspondence.
+    dimensions, column membership/spanning, string labels, and that X and
+    H both hold the canonical column points, so writing the result back
+    gives the file as :func:`realization_to_json` wrote it.
     """
     try:
         if obj.get("v") != 1 or type(obj["v"]) is not int:
@@ -645,17 +647,23 @@ def realization_from_json(obj: dict):
     labels = []
     for i, nd in enumerate(raw_nodes):
         try:
-            labels.append(str(nd["label"]))
+            label = nd["label"]
             cols = _node_codes(nd, "H", i)
             pts = _node_codes(nd, "X", i)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad node object: {exc}") from exc
+        if type(label) is not str:
+            raise MalformedInput(f"node {i}: label must be a JSON string")
         if cols.ndim != 2 or cols.shape != (ell, r * ell):
-            raise MalformedInput("node H must be ell columns of length r*ell")
+            raise MalformedInput(f"node {i}: H must be {ell} columns of "
+                                 f"length {r * ell}")
         if pts.shape != (ell, r * ell):
-            raise MalformedInput("node X must be ell points of length r*ell")
+            raise MalformedInput(f"node {i}: X must be {ell} points of "
+                                 f"length {r * ell}")
         if any(((a < 0) | (a >= tower.q)).any() for a in (cols, pts)):
-            raise MalformedInput("node H/X entry out of range for the field")
+            raise MalformedInput(f"node {i}: H/X entry out of range for "
+                                 "the field")
+        labels.append(label)
         generators.append(cols)
         column_sets.append(pts)
     try:
@@ -663,10 +671,12 @@ def realization_from_json(obj: dict):
         re = realize(skeleton, column_sets)
     except RepairToolError as exc:
         raise MalformedInput(f"invariant violated on load: {exc}") from exc
-    # the stored columns must equal the canonical realization columns
-    differ = np.flatnonzero(
-        (np.array(generators) != re.points).any(axis=(1, 2)))
-    if differ.size:
-        raise MalformedInput(f"node {differ[0]}: H columns are not canonical "
-                             "representatives of X")
+    # the stored columns and points must both be the canonical points
+    for stored, fault in (
+            (generators, "H columns are not canonical representatives of X"),
+            (column_sets, "X points are not canonical (first nonzero entry "
+                          "1)")):
+        differ = np.flatnonzero((np.array(stored) != re.points).any(axis=(1, 2)))
+        if differ.size:
+            raise MalformedInput(f"node {differ[0]}: {fault}")
     return re, labels, obj.get("provenance")

@@ -9,7 +9,14 @@ import itertools
 
 
 class RepairToolError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``exit_code`` is the CLI's exit status for the error: 3 (malformed
+    input) unless a subclass sets 2 (parameter rejection) or 4 (budget
+    exceeded).
+    """
+
+    exit_code = 3
 
     def __reduce__(self):  # so a worker process hands it over intact
         return _rebuild, (type(self), self.args, self.__dict__)
@@ -29,24 +36,31 @@ class InternalInconsistency(RepairToolError):
     """
 
 
+class BadParameters(RepairToolError):
+    """A parameter the user chose is refused; the construction gates'
+    errors below are its subclasses."""
+
+    exit_code = 2
+
+
 # ---------------------------------------------------------------------------
 # field tower construction and element arithmetic
 
 
-class NonPrime(RepairToolError):
+class NonPrime(BadParameters):
     def __init__(self, p):
         self.p = p
-        super().__init__(f"{p} is not prime")
+        super().__init__(f"p = {p} is not prime")
 
 
-class ReduciblePolynomial(RepairToolError):
+class ReduciblePolynomial(BadParameters):
     def __init__(self, which, coeffs):
         self.which = which
         self.coeffs = tuple(coeffs)
-        super().__init__(f"{which} {list(coeffs)} is reducible")
+        super().__init__(f"{which} = {list(coeffs)} is reducible")
 
 
-class DegreeMismatch(RepairToolError):
+class DegreeMismatch(BadParameters):
     pass
 
 
@@ -111,10 +125,6 @@ class NotMds(RepairToolError):
         super().__init__(msg)
 
 
-class BadParameters(RepairToolError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # repair schemes and brute force
 
@@ -128,6 +138,8 @@ class NotARepairMatrix(RepairToolError):
 class BudgetExceeded(RepairToolError):
     """More work asked for than a budget or cap allows; ``what`` names the unit."""
 
+    exit_code = 4
+
     def __init__(self, count, what="candidates",
                  remedy="pass an explicit index range or raise the budget"):
         self.count, self.what, self.remedy = count, what, remedy
@@ -139,23 +151,23 @@ class BudgetExceeded(RepairToolError):
 # curve construction parameter gate
 
 
-class EllTooSmall(RepairToolError):
+class EllTooSmall(BadParameters):
     pass
 
 
-class Nondivisible(RepairToolError):
+class Nondivisible(BadParameters):
     pass
 
 
-class QuotientTooSmall(RepairToolError):
+class QuotientTooSmall(BadParameters):
     pass
 
 
-class RExceedsQ(RepairToolError):
+class RExceedsQ(BadParameters):
     pass
 
 
-class LengthOutOfRange(RepairToolError):
+class LengthOutOfRange(BadParameters):
     def __init__(self, n, minimum, maximum):
         self.n = n
         self.minimum = minimum

@@ -49,6 +49,7 @@ from .errors import (
     MalformedInput,
     NonPrime,
     ReduciblePolynomial,
+    RepairToolError,
     json_ints,
 )
 
@@ -204,12 +205,14 @@ class Field:
                   which: str = "poly") -> "Field":
         poly = tuple(int(c) for c in poly)
         if len(poly) < 2:
-            raise DegreeMismatch(f"{which} must have degree at least 1")
+            raise DegreeMismatch(f"{which} = {list(poly)} must have degree "
+                                 "at least 1")
         _capped_order(subfield.order, len(poly) - 1, f"degree of {which}")
         if any(not 0 <= c < subfield.order for c in poly):
-            raise LevelMismatch(f"{which} coefficients out of range")
+            raise LevelMismatch(f"{which} = {list(poly)} has a coefficient "
+                                f"outside F_{subfield.order}")
         if poly[-1] != 1:
-            raise DegreeMismatch(f"{which} must be monic")
+            raise DegreeMismatch(f"{which} = {list(poly)} is not monic")
         if not poly_is_irreducible(subfield, poly):
             raise ReduciblePolynomial(which, poly)
         return cls(subfield, poly)
@@ -220,9 +223,6 @@ class Field:
             raise LevelMismatch(
                 f"code {a} out of range for field of order {self.order}")
         return a
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- scalar arithmetic: one table lookup each ----------------------------
 
@@ -329,9 +329,6 @@ class Field:
     def _pair(self, table: np.ndarray, x, y) -> np.ndarray:
         index = np.asarray(x, dtype=np.int64) * self.order + y
         return table[index].astype(np.int64)
-
-    def arr_add(self, x, y) -> np.ndarray:
-        return self._pair(self._tabs().add, x, y)
 
     def arr_sub(self, x, y) -> np.ndarray:
         return self._pair(self._tabs().sub, x, y)
@@ -474,7 +471,7 @@ class FieldTower:
             return build_tower(obj["p"], obj["m"], obj["ell"],
                                base_poly=polys["base_poly"] or None,
                                ext_poly=polys["ext_poly"] or None)
-        except BadParameters as exc:  # the field size cap, naming p, m or ell
+        except RepairToolError as exc:  # its message starts with the key
             raise MalformedInput(f"tower.{exc}") from exc
 
     def __eq__(self, other) -> bool:
@@ -505,40 +502,36 @@ def build_tower(p: int, m: int, ell: int,
     lexicographically smallest monic irreducible of the right degree.  A
     top field of order above ``_TABLE_CAP`` is refused with
     :class:`BadParameters` naming p, m or ell, before any search runs.
+    Every error's message starts with the parameter it refuses: p, m,
+    ell, base_poly or ext_poly.
     """
     prime = Field.prime(p)
     m = int(m)
     ell = int(ell)
     if m < 1:
-        raise DegreeMismatch("base extension degree m must be at least 1")
+        raise DegreeMismatch(f"m = {m}: the base degree must be at least 1")
     if ell < 1:
-        raise DegreeMismatch("top extension degree ell must be at least 1")
+        raise DegreeMismatch(f"ell = {ell}: the top degree must be at least 1")
     _capped_order(_capped_order(p, m, "m"), ell, "ell")
 
     if m == 1:
         if base_poly:
-            raise DegreeMismatch("base_poly must be empty when m = 1")
+            raise DegreeMismatch(f"base_poly = {list(base_poly)} must be "
+                                 "empty when m = 1")
         base = prime
     else:
         if base_poly is None:
             base_poly = smallest_irreducible(prime, m)
         if len(base_poly) != m + 1:
-            raise DegreeMismatch(f"base_poly must have degree {m}")
+            raise DegreeMismatch(f"base_poly = {list(base_poly)} must have "
+                                 f"degree {m}")
         base = Field.extension(prime, base_poly, which="base_poly")
 
     if ext_poly is None:
         ext_poly = smallest_irreducible(base, ell)
     if len(ext_poly) != ell + 1:
-        raise DegreeMismatch(f"ext_poly must have degree {ell}")
-    if ell == 1:
-        # degenerate top level: validate the polynomial, reuse the base field
-        ext_poly = tuple(int(c) for c in ext_poly)
-        if any(not 0 <= c < base.order for c in ext_poly):
-            raise LevelMismatch("ext_poly coefficients out of range")
-        if ext_poly[-1] != 1:
-            raise DegreeMismatch("ext_poly must be monic")
-        top = base
-    else:
-        top = Field.extension(base, ext_poly, which="ext_poly")
-        ext_poly = top.poly
-    return FieldTower(base, ell, ext_poly, top)
+        raise DegreeMismatch(f"ext_poly = {list(ext_poly)} must have degree "
+                             f"{ell}")
+    top = Field.extension(base, ext_poly, which="ext_poly")
+    # a degree-1 top level is the base field itself
+    return FieldTower(base, ell, top.poly, base if ell == 1 else top)

@@ -9,6 +9,7 @@ get the scan's own verdict.
 import json
 import math
 import os
+import pickle
 import random
 import resource
 import subprocess
@@ -391,6 +392,15 @@ def _counted_scans(monkeypatch):
     return calls
 
 
+def _pickled_after_the_verdict(code_obj, scheme_obj):
+    """The loaded code and scheme as a --jobs worker gets them: pickled
+    after the parent asked the MDS verdict."""
+    re, _, _ = realization_from_json(code_obj)
+    sch, _ = repair.scheme_from_json(scheme_obj, re.skeleton.tower.base)
+    re.skeleton.mds_witness(2024)
+    return pickle.loads(pickle.dumps((re, sch)))
+
+
 def test_workers_reuse_the_parent_verdict(free_q5, monkeypatch):
     code_obj = json.loads((free_q5 / "code.json").read_text())
     scheme_obj = json.loads((free_q5 / "scheme.json").read_text())
@@ -398,16 +408,18 @@ def test_workers_reuse_the_parent_verdict(free_q5, monkeypatch):
     sch, _ = repair.scheme_from_json(scheme_obj, re.skeleton.tower.base)
     want_sim = simulate.campaign(re, sch, trials=3, seed=5, first_trial=1)
     want_bf = cli._bf_scan(re, 0, "io", 2024, 0, 50)
+    re, sch = _pickled_after_the_verdict(code_obj, scheme_obj)
     calls = _counted_scans(monkeypatch)
-    got = cli._sim_worker(code_obj, None, scheme_obj, 5, None, 2024, 1, 4)
-    assert got == want_sim
-    assert cli._bf_worker(code_obj, None, 0, "io", 2024, 0, 50) == want_bf
+    assert cli._sim_worker(re, sch, 5, None, 2024, 1, 4) == want_sim
+    assert cli._bf_scan(re, 0, "io", 2024, 0, 50) == want_bf
     assert calls == []
     # a witness the parent found stops the worker with the parent's error
-    for run in (lambda: cli._bf_worker(code_obj, (0, 2, 5), 0, "io",
-                                       2024, 0, 50),
-                lambda: cli._sim_worker(code_obj, (0, 2, 5), scheme_obj, 5,
-                                        None, 2024, 0, 3)):
+    monkeypatch.undo()
+    code_obj["nodes"][5] = code_obj["nodes"][2]  # 0, 2 and 5 do not span
+    re, sch = _pickled_after_the_verdict(code_obj, scheme_obj)
+    calls = _counted_scans(monkeypatch)
+    for run in (lambda: cli._bf_scan(re, 0, "io", 2024, 0, 50),
+                lambda: cli._sim_worker(re, sch, 5, None, 2024, 0, 3)):
         with pytest.raises(NotMds, match=r"nodes \[0, 2, 5\] do not span"):
             run()
     assert calls == []

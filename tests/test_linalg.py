@@ -106,7 +106,8 @@ def _row_space(field, rows, width=None):
     for coeffs in itertools.product(range(field.order), repeat=k):
         v = np.zeros(width, dtype=np.int64)
         for c, row in zip(coeffs, rows):
-            v = field.arr_add(v, field.arr_mul(np.int64(c), np.asarray(row)))
+            # v + c row, as v - (-c) row
+            v = field.arr_sub(v, field.arr_mul(field.neg(c), np.asarray(row)))
         out.add(tuple(int(x) for x in v))
     return out
 

@@ -293,7 +293,7 @@ def _spanning_cases(tower, r):
     for c in list(tower.top_elements()) + [INF]:
         gens = curve_rows(tower, r, c)
         ell = len(gens)
-        mixed = field.arr_add(gens[0], gens[-1])
+        mixed = field.arr_sub(gens[0], field.arr_neg(gens[-1]))  # a sum
         scaled = field.arr_mul(gens[0], field.order - 1)
         for forced in (None, canonical_points(field, gens[0]),
                        canonical_points(field, gens[-1]),

@@ -639,8 +639,10 @@ def _assert_same_pass(sp, want):
 
 
 def _assert_pass_matches_per_node(re, sch):
-    """The whole pass, and at every node the four one-node views at the
-    default chunk size and at one node a chunk, equal the oracle."""
+    """The whole pass, and at every node the four one-node views, equal the
+    oracle.  A one-node pass is one chunk at any ``_PASS_CELLS``, so the
+    views run once; test_scheme_pass_is_the_same_in_any_chunks covers
+    chunking."""
     s = re.skeleton
     field = s.tower.base
     want, views = _oracle(re, sch)
@@ -649,18 +651,15 @@ def _assert_pass_matches_per_node(re, sch):
         w = _kernel_basis(sch[i])
         assert want.dims[i].tolist() == [meet_dim_oracle(field, w, b)
                                          for b in s.bases]
-    for cells in (repair._PASS_CELLS, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(repair, "_PASS_CELLS", cells)
-            for i, (bw, io, pr, dc) in enumerate(views):
-                m = sch[i]
-                assert bandwidth(m, re, i) == bw
-                assert io_count(m, re, i) == io
-                assert incidence_profile(m, s, i) == pr
-                got = dual_cover(m, s, i)
-                assert np.array_equal(got.points, dc.points)
-                assert dataclasses.replace(got, points=None) == \
-                    dataclasses.replace(dc, points=None)
+    for i, (bw, io, pr, dc) in enumerate(views):
+        m = sch[i]
+        assert bandwidth(m, re, i) == bw
+        assert io_count(m, re, i) == io
+        assert incidence_profile(m, s, i) == pr
+        got = dual_cover(m, s, i)
+        assert np.array_equal(got.points, dc.points)
+        assert dataclasses.replace(got, points=None) == \
+            dataclasses.replace(dc, points=None)
 
 
 def test_scheme_pass_matches_per_node_on_constructions(bundle3, bundle5,

@@ -226,8 +226,8 @@ def _oracle_report(re, sch, trials, seed, nodes, first_trial=0):
             for j in range(s.n):
                 if j == i:
                     continue
-                total = field.arr_add(
-                    total, field.matmul(mh[j], cw[j][:, None])[:, 0])
+                total = field.arr_sub(total, field.arr_neg(
+                    field.matmul(mh[j], cw[j][:, None])[:, 0]))
                 dl += int(batched_rank(field, mh[j][None])[0])
                 ac += int((mh[j] != 0).any(axis=0).sum())
             inv = _inverse_oracle(field, mh[i])
