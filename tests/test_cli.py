@@ -613,6 +613,22 @@ PINNED_ARTIFACTS = {
     "q9-r3-n82": (["--p", "3", "--m", "2", "--ell", "2", "--r", "3", "--n", "82"],
                   "abd4d3a46c7d6905c293f938c0b8750bf714dd7a5c8df92cc8d6458a12f22cb5",
                   "9f337630ce22bd6e760ec634b25ee48cd97337bda7bfeeafb824110a1aa4c851"),
+    # three norm-one cosets per block
+    "q7-r4-n48": (["--p", "7", "--ell", "2", "--r", "4", "--n", "48"],
+                  "d8093814fb7b39e97a9654d33c69454d668bbd658671c21a09032d37055438cf",
+                  "3a19d48637d764ff5af3d9b9ffd5aa067a008d6d86c59214874467ad2d4469d1"),
+    # a cubic ext_poly
+    "q5-l3-r3-n126": (["--p", "5", "--ell", "3", "--r", "3", "--n", "126"],
+                      "79f70b3861f177140c2f07a48d558ac5185a854ebb4e66bf482545d3d3c94ea5",
+                      "be651954511ba49084634001febb510dea596169a684d66dc77a1c9f6632fedf"),
+    # a non-prime base under a cubic extension
+    "q4-l3-r2-n42": (["--p", "2", "--m", "2", "--ell", "3", "--r", "2", "--n", "42"],
+                     "724dffcc09681882842786c922f0c9013e4e5c0be2475b0bbee968e6761eda25",
+                     "4fb7f79827298c23ab59647b75453309710daa4cb5a01e81f36126f243e8f8d1"),
+    # a degree-5 base_poly, 1023 top units, |Sigma| = 33
+    "q32-r2-n66": (["--p", "2", "--m", "5", "--ell", "2", "--r", "2", "--n", "66"],
+                   "877d8c9b89c54877263ab2d27c670a9e82efbf29eda3e007c333d0b09ac7c416",
+                   "ed9cf4f5751cb4371bb3041b6c6e54675bfa0a56954929189a4641042efc2f6d"),
 }
 
 
