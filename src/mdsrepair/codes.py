@@ -60,7 +60,6 @@ from .linalg import (
     _columns,
     batched_rank,
     canonical_points,
-    gaussian_binomial,
     null_columns,
     projective_point_count,
 )

@@ -13,19 +13,23 @@ Every field has order at most ``_TABLE_CAP`` = 1024: ``Field.prime``,
 ``Field.extension`` and :func:`build_tower` refuse a larger one with
 :class:`BadParameters` before any primality or irreducibility search.
 Each field therefore computes through dense operation tables, prime
-fields included, and every scalar operation and every ``arr_*`` call is
-a table lookup (``pow`` is square-and-multiply over the table ``mul``).
-Only ``matmul`` on a prime field reduces an integer sum ``% p`` instead
-of adding through the tables, one inner index at a time.
+fields included.  The one interface is the array family: every
+``arr_*`` call takes numpy arrays of codes and is a table lookup
+(``arr_pow`` is square-and-multiply over ``arr_mul``).  Only ``matmul``
+on a prime field reduces an integer sum ``% p`` instead of adding
+through the tables, one inner index at a time.
 
-The tower carries the three maps that turn F_(q^l)-linear objects into
-F_q-linear ones: the q-power Frobenius, the norm down to F_q, and field
-reduction (coordinates in the power basis 1, z, ..., z^(l-1) of the
-extension generator z).
+Field reduction needs no map of its own: the coordinates of a top code
+in the power basis 1, z, ..., z^(l-1) of the extension generator z are
+its base-q digits, and z^t has code q**t.  The Frobenius and the norm
+down to F_q are the powers ``arr_pow(x, q)`` and
+``arr_pow(x, (q^l-1)/(q-1))``.
 
 Defaults are deterministic: when a defining polynomial is omitted, the
 lexicographically smallest monic irreducible of the required degree is
-selected, with coefficient tuples ordered low-degree-first.
+selected, with coefficient tuples ordered low-degree-first.  The
+irreducibility test and the extension's reduction rows are one batched
+long division over the subfield's tables (:func:`_poly_rem`).
 
 Fields and towers are immutable after construction (a field's tables
 appear in one attribute assignment), so instances can be shared across
@@ -34,9 +38,8 @@ concurrent workers.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,55 +98,67 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficients low-degree-first, as field codes)
+# polynomial helpers (coefficient rows low-degree-first, as field codes)
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _monic(order: int, degree: int) -> np.ndarray:
+    """Every monic polynomial of a degree, in lexicographic order.
+
+    Row k holds the coefficients (c_0, ..., c_(degree-1), 1) of the k-th
+    tuple of ``itertools.product(range(order), repeat=degree)``.
+    """
+    k = np.arange(order ** degree)
+    rows = np.ones((k.size, degree + 1), dtype=np.int64)
+    for t in range(degree):
+        rows[:, t] = k // order ** (degree - 1 - t) % order
+    return rows
 
 
-def _poly_mod(field: "Field", a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Remainder of a modulo b over the given field; b must be nonzero."""
-    r = list(a)
-    _poly_trim(r)
-    db = len(b) - 1
-    lead_inv = field.inv(b[-1])
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        factor = field.mul(r[-1], lead_inv)
-        for i, bc in enumerate(b):
-            r[shift + i] = field.sub(r[shift + i], field.mul(factor, bc))
-        _poly_trim(r)
-    return r
+def _poly_rem(field: "Field", a, g) -> np.ndarray:
+    """Remainders of the rows of a modulo the monic rows of g.
+
+    ``a`` is (..., D+1) and ``g`` is (..., e+1), broadcast against each
+    other on their leading axes; the result is (..., e).  Long division
+    with every pair at once: each step clears one leading coefficient.
+    """
+    a, g = np.asarray(a, dtype=np.int64), np.asarray(g, dtype=np.int64)
+    e = g.shape[-1] - 1
+    lead = np.broadcast_shapes(a.shape[:-1], g.shape[:-1])
+    r = np.broadcast_to(a, lead + a.shape[-1:]).copy()
+    for k in range(r.shape[-1] - 1, e - 1, -1):
+        part = r[..., k - e:k + 1]
+        r[..., k - e:k + 1] = field.arr_sub(part,
+                                           field.arr_mul(part[..., -1:], g))
+    return r[..., :e]
+
+
+def _irreducible(field: "Field", polys: np.ndarray) -> np.ndarray:
+    """Which monic rows of ``polys`` (all of one degree d) are irreducible.
+
+    Each row is divided by every monic polynomial of each degree up to
+    d/2, one batch per degree; a zero remainder proves it reducible.
+    """
+    d = polys.shape[-1] - 1
+    ok = np.full(polys.shape[:-1], d >= 1)
+    for e in range(1, d // 2 + 1):
+        rem = _poly_rem(field, polys[..., None, :], _monic(field.order, e))
+        ok &= rem.any(axis=-1).all(axis=-1)
+    return ok
 
 
 def poly_is_irreducible(field: "Field", poly: Sequence[int]) -> bool:
-    """Exhaustively test a monic polynomial for irreducibility.
-
-    Divides by every monic polynomial of degree up to deg/2.  Quadratic in
-    the number of low-degree candidates, which is fine at desk scale.
-    """
-    d = len(poly) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for coeffs in itertools.product(range(field.order), repeat=e):
-            g = (*coeffs, 1)
-            if not _poly_mod(field, poly, g):
-                return False
-    return True
+    """Exhaustively test a monic polynomial for irreducibility."""
+    return bool(_irreducible(field, np.array([poly], dtype=np.int64))[0])
 
 
 def smallest_irreducible(field: "Field", degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of the given degree."""
-    for coeffs in itertools.product(range(field.order), repeat=degree):
-        poly = (*coeffs, 1)
-        if poly_is_irreducible(field, poly):
-            return poly
-    raise InternalInconsistency(
-        f"no irreducible of degree {degree} over order {field.order}")
+    cands = _monic(field.order, degree)
+    ok = _irreducible(field, cands)
+    if not ok.any():
+        raise InternalInconsistency(
+            f"no irreducible of degree {degree} over order {field.order}")
+    return tuple(int(c) for c in cands[ok.argmax()])
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +174,14 @@ class Field:
     """A finite field of order at most ``_TABLE_CAP`` on integer codes.
 
     Either a prime field F_p or an extension of another :class:`Field` by a
-    monic irreducible polynomial.  Scalar operations take and return codes;
-    the ``arr_*`` family and :meth:`matmul` take numpy arrays of valid
-    codes (not range-checked), return int64 arrays and are what the linear
-    algebra layer runs on.
+    monic irreducible polynomial.  The ``arr_*`` family and :meth:`matmul`
+    take numpy arrays of valid codes (not range-checked; see
+    ``linalg._check_codes``) and return int64 arrays.
 
     Add, sub, neg, mul and inv tables are built in the smallest unsigned
     dtype on first use (an extension's from its subfield's tables) and
     published in one attribute assignment, so a racing worker at worst
-    builds an equal set.  Every scalar operation and every ``arr_*`` call
-    reads them.
+    builds an equal set.  Every ``arr_*`` call reads them.
     """
 
     __slots__ = ("p", "subfield", "poly", "deg", "order", "_zpow", "_tables")
@@ -188,7 +201,9 @@ class Field:
             self.poly = tuple(poly)
             self.deg = len(self.poly) - 1
             self.order = subfield.order ** self.deg
-            self._zpow = self._reduction_rows()
+            # coefficient rows of z^d .. z^(2d-2), reduced mod poly
+            powers = np.eye(2 * self.deg - 1, dtype=np.int64)[self.deg:]
+            self._zpow = _poly_rem(subfield, powers, self.poly)
         self._tables = None
 
     @classmethod
@@ -216,65 +231,6 @@ class Field:
         if not poly_is_irreducible(subfield, poly):
             raise ReduciblePolynomial(which, poly)
         return cls(subfield, poly)
-
-    def check(self, a: int) -> int:
-        a = int(a)
-        if not 0 <= a < self.order:
-            raise LevelMismatch(
-                f"code {a} out of range for field of order {self.order}")
-        return a
-
-    # -- scalar arithmetic: one table lookup each ----------------------------
-
-    def add(self, a: int, b: int) -> int:
-        a, b = self.check(a), self.check(b)
-        return int(self._tabs().add[a * self.order + b])
-
-    def neg(self, a: int) -> int:
-        return int(self._tabs().neg[self.check(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        a, b = self.check(a), self.check(b)
-        return int(self._tabs().sub[a * self.order + b])
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self.check(a), self.check(b)
-        return int(self._tabs().mul[a * self.order + b])
-
-    def inv(self, a: int) -> int:
-        a = self.check(a)
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return int(self._tabs().inv[a])
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e for a nonnegative integer exponent."""
-        a = self.check(a)
-        e = int(e)
-        if e < 0:
-            raise ValueError("negative exponent; use inv() and pow()")
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def _reduction_rows(self):
-        # coefficient rows of x^j for j = deg .. 2*deg-2, reduced mod poly
-        sub = self.subfield
-        d = self.deg
-        top = tuple(sub.neg(c) for c in self.poly[:d])
-        rows = [top]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            overflow = prev[d - 1]
-            shifted = (0,) + prev[:d - 1]
-            rows.append(tuple(sub.add(s, sub.mul(overflow, t))
-                              for s, t in zip(shifted, top)))
-        return rows
 
     # -- operation tables ----------------------------------------------------
 
@@ -345,6 +301,24 @@ class Field:
             raise DivisionByZero("zero has no multiplicative inverse")
         return self._tabs().inv[x].astype(np.int64)
 
+    def arr_pow(self, x, e: int) -> np.ndarray:
+        """x**e elementwise for a nonnegative integer e (0**0 is 1).
+
+        Square-and-multiply over :meth:`arr_mul`.
+        """
+        e = int(e)
+        if e < 0:
+            raise ValueError("negative exponent; use arr_inv and arr_pow")
+        base = np.asarray(x, dtype=np.int64)
+        result = np.ones(base.shape, dtype=np.int64)
+        while e:
+            if e & 1:
+                result = self.arr_mul(result, base)
+            e >>= 1
+            if e:
+                base = self.arr_mul(base, base)
+        return result
+
     def matmul(self, a, b) -> np.ndarray:
         """Exact product of code arrays over this field.
 
@@ -388,9 +362,10 @@ class FieldTower:
     """F_p <= F_q <= F_(q^l) with field-reduction coordinates.
 
     ``base`` is F_q (q = p^m) and ``top`` is F_(q^l); for l = 1 they are the
-    same object.  The power basis used by :meth:`field_reduce` is
-    1, z, ..., z^(l-1), where z is the class of the extension variable, so
-    the code of z^t is q**t.
+    same object.  Field-reduction coordinates are in the power basis
+    1, z, ..., z^(l-1), where z is the class of the extension variable:
+    the code of z^t is q**t, so a top code's coordinates are its base-q
+    digits.  The tower is a descriptor; its arithmetic is its fields'.
     """
 
     __slots__ = ("p", "m", "ell", "q", "top_order",
@@ -410,46 +385,6 @@ class FieldTower:
         if top.order != self.top_order:
             raise InternalInconsistency("tower levels disagree on order")
 
-    # -- tower maps ----------------------------------------------------------
-
-    def frobenius(self, x: int) -> int:
-        """x**q, the generator of the Galois group of the top level."""
-        return self.top.pow(x, self.q)
-
-    def norm_to_base(self, x: int) -> int:
-        """Product of the Galois conjugates of x, landing inside F_q."""
-        e = (self.top_order - 1) // (self.q - 1)
-        v = self.top.pow(x, e)
-        if v >= self.q:
-            raise InternalInconsistency("norm value escaped the base field")
-        return v
-
-    def field_reduce(self, x: int) -> tuple[int, ...]:
-        """Coordinates of x in the basis 1, z, ..., z^(l-1) over F_q."""
-        x = self.top.check(x)
-        out = []
-        for _ in range(self.ell):
-            x, digit = divmod(x, self.q)
-            out.append(digit)
-        return tuple(out)
-
-    def multiplication_matrix(self, a: int) -> np.ndarray:
-        """Matrix over F_q of y -> a*y in field-reduction coordinates.
-
-        Columns are the coordinates of a * z^t, so the matrix acts on
-        coordinate column vectors.
-        """
-        a = self.top.check(a)
-        cols = [self.field_reduce(self.top.mul(a, self.q ** t))
-                for t in range(self.ell)]
-        return np.array(cols, dtype=np.int64).T
-
-    def frobenius_matrix(self) -> np.ndarray:
-        """Matrix over F_q of y -> y**q in field-reduction coordinates."""
-        cols = [self.field_reduce(self.frobenius(self.q ** t))
-                for t in range(self.ell)]
-        return np.array(cols, dtype=np.int64).T
-
     # -- persistence -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -465,12 +400,15 @@ class FieldTower:
     def from_json_dict(cls, obj: dict) -> "FieldTower":
         for key in ("p", "m", "ell"):
             json_ints(obj[key], f"tower.{key}")
-        polys = {key: json_ints(obj.get(key) or [], f"tower.{key}", 1)
-                 for key in ("base_poly", "ext_poly")}
+        polys = {}
+        for key in ("base_poly", "ext_poly"):
+            if key in obj:  # only an absent key takes the default
+                if type(obj[key]) is not list:
+                    raise MalformedInput(f"tower.{key} = {obj[key]} is not a "
+                                         "list of JSON integers")
+                polys[key] = json_ints(obj[key], f"tower.{key}", 1)
         try:
-            return build_tower(obj["p"], obj["m"], obj["ell"],
-                               base_poly=polys["base_poly"] or None,
-                               ext_poly=polys["ext_poly"] or None)
+            return build_tower(obj["p"], obj["m"], obj["ell"], **polys)
         except RepairToolError as exc:  # its message starts with the key
             raise MalformedInput(f"tower.{exc}") from exc
 
@@ -485,12 +423,6 @@ class FieldTower:
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, m={self.m}, ell={self.ell})"
-
-    def top_elements(self) -> Iterator[int]:
-        return iter(range(self.top_order))
-
-    def top_units(self) -> Iterator[int]:
-        return iter(range(1, self.top_order))
 
 
 def build_tower(p: int, m: int, ell: int,

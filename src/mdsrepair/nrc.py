@@ -18,7 +18,12 @@ Repair subspaces are kernels of the maps y -> y_(r-1) - b * y_0^q.  Such
 a kernel meets the node of parameter c nontrivially exactly when c^(r-1)
 falls in the norm-one coset of b, and then in dimension 1; the
 parameters therefore split into (q-1)/(r-1) blocks of size
-(r-1)(q^l-1)/(q-1) according to which kernels hit them.  The builder
+(r-1)(q^l-1)/(q-1) according to which kernels hit them.  Both come
+from whole-array steps over the top field's tables: the norm-one
+subgroup Sigma is the units whose norm power is 1, every unit is keyed
+by the smallest code of its coset c^(r-1) * Sigma in one (units x
+|Sigma|) product, and the block row of a kernel's map is the base-q
+digits of b * (z^t)^q, with no per-element loop.  The builder
 picks the two blocks containing the smallest parameter codes, lists
 their members first, repairs every node with the kernel that hits the
 opposite block (or the first block's kernel for nodes outside both), and
@@ -182,9 +187,17 @@ def curve_certificate(s: CodeSkeleton) -> bool:
 
 
 def norm_one_subgroup(tower: FieldTower) -> tuple[int, ...]:
-    """All top-field units of norm 1, in ascending code order."""
-    sigma = tuple(x for x in tower.top_units() if tower.norm_to_base(x) == 1)
-    if len(sigma) != projective_point_count(tower.q, tower.ell):
+    """All top-field units of norm 1, in ascending code order.
+
+    The norm is the power x^((q^l-1)/(q-1)) of every unit at once.
+    """
+    q = tower.q
+    units = np.arange(1, tower.top_order)
+    norms = tower.top.arr_pow(units, (tower.top_order - 1) // (q - 1))
+    if (norms >= q).any():
+        raise InternalInconsistency("norm value escaped the base field")
+    sigma = tuple(int(x) for x in units[norms == 1])
+    if len(sigma) != projective_point_count(q, tower.ell):
         raise InternalInconsistency("norm-one subgroup has wrong size")
     return sigma
 
@@ -219,20 +232,14 @@ def block_partition(tower: FieldTower, r: int) -> BlockPartition:
         raise Nondivisible(f"r-1={r - 1} does not divide q-1={q - 1}")
     top = tower.top
     sigma = norm_one_subgroup(tower)
-    coset_key = {}
-    groups: dict[int, list[int]] = {}
-    for c in tower.top_units():
-        v = top.pow(c, r - 1)
-        key = coset_key.get(v)
-        if key is None:
-            key = min(top.mul(v, s) for s in sigma)
-            for s in sigma:
-                coset_key[top.mul(v, s)] = key
-        groups.setdefault(key, []).append(c)
-    blocks = []
-    for members in sorted(groups.values(), key=lambda ms: ms[0]):
-        blocks.append(Block(rep=top.pow(members[0], r - 1),
-                            members=tuple(members)))
+    units = np.arange(1, tower.top_order)
+    powers = top.arr_pow(units, r - 1)
+    # a unit's key is the smallest code in the coset c^(r-1) * Sigma
+    keys = top.arr_mul(powers[:, None], np.array(sigma)).min(axis=1)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    blocks = [Block(rep=int(powers[i]),
+                    members=tuple(int(c) for c in units[group == group[i]]))
+              for i in np.sort(first)]
     expected_count = (q - 1) // (r - 1)
     size = (r - 1) * len(sigma)
     if len(blocks) != expected_count or any(len(b.members) != size
@@ -250,13 +257,15 @@ def repair_subspace(tower: FieldTower, r: int, b: int):
     [-(multiply-by-b o Frobenius) | 0 | ... | 0 | I] and W is the
     ((r-1)*l, r*l) canonical basis array of ker(M).
     """
-    b = tower.top.check(b)
+    b = int(b)
+    linalg._check_codes(tower.top, np.array(b))
     if b == 0:
         raise ZeroB("the repair kernel parameter must be a unit")
-    ell = tower.ell
-    field = tower.base
-    amat = field.matmul(tower.multiplication_matrix(b),
-                        tower.frobenius_matrix())
+    q, ell, field = tower.q, tower.ell, tower.base
+    # column t holds the coordinates (base-q digits) of b * (z^t)^q
+    zt = q ** np.arange(ell, dtype=np.int64)
+    images = tower.top.arr_mul(b, tower.top.arr_pow(zt, q))
+    amat = images // zt[:, None] % q
     m = np.zeros((ell, r * ell), dtype=np.int64)
     m[:, :ell] = field.arr_neg(amat)
     m[:, (r - 1) * ell:] = np.eye(ell, dtype=np.int64)

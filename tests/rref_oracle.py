@@ -24,7 +24,7 @@ def rref_oracle(field, a):
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
-        inv = field.inv(int(a[row, col]))
+        inv = field.arr_inv(int(a[row, col]))
         a[row] = field.arr_mul(a[row], inv)
         factors = a[:, col].copy()
         factors[row] = 0
@@ -41,7 +41,14 @@ def span_oracle(field, rows):
     return reduced[:rank]
 
 
+def meet_dims_oracle(field, a, bs):
+    """[dim(span a /\\ span b) for b in bs], each rank a + rank b - rank
+    [a; b], with a reduced once."""
+    rank_a = rref_oracle(field, a)[1]
+    return [rank_a + rref_oracle(field, b)[1]
+            - rref_oracle(field, np.vstack([a, b]))[1] for b in bs]
+
+
 def meet_dim_oracle(field, a, b):
     """dim(span a /\\ span b) = rank a + rank b - rank [a; b]."""
-    return (rref_oracle(field, a)[1] + rref_oracle(field, b)[1]
-            - rref_oracle(field, np.vstack([a, b]))[1])
+    return meet_dims_oracle(field, a, [b])[0]

@@ -27,6 +27,7 @@ from mdsrepair.gf import build_tower
 from mdsrepair.linalg import Matrix
 from mdsrepair.nrc import INF, build, curve_certificate, validate_params
 
+import tower_maps as tm
 from curve_rows import curve_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -41,18 +42,19 @@ TOWERS = [(3, 1, 2, 2), (5, 1, 2, 3), (3, 2, 2, 3), (7, 1, 2, 4),
 def _scalar_curve_rows(tower, r, c):
     """The per-parameter route: moment vector, z^t times it, field reduction."""
     top = tower.top
-    nu = [0] * (r - 1) + [1] if c is INF else [top.pow(c, e) for e in range(r)]
+    nu = [0] * (r - 1) + [1] if c is INF else [tm.power(top, c, e)
+                                                 for e in range(r)]
     rows = np.empty((tower.ell, r * tower.ell), dtype=np.int64)
     for t in range(tower.ell):
         zt = tower.q ** t
-        rows[t] = [d for x in nu for d in tower.field_reduce(top.mul(zt, x))]
+        rows[t] = [d for x in nu for d in tm.coords(tower, tm.mul(top, zt, x))]
     return rows
 
 
 @pytest.mark.parametrize("p,m,ell,r", TOWERS)
 def test_curve_stack_matches_the_per_parameter_route(p, m, ell, r):
     tower = build_tower(p, m, ell)
-    params = list(tower.top_elements()) + [INF]
+    params = list(range(tower.top_order)) + [INF]
     stack = nrc._curve_stack(tower, r, params)
     want = np.stack([_scalar_curve_rows(tower, r, c) for c in params])
     assert stack.shape == (len(params), ell, r * ell)

@@ -208,6 +208,10 @@ LOADER_FAULTS = {
     "tower.ext_poly not monic": [(("code", "tower", "ext_poly"), [1, 0, 2])],
     "tower.base_poly with m=1": [(("code", "tower", "base_poly"), [1, 1])],
     "tower.ext_poly entry 7": [(("code", "tower", "ext_poly"), [1, 0, 7])],
+    # only an absent polynomial takes the default; a present one is a list
+    **{f"tower.{key}={json.dumps(value)}": [(("code", "tower", key), value)]
+       for key in ("base_poly", "ext_poly") for value in (0, False, "", None, {})},
+    "tower.ext_poly=[]": [(("code", "tower", "ext_poly"), [])],
 }
 
 

@@ -76,7 +76,7 @@ def _kernel_oracle(field, m):
     for k, f in enumerate(free):
         rows[k, f] = 1
         for i, pc in enumerate(pivots):
-            rows[k, pc] = field.neg(int(r[i, f]))
+            rows[k, pc] = field.arr_neg(r[i, f])
     return span_oracle(field, rows)
 
 
@@ -107,7 +107,7 @@ def _row_space(field, rows, width=None):
         v = np.zeros(width, dtype=np.int64)
         for c, row in zip(coeffs, rows):
             # v + c row, as v - (-c) row
-            v = field.arr_sub(v, field.arr_mul(field.neg(c), np.asarray(row)))
+            v = field.arr_sub(v, field.arr_mul(field.arr_neg(c), np.asarray(row)))
         out.add(tuple(int(x) for x in v))
     return out
 

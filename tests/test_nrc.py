@@ -11,6 +11,7 @@ from mdsrepair.errors import (
     EllTooSmall,
     InternalInconsistency,
     LengthOutOfRange,
+    LevelMismatch,
     Nondivisible,
     QuotientTooSmall,
     RExceedsQ,
@@ -33,6 +34,7 @@ from mdsrepair.nrc import (
 )
 from mdsrepair.repair import scheme_to_json
 
+import tower_maps as tm
 from curve_rows import curve_rows
 from rref_oracle import meet_dim_oracle, rref_oracle, span_oracle
 
@@ -105,19 +107,51 @@ def test_norm_one_subgroup(tower3):
     assert 1 in sigma
     assert len(sigma) == 4 == projective_point_count(3, 2)
     top = tower3.top
-    members = set(sigma)
-    for x in sigma:
-        assert top.inv(x) in members
-        for y in sigma:
-            assert top.mul(x, y) in members
+    members = np.array(sigma)
+    assert set(top.arr_inv(members).tolist()) <= set(sigma)
+    assert set(top.arr_mul(members[:, None], members).ravel().tolist()) \
+        <= set(sigma)
 
 
 @pytest.mark.parametrize("p,m,ell", [(3, 1, 2), (5, 1, 2), (2, 2, 2)])
 def test_norm_one_equals_power_image(p, m, ell):
     t = build_tower(p, m, ell)
     sigma = set(norm_one_subgroup(t))
-    image = {t.top.pow(x, t.q - 1) for x in t.top_units()}
+    image = set(t.top.arr_pow(np.arange(1, t.top_order), t.q - 1).tolist())
     assert sigma == image
+
+
+def _partition_oracle(tower, r, sigma):
+    """The parameter blocks one element at a time: each unit's key is the
+    smallest code of its coset c^(r-1) * Sigma, found once per coset."""
+    top = tower.top
+    keys, groups = {}, {}
+    for c in range(1, tower.top_order):
+        v = tm.power(top, c, r - 1)
+        if v not in keys:
+            coset = [tm.mul(top, v, s) for s in sigma]
+            keys.update(dict.fromkeys(coset, min(coset)))
+        groups.setdefault(keys[v], []).append(c)
+    return [(tm.power(top, ms[0], r - 1), tuple(ms))
+            for ms in sorted(groups.values())]
+
+
+# (p, m, ell): every r with r - 1 dividing q - 1 is partitioned
+PARTITION_TOWERS = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2),
+                    (5, 1, 3), (2, 2, 3), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("p,m,ell", PARTITION_TOWERS, ids=str)
+def test_partition_and_subgroup_match_the_elementwise_oracle(p, m, ell):
+    t = build_tower(p, m, ell)
+    sigma = tuple(x for x in range(1, t.top_order) if tm.norm(t, x) == 1)
+    assert norm_one_subgroup(t) == sigma
+    for r in range(2, t.q + 1):
+        if (t.q - 1) % (r - 1) == 0:
+            part = block_partition(t, r)
+            assert part.sigma == sigma
+            assert [(b.rep, b.members) for b in part.blocks] == \
+                _partition_oracle(t, r, sigma)
 
 
 # -- parameter blocks ------------------------------------------------------------------
@@ -131,7 +165,7 @@ def test_block_partition_two_parity_cosets(tower3):
     # for r = 2 the blocks are exactly the cosets of the norm-one subgroup
     top = tower3.top
     for blk in part.blocks:
-        cosets = {frozenset(top.mul(c, s) for s in sigma)
+        cosets = {frozenset(top.arr_mul(c, part.sigma).tolist())
                   for c in blk.members}
         assert cosets == {frozenset(blk.members)}
 
@@ -152,14 +186,12 @@ def test_block_partition_representative_invariance(tower5):
     # membership against any member's power recovers the same block
     part = block_partition(tower5, 3)
     top = tower5.top
-    sigma = set(part.sigma)
+    units = np.arange(1, tower5.top_order)
     for blk in part.blocks:
         for probe in blk.members[:3]:
-            b_alt = top.pow(probe, 2)
-            coset = {top.mul(b_alt, s) for s in sigma}
-            members = {c for c in tower5.top_units()
-                       if top.pow(c, 2) in coset}
-            assert members == set(blk.members)
+            coset = top.arr_mul(top.arr_pow(probe, 2), part.sigma)
+            members = units[np.isin(top.arr_pow(units, 2), coset)]
+            assert members.tolist() == list(blk.members)
 
 
 def test_block_partition_nondivisible():
@@ -173,6 +205,28 @@ def test_block_partition_nondivisible():
 def test_repair_subspace_rejects_zero(tower3):
     with pytest.raises(ZeroB):
         repair_subspace(tower3, 2, 0)
+
+
+def test_repair_subspace_rejects_codes_outside_the_top_field(tower3):
+    for b in (-1, tower3.top_order):
+        with pytest.raises(LevelMismatch):
+            repair_subspace(tower3, 2, b)
+
+
+@pytest.mark.parametrize("p,m,ell,r", [(3, 1, 2, 2), (5, 1, 2, 3),
+                                       (2, 2, 2, 2), (5, 1, 3, 3)], ids=str)
+def test_repair_subspace_block_is_multiplication_after_frobenius(p, m, ell, r):
+    # M = [-(B F) | 0 | ... | 0 | I] with B the matrix of y -> b*y and F
+    # that of y -> y^q, both built element by element
+    t = build_tower(p, m, ell)
+    field = t.base
+    frob = tm.frobenius_matrix(t)
+    for b in range(1, t.top_order):
+        _, mat = repair_subspace(t, r, b)
+        block = tm.matmul(field, tm.multiplication_matrix(t, b), frob)
+        assert np.array_equal(field.arr_neg(mat.array[:, :ell]), block)
+        assert not mat.array[:, ell:(r - 1) * ell].any()
+        assert np.array_equal(mat.array[:, (r - 1) * ell:], np.eye(ell))
 
 
 def test_repair_subspace_dimension_and_extremes(tower5):
@@ -192,23 +246,24 @@ def test_repair_subspace_hit_pattern_exhaustive(tower5):
     # dim(W_b /\ H_c) is 1 exactly on the block of b and 0 elsewhere,
     # for every unit b and every unit c
     top = tower5.top
-    sigma = set(norm_one_subgroup(tower5))
-    for b in tower5.top_units():
+    sigma = norm_one_subgroup(tower5)
+    for b in range(1, tower5.top_order):
         w, _ = repair_subspace(tower5, 3, b)
-        coset = {top.mul(b, s) for s in sigma}
-        for c in tower5.top_units():
-            expected = 1 if top.pow(c, 2) in coset else 0
+        coset = set(top.arr_mul(b, sigma).tolist())
+        for c in range(1, tower5.top_order):
+            expected = 1 if tm.power(top, c, 2) in coset else 0
             rows = curve_rows(tower5, 3, c)
             assert meet_dim_oracle(tower5.base, w, rows) == expected
 
 
 def test_repair_subspace_hit_pattern_two_parity(tower3):
     top = tower3.top
-    sigma = set(norm_one_subgroup(tower3))
-    for b in tower3.top_units():
+    sigma = norm_one_subgroup(tower3)
+    for b in range(1, tower3.top_order):
         w, _ = repair_subspace(tower3, 2, b)
-        for c in tower3.top_units():
-            expected = 1 if c in {top.mul(b, s) for s in sigma} else 0
+        coset = set(top.arr_mul(b, sigma).tolist())
+        for c in range(1, tower3.top_order):
+            expected = 1 if c in coset else 0
             rows = curve_rows(tower3, 2, c)
             assert meet_dim_oracle(tower3.base, w, rows) == expected
 
@@ -290,7 +345,7 @@ def _spanning_cases(tower, r):
     """Curve rows of every parameter with forced points, duplicate and
     non-canonical rows."""
     field = tower.base
-    for c in list(tower.top_elements()) + [INF]:
+    for c in list(range(tower.top_order)) + [INF]:
         gens = curve_rows(tower, r, c)
         ell = len(gens)
         mixed = field.arr_sub(gens[0], field.arr_neg(gens[-1]))  # a sum
