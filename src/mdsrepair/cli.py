@@ -348,13 +348,17 @@ def cmd_sweep(args) -> int:
         raise BadParameters(f"--n-min {args.n_min} is greater than "
                             f"--n-max {args.n_max}")
     tower = build_tower(args.p, args.m, args.ell)
+    # every length is checked before the first build; the constructible
+    # lengths are an interval of at most q^l + 1, so this stops at the
+    # first length outside it
+    params = [validate_params(tower, args.r, n)
+              for n in range(args.n_min, args.n_max + 1)]
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        bundle = build(validate_params(tower, args.r, n))
-        m = bundle.metrics
+    for p in params:
+        m = build(p).metrics
         d = m.to_json_dict()
         rows.append({
-            "n": n,
+            "n": p.n,
             "beta_avg": d["aggregates"]["beta_avg"],
             "beta_max": d["aggregates"]["beta_max"],
             "gamma_avg": d["aggregates"]["gamma_avg"],

@@ -31,6 +31,7 @@ intersections [[A, A], [B, 0]]), a stack in giving a stack out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
@@ -331,9 +332,14 @@ def projective_point_array(field: Field, dim: int) -> np.ndarray:
 
     Points are grouped by the position of the leading 1 (ascending), and
     within a group the tail coordinates count up as a little-endian base-q
-    number.  Row count is projective_point_count(q, dim).
+    number.  Row count is projective_point_count(q, dim).  The array is
+    read-only and built once per (q, dim).
     """
-    q = field.order
+    return _projective_points(field.order, int(dim))
+
+
+@functools.lru_cache(maxsize=64)
+def _projective_points(q: int, dim: int) -> np.ndarray:
     rows = []
     for lead in range(dim):
         tail = dim - lead - 1

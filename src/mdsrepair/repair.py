@@ -11,9 +11,12 @@ the diagnostics in this module count.
 
 Every per-node number has one route: :func:`_scheme_pass`, which takes a
 list of nodes and their repair matrices and computes them all with
-batched products and every self-check.  :func:`evaluate_scheme` passes
-over every node of a scheme; :func:`bandwidth`, :func:`io_count`,
-:func:`incidence_profile` and :func:`dual_cover` pass over one node.
+batched products and every self-check.  It works once per distinct
+matrix and node, since a block M H_j depends only on M and j; a
+constructed scheme repairs every node with one of two matrices.
+:func:`evaluate_scheme` passes over every node of a scheme;
+:func:`bandwidth`, :func:`io_count`, :func:`incidence_profile` and
+:func:`dual_cover` pass over one node.
 
 The brute-force optimizers scan every codimension-l subspace exactly once
 by enumerating canonical full-rank RREF matrices M (row space <-> kernel
@@ -147,6 +150,23 @@ def _compressed_blocks(field: Field, m_arr: np.ndarray,
     prod = field.matmul(m_arr, col_stack)
     prod = prod.reshape(*prod.shape[:-1], n, ell)
     return np.ascontiguousarray(np.moveaxis(prod, -2, -3))
+
+
+def _distinct(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of a (k, l, r*l) stack in order of first use,
+    and the index of each row's matrix among them: ``ms[a]`` equals
+    ``uniq[inv[a]]``, so a stack of distinct matrices is its own.  A
+    dict of the rows' bytes finds them, which keeps a stack of one cheap
+    and needs no sort.
+    """
+    keys = [m.tobytes() for m in ms]
+    first: dict[bytes, int] = {}  # each distinct matrix's first row
+    for a, key in enumerate(keys):
+        first.setdefault(key, a)
+    if len(first) == len(keys):
+        return ms, np.arange(len(keys))
+    index = {key: u for u, key in enumerate(first)}
+    return ms[list(first.values())], np.array([index[key] for key in keys])
 
 
 def _check_repair_inputs(s: CodeSkeleton, m: Matrix, i: int) -> None:
@@ -588,22 +608,25 @@ class NodeMetrics:
         }
 
 
-# Most entries of one chunk's left-kernel points (nodes x helpers x t x l,
-# t = (q^l - 1)/(q - 1)): a helper block adds at most t points of l
-# entries, all t only when it is zero, so on any input, MDS or not, a
+# Most entries of one chunk's left-kernel points (distinct matrices x
+# nodes x t x l, t = (q^l - 1)/(q - 1)): a block adds at most t points of
+# l entries, all t only when it is zero, so on any input, MDS or not, a
 # chunk's points take at most this many entries (or n t l, for a chunk of
-# one node).  On a verified MDS code, where no point is covered r times,
-# they take at most (r - 1) t l per node.  The pass takes its nodes a
-# chunk at a time, so that its memory stays small at any n; this bound
-# also keeps a chunk's blocks M_i H_j, and the extension-field product
-# steps that form them, at l/t of it.
+# one matrix).  On a verified MDS code, where no point is covered r times,
+# they take at most (r - 1) t l per matrix that repairs a node.  The pass
+# takes its distinct matrices a chunk at a time, so that its memory stays
+# small at any n; this bound also keeps a chunk's blocks M H_j, and the
+# extension-field product steps that form them, at l/t of it.
 _PASS_CELLS = 1 << 15
 
 # Most bytes the three uint8 (k, n) arrays of a pass over k nodes may take,
 # 3kn in all, so a whole scheme has n <= 9459.  They are the pass's only
-# arrays that grow as k n.  Measured with eval on q = 2, l = 1 files
-# (2-core host, one process): n = 9459 ran 9.6 s with a 316 MB peak; n =
-# 12000 would run 12 s, 480 MB.
+# arrays that grow as k n; the rows gather them from the same three
+# arrays over the d distinct matrices, 3dn more bytes when d < k (when
+# d = k they are the results themselves).  Measured with eval on a q = 2,
+# l = 1 file of two distinct matrices (2-core host, one process): at n =
+# 9459 it peaks at 300 MB and takes 0.9 s, against 10 s when the pass
+# worked every row.
 _PASS_BYTES = 1 << 28
 
 
@@ -623,6 +646,9 @@ class SchemePass:
     ``bandwidth`` and ``io`` sum the helpers' ranks and nonzero columns.
     Every entry of the three (k, n) arrays is at most l, so they are
     stored as uint8.  A whole scheme's pass has row i about node i.
+    Rows with the same matrix have the same ``ranks``, ``dims``,
+    ``columns`` and ``mults`` rows, which the pass computes once
+    (:func:`_scheme_pass`).
     """
 
     ranks: np.ndarray
@@ -678,22 +704,33 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
     shapes and indices.  A whole scheme is every node with its own
     matrix, a per-matrix question one node.
 
+    Every number of block M H_j depends only on M and j, so the pass
+    works once per distinct matrix of ``ms`` (:func:`_distinct`) and node
+    j, and row a reads its matrix's row.  A constructed scheme has two
+    distinct matrices, so its pass forms 2n blocks, not n^2.  Row a's
+    sums over its helpers are its matrix's sums over all n nodes less
+    column i = ``nodes[a]``.  Only bandwidth and io need that column
+    taken off: an invertible M H_i on which both routes agree has
+    dimension 0 and an empty left kernel, so it adds no point and no
+    covector, and a row whose M H_i is not such is refused before its
+    points and ``mults`` are read.
+
     The rank route forms every block M H_j with one product and ranks
     all of them at once.  The kernel route takes every W from one
     :func:`kernels` elimination and never forms M H_j: with K the kernel
     basis of W's RREF (:func:`linalg.null_columns`), rank [W; B_j] = dim
     W + rank(B_j K), so dim(W /\\ H_j) = l - rank(B_j K), all of them
     ranked at once too.  The dual cover lists the left kernel of every
-    helper block of rank below l: a block of rank l - d is annihilated by
+    block of rank below l: a block of rank l - d is annihilated by
     exactly the (q^d - 1)/(q - 1) covectors of its left kernel, so only
     those are counted (:func:`_left_kernel_points`), with one scatter-add
     into ``mults``.  Their kernel dimensions come from their own
     elimination, not from the ranks, so the dual-cover total is still
     checked against another computation.
-    "All" means all of one chunk of matrices: a chunk's left-kernel
-    points have at most about ``_PASS_CELLS`` entries, and its per-row
-    sums are taken before the next chunk, so the only (k, n) arrays are
-    the three narrow results.
+    "All" means all of one chunk of distinct matrices: a chunk's
+    left-kernel points have at most about ``_PASS_CELLS`` entries, and
+    its per-matrix sums are taken before the next chunk, so the only
+    (k, n) arrays are the three narrow results.
     A k whose three arrays would pass ``_PASS_BYTES`` raises
     :class:`BudgetExceeded` before any product.
 
@@ -704,7 +741,9 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
     no covector counted r times.  The cap and the r-fold cover are
     breaches only on a verified MDS skeleton, which is consulted only
     then (within ``budget``, see :meth:`CodeSkeleton.mds_witness`).  A
-    breach raises :class:`InternalInconsistency` naming its node.
+    breach raises :class:`InternalInconsistency` naming its node; a
+    fault of one matrix's numbers is named at the first row that uses
+    it.
     """
     field = s.tower.base
     n, ell, r = s.n, s.ell, s.r
@@ -715,6 +754,8 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
         raise BudgetExceeded(k * n, "node pairs",
                              f"a scheme pass keeps 3 bytes a pair and at "
                              f"most {_PASS_BYTES} bytes")
+    ms, inv = _distinct(ms)
+    d = len(ms)
 
     ws, is_piv = kernels(field, ms)
     wdim = s.ambient - ell
@@ -726,40 +767,51 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
     t = len(covectors)
     lookup = np.full(q ** ell, -1, dtype=np.int64)  # q^l <= 1024 entries
     lookup[covectors @ q ** np.arange(ell)] = np.arange(t)
-    points_of = np.array([projective_point_count(q, d)
-                          for d in range(ell + 1)])
-    ranks, dims, columns = (np.empty((k, n), dtype=np.uint8)
+    points_of = np.array([projective_point_count(q, dim)
+                          for dim in range(ell + 1)])
+    # per distinct matrix u and node j, and u's sums over every j
+    ranks, dims, columns = (np.empty((d, n), dtype=np.uint8)
                             for _ in range(3))
-    mults = np.empty((k, t), dtype=np.int64)
-    bw, io, points, covered = (np.empty(k, dtype=np.int64) for _ in range(4))
-    route = np.empty(k, dtype=bool)
+    mults = np.empty((d, t), dtype=np.int64)
+    bw, io, points, covered = (np.empty(d, dtype=np.int64) for _ in range(4))
+    route = np.empty(d, dtype=bool)
     step = max(1, _PASS_CELLS // (n * t * ell))
     flat = (-1, ell, ell)
-    for a in range(0, k, step):
-        at = slice(a, a + step)
-        helper = nodes[at, None] != np.arange(n)
+    for u in range(0, d, step):
+        at = slice(u, u + step)
         blocks = _compressed_blocks(field, ms[at], col_stack, n, ell)
         rk = batched_rank(field, blocks.reshape(flat)).reshape(-1, n)
         cols = (blocks != 0).any(axis=2).sum(axis=2)
         s_blocks = field.matmul(s.bases[None], kb[at, None])
         dm = ell - batched_rank(field, s_blocks.reshape(flat)).reshape(-1, n)
-        row, j = np.nonzero(helper & (rk < ell))
+        row, j = np.nonzero(rk < ell)
         block, index = _left_kernel_points(field, blocks[row, j], lookup)
         owner = row[block]
         if (index < 0).any():
+            bad = u + owner[np.argmax(index < 0)]
             raise InternalInconsistency(
                 "a left-kernel point is not a canonical covector at node "
-                f"{nodes[a + owner[np.argmax(index < 0)]]}")
+                f"{nodes[np.argmax(inv == bad)]}")
         mults[at] = np.bincount(owner * t + index,
                                 minlength=len(rk) * t).reshape(-1, t)
         ranks[at], dims[at], columns[at] = rk, dm, cols
-        bw[at] = np.where(helper, rk, 0).sum(axis=1)
-        io[at] = np.where(helper, cols, 0).sum(axis=1)
-        points[at] = np.where(helper, points_of[dm], 0).sum(axis=1)
-        covered[at] = np.where(helper, points_of[ell - rk], 0).sum(axis=1)
+        bw[at] = rk.sum(axis=1)
+        io[at] = cols.sum(axis=1)
+        points[at] = points_of[dm].sum(axis=1)
+        covered[at] = points_of[ell - rk].sum(axis=1)
         route[at] = (rk != ell - dm).any(axis=1)
 
-    singular = ranks[np.arange(k), nodes] != ell
+    # row a reads its matrix's row inv[a], row a itself when the matrices
+    # are distinct; only bw and io drop its own column (see above)
+    rows = inv if d < k else slice(None)
+    own_rk = ranks[inv, nodes]
+    bw = bw[rows] - own_rk
+    io = io[rows] - columns[inv, nodes]
+    points, covered, route = points[rows], covered[rows], route[rows]
+    ranks, dims, columns, mults = (x[rows] for x in
+                                   (ranks, dims, columns, mults))
+
+    singular = own_rk != ell
     for a in np.flatnonzero(singular | route | (io < bw)):
         i = int(nodes[a])
         if singular[a]:

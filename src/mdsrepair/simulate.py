@@ -9,17 +9,17 @@ The repairer recombines the summands with the A factors and applies
 block either matches the erased block bit for bit or the implementation is
 wrong.
 
-A campaign factors all helper blocks of the nodes it replays in one
-batched elimination of their transposes (H^T): the pivot columns of H^T
-pick the rows B, and its nonzero reduced rows are the columns of A.  Its
-one-matrix form, the reference the tests compare against, lives in
-``tests/replay_oracle.py``.  Helpers send from their own reads: a sent
-symbol is a combination of at most l symbols that its helper read, so a
-campaign forms every sent symbol of a node for a chunk of T codewords in
-at most l table steps over (., T) arrays, one per coordinate of a helper
-block.  Recombining them with the
-A factors and applying -(M H_i)^(-1) are then two (., T) products.  Each
-chunk samples its words from their own per-trial seeds (seed, t): one
+A campaign factors the helper blocks of the nodes it replays in one
+batched elimination of their transposes (H^T), once per distinct repair
+matrix and node: the pivot columns of H^T pick the rows B, and its
+nonzero reduced rows are the columns of A.  Its one-matrix form, the
+reference the tests compare against, lives in ``tests/replay_oracle.py``.
+Helpers send from their own reads: a sent symbol is a combination of at
+most l symbols that its helper read, so a campaign forms every sent
+symbol of a node for a chunk of T codewords in at most l table steps
+over (., T) arrays, one per coordinate of a helper block.  Recombining
+them with the A factors and applying -(M H_i)^(-1) are then two (., T)
+products.  Each chunk samples its words from their own per-trial seeds (seed, t): one
 set of whole-array steps draws the same PCG64 words as a numpy generator
 per trial, and only a trial whose draws numpy would reject, or whose seed
 is not a pair of ints in [0, 2^32), is drawn by numpy's generator itself
@@ -54,6 +54,7 @@ from .repair import (
     RepairScheme,
     _check_scheme_length,
     _compressed_blocks,
+    _distinct,
     evaluate_scheme,
 )
 
@@ -98,24 +99,28 @@ def _node_states(re: Realization, sch: RepairScheme,
     """The repair pipelines of ``nodes``, from one batched elimination.
 
     The per-node factorizations depend only on the scheme, so a campaign
-    builds them once and reuses them across trials.
+    builds them once and reuses them across trials.  A helper block M H_j
+    depends only on M and j, so the blocks of each distinct matrix
+    (:func:`repair._distinct`) against all n nodes are formed and
+    eliminated once, and each node's pipeline reads its matrix's row.
     """
     s = re.skeleton
     field = s.tower.base
     n, ell, k = s.n, s.ell, len(nodes)
-    blocks = _compressed_blocks(field, sch.stack[list(nodes)],
-                                re.column_stack(), n, ell)
+    ms, inv = _distinct(sch.stack[list(nodes)])
+    d = len(ms)
+    blocks = _compressed_blocks(field, ms, re.column_stack(), n, ell)
     reduced, ranks, is_piv = _elimination_ranks(
-        field, blocks.swapaxes(-1, -2).reshape(k * n, ell, ell).copy())
-    reduced = reduced.reshape(k, n, ell, ell)
-    ranks = ranks.reshape(k, n)
-    is_piv = is_piv.reshape(k, n, ell)
-    for a, i in enumerate(nodes):
-        if ranks[a, i] != ell:
+        field, blocks.swapaxes(-1, -2).reshape(d * n, ell, ell).copy())
+    reduced = reduced.reshape(d, n, ell, ell)
+    ranks = ranks.reshape(d, n)
+    is_piv = is_piv.reshape(d, n, ell)
+    for u, i in zip(inv, nodes):
+        if ranks[u, i] != ell:
             raise NotARepairMatrix(i)
     # -(M H_i)^(-1) of every node from one elimination of [M H_i | I]
     eye = np.broadcast_to(np.eye(ell, dtype=np.int64), (k, ell, ell))
-    diag = blocks[np.arange(k), nodes]
+    diag = blocks[inv, nodes]
     neg_inv = field.arr_neg(_elimination_ranks(
         field, np.concatenate([diag, eye], axis=2))[0][:, :, ell:])
     # B is the rows of M H_j at the pivot columns of its transpose, A^T
@@ -125,10 +130,10 @@ def _node_states(re: Realization, sch: RepairScheme,
     reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
     cols = np.arange(ell)
     states = []
-    for a, i in enumerate(nodes):
+    for a, (u, i) in enumerate(zip(inv, nodes)):
         helpers = np.delete(np.arange(n), i)
-        read = reads[a, helpers]
-        in_b = is_piv[a, helpers]  # the rows of each M H_j kept as B
+        read = reads[u, helpers]
+        in_b = is_piv[u, helpers]  # the rows of each M H_j kept as B
         # position of every read among the gathered ones; an unread
         # coordinate takes its helper's first read
         seen = np.cumsum(read).reshape(read.shape)
@@ -136,8 +141,8 @@ def _node_states(re: Realization, sch: RepairScheme,
         st = _NodeState()
         st.failed = i
         st.neg_inv = neg_inv[a]
-        st.a_all = reduced[a, helpers][a_rows[a, helpers]].T
-        st.send_coef = blocks[a, helpers][in_b]
+        st.a_all = reduced[u, helpers][a_rows[u, helpers]].T
+        st.send_coef = blocks[u, helpers][in_b]
         st.send_idx = np.where(read, seen - 1,
                                first[:, None])[np.nonzero(in_b)[0]]
         st.gather = (helpers[:, None] * ell + cols)[read]

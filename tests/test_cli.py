@@ -763,6 +763,23 @@ def test_sweep_rejects_an_empty_length_range(monkeypatch, capsys):
         in captured.err
 
 
+@pytest.mark.parametrize("n_min,n_max,bad", [
+    ("24", "100000", 27),  # the range runs past the longest length, 26
+    ("20", "25", 20),      # it starts below the shortest, 24
+])
+def test_sweep_checks_every_length_before_building(monkeypatch, capsys,
+                                                   n_min, n_max, bad):
+    built = []
+    monkeypatch.setattr(cli, "build", lambda params: built.append(params))
+    assert main(["sweep", "--p", "5", "--ell", "2", "--r", "3",
+                 "--n-min", n_min, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert built == [] and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"LengthOutOfRange: length n={bad} outside the constructible " \
+           "range [24, 26]" in captured.err
+
+
 def test_package_errors_survive_pickling():
     # a --jobs worker hands its error to the parent through pickle
     for exc in (NotMds((0, 2, 5)), NotARepairMatrix(3),

@@ -14,7 +14,9 @@ from pass_oracle import (
     intersection_dims,
     io_count_oracle,
     mults_oracle,
+    scheme_pass_oracle,
 )
+from replay_oracle import node_states_oracle
 from rref_oracle import meet_dim_oracle, meet_dims_oracle
 from mdsrepair.codes import CodeSkeleton, realize
 from mdsrepair.errors import (
@@ -25,7 +27,7 @@ from mdsrepair.errors import (
     NotARepairMatrix,
     NotMds,
 )
-from mdsrepair import linalg, repair
+from mdsrepair import linalg, repair, simulate
 from mdsrepair.gf import build_tower
 from mdsrepair.linalg import (
     Matrix,
@@ -36,7 +38,7 @@ from mdsrepair.linalg import (
     rref_blocks,
 )
 from mdsrepair.nrc import build, validate_params
-from mdsrepair.simulate import _node_states
+from mdsrepair.simulate import _NodeState, _node_states, campaign
 from mdsrepair.repair import (
     RepairScheme,
     SchemePass,
@@ -51,6 +53,14 @@ from mdsrepair.repair import (
     scheme_from_json,
     scheme_to_json,
 )
+
+
+def _first_use(stack):
+    """Each row's matrix as an index into the distinct matrices of a
+    stack, numbered in order of first use."""
+    keys = [m.tobytes() for m in stack]
+    order = list(dict.fromkeys(keys))
+    return [order.index(key) for key in keys]
 
 
 def _kernel_basis(m):
@@ -567,8 +577,11 @@ def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     assert ranks == [(n, 2, 4)]  # every matrix's row rank in one call
     elims = watch_calls(linalg, "_elimination_ranks")
     evaluate_scheme(bundle.realization, sch)
-    # every ker M_i from one stack of [M_i^T | I], none from a batch of one
-    assert [c for c in elims if c[1:] == (4, 6)] == [(n, 4, 6)]
+    # the kernel of each distinct M_i from one stack of [M_i^T | I], none
+    # from a batch of one
+    d = len(set(_first_use(sch.stack)))
+    assert d < n
+    assert [c for c in elims if c[1:] == (4, 6)] == [(d, 4, 6)]
 
 
 def test_scheme_keeps_one_read_only_stack(bundle3):
@@ -609,22 +622,29 @@ def larger_bundles():
 def _oracle(re, sch):
     """The oracle's numbers for every node of a scheme: the whole pass as
     a :class:`SchemePass`, and each node's (bandwidth, io, incidence
-    profile, dual cover)."""
+    profile, dual cover).  The rows that depend only on the matrix are
+    computed once per distinct matrix; the views once per node."""
     s = re.skeleton
     field = s.tower.base
-    ranks, dims, columns, views = [], [], [], []
-    for i in range(s.n):
+    users = _first_use(sch.stack)
+    rows = []  # (ranks, dims, columns) of each distinct matrix
+    for i in (users.index(u) for u in range(max(users) + 1)):
         m = sch[i]
         blocks = repair._compressed_blocks(field, m.array, re.column_stack(),
                                            s.n, s.ell)
-        ranks.append(batched_rank(field, blocks))
-        columns.append((blocks != 0).any(axis=1).sum(axis=1))
         # every pair, the failed node included, through the stacked ranks
-        dims.append(intersection_dims(s, m, range(s.n)))
+        rows.append((batched_rank(field, blocks),
+                     intersection_dims(s, m, range(s.n)),
+                     (blocks != 0).any(axis=1).sum(axis=1)))
+    ranks, dims, columns = (np.array([rows[u][c] for u in users])
+                            for c in range(3))
+    views = []
+    for i in range(s.n):
+        m = sch[i]
         views.append((bandwidth_oracle(m, re, i), io_count_oracle(m, re, i),
                       incidence_profile_oracle(m, s, i),
                       dual_cover_oracle(m, s, i)))
-    want = SchemePass(np.array(ranks), np.array(dims), np.array(columns),
+    want = SchemePass(ranks, dims, columns,
                       mults=mults_oracle(re, sch),
                       points=np.array([v[2].sum_points for v in views]),
                       bandwidth=tuple(v[0] for v in views),
@@ -771,34 +791,164 @@ def test_scheme_pass_matches_per_node_on_a_non_mds_skeleton(bundle3):
         _assert_pass_matches_per_node(re, _random_scheme(bad, rng))
 
 
+# -- the pass and the replay states against their per-row routes ----------------
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the class and message it raises."""
+    try:
+        return call(*args)
+    except (NotARepairMatrix, InternalInconsistency) as exc:
+        return type(exc), str(exc)
+
+
+def _distinct_matrix_cases(bundle3, bundle5, larger_bundles):
+    """(realization, scheme, nodes, matrices) cases for the pass and the
+    replay states; ``matrices`` is the scheme's stack at ``nodes`` except
+    in the one case whose scheme is None, which repairs a node with a
+    matrix of no scheme."""
+    cases = [(b.realization, b.scheme, range(b.realization.n), None)
+             for b in [bundle3, bundle5] + larger_bundles]
+    # schemes whose matrices are all distinct
+    rng = random.Random(21)
+    for b in (bundle3, bundle5):
+        sch = _random_scheme(b.skeleton, rng)
+        assert len(set(_first_use(sch.stack))) == b.realization.n
+        cases.append((b.realization, sch, range(b.realization.n), None))
+    # repeated nodes, and node 7 with two matrices
+    re, sch = bundle5.realization, bundle5.scheme
+    nodes = [7, 2, 7, 15, 0, 15, 7]
+    cases.append((re, sch, nodes, None))
+    other = _random_feasible_matrix(re.skeleton.tower.base, re.skeleton, 7,
+                                    rng).array
+    ms = sch.stack[nodes].copy()
+    ms[2] = other
+    cases.append((re, None, nodes, ms))
+    cases.append((*_zero_block_case(bundle3), range(9), None))
+    bad = _non_mds_bundle(bundle3)
+    cases.append((_basis_realization(bad), _random_scheme(bad, rng),
+                  range(9), None))
+    # one of bundle3's two matrices shared with one more node: node j
+    # takes the matrix of nodes 4..8 (j < 4) or of nodes 0..3 (j >= 4)
+    for j in range(9):
+        matrices = list(bundle3.scheme.matrices)
+        matrices[j] = matrices[8 if j < 4 else 0]
+        cases.append((bundle3.realization, RepairScheme(matrices), range(9),
+                      None))
+    return cases
+
+
+@pytest.mark.parametrize("cells", [1, 700, 1 << 30])
+def test_scheme_pass_matches_the_per_row_route(bundle3, bundle5,
+                                               larger_bundles, monkeypatch,
+                                               cells):
+    monkeypatch.setattr(repair, "_PASS_CELLS", cells)
+    refused = []
+    for re, sch, nodes, ms in _distinct_matrix_cases(bundle3, bundle5,
+                                                     larger_bundles):
+        args = (re.skeleton, re.column_stack(), nodes,
+                sch.stack[list(nodes)] if ms is None else ms)
+        got = _outcome(repair._scheme_pass, *args)
+        want = _outcome(scheme_pass_oracle, *args)
+        if isinstance(want, tuple):
+            assert got == want
+            refused.append(want)
+            continue
+        for f in dataclasses.fields(SchemePass):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+    # every shared matrix but one is singular on its new node's block;
+    # nodes 4..7 are not the first node of the matrix they share
+    assert refused == [(NotARepairMatrix, str(NotARepairMatrix(j)))
+                       for j in range(8)]
+
+
+def test_node_states_match_the_per_row_route(bundle3, bundle5,
+                                             larger_bundles):
+    for re, sch, nodes, _ in _distinct_matrix_cases(bundle3, bundle5,
+                                                    larger_bundles):
+        if sch is None:
+            continue
+        got = _outcome(_node_states, re, sch, nodes)
+        want = _outcome(node_states_oracle, re, sch, nodes)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for name in _NodeState.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                assert type(x) is type(y), name
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
+                else:
+                    assert x == y, name
+
+
+def test_blocks_are_formed_once_per_distinct_matrix(bundle3, bundle5,
+                                                    larger_bundles,
+                                                    monkeypatch):
+    # (matrix, node) pairs whose block M H_j each module forms
+    pairs = {repair: 0, simulate: 0}
+    for module in pairs:
+        def counted(field, m_arr, col_stack, n, ell, _real=getattr(
+                module, "_compressed_blocks"), _module=module):
+            pairs[_module] += (len(m_arr) if m_arr.ndim == 3 else 1) * n
+            return _real(field, m_arr, col_stack, n, ell)
+        monkeypatch.setattr(module, "_compressed_blocks", counted)
+    for b in [bundle3, bundle5] + larger_bundles:
+        re, sch = b.realization, b.scheme
+        d, n = len(set(_first_use(sch.stack))), re.n
+        assert d == 2
+        _pass(re, sch)
+        assert pairs == {repair: d * n, simulate: 0}
+        pairs.update({repair: 0})
+        campaign(re, sch, trials=1, seed=0, nodes=None)
+        assert pairs == {repair: d * n, simulate: d * n}
+        pairs.update({repair: 0, simulate: 0})
+
+
 # -- every self-check of the pass still fires ---------------------------------------
 
 
 def test_scheme_pass_catches_disagreeing_routes(bundle5, monkeypatch):
     real = linalg.null_columns
+    users = _first_use(bundle5.scheme.stack)  # kernels in order of first use
 
     def corrupted(field, reduced, is_piv):
         out = real(field, reduced, is_piv)
-        out[3] = 0  # node 3's kernel route now sees no rank at all
+        out[users[3]] = 0  # node 3's kernel route now sees no rank at all
         return out
 
+    # the fault is in the kernel of node 3's matrix, which node 0 uses first
+    assert users.index(users[3]) == 0
     monkeypatch.setattr(linalg, "null_columns", corrupted)
     with pytest.raises(InternalInconsistency,
-                       match="kernel route disagree at node 3"):
+                       match="kernel route disagree at node 0$"):
         evaluate_scheme(bundle5.realization, bundle5.scheme)
 
 
 def test_scheme_pass_catches_a_wrong_rank_route(bundle5, monkeypatch):
     real = repair._compressed_blocks
+    stack = bundle5.scheme.stack
 
     def corrupted(field, m_arr, col_stack, n, ell):
         out = real(field, m_arr, col_stack, n, ell)
-        out[5, 7] = 0  # block M_5 H_7 reads as zero
+        # block M_15 H_7 reads as zero, for every node repaired with M_15
+        out[(m_arr == stack[15]).all(axis=(1, 2)), 7] = 0
         return out
 
+    # node 12 is the first node repaired with M_15, and node 7 is a
+    # helper of every such node
+    users = _first_use(stack)
+    assert users.index(users[15]) == 12 and users[7] != users[15]
     monkeypatch.setattr(repair, "_compressed_blocks", corrupted)
     with pytest.raises(InternalInconsistency,
-                       match="kernel route disagree at node 5"):
+                       match="kernel route disagree at node 12$"):
         evaluate_scheme(bundle5.realization, bundle5.scheme)
 
 
@@ -833,13 +983,16 @@ def test_scheme_pass_catches_a_broken_incidence_cap(bundle5, monkeypatch):
         evaluate_scheme(bundle5.realization, bundle5.scheme)
 
 
-def _one_node_a_chunk(monkeypatch, name, fault, call):
-    """Run the pass one node a chunk, with ``fault`` applied to the output
-    of repair's ``name`` on its ``call``-th call (counting from 0).
+def _one_matrix_a_chunk(monkeypatch, name, fault, call):
+    """Run the pass one distinct matrix a chunk, with ``fault`` applied to
+    the output of repair's ``name`` on its ``call``-th call (counting from
+    0).
 
-    Every node of bundle5 has rank-1 helper blocks only, so each chunk
-    makes one left-kernel elimination and one ``null_columns`` call: the
-    faulty call is node ``call``'s.
+    Every matrix of bundle5 meets the nodes in blocks of rank 1 or 2
+    only, so each chunk makes one left-kernel elimination and one
+    ``null_columns`` call: the faulty call is that of the ``call``-th
+    distinct matrix in order of first use, which a fault names by its
+    first node.
     """
     real = getattr(repair, name)
     calls = []
@@ -865,14 +1018,15 @@ def test_scheme_pass_refuses_a_stray_left_kernel_point(bundle5, monkeypatch):
         return field.arr_mul(pts, 2)
 
     # a zero point, or one off the lookup (-1), would have been counted in
-    # the previous node's last covector column
-    for name, fault, node in (("null_columns", zero_basis, 3),
-                              ("canonical_points", doubled, 7)):
+    # the previous matrix's last covector column, or failed the scatter-add
+    users = _first_use(sch.stack)
+    for name, fault, call in (("null_columns", zero_basis, 1),
+                              ("canonical_points", doubled, 0)):
         with monkeypatch.context() as mp:
-            _one_node_a_chunk(mp, name, fault, node)
+            _one_matrix_a_chunk(mp, name, fault, call)
             with pytest.raises(InternalInconsistency,
                                match="not a canonical covector at node "
-                                     f"{node}"):
+                                     f"{users.index(call)}$"):
                 _pass(re, sch)
 
 
@@ -886,10 +1040,12 @@ def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
         is_piv[0, np.flatnonzero(is_piv[0])[-1]] = False
         return reduced, ranks, is_piv
 
+    # the second distinct matrix of bundle5 is first used at node 12
+    assert _first_use(bundle5.scheme.stack).index(1) == 12
     with monkeypatch.context() as mp:
-        _one_node_a_chunk(mp, "_elimination_ranks", extra_dimension, 5)
+        _one_matrix_a_chunk(mp, "_elimination_ranks", extra_dimension, 1)
         with pytest.raises(InternalInconsistency,
-                           match="bookkeeping .* at node 5"):
+                           match="bookkeeping .* at node 12$"):
             evaluate_scheme(bundle5.realization, bundle5.scheme)
     # on a non-MDS skeleton whose node 8 repeats node 5, a repair matrix
     # for node 0 whose kernel meets node 5 puts one covector on two helpers

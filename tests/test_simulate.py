@@ -388,8 +388,10 @@ def test_replay_makes_no_send_product(bundle9, monkeypatch):
 def test_session_builds_all_nodes_in_one_elimination(bundle5, watch_calls):
     calls = watch_calls(simulate, "_elimination_ranks")
     _node_states(bundle5.realization, bundle5.scheme, range(24))
-    # every helper block, then every node's [M H_i | I]
-    assert calls == [(24 * 24, 2, 2), (24, 2, 4)]
+    # the block of each of the two distinct matrices at every node, then
+    # every node's [M H_i | I]
+    assert len(np.unique(bundle5.scheme.stack, axis=0)) == 2
+    assert calls == [(2 * 24, 2, 2), (24, 2, 4)]
 
 
 @pytest.mark.parametrize("fault", ["neg_inv", "send_coef", "downloaded",
