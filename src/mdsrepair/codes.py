@@ -42,6 +42,7 @@ from .errors import (
     BadShape,
     BudgetExceeded,
     DuplicatePoint,
+    LevelMismatch,
     MalformedInput,
     NotMds,
     NotSpanning,
@@ -288,40 +289,35 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
 
     There must be one column set per node, and each needs exactly l
     distinct nonzero points, all inside the node subspace and jointly
-    spanning it.  Only the structural checks (zero point, entry range,
-    point count, length) run node by node; the points that pass them are
-    canonicalized (first nonzero coordinate 1) and checked for repeats and
-    membership all at once (p lies in node k when p = p[piv_k] R_k, k's
-    RREF basis R_k).  The first fault in point order is raised.
+    spanning it.  The structural checks (zero point, entry range, point
+    count, length) are array steps on an (n, l, r*l) integer array and
+    run node by node on anything else (:func:`_column_faults`); the
+    points that pass them are canonicalized (first nonzero coordinate 1)
+    and checked for repeats and membership all at once (p lies in node k
+    when p = p[piv_k] R_k, k's RREF basis R_k).  The first fault in point
+    order is raised.
     """
     field = s.tower.base
     n, ell, d = s.n, s.ell, s.ambient
-    column_sets = list(column_sets)
-    if len(column_sets) != n:
-        raise BadShape(f"{len(column_sets)} column sets for {n} nodes")
-    points = np.zeros((n, ell, d), dtype=np.int64)
+    a = column_sets
+    if isinstance(a, np.ndarray) and a.shape == (n, ell, d) and \
+            a.dtype.kind in "iu":
+        # the first node with a zero point or an entry out of range
+        zero = ~a.any(axis=2).all(axis=1)
+        wild = ((a < 0) | (a >= field.order)).any(axis=(1, 2))
+        bad = np.flatnonzero(zero | wild)
+        k = bad[0] if bad.size else n
+        points = np.zeros((n, ell, d), dtype=np.int64)
+        points[:k] = a[:k]
+        fault = None
+        if k < n:
+            fault = (NotSpanning(f"node {k}: a column point is the zero "
+                                 "vector") if zero[k]
+                     else LevelMismatch("entry out of range for the field"))
+        end = k * ell
+    else:
+        points, fault, end = _column_faults(field, column_sets, n, ell, d)
     flat = points.reshape(n * ell, d)
-    fault, end = None, 0  # flat[:end] passed the structural checks
-    for i, pts in enumerate(column_sets):
-        try:
-            if not all(np.any(p) for p in pts):
-                raise NotSpanning(
-                    f"node {i}: a column point is the zero vector")
-            pts = [np.asarray(p, dtype=np.int64) for p in pts]
-            for p in pts:
-                _check_codes(field, p)
-            if len(pts) != ell:
-                raise NotSpanning(
-                    f"node {i}: need exactly {ell} column points")
-            for p in pts:
-                if p.shape != (d,):
-                    raise AmbientMismatch(f"node {i}: vector of length "
-                                          f"{p.shape} in ambient {d}")
-                flat[end] = p
-                end += 1
-        except RepairToolError as exc:
-            fault = exc
-            break
     flat[:end] = canonical_points(field, flat[:end])
     same = (points[:, :, None] == points[:, None]).all(axis=3)
     repeat = np.tril(same, -1).any(axis=2)  # equals an earlier point
@@ -341,6 +337,40 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
         raise NotSpanning(f"node {short[0]}: column points do not span the node")
     points.setflags(write=False)
     return Realization(s, points)
+
+
+def _column_faults(field, column_sets, n: int, ell: int, d: int):
+    """(points, fault, end): the structural checks of :func:`realize`,
+    node by node.  ``points`` is the (n, l, d) array whose first ``end``
+    points passed them, zeros after; ``fault`` is the first failure, or
+    None.
+    """
+    column_sets = list(column_sets)
+    if len(column_sets) != n:
+        raise BadShape(f"{len(column_sets)} column sets for {n} nodes")
+    points = np.zeros((n, ell, d), dtype=np.int64)
+    flat = points.reshape(n * ell, d)
+    end = 0
+    for i, pts in enumerate(column_sets):
+        try:
+            if not all(np.any(p) for p in pts):
+                raise NotSpanning(
+                    f"node {i}: a column point is the zero vector")
+            pts = [np.asarray(p, dtype=np.int64) for p in pts]
+            for p in pts:
+                _check_codes(field, p)
+            if len(pts) != ell:
+                raise NotSpanning(
+                    f"node {i}: need exactly {ell} column points")
+            for p in pts:
+                if p.shape != (d,):
+                    raise AmbientMismatch(f"node {i}: vector of length "
+                                          f"{p.shape} in ambient {d}")
+                flat[end] = p
+                end += 1
+        except RepairToolError as exc:
+            return points, exc, end
+    return points, None, end
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
@@ -619,13 +649,79 @@ def _node_codes(nd: dict, key: str, i: int) -> np.ndarray:
                              ) from exc
 
 
+def _node_arrays(raw_nodes: list, ell: int, d: int, q: int):
+    """(labels, H, X) of a well-formed ``nodes`` list, or None.
+
+    Well formed means a list of dicts whose labels are strings and whose
+    H and X are l lists of d plain ints, each int a code of F_q.  The
+    types are read in one pass over the flattened values (``np.array``
+    alone would read true and 1.0 as 1), then H and X become one (2, n,
+    l, d) array.  Any other list is left to :func:`_load_nodes`, which
+    names its first fault.
+    """
+    try:
+        labels = [nd["label"] for nd in raw_nodes]
+        blocks = [nd[key] for key in ("H", "X") for nd in raw_nodes]
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, labels)) != {str} or set(map(type, blocks)) != {list} \
+            or set(map(len, blocks)) != {ell}:
+        return None
+    rows = list(itertools.chain.from_iterable(blocks))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {d} or \
+            not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return None
+    try:
+        hx = np.array(rows, dtype=np.int64).reshape(2, -1, ell, d)
+    except OverflowError:
+        return None
+    if hx.size and (hx.min() < 0 or hx.max() >= q):
+        return None
+    return labels, hx[0], hx[1]
+
+
+def _load_nodes(raw_nodes: list, ell: int, d: int, q: int):
+    """(labels, H, X) of a ``nodes`` list, checked node by node.
+
+    H and X are lists of (l, d) arrays.  The first fault is raised as
+    :class:`MalformedInput` naming its node.
+    """
+    generators = []
+    column_sets = []
+    labels = []
+    for i, nd in enumerate(raw_nodes):
+        try:
+            label = nd["label"]
+            cols = _node_codes(nd, "H", i)
+            pts = _node_codes(nd, "X", i)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad node object: {exc}") from exc
+        if type(label) is not str:
+            raise MalformedInput(f"node {i}: label must be a JSON string")
+        if cols.ndim != 2 or cols.shape != (ell, d):
+            raise MalformedInput(f"node {i}: H must be {ell} columns of "
+                                 f"length {d}")
+        if pts.shape != (ell, d):
+            raise MalformedInput(f"node {i}: X must be {ell} points of "
+                                 f"length {d}")
+        if any(((a < 0) | (a >= q)).any() for a in (cols, pts)):
+            raise MalformedInput(f"node {i}: H/X entry out of range for "
+                                 "the field")
+        labels.append(label)
+        generators.append(cols)
+        column_sets.append(pts)
+    return labels, generators, column_sets
+
+
 def realization_from_json(obj: dict):
     """Rebuild (realization, labels, provenance) from a code.json dict.
 
     Every type invariant is re-validated: tower polynomials, node
     dimensions, column membership/spanning, string labels, and that X and
     H both hold the canonical column points, so writing the result back
-    gives the file as :func:`realization_to_json` wrote it.
+    gives the file as :func:`realization_to_json` wrote it.  A well-formed
+    file is checked in whole-array steps (:func:`_node_arrays`); any other
+    goes node by node, so every fault is named as that route names it.
     """
     try:
         if obj.get("v") != 1 or type(obj["v"]) is not int:
@@ -641,30 +737,9 @@ def realization_from_json(obj: dict):
         raise MalformedInput("nodes must be a list")
     if len(raw_nodes) != n:
         raise MalformedInput("node count disagrees with n")
-    generators = []
-    column_sets = []
-    labels = []
-    for i, nd in enumerate(raw_nodes):
-        try:
-            label = nd["label"]
-            cols = _node_codes(nd, "H", i)
-            pts = _node_codes(nd, "X", i)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad node object: {exc}") from exc
-        if type(label) is not str:
-            raise MalformedInput(f"node {i}: label must be a JSON string")
-        if cols.ndim != 2 or cols.shape != (ell, r * ell):
-            raise MalformedInput(f"node {i}: H must be {ell} columns of "
-                                 f"length {r * ell}")
-        if pts.shape != (ell, r * ell):
-            raise MalformedInput(f"node {i}: X must be {ell} points of "
-                                 f"length {r * ell}")
-        if any(((a < 0) | (a >= tower.q)).any() for a in (cols, pts)):
-            raise MalformedInput(f"node {i}: H/X entry out of range for "
-                                 "the field")
-        labels.append(label)
-        generators.append(cols)
-        column_sets.append(pts)
+    labels, generators, column_sets = (
+        _node_arrays(raw_nodes, ell, r * ell, tower.q)
+        or _load_nodes(raw_nodes, ell, r * ell, tower.q))
     try:
         skeleton = CodeSkeleton(tower, r, generators, labels)
         re = realize(skeleton, column_sets)
@@ -675,7 +750,8 @@ def realization_from_json(obj: dict):
             (generators, "H columns are not canonical representatives of X"),
             (column_sets, "X points are not canonical (first nonzero entry "
                           "1)")):
-        differ = np.flatnonzero((np.array(stored) != re.points).any(axis=(1, 2)))
+        differ = np.flatnonzero(
+            (np.asarray(stored) != re.points).any(axis=(1, 2)))
         if differ.size:
             raise MalformedInput(f"node {differ[0]}: {fault}")
     return re, labels, obj.get("provenance")

@@ -113,6 +113,10 @@ class Matrix:
             entries = json_ints(obj["entries"], "matrix entries", 1)
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad matrix object: {exc}") from exc
+        for name, size in (("rows", rows), ("cols", cols)):
+            if size < 0:
+                raise MalformedInput(f"matrix {name} must be nonnegative, "
+                                     f"got {size}")
         if len(entries) != rows * cols:
             raise MalformedInput("matrix entry count does not match shape")
         try:

@@ -26,6 +26,7 @@ first maximizers in a deterministic order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -72,10 +73,13 @@ from .linalg import (
 class RepairScheme:
     """One repair matrix per node, each of full row rank l.
 
-    ``stack`` is the read-only (n, l, r*l) array of all the matrices.
+    The scheme is its ``field`` and ``stack``, the read-only (n, l, r*l)
+    array of all the matrices; ``sch[i]`` is node i's matrix as a
+    :class:`Matrix`.  It is built from a sequence of matrices, or from a
+    stack by :meth:`from_stack`.
     """
 
-    __slots__ = ("matrices", "stack")
+    __slots__ = ("field", "stack")
 
     def __init__(self, matrices: Sequence[Matrix]):
         matrices = tuple(matrices)
@@ -86,41 +90,89 @@ class RepairScheme:
         for i, m in enumerate(matrices):
             if m.shape != shape or m.field != field:
                 raise BadShape(f"matrix {i} has mismatched shape or field")
-        stack = np.stack([m.array for m in matrices])
-        short = np.flatnonzero(batched_rank(field, stack) != shape[0])
+        self._hold(field, np.stack([m.array for m in matrices]))
+
+    @classmethod
+    def from_stack(cls, field: Field, stack: np.ndarray) -> RepairScheme:
+        """The scheme of an (n, rows, cols) stack of field codes."""
+        if not len(stack):
+            raise BadShape("a repair scheme needs at least one matrix")
+        stack = np.array(stack, dtype=np.int64)
+        _check_codes(field, stack)
+        sch = cls.__new__(cls)
+        sch._hold(field, stack)
+        return sch
+
+    def _hold(self, field: Field, stack: np.ndarray) -> None:
+        short = np.flatnonzero(batched_rank(field, stack) != stack.shape[1])
         if short.size:
             raise BadRank(f"matrix {short[0]} does not have full row rank")
         stack.setflags(write=False)
-        self.matrices = matrices
+        self.field = field
         self.stack = stack
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
 
     def __getitem__(self, i: int) -> Matrix:
-        return self.matrices[i]
+        return Matrix(self.field, self.stack[i])
 
 
 def scheme_to_json(sch: RepairScheme, provenance: dict | None = None) -> dict:
+    n, rows, cols = sch.stack.shape
     obj = {
         "v": 1,
-        "per_node": [{"i": i + 1, "M": m.to_json_dict()}
-                     for i, m in enumerate(sch.matrices)],
+        "per_node": [{"i": i + 1, "M": {"rows": rows, "cols": cols,
+                                        "entries": entries}}
+                     for i, entries in
+                     enumerate(sch.stack.reshape(n, -1).tolist())],
     }
     if provenance is not None:
         obj["provenance"] = provenance
     return obj
 
 
-def scheme_from_json(obj: dict, field: Field):
+def _scheme_stack(entries: list):
+    """The (n, rows, cols) stack of a well-formed ``per_node`` list, or None.
+
+    Well formed means dicts whose indices are the plain ints 1..n in any
+    order and whose matrices share one plain-int shape, each with
+    rows*cols plain-int entries that fit in 64 bits (numpy refuses a
+    negative shape).  The types are read in one pass over the flattened
+    values; any other list is left to :func:`_load_entries`, which names
+    its first fault.
+    """
     try:
-        if obj.get("v") != 1 or type(obj["v"]) is not int:
-            raise MalformedInput(f"unsupported schema version {obj.get('v')!r}")
-        rows = list(obj["per_node"])
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad scheme object: {exc}") from exc
+        index = [e["i"] for e in entries]
+        ms = [e["M"] for e in entries]
+        shapes = [(m["rows"], m["cols"]) for m in ms]
+        values = [m["entries"] for m in ms]
+        (rows, cols), = set(shapes)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if set(map(type, itertools.chain(index, *shapes))) != {int} or \
+            sorted(index) != list(range(1, len(index) + 1)) or \
+            set(map(type, values)) != {list} or \
+            set(map(len, values)) != {rows * cols} or \
+            not set(map(type, itertools.chain.from_iterable(values))) <= {int}:
+        return None
+    try:
+        flat = np.array(values, dtype=np.int64)
+        stack = np.empty_like(flat)
+        stack[np.array(index) - 1] = flat
+        return stack.reshape(len(index), rows, cols)
+    except (OverflowError, ValueError):
+        return None
+
+
+def _load_entries(entries: list, field: Field) -> list[Matrix]:
+    """The matrices of a ``per_node`` list in index order, entry by entry.
+
+    The first fault is raised as :class:`MalformedInput` (or the
+    :class:`LevelMismatch` of an entry out of range).
+    """
     by_index = {}
-    for entry in rows:
+    for entry in entries:
         try:
             i = json_ints(entry["i"], "scheme entry i")
             m = Matrix.from_json_dict(field, entry["M"])
@@ -132,8 +184,29 @@ def scheme_from_json(obj: dict, field: Field):
     n = len(by_index)
     if sorted(by_index) != list(range(1, n + 1)):
         raise MalformedInput("scheme node indices must be 1..n")
-    return RepairScheme([by_index[i] for i in range(1, n + 1)]), \
-        obj.get("provenance")
+    return [by_index[i] for i in range(1, n + 1)]
+
+
+def scheme_from_json(obj: dict, field: Field):
+    """Rebuild (scheme, provenance) from a scheme.json dict.
+
+    A well-formed file becomes the stack in whole-array steps
+    (:func:`_scheme_stack`); any other is read entry by entry, so every
+    fault is named as that route names it.
+    """
+    try:
+        if obj.get("v") != 1 or type(obj["v"]) is not int:
+            raise MalformedInput(f"unsupported schema version {obj.get('v')!r}")
+        entries = obj["per_node"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"bad scheme object: {exc}") from exc
+    if not isinstance(entries, list):
+        raise MalformedInput("per_node must be a list")
+    stack = _scheme_stack(entries)
+    if stack is None:
+        return RepairScheme(_load_entries(entries, field)), \
+            obj.get("provenance")
+    return RepairScheme.from_stack(field, stack), obj.get("provenance")
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_criterion_5_counting_property_suite(bundle3, bundle5, tower5):
             i = rng.randrange(sk.n)
             pairs.append((i, _random_feasible(sk.tower.base, sk, i, rng)))
         # the constructed scheme matrices themselves
-        pairs += list(enumerate(bundle.scheme.matrices))
+        pairs += list(enumerate(bundle.scheme))
         audited += _audit(sk, pairs)
 
     assert audited >= 10_000

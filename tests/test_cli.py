@@ -10,9 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mdsrepair
-from mdsrepair import cli
+from mdsrepair import cli, codes, repair
 from mdsrepair.cli import main
-from mdsrepair.codes import CodeSkeleton, realization_from_json
+from mdsrepair.codes import (
+    CodeSkeleton,
+    realization_from_json,
+    realization_to_json,
+)
 from mdsrepair.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -24,7 +28,8 @@ from mdsrepair.errors import (
     ReduciblePolynomial,
     RepairToolError,
 )
-from mdsrepair.repair import scheme_from_json
+from mdsrepair.gf import build_tower
+from mdsrepair.repair import scheme_from_json, scheme_to_json
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +236,15 @@ def test_loader_faults_exit_3(workspace, tmp_path, capsys, case):
         assert f"MalformedInput: tower.{path[2]} = {value} " in err
 
 
+def _retype(docs, faults):
+    """Replace the value v at each path by retype(v)."""
+    for path, retype in faults:
+        target = docs
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = retype(target[path[-1]])
+
+
 # case -> (command, [(path, retype)]): each value keeps the number a lax
 # loader would read (int(1.5) == 1, int(True) == 1, np.int64("1") == 1)
 # but is not a JSON integer, so only its type is at fault
@@ -263,11 +277,7 @@ def test_loaders_take_only_json_integers(workspace, tmp_path, capsys, case):
     docs = {name: json.loads((workspace / f"{name}.json").read_text())
             for name in ("code", "scheme")}
     command, faults, named = LAX_INTEGERS[case]
-    for path, retype in faults:
-        target = docs
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = retype(target[path[-1]])
+    _retype(docs, faults)
     code, scheme = _write_docs(docs, tmp_path)
     argv = [command, code] + ([scheme] if command == "eval" else [])
     assert main(argv) == 3
@@ -314,6 +324,21 @@ EXIT_CONTRACT = {
     "scheme entry without M": (3, "MalformedInput: bad scheme entry: 'M'",
                                ["eval", "code", "scheme"],
                                lambda d: d["scheme"]["per_node"][0].pop("M")),
+    "scheme rows -2 cols -4": (
+        3, "MalformedInput: matrix rows must be nonnegative, got -2",
+        ["eval", "code", "scheme"],
+        lambda d: d["scheme"]["per_node"][0]["M"].update(rows=-2, cols=-4)),
+    "scheme cols -4": (
+        3, "MalformedInput: matrix cols must be nonnegative, got -4",
+        ["eval", "code", "scheme"],
+        lambda d: d["scheme"]["per_node"][5]["M"].update(cols=-4)),
+    "per_node string": (3, "MalformedInput: per_node must be a list",
+                        ["eval", "code", "scheme"],
+                        lambda d: d["scheme"].update(per_node="[]")),
+    "per_node dict": (3, "MalformedInput: per_node must be a list",
+                      ["eval", "code", "scheme"],
+                      lambda d: d["scheme"].update(per_node={
+                          str(e["i"]): e for e in d["scheme"]["per_node"]})),
     "short H": (3, "MalformedInput: node 3: H must be 2 columns of length 4",
                 ["check-mds", "code"],
                 lambda d: d["code"]["nodes"][3]["H"].pop()),
@@ -346,6 +371,42 @@ def test_exit_code_contract(workspace, tmp_path, capsys, case):
     assert main([files.get(a, a) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(start) and "Traceback" not in err
+
+
+def _slow_routes(monkeypatch):
+    """Send every load through the node-by-node and entry-by-entry loops."""
+    monkeypatch.setattr(codes, "_node_arrays", lambda *args: None)
+    monkeypatch.setattr(repair, "_scheme_stack", lambda *args: None)
+
+
+# case -> (argv, edit) for every case of the three fault tables
+FAULT_CASES = {
+    **{f"loader {case}": (["eval", "code", "scheme"],
+                          lambda d, f=faults: [_apply(d, *fault)
+                                               for fault in f])
+       for case, faults in LOADER_FAULTS.items()},
+    **{f"lax {case}": ([command, "code"]
+                       + (["scheme"] if command == "eval" else []),
+                       lambda d, f=faults: _retype(d, f))
+       for case, (command, faults, _) in LAX_INTEGERS.items()},
+    **{f"exit {case}": (argv, edit or (lambda d: None))
+       for case, (_, _, argv, edit) in EXIT_CONTRACT.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(FAULT_CASES))
+def test_both_load_routes_name_every_fault_alike(workspace, tmp_path, capsys,
+                                                 monkeypatch, case):
+    argv, edit = FAULT_CASES[case]
+    docs = {name: json.loads((workspace / f"{name}.json").read_text())
+            for name in ("code", "scheme")}
+    edit(docs)
+    files = dict(zip(docs, _write_docs(docs, tmp_path)))
+    argv = [files.get(a, a) for a in argv]
+    fast = main(argv), capsys.readouterr().err
+    assert fast[0] in {2, 3, 4}
+    _slow_routes(monkeypatch)
+    assert (main(argv), capsys.readouterr().err) == fast
 
 
 DEEP_FILES = {"code": ("tower",), "scheme": ("per_node",)}
@@ -435,6 +496,85 @@ def test_mutated_inputs_fail_classified_and_fast(fuzz_docs, tmp_path, capsys,
         assert main(argv) in {0, 1, 3, 4}, argv  # 2 is for flags, not files
         assert "Traceback" not in capsys.readouterr().err, argv
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.fixture(scope="module")
+def docs5(tmp_path_factory):
+    d = tmp_path_factory.mktemp("q5")
+    assert main(["construct", "--p", "5", "--ell", "2", "--r", "3",
+                 "--n", "24", "--out", str(d)]) == 0
+    docs = {name: json.loads((d / f"{name}.json").read_text())
+            for name in ("code", "scheme")}
+    paths = [(name, *path) for name, doc in docs.items()
+             for path in _mutable_paths(doc)]
+    return docs, paths
+
+
+def _load_outcome(docs):
+    """What the loaders make of the files: arrays and labels, or the error.
+
+    The scheme is loaded over F_5 even when the code does not load.
+    """
+    out = []
+    try:
+        re, labels, _ = realization_from_json(docs["code"])
+        s = re.skeleton
+        out += [a.tolist() for a in (re.points, s.bases, s.pivots)] + [labels]
+    except RepairToolError as exc:
+        out.append((type(exc), str(exc), exc.exit_code))
+    try:
+        sch, _ = scheme_from_json(docs["scheme"], build_tower(5, 1, 2).base)
+        out.append(sch.stack.tolist())
+    except RepairToolError as exc:
+        out.append((type(exc), str(exc), exc.exit_code))
+    return out
+
+
+# one-field corruptions: a fixed value, or the same number as a float or
+# a bool
+CORRUPTIONS = [
+    *[lambda v, x=x: copy.deepcopy(x)
+      for x in FUZZ_VALUES + [True, -3, 4, 5, {}, "free"]],
+    lambda v: v + 0.0 if type(v) is int else 0.0,
+    lambda v: bool(v) if type(v) is int else True,
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_both_load_routes_agree_on_corrupted_files(docs5, monkeypatch, data):
+    docs, paths = docs5
+    docs = copy.deepcopy(docs)
+    path = data.draw(st.sampled_from(paths))
+    _retype(docs, [(path, data.draw(st.sampled_from(CORRUPTIONS)))])
+    fast = _load_outcome(docs)
+    with monkeypatch.context() as m:
+        _slow_routes(m)
+        assert _load_outcome(docs) == fast
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_both_load_routes_agree_on_valid_files(docs5, monkeypatch, data):
+    # any 3 or more of the nodes in any order, with any labels, and the
+    # scheme entries in any order, make valid files
+    docs = copy.deepcopy(docs5[0])
+    keep = data.draw(st.lists(st.integers(0, 23), min_size=3, max_size=24,
+                              unique=True))
+    code, scheme = docs["code"], docs["scheme"]
+    code["n"] = len(keep)
+    code["nodes"] = [dict(code["nodes"][i], label=data.draw(st.text(
+        max_size=4))) for i in keep]
+    scheme["per_node"] = data.draw(st.permutations(
+        [{"i": k + 1, "M": scheme["per_node"][i]["M"]}
+         for k, i in enumerate(keep)]))
+    fast = _load_outcome(docs)
+    assert len(fast) == 5  # both files load
+    with monkeypatch.context() as m:
+        _slow_routes(m)
+        assert _load_outcome(docs) == fast
 
 
 @pytest.mark.parametrize("command", [
@@ -636,13 +776,52 @@ PINNED_ARTIFACTS = {
 }
 
 
+@pytest.fixture
+def dumps_oracle(monkeypatch):
+    """Check every document cli._dumps writes against json.dumps.
+
+    Returns the list of the documents written.
+    """
+    written = []
+    fast = cli._dumps
+
+    def checked(obj):
+        text = fast(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        written.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
+    return written
+
+
 @pytest.mark.parametrize("point", list(PINNED_ARTIFACTS))
-def test_construct_artifacts_pinned(tmp_path, point):
+def test_construct_artifacts_pinned(tmp_path, monkeypatch, dumps_oracle,
+                                    point):
     argv, code_sha, scheme_sha = PINNED_ARTIFACTS[point]
+    # construct's realize and both loaders run whole-array steps only
+    for module, loop in ((codes, "_column_faults"), (codes, "_load_nodes"),
+                         (repair, "_load_entries")):
+        monkeypatch.setattr(module, loop, _refuse(loop))
     assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+    texts = {}
     for name, sha in (("code", code_sha), ("scheme", scheme_sha)):
         data = (tmp_path / f"{name}.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha, name
+        texts[name] = data.decode()
+    # load then save writes the same bytes
+    re, labels, prov = realization_from_json(json.loads(texts["code"]))
+    assert cli._dumps(realization_to_json(re, labels, prov)) == texts["code"]
+    sch, prov = scheme_from_json(json.loads(texts["scheme"]),
+                                 re.skeleton.tower.base)
+    assert cli._dumps(scheme_to_json(sch, prov)) == texts["scheme"]
+    assert len(dumps_oracle) == 4
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return refuse
 
 
 # sha256 of the eval --format json report on construct's files
@@ -653,7 +832,7 @@ PINNED_EVAL = {
 
 
 @pytest.mark.parametrize("point", list(PINNED_EVAL))
-def test_eval_report_pinned(tmp_path, point):
+def test_eval_report_pinned(tmp_path, dumps_oracle, point):
     argv = PINNED_ARTIFACTS[point][0]
     assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
     report = tmp_path / "eval.json"
@@ -662,6 +841,47 @@ def test_eval_report_pinned(tmp_path, point):
                  "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == \
         PINNED_EVAL[point]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-mds", "code.json"],
+    ["bounds", "--q", "9", "--ell", "2", "--r", "3", "--n", "82"],
+    ["bruteforce", "code.json", "--node", "2", "--objective", "io"],
+    ["simulate", "code.json", "scheme.json", "--trials", "3", "--node", "4"],
+    ["sweep", "--p", "3", "--ell", "2", "--r", "2", "--n-min", "8",
+     "--n-max", "9"],
+], ids=lambda argv: argv[0])
+def test_reports_are_written_as_json_dumps_writes_them(workspace, capsys,
+                                                       dumps_oracle, argv):
+    argv = [str(workspace / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--format", "json"]) == 0
+    doc, = dumps_oracle
+    assert capsys.readouterr().out == \
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+TRICKY_TEXT = ["", "free", "inf", "\u00e9\u2603\U0001f600", '"\\/\b\f\n\r\t',
+               "\x00\x1f\x7f", "\ud800"]
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(),
+    st.integers(), st.integers(-10 ** 40, 10 ** 40),
+    st.text(max_size=8), st.sampled_from(TRICKY_TEXT))
+JSON_TREES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers() | st.booleans(), max_size=6),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(max_size=4)
+                                    | st.sampled_from(TRICKY_TEXT), kids,
+                                    max_size=4)
+                  | st.dictionaries(st.integers(-3, 3), kids, max_size=3)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=JSON_TREES)
+def test_writer_writes_what_json_dumps_writes(tree):
+    assert cli._dumps(tree) == \
+        json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 def test_construct_reruns_byte_identical(tmp_path):

@@ -711,6 +711,7 @@ def test_realize_checks_points_in_the_per_point_order(bundle5):
     field = s.tower.base
     rng = random.Random(24)
     kinds = {}  # fault class -> count
+    array_kinds = []  # the fault class of every array-route case
     for _ in range(400):
         sets = re.points.tolist()
         for _ in range(rng.randint(1, 3)):
@@ -739,9 +740,27 @@ def test_realize_checks_points_in_the_per_point_order(bundle5):
         assert _outcome(realize, s, sets) == want
         if want is not None:
             kinds[want[0]] = kinds.get(want[0], 0) + 1
+        # sets of l points of length r*l also take the whole-array route,
+        # as int64 or as uint64 (where -1 wraps to 2^64 - 1)
+        if all(len(pts) == s.ell and all(len(p) == s.ambient for p in pts)
+               for pts in sets):
+            arr = np.array(sets, dtype=np.int64)
+            dtype = (np.int64, np.uint64)[len(array_kinds) % 2]
+            assert _outcome(realize, s, arr.astype(dtype)) == want
+            array_kinds.append(want and want[0])
     assert sum(kinds.values()) > 300
     assert set(kinds) == {NotSpanning, DuplicatePoint, PointOutsideNode,
                           AmbientMismatch, LevelMismatch}
+    assert len(array_kinds) > 200
+    # a zero point is named before an entry out of range in its node
+    sets = re.points.tolist()
+    sets[3] = [[7] * s.ambient, [0] * s.ambient]
+    want = _outcome(_realize_oracle, s, sets)
+    assert want == (NotSpanning, "node 3: a column point is the zero vector")
+    assert _outcome(realize, s, sets) == want
+    assert _outcome(realize, s, np.array(sets)) == want
+    assert set(array_kinds) == {NotSpanning, DuplicatePoint,
+                                PointOutsideNode, LevelMismatch}
 
 
 def test_realize_needs_one_column_set_per_node(bundle5):

@@ -24,6 +24,7 @@ from mdsrepair.errors import (
     BadShape,
     BudgetExceeded,
     InternalInconsistency,
+    LevelMismatch,
     NotARepairMatrix,
     NotMds,
 )
@@ -467,7 +468,7 @@ def test_evaluate_scheme_trivial_gap(bundle3):
 def test_evaluate_scheme_shape_checks(bundle3):
     with pytest.raises(BadShape):
         evaluate_scheme(bundle3.realization,
-                        RepairScheme(list(bundle3.scheme.matrices[:3])))
+                        RepairScheme(list(bundle3.scheme)[:3]))
 
 
 def test_scheme_json_roundtrip(bundle3):
@@ -483,6 +484,16 @@ def test_scheme_json_roundtrip(bundle3):
 def test_scheme_validation(tower3):
     with pytest.raises(BadRank):
         RepairScheme([Matrix(tower3.base, [[1, 0, 1, 0], [2, 0, 2, 0]])])
+    good = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    for stack, error, message in (
+            ([good, [[1, 0, 1, 0], [2, 0, 2, 0]]], BadRank,
+             "matrix 1 does not have full row rank"),
+            ([good, [[1, 0, 0, 0], [0, 3, 0, 0]]], LevelMismatch,
+             "entry out of range"),
+            (np.zeros((0, 2, 4), dtype=np.int64), BadShape,
+             "at least one matrix")):
+        with pytest.raises(error, match=message):
+            RepairScheme.from_stack(tower3.base, np.array(stack))
 
 
 def test_input_guards(bundle3, tower5):
@@ -573,7 +584,7 @@ def test_each_view_is_one_pass_over_one_node(bundle5, monkeypatch, view):
 def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     bundle = build(validate_params(tower3, 2, n))
     ranks = watch_calls(repair, "batched_rank")
-    sch = RepairScheme(bundle.scheme.matrices)
+    sch = RepairScheme(list(bundle.scheme))
     assert ranks == [(n, 2, 4)]  # every matrix's row rank in one call
     elims = watch_calls(linalg, "_elimination_ranks")
     evaluate_scheme(bundle.realization, sch)
@@ -586,20 +597,24 @@ def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
 
 def test_scheme_keeps_one_read_only_stack(bundle3):
     re, sch = bundle3.realization, bundle3.scheme
+    field = re.skeleton.tower.base
     assert sch.stack.shape == (9, 2, 4) and not sch.stack.flags.writeable
-    assert all(np.array_equal(a, m.array)
-               for a, m in zip(sch.stack, sch.matrices))
-    # the scheme pass and the replay read the stack, not the matrices: a
-    # scheme whose stack holds the trivial matrix of every node is
-    # evaluated as that trivial scheme
-    trivial = RepairScheme([Matrix(re.skeleton.tower.base,
-                                   [[1, 0, 0, 0], [0, 1, 0, 0]])] * 9)
-    swapped = RepairScheme(sch.matrices)
+    assert len(sch) == 9 and sch.field == field
+    # sch[i] is a Matrix made from the stack on demand
+    assert [m.array.tolist() for m in sch] == sch.stack.tolist()
+    assert RepairScheme.from_stack(field, sch.stack).stack.tolist() == \
+        sch.stack.tolist()
+    # the scheme pass, the replay and the writer read the stack: a scheme
+    # whose stack holds the trivial matrix of every node is evaluated and
+    # written as that trivial scheme
+    trivial = RepairScheme([Matrix(field, [[1, 0, 0, 0], [0, 1, 0, 0]])] * 9)
+    swapped = RepairScheme(list(sch))
     swapped.stack = trivial.stack
     assert _pass(re, swapped).bandwidth == (16,) * 9
     assert [st.downloaded for st in _node_states(re, swapped, range(9))] == \
         [16] * 9
-    assert scheme_to_json(swapped) == scheme_to_json(sch)
+    assert swapped[4] == trivial[4] != sch[4]
+    assert scheme_to_json(swapped) == scheme_to_json(trivial)
 
 
 # -- the batched scheme pass and its one-node views against the oracle -----------
@@ -831,7 +846,7 @@ def _distinct_matrix_cases(bundle3, bundle5, larger_bundles):
     # one of bundle3's two matrices shared with one more node: node j
     # takes the matrix of nodes 4..8 (j < 4) or of nodes 0..3 (j >= 4)
     for j in range(9):
-        matrices = list(bundle3.scheme.matrices)
+        matrices = list(bundle3.scheme)
         matrices[j] = matrices[8 if j < 4 else 0]
         cases.append((bundle3.realization, RepairScheme(matrices), range(9),
                       None))
@@ -953,7 +968,7 @@ def test_scheme_pass_catches_a_wrong_rank_route(bundle5, monkeypatch):
 
 
 def test_scheme_pass_names_the_node_it_cannot_repair(bundle3):
-    matrices = list(bundle3.scheme.matrices)
+    matrices = list(bundle3.scheme)
     matrices[2] = matrices[8]  # M_8's kernel meets node 2 in dimension 1
     with pytest.raises(NotARepairMatrix, match="node 2"):
         evaluate_scheme(bundle3.realization, RepairScheme(matrices))
@@ -1051,7 +1066,7 @@ def test_scheme_pass_catches_dual_cover_faults(bundle3, bundle5, monkeypatch):
     # for node 0 whose kernel meets node 5 puts one covector on two helpers
     re, m = _covering_twice(bundle3)
     bad = re.skeleton
-    sch = RepairScheme([m] + list(bundle3.scheme.matrices[1:]))
+    sch = RepairScheme([m] + list(bundle3.scheme)[1:])
     assert _pass(re, sch).mults[0].max() == 2 > bad.r - 1
     bad._mds = None  # the cached verdict "verified MDS"
     with pytest.raises(InternalInconsistency,
@@ -1074,4 +1089,4 @@ def test_scheme_pass_checks_shape_before_any_product(bundle3):
             evaluate_scheme(bundle3.realization, RepairScheme([m] * 9))
     with pytest.raises(BadShape, match="8 matrices for 9 nodes"):
         evaluate_scheme(bundle3.realization,
-                        RepairScheme(bundle3.scheme.matrices[:8]))
+                        RepairScheme(list(bundle3.scheme)[:8]))
