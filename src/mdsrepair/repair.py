@@ -85,12 +85,13 @@ class RepairScheme:
         matrices = tuple(matrices)
         if not matrices:
             raise BadShape("a repair scheme needs at least one matrix")
-        shape = matrices[0].shape
-        field = matrices[0].field
+        m0 = matrices[0]
         for i, m in enumerate(matrices):
-            if m.shape != shape or m.field != field:
-                raise BadShape(f"matrix {i} has mismatched shape or field")
-        self._hold(field, np.stack([m.array for m in matrices]))
+            if m.shape != m0.shape or m.field != m0.field:
+                raise BadShape(f"matrix {i} ({m.rows}x{m.cols}) and matrix "
+                               f"0 ({m0.rows}x{m0.cols}) differ in shape or "
+                               "field")
+        self._hold(m0.field, np.stack([m.array for m in matrices]))
 
     @classmethod
     def from_stack(cls, field: Field, stack: np.ndarray) -> RepairScheme:

@@ -1,32 +1,28 @@
 """Operational repair runs that reconcile with the analytic counts.
 
-Each helper factors its compressed block M H_j as A B with B a maximal
+Each node j factors its compressed block M H_j as A B with B a maximal
 independent subset of the rows (taken greedily from the top), sends the
 rank-many symbols B C_j, and reads only the coordinates of C_j under the
 nonzero columns of B, which are exactly the nonzero columns of M H_j.
-The repairer recombines the summands with the A factors and applies
--(M H_i)^(-1).  Reconstruction is exact field arithmetic, so a replayed
-block either matches the erased block bit for bit or the implementation is
-wrong.
+On a codeword the sum of all M H_j C_j is M H C = 0, so the helpers' sum
+is the whole sum with block i erased, and -(M H_i)^(-1) maps it to block
+i.  Reconstruction is exact field arithmetic, so a replayed block either
+matches the erased block bit for bit or the implementation is wrong.
 
-A campaign factors the helper blocks of the nodes it replays in one
-batched elimination of their transposes (H^T), once per distinct repair
-matrix and node: the pivot columns of H^T pick the rows B, and its
-nonzero reduced rows are the columns of A.  Its one-matrix form, the
-reference the tests compare against, lives in ``tests/replay_oracle.py``.
-Helpers send from their own reads: a sent symbol is a combination of at
-most l symbols that its helper read, so a campaign forms every sent
-symbol of a node for a chunk of T codewords in at most l table steps
-over (., T) arrays, one per coordinate of a helper block.  Recombining
-them with the A factors and applying -(M H_i)^(-1) are then two (., T)
-products.  Each chunk samples its words from their own per-trial seeds (seed, t): one
-set of whole-array steps draws the same PCG64 words as a numpy generator
-per trial, and only a trial whose draws numpy would reject, or whose seed
-is not a pair of ints in [0, 2^32), is drawn by numpy's generator itself
-(:func:`codes.sample_codewords`).  The chunk then checks all its
-syndromes in one product and compares every reconstructed block exactly.
-A chunk holds at most ``_TRIAL_CHUNK`` trials.  Field products accumulate
-over their inner axis, so no array of a chunk is larger than n*l by T.
+A campaign keeps one pipeline per distinct repair matrix, over all n
+nodes, from one batched elimination of the blocks' transposes: the pivot
+columns of H^T pick the rows B, and its nonzero reduced rows are the
+columns of A (``tests/replay_oracle.py`` holds the one-matrix form).  A
+node is replayed on its erased word: its reads are zeroed, so it sends
+0s and the recombination sums its helpers' symbols alone.  A sent symbol
+combines at most l reads of its node, so a chunk of T codewords is sent
+in at most l table steps over (., T) arrays; recombining and applying
+-(M H_i)^(-1) are two (., T) products.  Each chunk draws the words of
+its per-trial seeds (seed, t) in whole-array steps
+(:func:`codes.sample_codewords`), checks all their syndromes in one
+product and compares every rebuilt block exactly.  A chunk holds at most
+``_TRIAL_CHUNK`` trials; field products accumulate over their inner
+axis, so no array of a chunk is larger than n*l by T.
 """
 
 from __future__ import annotations
@@ -58,51 +54,66 @@ from .repair import (
     evaluate_scheme,
 )
 
-# Trials replayed together: each step of a node's replay is one pass over
-# (rows, T) arrays of at most n*l rows.
+# Trials replayed together: each step is one pass over (<= n*l, T) arrays.
 _TRIAL_CHUNK = 128
 
 
-class _NodeState:
-    """The repair pipeline of node ``failed``.
+@dataclass(slots=True, eq=False)
+class _Pipeline:
+    """The repair pipeline of one repair matrix M over all n nodes.
 
-    ``gather`` indexes the symbols the helpers read in a flattened word.
-    Sent symbol r is the sum over slots c of ``send_coef[r, c]`` times
-    read ``send_idx[r, c]``: slot c is coordinate c of its helper's block,
-    so every index points at a read of its own helper, and a coordinate
-    the helper does not read has coefficient 0 and points at the helper's
-    first read.  ``a_all`` recombines the sent symbols and ``neg_inv`` is
-    -(M H_i)^(-1).
+    Node j reads ``gather[read_off[j]:read_off[j + 1]]`` of a flattened
+    word, the nonzero columns of its M H_j.  Sent symbol r is the sum over
+    slots c of ``send_coef[r, c]`` times read ``send_idx[r, c]``: slot c
+    is coordinate c of its node's block, and one the node does not read
+    has coefficient 0 at the node's first read.  ``a_all`` recombines the
+    sent symbols.
     """
 
-    __slots__ = ("failed", "neg_inv", "a_all", "send_idx", "send_coef",
-                 "gather", "downloaded", "accessed")
+    a_all: np.ndarray
+    send_idx: np.ndarray
+    send_coef: np.ndarray
+    gather: np.ndarray
+    read_off: np.ndarray
 
 
-def _send(field, st: _NodeState, read: np.ndarray) -> np.ndarray:
-    """The symbols the helpers of ``st`` send, from their (accessed, T) reads.
+@dataclass(slots=True, eq=False)
+class _NodeState:
+    """Node ``failed``: ``neg_inv`` = -(M H_i)^(-1), its matrix's ``pipe``,
+    and how many symbols its helpers send (``downloaded``) and read
+    (``accessed``): the pipeline's less the node's own."""
+
+    failed: int
+    neg_inv: np.ndarray
+    pipe: _Pipeline
+    downloaded: int
+    accessed: int
+
+
+def _send(field, pipe: _Pipeline, read: np.ndarray) -> np.ndarray:
+    """The symbols the nodes of ``pipe`` send, from their (accessed, T) reads.
 
     One product-table and one sum-table step per slot, over (sent, T)
     arrays; the codes come back in the tables' dtype.
     """
     q, tabs = np.int64(field.order), field._tabs()
-    coef = st.send_coef * q
-    sent = tabs.mul[coef[:, :1] + read[st.send_idx[:, 0]]]
+    coef = pipe.send_coef * q
+    sent = tabs.mul[coef[:, :1] + read[pipe.send_idx[:, 0]]]
     for c in range(1, coef.shape[1]):
         sent = tabs.add[sent * q + tabs.mul[coef[:, c:c + 1]
-                                            + read[st.send_idx[:, c]]]]
+                                            + read[pipe.send_idx[:, c]]]]
     return sent
 
 
 def _node_states(re: Realization, sch: RepairScheme,
                  nodes) -> list[_NodeState]:
-    """The repair pipelines of ``nodes``, from one batched elimination.
+    """The repair states of ``nodes``, from one batched elimination.
 
-    The per-node factorizations depend only on the scheme, so a campaign
-    builds them once and reuses them across trials.  A helper block M H_j
+    The factorizations depend only on the scheme, so a campaign builds
+    them once and reuses them across trials.  A helper block M H_j
     depends only on M and j, so the blocks of each distinct matrix
     (:func:`repair._distinct`) against all n nodes are formed and
-    eliminated once, and each node's pipeline reads its matrix's row.
+    eliminated once, into the pipeline all nodes of that matrix share.
     """
     s = re.skeleton
     field = s.tower.base
@@ -115,60 +126,43 @@ def _node_states(re: Realization, sch: RepairScheme,
     reduced = reduced.reshape(d, n, ell, ell)
     ranks = ranks.reshape(d, n)
     is_piv = is_piv.reshape(d, n, ell)
-    for u, i in zip(inv, nodes):
-        if ranks[u, i] != ell:
-            raise NotARepairMatrix(i)
     # -(M H_i)^(-1) of every node from one elimination of [M H_i | I]
     eye = np.broadcast_to(np.eye(ell, dtype=np.int64), (k, ell, ell))
     diag = blocks[inv, nodes]
     neg_inv = field.arr_neg(_elimination_ranks(
         field, np.concatenate([diag, eye], axis=2))[0][:, :, ell:])
     # B is the rows of M H_j at the pivot columns of its transpose, A^T
-    # the nonzero reduced rows, and a helper reads the nonzero columns
-    # of B
+    # the nonzero reduced rows, and node j reads the nonzero columns of B
     a_rows = np.arange(ell) < ranks[..., None]
     reads = ((blocks != 0) & is_piv[..., None]).any(axis=2)
-    cols = np.arange(ell)
+    # position of every read among its matrix's gathered ones; an unread
+    # coordinate takes its node's first read
+    seen = reads.reshape(d, -1).cumsum(axis=1).reshape(d, n, ell)
+    read_off = np.pad(seen[..., -1], ((0, 0), (1, 0)))
+    idx = np.where(reads, seen - 1, read_off[:, :-1, None])
+    pipes = [_Pipeline(reduced[u][a_rows[u]].T,
+                       idx[u][np.nonzero(is_piv[u])[0]], blocks[u][is_piv[u]],
+                       np.flatnonzero(reads[u]), read_off[u])
+             for u in range(d)]
     states = []
     for a, (u, i) in enumerate(zip(inv, nodes)):
-        helpers = np.delete(np.arange(n), i)
-        read = reads[u, helpers]
-        in_b = is_piv[u, helpers]  # the rows of each M H_j kept as B
-        # position of every read among the gathered ones; an unread
-        # coordinate takes its helper's first read
-        seen = np.cumsum(read).reshape(read.shape)
-        first = seen[:, -1] - read.sum(axis=1)
-        st = _NodeState()
-        st.failed = i
-        st.neg_inv = neg_inv[a]
-        st.a_all = reduced[u, helpers][a_rows[u, helpers]].T
-        st.send_coef = blocks[u, helpers][in_b]
-        st.send_idx = np.where(read, seen - 1,
-                               first[:, None])[np.nonzero(in_b)[0]]
-        st.gather = (helpers[:, None] * ell + cols)[read]
-        st.downloaded = len(st.send_coef)
-        st.accessed = len(st.gather)
-        states.append(st)
+        if ranks[u, i] != ell:
+            raise NotARepairMatrix(i)
+        p = pipes[u]
+        states.append(_NodeState(
+            i, neg_inv[a], p, len(p.send_coef) - int(ranks[u, i]),
+            len(p.gather) - int(p.read_off[i + 1] - p.read_off[i])))
     return states
 
 
-def _replay(field, st: _NodeState, words: np.ndarray,
-            first_trial: int = 0) -> np.ndarray:
-    """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T).
-
-    Word t of the stack is trial ``first_trial + t``, which an
-    inconsistency names.
-    """
-    read = words.reshape(len(words), -1).T[st.gather]
-    sent = _send(field, st, read)
-    block = field.matmul(st.neg_inv, field.matmul(st.a_all, sent))
-    erased = words[:, st.failed].T
-    if not np.array_equal(block, erased):
-        t = first_trial + int(np.flatnonzero((block != erased).any(0))[0])
-        raise InternalInconsistency(
-            f"reconstructed block of node {st.failed} differs from the "
-            f"erased block in trial {t}")
-    return block
+def _replay(field, st: _NodeState, words: np.ndarray) -> np.ndarray:
+    """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T),
+    rebuilt from the word with that block erased."""
+    p, i = st.pipe, st.failed
+    read = words.reshape(len(words), -1).T[p.gather]
+    read[p.read_off[i]:p.read_off[i + 1]] = 0
+    return field.matmul(st.neg_inv,
+                        field.matmul(p.a_all, _send(field, p, read)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +243,12 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
         for st in states:
-            _replay(field, st, words, t0)
+            bad = np.flatnonzero(
+                (_replay(field, st, words) != words[:, st.failed].T).any(0))
+            if bad.size:
+                raise InternalInconsistency(
+                    f"reconstructed block of node {st.failed} differs from "
+                    f"the erased block in trial {t0 + int(bad[0])}")
     return CampaignReport(
         trials=int(trials), seed=int(seed), rng=CODEWORD_SAMPLER,
         nodes=node_list,

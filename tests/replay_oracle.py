@@ -5,9 +5,11 @@ elimination and samples and checks its words a chunk at a time.
 ``row_factor`` is the one-matrix form of that factorization, and
 ``sample_codeword`` and ``is_codeword`` are the one-word forms of
 ``codes.sample_codewords`` and ``codes.syndromes``.
-``node_states_oracle`` builds the campaign's node pipelines from the
+``node_states_oracle`` builds each listed node's own pipeline from the
 blocks of every listed node, where the campaign forms those of each
-distinct repair matrix once.
+distinct repair matrix once, into one pipeline over all n nodes that the
+nodes of that matrix share; ``node_view`` cuts a node's own pipeline
+from that shared one.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from mdsrepair.codes import sample_codewords, syndromes
 from mdsrepair.errors import NotARepairMatrix
 from mdsrepair.linalg import Matrix, _elimination_ranks
 from mdsrepair.repair import _compressed_blocks
-from mdsrepair.simulate import _NodeState
 from rref_oracle import rref_oracle
 
 
@@ -47,10 +48,50 @@ def is_codeword(re, cw) -> bool:
     return not syndromes(re, cw[None]).any()
 
 
+class NodeView:
+    """The repair pipeline of node ``failed`` alone.
+
+    ``gather`` indexes the symbols its helpers read in a flattened word.
+    Sent symbol r is the sum over slots c of ``send_coef[r, c]`` times
+    read ``send_idx[r, c]`` (an index into ``gather``); ``a_all``
+    recombines the sent symbols and ``neg_inv`` is -(M H_i)^(-1).
+    """
+
+    __slots__ = ("failed", "neg_inv", "a_all", "send_idx", "send_coef",
+                 "gather", "downloaded", "accessed")
+
+
+def own_rows(st, ell):
+    """The sent rows of ``st.pipe`` that node ``st.failed`` sends itself."""
+    p = st.pipe
+    return p.gather[p.send_idx[:, 0]] // ell == st.failed
+
+
+def node_view(st, ell):
+    """Node ``st.failed``'s own pipeline, cut from its matrix's shared one:
+    the node's own reads and sent rows dropped, and the read indices after
+    them moved down by the node's read count."""
+    p, i = st.pipe, st.failed
+    lo, hi = p.read_off[i], p.read_off[i + 1]
+    rows = ~own_rows(st, ell)
+    idx = p.send_idx[rows]
+    v = NodeView()
+    v.failed = i
+    v.neg_inv = st.neg_inv
+    v.a_all = p.a_all[:, rows]
+    v.send_idx = np.where(idx >= hi, idx - (hi - lo), idx)
+    v.send_coef = p.send_coef[rows]
+    v.gather = np.delete(p.gather, np.arange(lo, hi))
+    v.downloaded = st.downloaded
+    v.accessed = st.accessed
+    return v
+
+
 def node_states_oracle(re, sch, nodes):
-    """``simulate._node_states`` as it was before it worked once per
-    distinct matrix: the blocks of every listed node against all n nodes,
-    (k, n, l, l), formed and eliminated in one batch.
+    """Each listed node's own pipeline, as ``simulate._node_states`` built
+    it before it worked once per distinct matrix: the blocks of every
+    listed node against all n nodes, (k, n, l, l), formed and eliminated
+    in one batch, then cut node by node without the node's own block.
     """
     s = re.skeleton
     field = s.tower.base
@@ -85,7 +126,7 @@ def node_states_oracle(re, sch, nodes):
         # coordinate takes its helper's first read
         seen = np.cumsum(read).reshape(read.shape)
         first = seen[:, -1] - read.sum(axis=1)
-        st = _NodeState()
+        st = NodeView()
         st.failed = i
         st.neg_inv = neg_inv[a]
         st.a_all = reduced[a, helpers][a_rows[a, helpers]].T

@@ -332,6 +332,11 @@ EXIT_CONTRACT = {
         3, "MalformedInput: matrix cols must be nonnegative, got -4",
         ["eval", "code", "scheme"],
         lambda d: d["scheme"]["per_node"][5]["M"].update(cols=-4)),
+    "scheme matrix 0 is 0x0": (
+        3, "BadShape: matrix 1 (2x4) and matrix 0 (0x0) differ in shape or "
+           "field", ["eval", "code", "scheme"],
+        lambda d: d["scheme"]["per_node"][0]["M"].update(rows=0, cols=0,
+                                                         entries=[])),
     "per_node string": (3, "MalformedInput: per_node must be a list",
                         ["eval", "code", "scheme"],
                         lambda d: d["scheme"].update(per_node="[]")),

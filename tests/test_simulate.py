@@ -19,7 +19,8 @@ from mdsrepair.repair import RepairScheme, evaluate_scheme
 from mdsrepair.simulate import _node_states, _replay, campaign
 
 from pass_oracle import bandwidth_oracle, io_count_oracle
-from replay_oracle import is_codeword, row_factor, sample_codeword
+from replay_oracle import (is_codeword, node_view, own_rows, row_factor,
+                           sample_codeword)
 from rref_oracle import rref_oracle
 
 F3 = build_tower(3, 1, 1).base
@@ -297,7 +298,7 @@ def test_session_factors_match_row_factor(request, name):
     re, sch = bundle.realization, bundle.scheme
     field = re.skeleton.tower.base
     ell = re.skeleton.ell
-    states = _node_states(re, sch, range(re.n))
+    states = [node_view(st, ell) for st in _node_states(re, sch, range(re.n))]
     for i, st in enumerate(states):
         mh_i = _compressed(re, sch[i], i)
         assert np.array_equal(st.neg_inv,
@@ -353,10 +354,13 @@ def test_sent_symbols_match_the_dense_product(request, name):
     flat = words.reshape(len(words), -1)
     short = 0
     for st in _node_states(re, sch, range(re.n)):
-        read = flat[:, st.gather].T
-        want = field.matmul(_dense_send(re, sch, st), read)
-        assert np.array_equal(simulate._send(field, st, read), want)
-        short += int(((st.send_coef != 0).sum(axis=1) < ell).sum())
+        # the helpers' rows of the shared pipeline's sent symbols
+        sent = simulate._send(field, st.pipe, flat[:, st.pipe.gather].T)
+        view = node_view(st, ell)
+        want = field.matmul(_dense_send(re, sch, view),
+                            flat[:, view.gather].T)
+        assert np.array_equal(sent[~own_rows(st, ell)], want)
+        short += int(((view.send_coef != 0).sum(axis=1) < ell).sum())
     if name == "bundle27":
         assert short == 1324  # sent rows that read fewer than l symbols
 
@@ -375,14 +379,51 @@ def test_replay_makes_no_send_product(bundle9, monkeypatch):
     monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 4)
     campaign(re, sch, trials=10, seed=2)  # three chunks
     replay = [a for caller, a in calls if caller == "_replay"]
-    # a_all, then neg_inv, at every node of every chunk; no product has
-    # the (sent, accessed) shape of a send matrix
+    # the shared a_all, then the node's neg_inv, at every node of every
+    # chunk; no product has the (sent, accessed) shape of a send matrix,
+    # of one node's helpers or of a whole pipeline
     assert len(replay) == 2 * re.n * 3
     for k, a in enumerate(replay):
         st = states[k // 2 % re.n]
-        assert np.array_equal(a, st.neg_inv if k % 2 else st.a_all)
-    shapes = {(st.downloaded, st.accessed) for st in states}
+        assert np.array_equal(a, st.neg_inv if k % 2 else st.pipe.a_all)
+    shapes = {(st.downloaded, st.accessed) for st in states} | {
+        (len(st.pipe.send_coef), len(st.pipe.gather)) for st in states}
     assert not any(np.shape(a) in shapes for _, a in calls)
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
+def test_nodes_share_their_matrix_pipeline(request, name):
+    bundle = request.getfixturevalue(name)
+    re, sch = bundle.realization, bundle.scheme
+    states = _node_states(re, sch, range(re.n))
+    # one pipeline per distinct matrix, each over all n nodes
+    assert len({id(st.pipe) for st in states}) == \
+        len(np.unique(sch.stack, axis=0)) == 2
+    for a in states:
+        assert len(a.pipe.read_off) == re.n + 1
+        for b in states:
+            assert (a.pipe is b.pipe) == \
+                np.array_equal(sch.stack[a.failed], sch.stack[b.failed])
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
+def test_replay_rebuilds_without_the_erased_block(request, name):
+    bundle = request.getfixturevalue(name)
+    re, sch = bundle.realization, bundle.scheme
+    field = re.skeleton.tower.base
+    words = simulate.sample_codewords(re, [(12, t) for t in range(6)])
+    rng = np.random.default_rng(12)
+    for st in _node_states(re, sch, range(re.n)):
+        # the failed block overwritten with other nonzero codes: the
+        # rebuilt block is still the sampled codeword's
+        other = words.copy()
+        other[:, st.failed] = rng.integers(1, field.order,
+                                           other[:, st.failed].shape)
+        assert (other[:, st.failed] != words[:, st.failed]).any()
+        assert np.array_equal(_replay(field, st, other),
+                              words[:, st.failed].T)
 
 
 def test_session_builds_all_nodes_in_one_elimination(bundle5, watch_calls):
@@ -404,8 +445,10 @@ def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
         for st in states:
             if st.failed != 3:
                 continue
-            if fault in ("neg_inv", "send_coef"):
-                setattr(st, fault, np.zeros_like(getattr(st, fault)))
+            if fault == "send_coef":  # in the pipeline node 3 shares
+                st.pipe.send_coef = np.zeros_like(st.pipe.send_coef)
+            elif fault == "neg_inv":
+                st.neg_inv = np.zeros_like(st.neg_inv)
             else:
                 setattr(st, fault, getattr(st, fault) + 1)
         return states
@@ -413,11 +456,16 @@ def test_campaign_detects_a_corrupted_session(bundle3, monkeypatch, fault):
     monkeypatch.setattr(simulate, "_node_states", corrupt)
     re, sch = bundle3.realization, bundle3.scheme
     if fault in ("neg_inv", "send_coef"):
-        # both rebuild a zero block: the first trial whose block 3 is not
-        # zero is named
+        # both rebuild a zero block: the first trial whose block is not
+        # zero is named, at node 3 for its own neg_inv, and for the
+        # send_coef node 3 shares at the first node of its matrix
+        node = 3 if fault == "neg_inv" else next(
+            j for j in range(re.n)
+            if np.array_equal(sch.stack[j], sch.stack[3]))
+        assert node == (3 if fault == "neg_inv" else 0)
         first = next(t for t in range(5)
-                     if sample_codeword(re, (3, t))[3].any())
-        match = f"node 3 differs from the erased block in trial {first}$"
+                     if sample_codeword(re, (3, t))[node].any())
+        match = f"node {node} differs from the erased block in trial {first}$"
     else:
         match = "at node 3$"
     with pytest.raises(InternalInconsistency, match=match):
