@@ -103,22 +103,28 @@ class CodeSkeleton:
         if len(generators) < r or r < 1:
             raise TooFewNodes(f"need at least r={r} nodes, "
                               f"got {len(generators)}")
-        nodes = []
-        for i, rows in enumerate(generators):
-            try:
-                rows = np.asarray(rows, dtype=np.int64)
-            except ValueError as exc:  # e.g. rows of different lengths
-                raise WrongAmbient(f"node {i}: generator rows do not form "
-                                   f"an array: {exc}") from exc
-            if rows.ndim != 2 or rows.shape[1] != ambient:
-                raise WrongAmbient(f"node {i}: generator rows of shape "
-                                   f"{rows.shape}, expected (rows, {ambient})")
-            nodes.append(rows)
-        # zero rows span nothing, so nodes with fewer rows are padded
-        gens = np.zeros((len(nodes), max(map(len, nodes)), ambient),
-                        dtype=np.int64)
-        for rows, out in zip(nodes, gens):
-            out[:len(rows)] = rows
+        if isinstance(generators, np.ndarray) and generators.ndim == 3 \
+                and generators.shape[2] == ambient \
+                and generators.dtype.kind in "iu":
+            gens = generators.astype(np.int64)  # a copy: scratch space
+        else:  # node by node, so that a fault names its node
+            nodes = []
+            for i, rows in enumerate(generators):
+                try:
+                    rows = np.asarray(rows, dtype=np.int64)
+                except ValueError as exc:  # e.g. rows of different lengths
+                    raise WrongAmbient(f"node {i}: generator rows do not "
+                                       f"form an array: {exc}") from exc
+                if rows.ndim != 2 or rows.shape[1] != ambient:
+                    raise WrongAmbient(f"node {i}: generator rows of shape "
+                                       f"{rows.shape}, expected (rows, "
+                                       f"{ambient})")
+                nodes.append(rows)
+            # zero rows span nothing, so nodes with fewer rows are padded
+            gens = np.zeros((len(nodes), max(map(len, nodes)), ambient),
+                            dtype=np.int64)
+            for rows, out in zip(nodes, gens):
+                out[:len(rows)] = rows
         _check_codes(tower.base, gens)
         reduced, ranks, is_piv = linalg._elimination_ranks(tower.base, gens)
         short = np.flatnonzero(ranks != ell)

@@ -13,16 +13,21 @@ A campaign keeps one pipeline per distinct repair matrix, over all n
 nodes, from one batched elimination of the blocks' transposes: the pivot
 columns of H^T pick the rows B, and its nonzero reduced rows are the
 columns of A (``tests/replay_oracle.py`` holds the one-matrix form).  A
-node is replayed on its erased word: its reads are zeroed, so it sends
-0s and the recombination sums its helpers' symbols alone.  A sent symbol
-combines at most l reads of its node, so a chunk of T codewords is sent
-in at most l table steps over (., T) arrays; recombining and applying
--(M H_i)^(-1) are two (., T) products.  Each chunk draws the words of
-its per-trial seeds (seed, t) in whole-array steps
+chunk of T codewords is replayed one matrix at a time: every node of the
+pipeline reads and sends from the whole word once (a sent symbol
+combines at most l reads of its node, so at most l table steps over
+(., T) arrays), and one product recombines all of them into
+S = sum_j A_j B_j C_j.  Each replayed node i then subtracts its own share
+A_i B_i C_i, one batched product for all nodes of the matrix; field
+subtraction is exact, so S - A_i B_i C_i is the helpers' sum term for
+term on every word, and the rebuilt block cannot depend on the erased
+one.  A last batched product applies each -(M H_i)^(-1).  Each chunk
+draws the words of its per-trial seeds (seed, t) in whole-array steps
 (:func:`codes.sample_codewords`), checks all their syndromes in one
-product and compares every rebuilt block exactly.  A chunk holds at most
-``_TRIAL_CHUNK`` trials; field products accumulate over their inner
-axis, so no array of a chunk is larger than n*l by T.
+product and compares every rebuilt block exactly, in one step.  A chunk
+holds at most ``_TRIAL_CHUNK`` trials and one matrix's sent symbols;
+field products accumulate over their inner axis, so no array of a chunk
+is larger than max(n, k)*l by T for k replayed nodes.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class _Pipeline:
     slots c of ``send_coef[r, c]`` times read ``send_idx[r, c]``: slot c
     is coordinate c of its node's block, and one the node does not read
     has coefficient 0 at the node's first read.  ``a_all`` recombines the
-    sent symbols.
+    sent symbols; a node's sent rows are contiguous, in node order.
     """
 
     a_all: np.ndarray
@@ -81,13 +86,15 @@ class _Pipeline:
 class _NodeState:
     """Node ``failed``: ``neg_inv`` = -(M H_i)^(-1), its matrix's ``pipe``,
     and how many symbols its helpers send (``downloaded``) and read
-    (``accessed``): the pipeline's less the node's own."""
+    (``accessed``): the pipeline's less the node's own.  The node's own
+    block has rank l, so it sends the l pipeline rows from ``sent_at``."""
 
     failed: int
     neg_inv: np.ndarray
     pipe: _Pipeline
     downloaded: int
     accessed: int
+    sent_at: int
 
 
 def _send(field, pipe: _Pipeline, read: np.ndarray) -> np.ndarray:
@@ -144,6 +151,7 @@ def _node_states(re: Realization, sch: RepairScheme,
                        idx[u][np.nonzero(is_piv[u])[0]], blocks[u][is_piv[u]],
                        np.flatnonzero(reads[u]), read_off[u])
              for u in range(d)]
+    sent_at = ranks.cumsum(axis=1) - ranks
     states = []
     for a, (u, i) in enumerate(zip(inv, nodes)):
         if ranks[u, i] != ell:
@@ -151,18 +159,35 @@ def _node_states(re: Realization, sch: RepairScheme,
         p = pipes[u]
         states.append(_NodeState(
             i, neg_inv[a], p, len(p.send_coef) - int(ranks[u, i]),
-            len(p.gather) - int(p.read_off[i + 1] - p.read_off[i])))
+            len(p.gather) - int(p.read_off[i + 1] - p.read_off[i]),
+            int(sent_at[u, i])))
     return states
 
 
-def _replay(field, st: _NodeState, words: np.ndarray) -> np.ndarray:
-    """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T),
-    rebuilt from the word with that block erased."""
-    p, i = st.pipe, st.failed
-    read = words.reshape(len(words), -1).T[p.gather]
-    read[p.read_off[i]:p.read_off[i + 1]] = 0
-    return field.matmul(st.neg_inv,
-                        field.matmul(p.a_all, _send(field, p, read)))
+def _replay(field, states: list[_NodeState], words: np.ndarray) -> np.ndarray:
+    """Block ``st.failed`` of each word of a (T, n, l) stack for every
+    state, as (len(states), l, T), each rebuilt from its helpers alone.
+
+    One matrix at a time: its pipeline sends and recombines the whole
+    word once, into S, and each of its nodes subtracts its own share from
+    S (see the module docstring).
+    """
+    ell = words.shape[2]
+    flat = words.reshape(len(words), -1).T
+    groups = {}  # each pipeline and its states' positions, in first use
+    for a, st in enumerate(states):
+        groups.setdefault(id(st.pipe), (st.pipe, []))[1].append(a)
+    out = np.empty((len(states), ell, len(words)), dtype=np.int64)
+    for p, at in groups.values():
+        sent = _send(field, p, flat[p.gather])
+        whole = field.matmul(p.a_all, sent)
+        # the l rows each node sends itself, and its l columns of a_all
+        own = np.array([[states[a].sent_at] for a in at]) + np.arange(ell)
+        share = field.matmul(p.a_all[:, own].swapaxes(0, 1), sent[own])
+        out[at] = field.matmul(np.stack([states[a].neg_inv for a in at]),
+                               field.arr_sub(whole, share))
+        del sent  # before the next matrix sends: one matrix's at a time
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,7 +245,11 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
     s = re.skeleton
     if int(trials) < 1:
         raise BadShape("a campaign needs at least one trial")
+    if int(first_trial) < 0:
+        raise BadShape(f"first_trial must be nonnegative, got {first_trial}")
     node_list = tuple(range(s.n)) if nodes is None else tuple(int(i) for i in nodes)
+    if not node_list:
+        raise BadShape("nodes must list at least one node")
     for i in node_list:
         if not 0 <= i < s.n:
             raise BadShape(f"node index {i} out of range")
@@ -242,13 +271,15 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
         if bad.size:
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
-        for st in states:
-            bad = np.flatnonzero(
-                (_replay(field, st, words) != words[:, st.failed].T).any(0))
-            if bad.size:
-                raise InternalInconsistency(
-                    f"reconstructed block of node {st.failed} differs from "
-                    f"the erased block in trial {t0 + int(bad[0])}")
+        # (listed position, trial) of every mismatch in position order, so
+        # the first names the first listed node with one and its first trial
+        bad = np.argwhere((_replay(field, states, words)
+                           != words[:, node_list].transpose(1, 2, 0)).any(1))
+        if bad.size:
+            a, t = bad[0]
+            raise InternalInconsistency(
+                f"reconstructed block of node {node_list[a]} differs from "
+                f"the erased block in trial {t0 + int(t)}")
     return CampaignReport(
         trials=int(trials), seed=int(seed), rng=CODEWORD_SAMPLER,
         nodes=node_list,

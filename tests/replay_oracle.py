@@ -9,7 +9,9 @@ elimination and samples and checks its words a chunk at a time.
 blocks of every listed node, where the campaign forms those of each
 distinct repair matrix once, into one pipeline over all n nodes that the
 nodes of that matrix share; ``node_view`` cuts a node's own pipeline
-from that shared one.
+from that shared one.  ``replay_oracle`` rebuilds one node's block
+through its matrix's whole pipeline, where the campaign sends and
+recombines each pipeline once for all of its nodes.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from mdsrepair.codes import sample_codewords, syndromes
 from mdsrepair.errors import NotARepairMatrix
 from mdsrepair.linalg import Matrix, _elimination_ranks
 from mdsrepair.repair import _compressed_blocks
+from mdsrepair.simulate import _send
 from rref_oracle import rref_oracle
 
 
@@ -46,6 +49,19 @@ def is_codeword(re, cw) -> bool:
     if cw.shape != (s.n, s.ell):
         return False
     return not syndromes(re, cw[None]).any()
+
+
+def replay_oracle(field, st, words):
+    """Block ``st.failed`` of each word of a (T, n, l) stack, as (l, T), as
+    ``simulate._replay`` rebuilt it one node at a time: the node's matrix's
+    reads gathered with the node's own zeroed (the erased block), so the
+    node sends 0s and the recombination sums its helpers' symbols alone.
+    """
+    p, i = st.pipe, st.failed
+    read = words.reshape(len(words), -1).T[p.gather]
+    read[p.read_off[i]:p.read_off[i + 1]] = 0
+    return field.matmul(st.neg_inv,
+                        field.matmul(p.a_all, _send(field, p, read)))
 
 
 class NodeView:

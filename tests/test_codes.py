@@ -82,6 +82,41 @@ def test_skeleton_validation(tower3):
         CodeSkeleton(tower3, 2, s.bases[:1])
 
 
+def test_a_generator_array_and_its_nested_list_agree(bundle5):
+    sk = bundle5.skeleton
+    field, ell = sk.tower.base, sk.ell
+    # generators that are not yet reduced: each node's basis mixed by one
+    # invertible matrix, also with its rows swapped, which the elimination
+    # swaps back
+    mix = field.matmul(np.array([[1, 2], [0, 1]]), sk.bases)
+    for gens in (sk.bases, mix, mix[:, ::-1], mix.astype(np.int32)):
+        kept = gens.copy()
+        a = CodeSkeleton(sk.tower, sk.r, gens)
+        b = CodeSkeleton(sk.tower, sk.r, gens.tolist())
+        assert np.array_equal(gens, kept)  # the argument is not reduced
+        for s in (a, b):
+            assert s.bases.dtype == np.int64
+            assert np.array_equal(s.bases, sk.bases)
+            assert np.array_equal(s.pivots, sk.pivots)
+    # a fault is named as the per-node route names it: a node of the
+    # wrong dimension, a wrong width and a ragged node
+    short = mix.copy()
+    short[4] = mix[4][[0, 0]]
+    wide = np.zeros((sk.n, ell, sk.ambient + 1), dtype=np.int64)
+    ragged = sk.bases.tolist()
+    ragged[3] = [ragged[3][0], ragged[3][1][:-1]]
+    for gens, err, match in (
+            (short, WrongNodeDim, r"^node 4 has dimension 1, expected 2$"),
+            (wide, WrongAmbient, r"^node 0: generator rows of shape "
+                                 r"\(2, 7\), expected \(rows, 6\)$")):
+        for arg in (gens, gens.tolist()):
+            with pytest.raises(err, match=match):
+                CodeSkeleton(sk.tower, sk.r, arg)
+    with pytest.raises(WrongAmbient, match="^node 3: generator rows do not "
+                                           "form an array: "):
+        CodeSkeleton(sk.tower, sk.r, ragged)
+
+
 def test_check_mds_duplicate_witness(tower3):
     s = _coordinate_skeleton(tower3, 2)
     dup = CodeSkeleton(tower3, 2, s.bases[[0, 0, 1]])

@@ -8,19 +8,20 @@ from hypothesis import given, settings, strategies as st
 from mdsrepair import simulate
 from mdsrepair.codes import CODEWORD_SAMPLER
 from mdsrepair.errors import (
+    BadShape,
     InternalInconsistency,
     NotACodeword,
     NotARepairMatrix,
 )
-from mdsrepair.gf import build_tower
+from mdsrepair.gf import Field, build_tower
 from mdsrepair.linalg import Matrix, batched_rank
 from mdsrepair.nrc import build, validate_params
 from mdsrepair.repair import RepairScheme, evaluate_scheme
 from mdsrepair.simulate import _node_states, _replay, campaign
 
 from pass_oracle import bandwidth_oracle, io_count_oracle
-from replay_oracle import (is_codeword, node_view, own_rows, row_factor,
-                           sample_codeword)
+from replay_oracle import (is_codeword, node_view, own_rows, replay_oracle,
+                           row_factor, sample_codeword)
 from rref_oracle import rref_oracle
 
 F3 = build_tower(3, 1, 1).base
@@ -124,8 +125,8 @@ def test_run_repair_zero_codeword(bundle3):
     re = bundle3.realization
     field = re.skeleton.tower.base
     st = _node_states(re, bundle3.scheme, [0])[0]
-    block = _replay(field, st, np.zeros((1, 9, 2), dtype=np.int64))
-    assert block.shape == (2, 1) and not block.any()
+    block = _replay(field, [st], np.zeros((1, 9, 2), dtype=np.int64))
+    assert block.shape == (1, 2, 1) and not block.any()
     assert st.downloaded == 12 and st.accessed == 12
 
 
@@ -162,9 +163,9 @@ def test_campaign_single_trial_equals_sweep(bundle3):
     rep = campaign(re, bundle3.scheme, trials=1, seed=9)
     cw = sample_codeword(re, (9, 0))
     states = _node_states(re, bundle3.scheme, rep.nodes)
+    blocks = _replay(field, states, cw[None])
     for k, st in enumerate(states):
-        block = _replay(field, st, cw[None])
-        assert np.array_equal(block[:, 0], cw[st.failed])
+        assert np.array_equal(blocks[k, :, 0], cw[st.failed])
         assert rep.downloaded[k] == st.downloaded
         assert rep.accessed[k] == st.accessed
 
@@ -365,30 +366,48 @@ def test_sent_symbols_match_the_dense_product(request, name):
         assert short == 1324  # sent rows that read fewer than l symbols
 
 
-def test_replay_makes_no_send_product(bundle9, monkeypatch):
-    re, sch = bundle9.realization, bundle9.scheme
-    states = _node_states(re, sch, range(re.n))
-    real = type(re.skeleton.tower.base).matmul
-    calls = []
+def test_replay_makes_no_send_product(bundle3, bundle9, monkeypatch):
+    real, real_send = Field.matmul, simulate._send
+    calls, sends = [], []
 
     def recording(field, a, b):
         calls.append((sys._getframe(1).f_code.co_name, a))
         return real(field, a, b)
 
-    monkeypatch.setattr(type(re.skeleton.tower.base), "matmul", recording)
+    def sending(field, pipe, read):
+        sends.append(pipe.a_all)
+        return real_send(field, pipe, read)
+
+    monkeypatch.setattr(Field, "matmul", recording)
+    monkeypatch.setattr(simulate, "_send", sending)
     monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 4)
-    campaign(re, sch, trials=10, seed=2)  # three chunks
-    replay = [a for caller, a in calls if caller == "_replay"]
-    # the shared a_all, then the node's neg_inv, at every node of every
-    # chunk; no product has the (sent, accessed) shape of a send matrix,
-    # of one node's helpers or of a whole pipeline
-    assert len(replay) == 2 * re.n * 3
-    for k, a in enumerate(replay):
-        st = states[k // 2 % re.n]
-        assert np.array_equal(a, st.neg_inv if k % 2 else st.pipe.a_all)
-    shapes = {(st.downloaded, st.accessed) for st in states} | {
-        (len(st.pipe.send_coef), len(st.pipe.gather)) for st in states}
-    assert not any(np.shape(a) in shapes for _, a in calls)
+    for bundle in (bundle3, bundle9):  # n = 9 and n = 20, d = 2 at both
+        re, sch = bundle.realization, bundle.scheme
+        ell = re.skeleton.ell
+        states = _node_states(re, sch, range(re.n))
+        pipes = list({id(st.pipe): st.pipe for st in states}.values())
+        assert len(pipes) == 2
+        calls.clear()
+        sends.clear()
+        campaign(re, sch, trials=10, seed=2)  # three chunks
+        replay = [a for caller, a in calls if caller == "_replay"]
+        # per chunk, each matrix in order of first use sends once, its
+        # shared a_all recombines once, one batched product forms the
+        # own share of every node of the matrix and one applies their
+        # neg_inv: 2 sends and 6 products a chunk, whatever n is
+        assert len(sends) == 2 * 3 and len(replay) == 3 * 2 * 3
+        for k, p in enumerate(pipes * 3):
+            users = [st for st in states if st.pipe is p]
+            whole, share, neg = replay[3 * k:3 * k + 3]
+            assert np.array_equal(sends[k], p.a_all)
+            assert np.array_equal(whole, p.a_all)
+            assert share.shape == (len(users), ell, ell)
+            assert np.array_equal(neg, [st.neg_inv for st in users])
+        # no product has the (sent, accessed) shape of a send matrix, of
+        # one node's helpers or of a whole pipeline
+        shapes = {(st.downloaded, st.accessed) for st in states} | {
+            (len(p.send_coef), len(p.gather)) for p in pipes}
+        assert not any(np.shape(a) in shapes for _, a in calls)
 
 
 @pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
@@ -400,8 +419,12 @@ def test_nodes_share_their_matrix_pipeline(request, name):
     # one pipeline per distinct matrix, each over all n nodes
     assert len({id(st.pipe) for st in states}) == \
         len(np.unique(sch.stack, axis=0)) == 2
+    ell = re.skeleton.ell
     for a in states:
         assert len(a.pipe.read_off) == re.n + 1
+        # the node's own sent rows: l of them, from sent_at
+        assert np.flatnonzero(own_rows(a, ell)).tolist() == \
+            list(range(a.sent_at, a.sent_at + ell))
         for b in states:
             assert (a.pipe is b.pipe) == \
                 np.array_equal(sch.stack[a.failed], sch.stack[b.failed])
@@ -415,15 +438,125 @@ def test_replay_rebuilds_without_the_erased_block(request, name):
     field = re.skeleton.tower.base
     words = simulate.sample_codewords(re, [(12, t) for t in range(6)])
     rng = np.random.default_rng(12)
-    for st in _node_states(re, sch, range(re.n)):
+    states = _node_states(re, sch, range(re.n))
+    for a, st in enumerate(states):
         # the failed block overwritten with other nonzero codes: the
-        # rebuilt block is still the sampled codeword's
+        # block the batched route rebuilds for it is still the sampled
+        # codeword's, though its own share of the sum is taken from the
+        # overwritten word
         other = words.copy()
         other[:, st.failed] = rng.integers(1, field.order,
                                            other[:, st.failed].shape)
         assert (other[:, st.failed] != words[:, st.failed]).any()
-        assert np.array_equal(_replay(field, st, other),
+        assert np.array_equal(_replay(field, states, other)[a],
                               words[:, st.failed].T)
+
+
+def _all_distinct(bundle, seed):
+    """The bundle's scheme with each node's matrix M_i replaced by G_i M_i
+    for its own invertible G_i: the same kernels, so the same bandwidth
+    and io at every node, and n distinct matrices."""
+    sch = bundle.scheme
+    field, ell = sch.field, bundle.realization.skeleton.ell
+    rng = np.random.default_rng(seed)
+    seen, out = set(), []
+    for m in sch.stack:
+        while True:
+            g = rng.integers(0, field.order, (ell, ell))
+            gm = field.matmul(g, m)
+            if batched_rank(field, g[None])[0] == ell and \
+                    gm.tobytes() not in seen:
+                break
+        seen.add(gm.tobytes())
+        out.append(gm)
+    return RepairScheme.from_stack(field, np.array(out))
+
+
+@pytest.mark.parametrize("name", ["bundle3", "bundle5", "bundle9",
+                                  "bundle27"])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_batched_replay_matches_the_per_node_oracle(request, monkeypatch,
+                                                    name, distinct):
+    bundle = request.getfixturevalue(name)
+    re = bundle.realization
+    field, n, ell = re.skeleton.tower.base, re.n, re.skeleton.ell
+    sch = _all_distinct(bundle, 3) if distinct else bundle.scheme
+    assert len(np.unique(sch.stack, axis=0)) == (n if distinct else 2)
+    real = simulate._replay
+    chunks = []
+
+    def checked(field, states, words):
+        got = real(field, states, words)
+        assert got.shape == (len(states), ell, len(words))
+        for a, st in enumerate(states):
+            assert np.array_equal(got[a], replay_oracle(field, st, words))
+        chunks.append((tuple(st.failed for st in states), len(words)))
+        return got
+
+    monkeypatch.setattr(simulate, "_replay", checked)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 3)
+    # unsorted and repeated nodes, and every node
+    for nodes in ((5, 1, 5, 0), tuple(range(n))):
+        rep = campaign(re, sch, trials=7, seed=44, nodes=nodes)
+        assert chunks == [(nodes, 3), (nodes, 3), (nodes, 1)]
+        chunks.clear()
+        if distinct:
+            same = campaign(re, bundle.scheme, trials=1, seed=44, nodes=nodes)
+            assert (rep.downloaded, rep.accessed) == \
+                (same.downloaded, same.accessed)
+        # on any word, not only on a codeword
+        words = np.random.default_rng(n).integers(0, field.order,
+                                                  (5, n, ell))
+        checked(field, _node_states(re, sch, nodes), words)
+        chunks.clear()
+
+
+def test_campaign_names_the_first_listed_node(bundle3, monkeypatch):
+    re, sch = bundle3.realization, bundle3.scheme
+    field, ell = re.skeleton.tower.base, re.skeleton.ell
+    # a change to block 3 that node 5's matrix does not see in it, so it
+    # leaves node 5's rebuilt block as it was
+    mh = field.matmul(sch.stack[5], re.points[3].T)
+    delta = next(np.array(v) for v in np.ndindex(*[field.order] * ell)
+                 if any(v) and not field.matmul(mh, np.array(v)).any())
+    real = simulate.sample_codewords
+
+    def corrupt(re, seeds):
+        words = real(re, seeds).copy()
+        words[1, 3] = field.arr_sub(words[1, 3], delta)  # node 3: trial 1
+        words[4, 5, 0] = (words[4, 5, 0] + 1) % 3  # node 5: trial 4
+        return words
+
+    monkeypatch.setattr(simulate, "sample_codewords", corrupt)
+    monkeypatch.setattr(simulate, "syndromes",
+                        lambda re, words: np.zeros((1, len(words)), int))
+    # the per-node loop's verdict: node 3 fails first, at trial 1, but
+    # node 5 is listed first, and its first failure is trial 4
+    words = corrupt(re, [(8, t) for t in range(6)])
+    states = _node_states(re, sch, (5, 3))
+    first = [np.flatnonzero((replay_oracle(field, st, words)
+                             != words[:, st.failed].T).any(axis=0))[0]
+             for st in states]
+    assert first == [4, 1]
+    with pytest.raises(InternalInconsistency,
+                       match="node 5 differs from the erased block in "
+                             "trial 4$"):
+        campaign(re, sch, trials=6, seed=8, nodes=(5, 3))
+    with pytest.raises(InternalInconsistency,
+                       match="node 3 differs from the erased block in "
+                             "trial 1$"):
+        campaign(re, sch, trials=6, seed=8, nodes=(3, 5))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"trials": 0}, "a campaign needs at least one trial$"),
+    ({"nodes": ()}, "nodes must list at least one node$"),
+    ({"first_trial": -1}, "first_trial must be nonnegative, got -1$"),
+])
+def test_campaign_refuses_bad_arguments(bundle3, kwargs, match):
+    with pytest.raises(BadShape, match=match):
+        campaign(bundle3.realization, bundle3.scheme,
+                 **{"trials": 3, "seed": 1, **kwargs})
 
 
 def test_session_builds_all_nodes_in_one_elimination(bundle5, watch_calls):
