@@ -42,6 +42,7 @@ from .errors import (
     BadShape,
     BudgetExceeded,
     DuplicatePoint,
+    InternalInconsistency,
     LevelMismatch,
     MalformedInput,
     NotMds,
@@ -247,16 +248,19 @@ class Realization:
     ``points`` is the read-only (n, l, r*l) array whose row t of block i
     is the canonical representative (first nonzero coordinate 1) of the
     t-th projective column point of node i; the parity-check matrix has
-    those rows as its columns, node by node.
+    those rows as its columns, node by node.  The code {c : H c = 0} is
+    encoded systematically: a word is [x | x P], its first (n-r)*l
+    symbols x free and its last r*l the product with the parity part P
+    (:meth:`parity_part`).
     """
 
-    __slots__ = ("skeleton", "points", "_parity", "_kernel")
+    __slots__ = ("skeleton", "points", "_parity", "_part")
 
     def __init__(self, skeleton: CodeSkeleton, points: np.ndarray):
         self.skeleton = skeleton
         self.points = points
         self._parity = None
-        self._kernel = None
+        self._part = None
 
     @property
     def n(self) -> int:
@@ -268,22 +272,30 @@ class Realization:
                                   _columns(self.points))
         return self._parity
 
-    def kernel_basis(self) -> Matrix:
-        """The canonical RREF basis of the code {c : H c = 0}.
+    def parity_part(self) -> np.ndarray:
+        """P, read-only, with [I | P] the canonical RREF basis of the code.
 
-        One elimination of H with its columns reversed: each kernel vector
-        of :func:`linalg.null_columns` is 1 on one free column, 0 on the
-        others and nonzero elsewhere only on pivot columns left of it.
-        Read in the original order, it leads with that 1, so the vectors
-        in reverse are the RREF basis.
+        One elimination of H with its columns reversed.  When the last m
+        columns of H, m = rank H, are independent (on an MDS code they are
+        the last r nodes' r*l columns), they are its first m pivots, the
+        reduced H is [I | F] and the kernel vector of free column j is 1
+        there, 0 on the other free columns and -F[:, j] on the pivots.
+        Read in the original order, with the vectors in reverse, that is
+        [I | P] with P = -F^T, both axes reversed: shape (n*l - m, m).
+        Pivots anywhere else raise :class:`InternalInconsistency`.
         """
-        if self._kernel is None:
+        if self._part is None:
             field = self.skeleton.tower.base
             reduced, ranks, is_piv = linalg._elimination_ranks(
                 field, self.column_stack()[None, :, ::-1].copy())
-            k = null_columns(field, reduced[:, :ranks[0]], is_piv)[0]
-            self._kernel = Matrix(field, k.T[::-1, ::-1])
-        return self._kernel
+            m = ranks[0]
+            if not is_piv[0, :m].all():
+                raise InternalInconsistency(
+                    "the last rank-many parity columns are not independent")
+            part = field.arr_neg(reduced[0, :m, m:][::-1, ::-1].T)
+            part.setflags(write=False)
+            self._part = part
+        return self._part
 
     def column_stack(self) -> np.ndarray:
         """All parity columns side by side: shape (r*l, n*l)."""
@@ -387,6 +399,31 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = 0xFFFFFFFF
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The constants of ``count`` successive SeedSequence hashes.
+
+    Hash k xors with hc_k and multiplies by hc_(k+1), hc_k = init mult^k
+    mod 2^32: a read-only (2, count, 1) uint32 array of the xor and the
+    multiplier columns.
+    """
+    hc = [init * pow(mult, k, 1 << 32) & _M32 for k in range(count + 1)]
+    consts = np.array([hc[:-1], hc[1:]], dtype=np.uint32)[:, :, None]
+    consts.setflags(write=False)
+    return consts
+
+
+# 4 hashes fill the pool and 12 mix it, then 8 read the state off it
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashed(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """The hash of ``values`` under each hash of ``consts``, one per row."""
+    xor, mul = consts
+    values = (values ^ xor) * mul
+    return values ^ values >> 16
+
+
 def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
     """``SeedSequence(e).generate_state(4, np.uint64)`` of each row e.
 
@@ -394,30 +431,24 @@ def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
     (T,) uint64 arrays.  The pool of 4 holds the hashed entropy and two
     hashed zeros, every word is then mixed into every other, and the
     state is read off the pool by a second hash.  The hash constants run
-    through the same values for every row, so each step is one array
-    operation on all rows.
+    through the same values for every row (``_HASH_A``, ``_HASH_B``), so
+    the pool is hashed in one (4, T) step, each source word is mixed into
+    its 3 destinations in one (3, T) step (it is not among them, so all 3
+    read it unchanged under 3 consecutive constants), and the 8 state
+    words are one (8, T) step.
     """
-    hc = _INIT_A
-
-    def hashed(value, mult):
-        nonlocal hc
-        value = value ^ hc
-        hc = hc * mult & _M32
-        value = value * np.uint32(hc)
-        return value ^ value >> 16
-
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [hashed(v, _MULT_A)
-            for v in (entropy[:, 0], entropy[:, 1], zero, zero)]
+    pool = np.zeros((4, len(entropy)), dtype=np.uint32)
+    pool[:2] = entropy.T
+    pool = _hashed(pool, _HASH_A[:, :4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
-                         - np.uint32(_MIX_MULT_R) * hashed(pool[src], _MULT_A))
-                pool[dst] = mixed ^ mixed >> 16
-    hc = _INIT_B
-    state = [hashed(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
-    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+        dst = [d for d in range(4) if d != src]
+        mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                 - np.uint32(_MIX_MULT_R)
+                 * _hashed(pool[src], _HASH_A[:, 4 + 3 * src:7 + 3 * src]))
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
+    state = state.astype(np.uint64)
+    return list(state[::2] | state[1::2] << 32)
 
 
 def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -516,23 +547,27 @@ def _coefficients(seeds, q: int, count: int) -> np.ndarray:
 def sample_codewords(re: Realization, seeds) -> np.ndarray:
     """One seed-determined uniform random codeword per seed, shaped (T, n, l).
 
-    Coefficients over the kernel basis are the draws of numpy's PCG64
-    generator (see CODEWORD_SAMPLER), ``default_rng(seed).integers(0, q,
-    size, dtype=int64)`` for each seed, so a word depends on its own seed
-    only.  They are computed for all seeds at once in whole-array steps
-    that reproduce that stream bit for bit (:func:`_coefficients`); a
-    trial whose seed is not a pair of ints in [0, 2^32), or that hits
-    the bounded draw's rejection zone, is drawn by numpy's generator
-    itself.  The whole stack is encoded with one product against the
-    kernel basis.  A seed may be an int or a sequence of ints.
+    Coefficients over the code's canonical RREF basis [I | P] are the
+    draws of numpy's PCG64 generator (see CODEWORD_SAMPLER),
+    ``default_rng(seed).integers(0, q, size, dtype=int64)`` for each seed,
+    so a word depends on its own seed only.  They are computed for all
+    seeds at once in whole-array steps that reproduce that stream bit for
+    bit (:func:`_coefficients`); a trial whose seed is not a pair of ints
+    in [0, 2^32), or that hits the bounded draw's rejection zone, is drawn
+    by numpy's generator itself.  The basis is systematic, so the
+    coefficients x are a word's first (n-r)*l symbols as drawn, and one
+    product x P against the parity part (:meth:`Realization.parity_part`)
+    forms its last r*l for the whole stack.  A seed may be an int or a
+    sequence of ints.
     """
     s = re.skeleton
     if not s.is_mds:
         raise NotMds(s.mds_witness())
     field = s.tower.base
-    kb = re.kernel_basis().array
-    coeffs = _coefficients(seeds, field.order, kb.shape[0])
-    words = field.matmul(coeffs, kb).reshape(len(seeds), s.n, s.ell)
+    part = re.parity_part()
+    coeffs = _coefficients(seeds, field.order, part.shape[0])
+    words = np.concatenate([coeffs, field.matmul(coeffs, part)], axis=1)
+    words = words.reshape(len(seeds), s.n, s.ell)
     words.setflags(write=False)
     return words
 

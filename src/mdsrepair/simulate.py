@@ -23,7 +23,9 @@ subtraction is exact, so S - A_i B_i C_i is the helpers' sum term for
 term on every word, and the rebuilt block cannot depend on the erased
 one.  A last batched product applies each -(M H_i)^(-1).  Each chunk
 draws the words of its per-trial seeds (seed, t) in whole-array steps
-(:func:`codes.sample_codewords`), checks all their syndromes in one
+and encodes them systematically, the drawn symbols as they are and only
+the r*l parity symbols of each word by one product
+(:func:`codes.sample_codewords`); it checks all their syndromes in one
 product and compares every rebuilt block exactly, in one step.  A chunk
 holds at most ``_TRIAL_CHUNK`` trials and one matrix's sent symbols;
 field products accumulate over their inner axis, so no array of a chunk

@@ -4,7 +4,9 @@ A campaign factors every helper block of its nodes in one batched
 elimination and samples and checks its words a chunk at a time.
 ``row_factor`` is the one-matrix form of that factorization, and
 ``sample_codeword`` and ``is_codeword`` are the one-word forms of
-``codes.sample_codewords`` and ``codes.syndromes``.
+``codes.sample_codewords`` and ``codes.syndromes``, and
+``kernel_basis_oracle`` is the dense RREF basis whose product with the
+drawn coefficients those words equal.
 ``node_states_oracle`` builds each listed node's own pipeline from the
 blocks of every listed node, where the campaign forms those of each
 distinct repair matrix once, into one pipeline over all n nodes that the
@@ -18,7 +20,7 @@ import numpy as np
 
 from mdsrepair.codes import sample_codewords, syndromes
 from mdsrepair.errors import NotARepairMatrix
-from mdsrepair.linalg import Matrix, _elimination_ranks
+from mdsrepair.linalg import Matrix, _elimination_ranks, null_columns
 from mdsrepair.repair import _compressed_blocks
 from mdsrepair.simulate import _send
 from rref_oracle import rref_oracle
@@ -41,6 +43,22 @@ def row_factor(a: Matrix):
 def sample_codeword(re, seed) -> np.ndarray:
     """The codeword of ``sample_codewords`` for one seed, shaped (n, l)."""
     return sample_codewords(re, [seed])[0]
+
+
+def kernel_basis_oracle(re) -> np.ndarray:
+    """The canonical RREF basis of the code {c : H c = 0}, dense.
+
+    One elimination of H with its columns reversed: each kernel vector
+    of :func:`linalg.null_columns` is 1 on one free column, 0 on the
+    others and nonzero elsewhere only on pivot columns left of it.  Read
+    in the original order, it leads with that 1, so the vectors in
+    reverse are the RREF basis.
+    """
+    field = re.skeleton.tower.base
+    reduced, ranks, is_piv = _elimination_ranks(
+        field, re.column_stack()[None, :, ::-1].copy())
+    k = null_columns(field, reduced[:, :ranks[0]], is_piv)[0]
+    return k.T[::-1, ::-1]
 
 
 def is_codeword(re, cw) -> bool:

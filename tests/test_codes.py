@@ -25,6 +25,7 @@ from mdsrepair.errors import (
     BadParameters,
     BadShape,
     DuplicatePoint,
+    InternalInconsistency,
     LevelMismatch,
     MalformedInput,
     NotMds,
@@ -35,12 +36,12 @@ from mdsrepair.errors import (
     WrongAmbient,
     WrongNodeDim,
 )
-from mdsrepair.gf import build_tower
+from mdsrepair.gf import Field, build_tower
 from mdsrepair.linalg import batched_rank
 from mdsrepair.nrc import build, validate_params
 
 from curve_rows import curve_rows
-from replay_oracle import is_codeword, sample_codeword
+from replay_oracle import is_codeword, kernel_basis_oracle, sample_codeword
 from rref_oracle import meet_dim_oracle
 
 
@@ -298,7 +299,7 @@ def test_realize_extraction_roundtrip(bundle3):
 def test_sample_codeword(bundle3):
     re = bundle3.realization
     s = re.skeleton
-    assert re.kernel_basis().rows == (s.n - s.r) * s.ell
+    assert re.parity_part().shape == ((s.n - s.r) * s.ell, s.r * s.ell)
     for seed in range(200):
         cw = sample_codeword(re, seed)
         assert cw.shape == (s.n, s.ell)
@@ -314,16 +315,42 @@ def _kernel_of(re):
     return bases[0, :is_piv.sum()]
 
 
+def _assert_systematic(re, kb):
+    """The parity part is the free part of the dense RREF basis ``kb``,
+    and the sampled words are the drawn coefficients times ``kb``."""
+    field = re.skeleton.tower.base
+    k = len(kb)
+    assert np.array_equal(kb[:, :k], np.eye(k, dtype=np.int64))
+    assert np.array_equal(re.parity_part(), kb[:, k:])
+    seeds = [(41, t) for t in range(40)] + [7, (2 ** 40, 1)]
+    words = codes.sample_codewords(re, seeds)
+    want = field.matmul(_numpy_coefficients(seeds, field.order, k), kb)
+    assert np.array_equal(words.reshape(len(seeds), -1), want)
+
+
+# (p, m, l, r, n); (3, 2, 2, 2, 20) is over the q = 9 extension base and
+# (2, 2, 2, 2, 10) over q = 4
 KERNEL_BUNDLES = [(3, 1, 2, 2, 9), (5, 1, 2, 3, 24), (3, 2, 2, 2, 20),
-                  (3, 1, 3, 2, 26), (7, 1, 2, 4, 48)]
+                  (3, 1, 3, 2, 26), (7, 1, 2, 4, 48), (2, 2, 2, 2, 10)]
 
 
 @pytest.mark.parametrize("params", KERNEL_BUNDLES, ids=str)
 def test_kernel_basis_matches_the_kernel_oracle(params):
     p, m, ell, r, n = params
     re = build(validate_params(build_tower(p, m, ell), r, n)).realization
-    assert np.array_equal(re.kernel_basis().array, _kernel_of(re))
-    assert re.kernel_basis().rows == (n - r) * ell
+    kb = kernel_basis_oracle(re)
+    assert np.array_equal(kb, _kernel_of(re))
+    assert re.parity_part().shape == ((n - r) * ell, r * ell)
+    _assert_systematic(re, kb)
+
+
+def test_a_code_of_length_r_has_only_the_zero_word(tower3):
+    re = realize(_coordinate_skeleton(tower3, 2),
+                 [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]])
+    assert re.parity_part().shape == (0, 4)
+    _assert_systematic(re, kernel_basis_oracle(re))
+    words = codes.sample_codewords(re, [(3, t) for t in range(5)])
+    assert words.shape == (5, 2, 2) and not words.any()
 
 
 KERNEL_TOWERS = {"F2": build_tower(2, 1, 1), "F3": build_tower(3, 1, 1),
@@ -346,18 +373,44 @@ def test_kernel_basis_of_random_checks(name, rows, n, ell, rank_cap, seed):
     re = Realization(types.SimpleNamespace(tower=tower),
                      h.T.reshape(n, ell, rows))
     assert np.array_equal(re.column_stack(), h)
-    assert np.array_equal(re.kernel_basis().array, _kernel_of(re))
+    kb = kernel_basis_oracle(re)
+    assert np.array_equal(kb, _kernel_of(re))
+    k = len(kb)
+    if np.array_equal(kb[:, :k], np.eye(k, dtype=np.int64)):
+        # the last rank-many columns of H are independent
+        assert np.array_equal(re.parity_part(), kb[:, k:])
+    else:
+        with pytest.raises(InternalInconsistency, match="not independent"):
+            re.parity_part()
 
 
 def test_kernel_basis_eliminates_h_once(bundle5, watch_calls):
     re = bundle5.realization
-    want = re.kernel_basis()
+    want = re.parity_part()
     calls = watch_calls(linalg, "_elimination_ranks")
     fresh = Realization(re.skeleton, re.points)
-    assert fresh.kernel_basis() == want
+    part = fresh.parity_part()
+    assert np.array_equal(part, want) and not part.flags.writeable
     assert calls == [(1, 3 * 2, 24 * 2)]  # (1, r*l, n*l)
-    fresh.kernel_basis()
+    assert fresh.parity_part() is part
     assert len(calls) == 1
+
+
+def test_sampling_forms_no_dense_product(bundle5, monkeypatch):
+    re = bundle5.realization
+    fresh = Realization(re.skeleton, re.points)
+    real = Field.matmul
+    shapes = []
+
+    def recording(field, a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return real(field, a, b)
+
+    monkeypatch.setattr(Field, "matmul", recording)
+    codes.sample_codewords(fresh, [(8, t) for t in range(10)])
+    # (n-r)*l = 42 drawn symbols, r*l = 6 parity symbols: one product
+    # forms the parity part of every word, none the (42, 48) dense basis
+    assert shapes == [((10, 42), (42, 6))]
 
 
 def test_sample_codeword_requires_mds(tower3):
@@ -420,6 +473,20 @@ def test_stream_layers_match_numpy(seed, t, count):
         halves[:count].tolist()
 
 
+TOP = 2 ** 32 - 1
+
+
+@pytest.mark.parametrize("rows", [[], [(0, 0), (0, TOP), (TOP, 0), (TOP, TOP)]],
+                         ids=["empty", "corners"])
+def test_seed_words_at_the_edges(rows):
+    words = codes._seed_words(np.array(rows, dtype=np.uint32).reshape(-1, 2))
+    assert len(words) == 4
+    assert all(w.shape == (len(rows),) and w.dtype == np.uint64 for w in words)
+    for t, e in enumerate(rows):
+        want = np.random.SeedSequence(e).generate_state(4, np.uint64)
+        assert [int(w[t]) for w in words] == want.tolist(), e
+
+
 def test_coefficients_match_numpy_at_every_field_order():
     seeds = [(2026, t) for t in range(6)]
     for q in range(2, 1025):
@@ -473,7 +540,7 @@ def test_every_trial_can_take_the_fallback(monkeypatch, bundle3):
 
 def test_sampled_words_do_not_depend_on_chunking(bundle3):
     re = bundle3.realization
-    kb = re.kernel_basis().array
+    kb = kernel_basis_oracle(re)
     field = re.skeleton.tower.base
     # in-range seeds, and seeds whose trials cross 2^32 in one call
     for seeds in ([(31, t) for t in range(300)],
