@@ -26,6 +26,7 @@ first maximizers in a deterministic order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,68 +398,115 @@ def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
 # products formed chunk by chunk instead.
 _ROW_TABLE_CELLS = 1 << 21
 _SCAN_CHUNK = 8192
+# A bandwidth row is kept as bitsets when they take at most this many
+# 64-bit words per entry of its l x l blocks (the measured crossover lies
+# between 1.7 and 7.7); the blocks of a wider row are eliminated instead.
+_BITSET_WORDS = 2
+_PACK_BOOLS = 1 << 24  # booleans packed at a time
+
+
+def _kernel_masks(field: Field, vecs: np.ndarray, dims) -> list:
+    """For each s in ``dims``, whether each s-subspace of F_q^l lies in the
+    kernel of each row of ``vecs``: a (len(vecs), [l, s]_q) table."""
+    ell = vecs.shape[1]
+    bases = [np.concatenate([b for _, b in rref_blocks(field.order, s, ell)])
+             for s in dims]
+    return [(field.matmul(vecs, b.reshape(-1, ell).T).reshape(
+        len(vecs), len(b), -1) == 0).all(axis=2) for b in bases]
+
+
+def _nullity_weights(q: int, ell: int) -> list[int]:
+    """c_1 .. c_l with sum_s c_s [t, s]_q = t for t = 0 .. l (for l = 2:
+    1 and 1 - q): a t-space holds [t, s]_q subspaces of dimension s."""
+    c: list[int] = []
+    for t in range(1, ell + 1):
+        c.append(t - sum(cs * gaussian_binomial(t, s, q)
+                         for s, cs in enumerate(c, 1)))
+    return c
+
+
+def _meet(rows) -> np.ndarray:
+    """The AND of freshly gathered row bitsets, formed in the first."""
+    return functools.reduce(lambda acc, more: np.bitwise_and(acc, more,
+                                                             out=acc), rows)
 
 
 class _Scan:
     """How one scan reads feasibility and its objective off row products.
 
-    Row r of M (H_i | T) is stored in a narrow form: when q^(l*l) is within
-    the rank-table cap, the partial rank-table code of each l x l block,
-    sum_c entry[c] * q^(r*l + c) (row r of ``linalg._code_weights``), so
-    that a candidate's block code is the sum of its l rows' partial codes; otherwise the entries
-    themselves, stacked into blocks and eliminated.  The io objective
-    keeps a zero mask per row instead, and a column of M T is zero when it
-    is zero in every row.
+    Row r of M (H_i | T) is kept as packed uint64 bitsets; a candidate is
+    read by ANDing its l rows and counting bits.  Feasibility has a bit per
+    projective point x of F_q^l, set when row H_i x = 0, and holds when the
+    AND is zero.  io has a bit per column of M T, set when the row's entry
+    is 0.  Bandwidth has a bit per helper j and s-subspace S of F_q^l, set
+    when S lies in ker(row H_j), in a word-aligned region per s: the AND's
+    popcount N_s over region s counts the s-subspaces of every ker(M H_j),
+    so the total nullity is sum_s c_s N_s (:func:`_nullity_weights`), for
+    rank-deficient H_j too.  Bits come from the code of a helper's l
+    entries through q^l-entry mask tables.  A bandwidth row wider than
+    ``_BITSET_WORDS`` words per block entry keeps its entries instead,
+    and its blocks are eliminated.
     """
 
     def __init__(self, field: Field, ell: int, n_cols: int, objective: str):
         q = field.order
-        self.field, self.ell, self.n_cols = field, ell, n_cols
-        self.objective = objective
+        self.field, self.ell = field, ell
         self.entry_dtype = np.min_scalar_type(q - 1)
-        self.ranked = q ** (ell * ell) <= linalg._RANK_TABLE_CAP
-        if self.ranked:
-            self.code_dtype = np.min_scalar_type(q ** (ell * ell) - 1)
-            self.weights = linalg._code_weights(q, ell, ell)
-            self.rank_of = linalg._rank_table(field, ell, ell)
-            self.nullity_of = ell - self.rank_of
+        self.powers = q ** np.arange(ell)
+        vecs = (np.arange(q ** ell)[:, None] // self.powers) % q
+        self.points = _kernel_masks(field, vecs, [1])
+        dims = range(1, ell + 1)
+        self.masks = None
+        if objective == "columns":
+            self.masks, weights = [vecs == 0], [1]
+        elif sum(gaussian_binomial(ell, s, q)
+                 for s in dims) <= 64 * _BITSET_WORDS * ell * ell:
+            self.masks = _kernel_masks(field, vecs, dims)
+            weights = _nullity_weights(q, ell)
+        if self.masks is not None:  # float64 sums stay exact, below 2^53
+            self.weights = np.repeat(np.array(weights, dtype=np.float64), [
+                -(-n_cols * m.shape[1] // 64) for m in self.masks])
 
-    def feas_form(self, r: int, prod: np.ndarray) -> np.ndarray:
+    def _bits(self, masks: list, prod: np.ndarray) -> np.ndarray:
+        """Rows of products as bitsets: a word-aligned region per mask
+        table, with the table's bits for each helper's code."""
         _check_codes(self.field, prod)
-        if self.ranked:
-            return (prod @ self.weights[r]).astype(self.code_dtype)
+        codes = prod.reshape(len(prod), -1, self.ell) @ self.powers
+        words = [-(-codes.shape[1] * m.shape[1] // 64) for m in masks]
+        out = np.zeros((len(prod), sum(words)), dtype=np.uint64)
+        step = max(1, _PACK_BOOLS // (64 * sum(words) + 1))
+        for lo in range(0, len(prod), step):
+            at, col = out[lo:lo + step].view(np.uint8), 0
+            for m, w in zip(masks, words):
+                bits = np.take(m, codes[lo:lo + step], axis=0)
+                packed = np.packbits(bits.reshape(len(at), -1), axis=1,
+                                     bitorder="little")
+                at[:, col:col + packed.shape[1]] = packed
+                col += 8 * w
+        return out
+
+    def feas_form(self, prod: np.ndarray) -> np.ndarray:
+        return self._bits(self.points, prod)
+
+    def obj_form(self, prod: np.ndarray) -> np.ndarray:
+        if self.masks is not None:
+            return self._bits(self.masks, prod)
+        _check_codes(self.field, prod)
         return prod.astype(self.entry_dtype)
 
-    def obj_form(self, r: int, prod: np.ndarray) -> np.ndarray:
-        _check_codes(self.field, prod)
-        if self.objective == "columns":
-            return prod == 0
-        if self.ranked:
-            blocks = prod.reshape(len(prod), self.n_cols, self.ell)
-            return (blocks @ self.weights[r]).astype(self.code_dtype)
-        return prod.astype(self.entry_dtype)
-
-    def feasible(self, rows: list) -> np.ndarray:
+    def feasible(self, rows) -> np.ndarray:
         """Whether each candidate's M H_i is invertible, from its l rows."""
-        if self.ranked:
-            return np.take(self.rank_of, sum(rows)) == self.ell
-        return batched_rank(self.field, np.stack(rows, axis=1)) == self.ell
+        return ~_meet(rows).any(axis=1)
 
-    def value(self, rows: list) -> np.ndarray:
+    def value(self, rows) -> np.ndarray:
         """Each candidate's objective value, from its l rows."""
-        if self.objective == "columns":
-            zero = rows[0]
-            for more in rows[1:]:
-                zero = zero & more
-            return zero.view(np.uint8).sum(axis=1, dtype=np.int64)
-        if self.ranked:
-            return np.take(self.nullity_of, sum(rows)).sum(axis=1,
-                                                           dtype=np.int64)
-        cnt, ell, n_cols = len(rows[0]), self.ell, self.n_cols
-        cube = np.stack(rows, axis=1).reshape(cnt, ell, n_cols, ell)
-        ranks = batched_rank(self.field,
-                             cube.transpose(0, 2, 1, 3).reshape(-1, ell, ell))
-        return (ell - ranks.reshape(cnt, n_cols)).sum(axis=1)
+        if self.masks is not None:
+            return (np.bitwise_count(_meet(rows)) @ self.weights).astype(int)
+        ell = self.ell
+        cube = np.stack(list(rows), axis=1)
+        cube = cube.reshape(len(cube), ell, -1, ell).transpose(0, 2, 1, 3)
+        ranks = batched_rank(self.field, cube.reshape(-1, ell, ell))
+        return (ell - ranks.reshape(len(cube), -1)).sum(axis=1)
 
 
 class _RowTable:
@@ -468,9 +516,10 @@ class _RowTable:
     digits o .. o+f-1 of its pattern-relative index c, so only on w = c //
     q^o mod q^f.  Over the window [a, b) the table has one entry per value
     of w met, at most q^f: entry k is for w = a // q^o + k, and candidate
-    c reads entry (c // q^o - a // q^o) mod ``count``.  Each entry is the
-    exact product [1, digits] [H_i | T] restricted to the pivot and free
-    columns of row r.  The feasibility part is formed at once; the
+    c reads entry (c // q^o - a // q^o) mod ``count``.  Each entry is
+    formed from the exact product [1, digits] [H_i | T] restricted to the
+    pivot and free columns of row r, and kept as the row's bitsets (see
+    :class:`_Scan`).  The feasibility bitset is formed at once; the
     objective part only when a feasible candidate asks for it, over the
     whole window when the table is ``shared`` across chunks and otherwise
     for the asked-for entries only.
@@ -478,7 +527,7 @@ class _RowTable:
 
     def __init__(self, scan: _Scan, row, a: int, b: int, bound: int,
                  shared: bool):
-        self.r, o, f, feas_rows, self._obj_rows = row
+        o, f, feas_rows, self._obj_rows = row
         q = scan.field.order
         self._scan, self.shared, self._obj = scan, shared, None
         self.step = q ** o
@@ -488,20 +537,33 @@ class _RowTable:
         powers = np.array([q ** t for t in range(f)], dtype=w.dtype)
         self._coeffs = np.ones((self.count, 1 + f), dtype=np.int64)
         self._coeffs[:, 1:] = (w[:, None] // powers) % q
-        self.feas = scan.feas_form(
-            self.r, scan.field.matmul(self._coeffs, feas_rows))
+        self.feas = scan.feas_form(scan.field.matmul(self._coeffs, feas_rows))
+        # a chunk's entries are ring[start:start + m], start < count
+        self._ring = np.arange(self.count + min(b - a, _SCAN_CHUNK)
+                               // self.step + 2) % self.count
 
-    def index(self, c: np.ndarray) -> np.ndarray:
-        return ((c // self.step - self.first) % self.count).astype(np.int64)
+    def index(self, a: int, b: int) -> np.ndarray:
+        """The entry that each candidate of the chunk [a, b) reads."""
+        step = self.step
+        k0, k1 = a // step, (b - 1) // step
+        start = (k0 - self.first) % self.count
+        entries = self._ring[start:start + k1 - k0 + 1]
+        if step == 1:
+            return entries
+        # one run of equal c // step per entry
+        runs = np.full(len(entries), min(step, b - a))
+        runs[0] = min(b, (k0 + 1) * step) - a
+        runs[-1] = b - max(a, k1 * step)
+        return np.repeat(entries, runs)
 
     def obj(self, entries: np.ndarray) -> np.ndarray:
         scan = self._scan
         if not self.shared:
-            return scan.obj_form(self.r, scan.field.matmul(
-                self._coeffs[entries], self._obj_rows))
+            return scan.obj_form(scan.field.matmul(
+                np.take(self._coeffs, entries, axis=0), self._obj_rows))
         if self._obj is None:
-            self._obj = scan.obj_form(self.r, scan.field.matmul(
-                self._coeffs, self._obj_rows))
+            self._obj = scan.obj_form(scan.field.matmul(self._coeffs,
+                                                        self._obj_rows))
         return np.take(self._obj, entries, axis=0)
 
 
@@ -516,14 +578,15 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
     in the range is feasible.
 
     Candidates are read per pivot pattern, from row tables (see
-    :class:`_RowTable`): each candidate's l rows of M H_i and M T are
-    gathered, not multiplied.  Feasibility is decided first, and the
-    objective rows are gathered for the feasible candidates only.  A row
-    gets one table over the scanned part of its pattern when that table
-    has at most ``_ROW_TABLE_CELLS`` products; such a table never has more
-    entries than the part has candidates.  Otherwise each chunk of
-    ``_SCAN_CHUNK`` candidates gets its own table, whose objective
-    products are formed for the feasible candidates only.
+    :class:`_RowTable`): each candidate's l rows are gathered as bitsets,
+    not multiplied, then ANDed and counted (see :class:`_Scan`).
+    Feasibility is decided first, and the objective rows are gathered for
+    the feasible candidates only.  A row gets one table over the scanned
+    part of its pattern when that table has at most ``_ROW_TABLE_CELLS``
+    products; such a table never has more entries than the part has
+    candidates.  Otherwise each chunk of ``_SCAN_CHUNK`` candidates gets
+    its own table, whose objective products are formed for the feasible
+    candidates only.
     """
     q = field.order
     scan = _Scan(field, ell, targets.shape[1] // ell, objective)
@@ -535,24 +598,23 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
         rows, o = [], 0
         for r, p in enumerate(pivots):
             cols = [p] + [j for i, j in free if i == r]
-            rows.append((r, o, len(cols) - 1, block_i[cols], targets[cols]))
+            rows.append((o, len(cols) - 1, block_i[cols], targets[cols]))
             o += len(cols) - 1
         shared = [_RowTable(scan, row, lo, hi, bound, True)
                   if _window_count(q, row, lo, hi) * width <= _ROW_TABLE_CELLS
                   else None for row in rows]
         for a in range(lo, hi, _SCAN_CHUNK):
             b = min(a + _SCAN_CHUNK, hi)
-            c = _counter(a, b - a, bound)
             tables = [t or _RowTable(scan, row, a, b, bound, False)
                       for t, row in zip(shared, rows)]
-            entries = [t.index(c) for t in tables]
-            feasible = scan.feasible([np.take(t.feas, e, axis=0)
-                                      for t, e in zip(tables, entries)])
+            entries = [t.index(a, b) for t in tables]
+            feasible = scan.feasible(np.take(t.feas, e, axis=0)
+                                     for t, e in zip(tables, entries))
             sel = np.flatnonzero(feasible)
             if sel.size == 0:
                 continue
-            value = scan.value([t.obj(e[sel])
-                                for t, e in zip(tables, entries)])
+            value = scan.value(t.obj(e[sel])
+                               for t, e in zip(tables, entries))
             vmax = int(value.max())
             if vmax > best:
                 best = vmax
@@ -565,7 +627,7 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
 
 def _window_count(q: int, row, a: int, b: int) -> int:
     """Entries of the table of ``row`` over the window [a, b)."""
-    _, o, f, _, _ = row
+    o, f, _, _ = row
     return min((b - 1) // q ** o - a // q ** o + 1, q ** f)
 
 

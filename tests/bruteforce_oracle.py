@@ -2,8 +2,9 @@
 
 Materialises every canonical RREF candidate M of the range with
 ``rref_blocks`` and forms M H_i and M T with ``Field.matmul``, one chunk
-at a time.  The library's ``repair._bruteforce``, which reads the same
-products from per-row tables, must give the same (value, witness, count).
+at a time, and ranks the blocks.  The library's ``repair._bruteforce``,
+which reads the same products as bitsets from per-row tables, must give
+the same (value, witness, count).
 """
 
 import numpy as np

@@ -102,6 +102,26 @@ def test_criterion_3_extended_full_scan(bundle5):
     _report("3x", "full 508431-candidate scan, q=5 n=24 node 1", t0)
 
 
+def test_criterion_3_full_scan_meets_the_bound_at_q7():
+    t0 = time.perf_counter()
+    q, r = 7, 3
+    re = build(validate_params(build_tower(q, 1, 2), r, 50)).realization
+    s = re.skeleton
+    total = gaussian_binomial(s.ambient, s.ell, q)
+    assert total == 6865251
+    # both optima are the incidence bound (r-1)(q^l-1)/(q-1)
+    bound = (r - 1) * projective_point_count(q, s.ell)
+    assert bound == 16
+    overlap, o_witness = bruteforce_overlap(s, 0, index_range=(0, total))
+    hits, h_witness = bruteforce_column_hits(re, 0, index_range=(0, total))
+    assert overlap == hits == bound
+    # each witness attains its cost, recomputed by the scheme pass
+    cost = s.ell * (s.n - 1) - bound
+    assert repair.bandwidth(o_witness, re, 0) == cost
+    assert repair.io_count(h_witness, re, 0) == cost
+    _report("3y", "full 6865251-candidate scan, q=7 r=3 n=50 node 1", t0)
+
+
 def test_criterion_4_bound_comparison_grid():
     t0 = time.perf_counter()
     for q in (2, 3, 4, 5):

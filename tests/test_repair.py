@@ -319,17 +319,60 @@ def test_bruteforce_range_split_matches_full(bundle3):
     assert combined[1] == full_witness
 
 
-def test_bruteforce_same_with_and_without_rank_tables(bundle5, monkeypatch):
+def test_bruteforce_same_with_bitsets_and_elimination(bundle5, monkeypatch):
     re = bundle5.realization
     rng = (0, 20000)
-    tabled = [bruteforce_overlap(re.skeleton, 0, index_range=rng),
-              bruteforce_column_hits(re, 0, index_range=rng)]
-    monkeypatch.setattr(linalg, "_RANK_TABLE_CAP", 0)  # elimination only
+    bitsets = [bruteforce_overlap(re.skeleton, 0, index_range=rng),
+               bruteforce_column_hits(re, 0, index_range=rng)]
+    # no bandwidth bitset fits: every block is eliminated
+    monkeypatch.setattr(repair, "_BITSET_WORDS", 0)
     eliminated = [bruteforce_overlap(re.skeleton, 0, index_range=rng),
                   bruteforce_column_hits(re, 0, index_range=rng)]
-    assert tabled == eliminated
+    assert bitsets == eliminated
     assert all(value >= 0 and witness is not None
-               for value, witness in tabled)
+               for value, witness in bitsets)
+
+
+@pytest.mark.parametrize("p, m, ell", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                       (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                       (3, 1, 4), (2, 2, 2), (2, 2, 3),
+                                       (5, 1, 2)])
+def test_subspace_counts_give_the_total_nullity(p, m, ell):
+    # N_s counts the s-subspaces of F_q^l inside each ker(M H_j); the
+    # weights c_s turn them into the total nullity, also for zero and
+    # rank-deficient blocks, and the scan's bitsets read the same sum
+    field = build_tower(p, m, ell).base
+    q, d = field.order, 2 * ell
+    weights = repair._nullity_weights(q, ell)
+    subspaces = [np.concatenate([b for _, b in rref_blocks(q, s, ell)])
+                 for s in range(1, ell + 1)]
+    scan = repair._Scan(field, ell, 6, "overlap")
+    assert scan.masks is not None  # the bitset route, not elimination
+    rng = np.random.default_rng(100 * q + ell)
+    for trial in range(12):
+        mm = rng.integers(0, q, (ell, d))
+        if trial % 3 == 0:
+            mm[-1] = mm[0]  # M itself rank-deficient
+        h = rng.integers(0, q, (6, d, ell))
+        h[1] = 0  # a zero block
+        h[2][:, 1:] = 0  # rank at most 1
+        h[4] = h[3]  # a repeated helper
+        blocks = np.stack([field.matmul(mm, hj) for hj in h])
+        nullity = ell - batched_rank(field, blocks)
+        for j, block in enumerate(blocks):
+            counts = []
+            for sub in subspaces:
+                prod = field.matmul(block, sub.reshape(-1, ell).T)
+                inside = prod.reshape(ell, len(sub), -1) == 0
+                counts.append(int(inside.all(axis=(0, 2)).sum()))
+            assert sum(c * n for c, n in zip(weights, counts)) == nullity[j]
+        targets = np.hstack(list(h))
+        rows = [scan.obj_form(field.matmul(mm[r:r + 1], targets))
+                for r in range(ell)]
+        assert scan.value(rows)[0] == nullity.sum()
+        feas = [scan.feas_form(field.matmul(mm[r:r + 1], h[0]))
+                for r in range(ell)]
+        assert scan.feasible(feas)[0] == (nullity[0] == 0)
 
 
 def _mds_f3_ell6():
@@ -353,13 +396,17 @@ def _scan_points(q3, q5):
     q4 = build(validate_params(build_tower(2, 2, 2), 2, 12)).realization
     l3 = build(validate_params(build_tower(3, 1, 3), 2, 26)).realization
     q9 = build(validate_params(build_tower(3, 2, 2), 3, 82)).realization
+    q32 = build(validate_params(build_tower(2, 5, 2), 2, 66)).realization
     big = _mds_f3_ell6()
     yield from ((q3, i, None, {}) for i in range(9))
     yield from ((q4, i, None, {}) for i in range(12))
     yield from ((l3, i, None, {}) for i in (0, 13, 25))
     # the first pattern of q=9 r=3 holds 9^8 = 43046721 candidates
     yield q9, 1, (43046721 - 2000, 43046721 + 2000), {}
-    yield q5, 5, (3000, 9000), {(linalg, "_RANK_TABLE_CAP"): 0}
+    yield q5, 5, (3000, 9000), {(repair, "_BITSET_WORDS"): 0}
+    # 2x2 blocks over F_32, once eliminated, now bitsets of 36 words,
+    # packed one row at a time
+    yield q32, 0, (5000, 15000), {(repair, "_PACK_BOOLS"): 1}
     # start and stop inside a row table, across the first pattern boundary
     yield q5, 0, (100, 5000), {}
     yield q5, 0, (390000, 391000), {}
@@ -386,7 +433,17 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
                 patch.setattr(module, name, value)
             bruteforce_overlap(re.skeleton, i, index_range=rng)
             bruteforce_column_hits(re, i, index_range=rng)
-    assert len(calls) == 2 * 32
+    # helpers that repeat a block, have rank 1 or are zero
+    s = bundle5.skeleton
+    stack = s.bases[1:6].copy()
+    stack[1] = stack[0]
+    stack[2][1] = stack[2][0]
+    stack[3] = 0
+    for objective in ("overlap", "columns"):
+        repair._bruteforce(s.tower.base, linalg._columns(stack),
+                           linalg._columns(s.bases[[0]]), s.ell, s.ambient,
+                           objective, 0, 30000)
+    assert len(calls) == 2 * 34
     for (value, witness, count), (o_value, o_witness, o_count) in calls:
         assert (value, count) == (o_value, o_count)
         if o_witness is None:
@@ -429,6 +486,15 @@ def test_bruteforce_budget(bundle5):
     # an explicit range bypasses the budget
     value, _ = bruteforce_overlap(s, 0, index_range=(0, 500))
     assert value >= 0
+
+
+def test_bruteforce_without_helpers(tower3):
+    # a one-node code: every objective bitset is empty, both optima are 0
+    rows = [np.eye(2, dtype=np.int64)]
+    s = CodeSkeleton(tower3, 1, rows)
+    re = realize(s, [list(r) for r in rows])
+    assert bruteforce_overlap(s, 0)[0] == 0
+    assert bruteforce_column_hits(re, 0)[0] == 0
 
 
 def test_bruteforce_requires_mds(tower3):
