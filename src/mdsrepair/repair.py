@@ -393,10 +393,11 @@ def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
 # exhaustive optimization over repair subspaces
 
 
-# A row table holds at most this many products (rows x columns); a row
-# whose table over the scanned part of a pattern would be larger has its
-# products formed chunk by chunk instead.
-_ROW_TABLE_CELLS = 1 << 21
+# A row table whose bitsets over the scanned part of a pattern take at most
+# this many bytes is formed once per pattern; a larger one is formed for
+# each block instead.  Any table is formed from at most this many bytes of
+# int64 products at a time.
+_ROW_TABLE_BYTES = 1 << 24
 _SCAN_CHUNK = 8192
 # A bandwidth row is kept as bitsets when they take at most this many
 # 64-bit words per entry of its l x l blocks (the measured crossover lies
@@ -425,51 +426,75 @@ def _nullity_weights(q: int, ell: int) -> list[int]:
     return c
 
 
-def _meet(rows) -> np.ndarray:
-    """The AND of freshly gathered row bitsets, formed in the first."""
-    return functools.reduce(lambda acc, more: np.bitwise_and(acc, more,
-                                                             out=acc), rows)
+def _block(outer: list, head: np.ndarray, t: int, n: int) -> np.ndarray:
+    """The AND of the l rows of flat candidates t .. t + n - 1 of a block.
+
+    ``outer`` holds rows 1 .. l-1 freshly gathered once per run, (words,
+    runs), ANDed in the first, and ``head`` the row-0 slice every run
+    reads, (words, entries); their grid is flattened in (run, entry)
+    order."""
+    if not outer:
+        return head[:, t:t + n]
+    acc = functools.reduce(lambda x, y: np.bitwise_and(x, y, out=x), outer)
+    grid = np.bitwise_and(acc[:, :, None], head[:, None, :])
+    return grid.reshape(len(acc), acc.shape[1] * head.shape[1])[:, t:t + n]
 
 
 class _Scan:
     """How one scan reads feasibility and its objective off row products.
 
-    Row r of M (H_i | T) is kept as packed uint64 bitsets; a candidate is
-    read by ANDing its l rows and counting bits.  Feasibility has a bit per
-    projective point x of F_q^l, set when row H_i x = 0, and holds when the
-    AND is zero.  io has a bit per column of M T, set when the row's entry
-    is 0.  Bandwidth has a bit per helper j and s-subspace S of F_q^l, set
-    when S lies in ker(row H_j), in a word-aligned region per s: the AND's
-    popcount N_s over region s counts the s-subspaces of every ker(M H_j),
-    so the total nullity is sum_s c_s N_s (:func:`_nullity_weights`), for
-    rank-deficient H_j too.  Bits come from the code of a helper's l
-    entries through q^l-entry mask tables.  A bandwidth row wider than
-    ``_BITSET_WORDS`` words per block entry keeps its entries instead,
-    and its blocks are eliminated.
+    Row r of M (H_i | T) is kept as packed uint64 bitsets, word-major: a
+    table is (words, entries).  A candidate is read by ANDing its l rows
+    and counting bits.  Feasibility has a bit per projective point x of
+    F_q^l, set when row H_i x = 0, and holds when the AND is zero.  io
+    has a bit per column of M T, set when the row's entry is 0.
+    Bandwidth has a bit per helper j and s-subspace S of F_q^l, set when
+    S lies in ker(row H_j), in a word-aligned region per s: the AND's
+    popcount N_s over region s, one integer sum over the region's words,
+    counts the s-subspaces of every ker(M H_j), so the total nullity is
+    sum_s c_s N_s (:func:`_nullity_weights`), for rank-deficient H_j too.
+    Bits come from the code of a helper's l entries through q^l-entry
+    mask tables.  A bandwidth row wider than ``_BITSET_WORDS`` words per
+    block entry keeps its entries instead, (columns, entries), and the
+    blocks of its feasible candidates are eliminated in slices whose int64
+    blocks take at most an eighth of ``_PASS_BYTES``.
+
+    :meth:`feasible` and :meth:`value` read a block of candidates: the
+    outer rows gathered per run, the row-0 slice and the flat candidates
+    t .. t + n - 1 of their grid (see :func:`_block`).
     """
 
     def __init__(self, field: Field, ell: int, n_cols: int, objective: str):
         q = field.order
-        self.field, self.ell = field, ell
+        self.field, self.ell, self.n_cols = field, ell, n_cols
         self.entry_dtype = np.min_scalar_type(q - 1)
         self.powers = q ** np.arange(ell)
         vecs = (np.arange(q ** ell)[:, None] // self.powers) % q
         self.points = _kernel_masks(field, vecs, [1])
         dims = range(1, ell + 1)
-        self.masks = None
+        self.masks, self.regions = None, None
         if objective == "columns":
             self.masks, weights = [vecs == 0], [1]
         elif sum(gaussian_binomial(ell, s, q)
                  for s in dims) <= 64 * _BITSET_WORDS * ell * ell:
             self.masks = _kernel_masks(field, vecs, dims)
             weights = _nullity_weights(q, ell)
-        if self.masks is not None:  # float64 sums stay exact, below 2^53
-            self.weights = np.repeat(np.array(weights, dtype=np.float64), [
-                -(-n_cols * m.shape[1] // 64) for m in self.masks])
+        obj_bytes = ell * n_cols * self.entry_dtype.itemsize
+        if self.masks is not None:
+            ends = list(itertools.accumulate(
+                (-(-n_cols * m.shape[1] // 64) for m in self.masks),
+                initial=0))
+            self.regions = list(zip(ends, ends[1:], weights))
+            # the least signed type that holds every sum_s c_s N_s and -1
+            self.value_dtype = np.min_scalar_type(-1 - sum(
+                abs(c) * (64 * (w1 - w0) + 1) for w0, w1, c in self.regions))
+            obj_bytes = 8 * ends[-1]
+        # the bytes of one table entry, feasibility and objective
+        self.entry_bytes = 8 * -(-self.points[0].shape[1] // 64) + obj_bytes
 
     def _bits(self, masks: list, prod: np.ndarray) -> np.ndarray:
-        """Rows of products as bitsets: a word-aligned region per mask
-        table, with the table's bits for each helper's code."""
+        """Rows of products as word-major bitsets: a word-aligned region
+        per mask table, with the table's bits for each helper's code."""
         _check_codes(self.field, prod)
         codes = prod.reshape(len(prod), -1, self.ell) @ self.powers
         words = [-(-codes.shape[1] * m.shape[1] // 64) for m in masks]
@@ -483,7 +508,7 @@ class _Scan:
                                      bitorder="little")
                 at[:, col:col + packed.shape[1]] = packed
                 col += 8 * w
-        return out
+        return np.ascontiguousarray(out.T)
 
     def feas_form(self, prod: np.ndarray) -> np.ndarray:
         return self._bits(self.points, prod)
@@ -492,21 +517,34 @@ class _Scan:
         if self.masks is not None:
             return self._bits(self.masks, prod)
         _check_codes(self.field, prod)
-        return prod.astype(self.entry_dtype)
+        return np.ascontiguousarray(prod.T, dtype=self.entry_dtype)
 
-    def feasible(self, rows) -> np.ndarray:
-        """Whether each candidate's M H_i is invertible, from its l rows."""
-        return ~_meet(rows).any(axis=1)
+    def feasible(self, outer, head, t: int, n: int) -> np.ndarray:
+        """Whether each candidate's M H_i is invertible."""
+        return functools.reduce(np.bitwise_or, _block(outer, head, t, n)) == 0
 
-    def value(self, rows) -> np.ndarray:
-        """Each candidate's objective value, from its l rows."""
-        if self.masks is not None:
-            return (np.bitwise_count(_meet(rows)) @ self.weights).astype(int)
-        ell = self.ell
-        cube = np.stack(list(rows), axis=1)
-        cube = cube.reshape(len(cube), ell, -1, ell).transpose(0, 2, 1, 3)
-        ranks = batched_rank(self.field, cube.reshape(-1, ell, ell))
-        return (ell - ranks.reshape(len(cube), -1)).sum(axis=1)
+    def value(self, outer, head, t: int, n: int,
+              feasible: np.ndarray) -> np.ndarray:
+        """Each candidate's objective value, -1 where it is infeasible."""
+        if self.regions is not None:
+            counts = np.bitwise_count(_block(outer, head, t, n))
+            value = sum(c * counts[w0:w1].sum(axis=0, dtype=self.value_dtype)
+                        for w0, w1, c in self.regions)
+            return (value + 1) * feasible - 1  # faster than np.where
+        ell, h = self.ell, self.n_cols
+        value = np.full(n, -1, dtype=np.int64)
+        sel = np.flatnonzero(feasible)
+        # int64 blocks of an eighth of _PASS_BYTES a slice: batched_rank's
+        # two copies and the elimination's temporaries stay within it
+        step = max(1, _PASS_BYTES // (64 * ell * ell * h + 1))
+        for lo in range(0, len(sel), step):
+            part = sel[lo:lo + step]
+            run, entry = np.divmod(part + t, head.shape[1])
+            rows = np.stack([head[:, entry]] + [o[:, run] for o in outer])
+            cube = rows.reshape(ell, h, ell, len(part)).transpose(3, 1, 0, 2)
+            ranks = batched_rank(self.field, cube.reshape(-1, ell, ell))
+            value[part] = (ell - ranks.reshape(len(part), h)).sum(axis=1)
+        return value
 
 
 class _RowTable:
@@ -515,56 +553,46 @@ class _RowTable:
     Row r of a candidate depends only on its own free entries, which are
     digits o .. o+f-1 of its pattern-relative index c, so only on w = c //
     q^o mod q^f.  Over the window [a, b) the table has one entry per value
-    of w met, at most q^f: entry k is for w = a // q^o + k, and candidate
-    c reads entry (c // q^o - a // q^o) mod ``count``.  Each entry is
-    formed from the exact product [1, digits] [H_i | T] restricted to the
-    pivot and free columns of row r, and kept as the row's bitsets (see
-    :class:`_Scan`).  The feasibility bitset is formed at once; the
-    objective part only when a feasible candidate asks for it, over the
-    whole window when the table is ``shared`` across chunks and otherwise
-    for the asked-for entries only.
+    of w met, at most q^f: entry k is for w = ``first`` + k, and candidate
+    c reads entry (c // q^o - first) mod ``count``; first is 0 when the
+    table holds all q^f values, so that entry k is w = k, and a // q^o
+    otherwise.  Each entry is formed from the exact product [1, digits]
+    [H_i | T] restricted to the pivot and free columns of row r, and kept
+    as the row's word-major bitsets (see :class:`_Scan`), formed from at
+    most ``_ROW_TABLE_BYTES`` of products at a time.  The feasibility
+    bitsets are formed at once, the objective part when a block of
+    candidates first asks for it.
     """
 
-    def __init__(self, scan: _Scan, row, a: int, b: int, bound: int,
-                 shared: bool):
+    def __init__(self, scan: _Scan, row, a: int, b: int, bound: int):
         o, f, feas_rows, self._obj_rows = row
         q = scan.field.order
-        self._scan, self.shared, self._obj = scan, shared, None
-        self.step = q ** o
-        self.first = a // self.step
+        self._scan, self.step = scan, q ** o
         self.count = _window_count(q, row, a, b)
+        self.first = 0 if self.count == q ** f else a // self.step
         w = _counter(self.first, self.count, bound)
         powers = np.array([q ** t for t in range(f)], dtype=w.dtype)
         self._coeffs = np.ones((self.count, 1 + f), dtype=np.int64)
         self._coeffs[:, 1:] = (w[:, None] // powers) % q
-        self.feas = scan.feas_form(scan.field.matmul(self._coeffs, feas_rows))
-        # a chunk's entries are ring[start:start + m], start < count
-        self._ring = np.arange(self.count + min(b - a, _SCAN_CHUNK)
-                               // self.step + 2) % self.count
+        self.feas = self._form(feas_rows, scan.feas_form)
 
-    def index(self, a: int, b: int) -> np.ndarray:
-        """The entry that each candidate of the chunk [a, b) reads."""
-        step = self.step
-        k0, k1 = a // step, (b - 1) // step
-        start = (k0 - self.first) % self.count
-        entries = self._ring[start:start + k1 - k0 + 1]
-        if step == 1:
-            return entries
-        # one run of equal c // step per entry
-        runs = np.full(len(entries), min(step, b - a))
-        runs[0] = min(b, (k0 + 1) * step) - a
-        runs[-1] = b - max(a, k1 * step)
-        return np.repeat(entries, runs)
+    def _form(self, rows: np.ndarray, form) -> np.ndarray:
+        step = max(1, _ROW_TABLE_BYTES // (8 * rows.shape[1] + 1))
+        parts = [form(self._scan.field.matmul(self._coeffs[e:e + step], rows))
+                 for e in range(0, self.count, step)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def obj(self, entries: np.ndarray) -> np.ndarray:
-        scan = self._scan
-        if not self.shared:
-            return scan.obj_form(scan.field.matmul(
-                np.take(self._coeffs, entries, axis=0), self._obj_rows))
-        if self._obj is None:
-            self._obj = scan.obj_form(scan.field.matmul(self._coeffs,
-                                                        self._obj_rows))
-        return np.take(self._obj, entries, axis=0)
+    @functools.cached_property
+    def obj(self) -> np.ndarray:
+        return self._form(self._obj_rows, self._scan.obj_form)
+
+    def index(self, u0: int, u1: int, run: int) -> np.ndarray:
+        """The entry that each run u0 .. u1 - 1 of ``run`` candidates reads
+        (``run`` divides q^o)."""
+        step = self.step // run
+        k = _counter(u0 % step, u1 - u0, step + u1 - u0) // step
+        base = (u0 // step - self.first) % self.count
+        return ((k + base) % self.count).astype(np.intp, copy=False)
 
 
 def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
@@ -578,19 +606,24 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
     in the range is feasible.
 
     Candidates are read per pivot pattern, from row tables (see
-    :class:`_RowTable`): each candidate's l rows are gathered as bitsets,
-    not multiplied, then ANDed and counted (see :class:`_Scan`).
-    Feasibility is decided first, and the objective rows are gathered for
-    the feasible candidates only.  A row gets one table over the scanned
-    part of its pattern when that table has at most ``_ROW_TABLE_CELLS``
-    products; such a table never has more entries than the part has
-    candidates.  Otherwise each chunk of ``_SCAN_CHUNK`` candidates gets
-    its own table, whose objective products are formed for the feasible
-    candidates only.
+    :class:`_RowTable`) whose bitsets are ANDed and counted, not
+    multiplied (see :class:`_Scan`).  Row 0 holds the lowest f0 digits of
+    a candidate's index, so a pattern is runs of q^f0 candidates that
+    share rows 1 .. l-1 and read row 0's entries in order.  A block is
+    K = max(1, ``_SCAN_CHUNK`` // run) runs, or a slice of one longer
+    run: its outer rows are gathered and ANDed once per run, then ANDed
+    with one slice of row 0's table by broadcasting, and its candidates
+    are a flat slice of that grid, in ascending index.  Feasibility is
+    read for the whole block, then the objective, -1 where infeasible,
+    so the block's first maximizer is its first argmax.  A row gets one
+    table over the scanned part of its pattern when its bitsets take at
+    most ``_ROW_TABLE_BYTES``; such a table never has more entries than
+    the part has candidates.  Otherwise each block gets its own table.
+    A part shorter than a run reads row 0 from a table in window order,
+    so that its blocks end with their run.
     """
     q = field.order
     scan = _Scan(field, ell, targets.shape[1] // ell, objective)
-    width = ell + targets.shape[1]
     best, best_at = -1, None
     for offset, pivots, free, lo, hi in _pivot_patterns(q, ell, d, start,
                                                         stop):
@@ -600,25 +633,33 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
             cols = [p] + [j for i, j in free if i == r]
             rows.append((o, len(cols) - 1, block_i[cols], targets[cols]))
             o += len(cols) - 1
-        shared = [_RowTable(scan, row, lo, hi, bound, True)
-                  if _window_count(q, row, lo, hi) * width <= _ROW_TABLE_CELLS
-                  else None for row in rows]
-        for a in range(lo, hi, _SCAN_CHUNK):
-            b = min(a + _SCAN_CHUNK, hi)
-            tables = [t or _RowTable(scan, row, a, b, bound, False)
-                      for t, row in zip(shared, rows)]
-            entries = [t.index(a, b) for t in tables]
-            feasible = scan.feasible(np.take(t.feas, e, axis=0)
-                                     for t, e in zip(tables, entries))
-            sel = np.flatnonzero(feasible)
-            if sel.size == 0:
-                continue
-            value = scan.value(t.obj(e[sel])
-                               for t, e in zip(tables, entries))
-            vmax = int(value.max())
-            if vmax > best:
-                best = vmax
-                best_at = offset + a + int(sel[np.argmax(value == vmax)])
+        run = q ** rows[0][1]
+        cell = min(max(1, _SCAN_CHUNK // run) * run, _SCAN_CHUNK)
+        shared = [_RowTable(scan, row, lo, hi, bound)
+                  if _window_count(q, row, lo, hi) * scan.entry_bytes
+                  <= _ROW_TABLE_BYTES else None for row in rows]
+        a = lo
+        while a < hi:
+            b = min(hi, a - a % cell + cell)
+            if cell < run or hi - lo < run:
+                b = min(b, a - a % run + run)
+            head, *outer = [t or _RowTable(scan, row, a, b, bound)
+                            for t, row in zip(shared, rows)]
+            u0, u1 = a // run, (b - 1) // run + 1
+            e = (a - head.first) % head.count
+            e0, e1, t = (e, e + b - a, 0) if u1 - u0 == 1 else (0, run, e)
+            at = [o.index(u0, u1, run) for o in outer]
+            feasible = scan.feasible([np.take(o.feas, i, axis=1)
+                                      for o, i in zip(outer, at)],
+                                     head.feas[:, e0:e1], t, b - a)
+            if feasible.any():
+                value = scan.value([np.take(o.obj, i, axis=1)
+                                    for o, i in zip(outer, at)],
+                                   head.obj[:, e0:e1], t, b - a, feasible)
+                j = int(np.argmax(value))
+                if value[j] > best:
+                    best, best_at = int(value[j]), offset + a + j
+            a = b
     witness = None
     if best_at is not None:
         witness = next(rref_blocks(q, ell, d, best_at, best_at + 1))[1][0]

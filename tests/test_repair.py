@@ -367,12 +367,14 @@ def test_subspace_counts_give_the_total_nullity(p, m, ell):
                 counts.append(int(inside.all(axis=(0, 2)).sum()))
             assert sum(c * n for c, n in zip(weights, counts)) == nullity[j]
         targets = np.hstack(list(h))
+        # one candidate: a block of one run of one row-0 entry, word-major
         rows = [scan.obj_form(field.matmul(mm[r:r + 1], targets))
                 for r in range(ell)]
-        assert scan.value(rows)[0] == nullity.sum()
+        assert scan.value(rows[1:], rows[0], 0, 1,
+                          np.ones(1, dtype=bool))[0] == nullity.sum()
         feas = [scan.feas_form(field.matmul(mm[r:r + 1], h[0]))
                 for r in range(ell)]
-        assert scan.feasible(feas)[0] == (nullity[0] == 0)
+        assert scan.feasible(feas[1:], feas[0], 0, 1)[0] == (nullity[0] == 0)
 
 
 def _mds_f3_ell6():
@@ -391,6 +393,19 @@ def _mds_f3_ell6():
     return realize(s, [list(r) for r in rows])
 
 
+def _mds_f7_ell1():
+    """H_j = (1, x_j, x_j^2, x_j^3) for x_j = 0 .. 6 and H_8 = (0, 0, 0, 1).
+
+    The extended Reed-Solomon code over F_7 with l=1, r=4, n=8: any four
+    of the eight rows are independent, so the skeleton is MDS.
+    """
+    tower = build_tower(7, 1, 1)
+    rows = [[[pow(x, t, 7) for t in range(4)]] for x in range(7)]
+    rows.append([[0, 0, 0, 1]])
+    s = CodeSkeleton(tower, 4, [np.array(r) for r in rows])
+    return realize(s, rows)
+
+
 def _scan_points(q3, q5):
     """(realization, node, index range or None, patches) of the differential test."""
     q4 = build(validate_params(build_tower(2, 2, 2), 2, 12)).realization
@@ -398,6 +413,7 @@ def _scan_points(q3, q5):
     q9 = build(validate_params(build_tower(3, 2, 2), 3, 82)).realization
     q32 = build(validate_params(build_tower(2, 5, 2), 2, 66)).realization
     big = _mds_f3_ell6()
+    l1 = _mds_f7_ell1()
     yield from ((q3, i, None, {}) for i in range(9))
     yield from ((q4, i, None, {}) for i in range(12))
     yield from ((l3, i, None, {}) for i in (0, 13, 25))
@@ -410,10 +426,26 @@ def _scan_points(q3, q5):
     # start and stop inside a row table, across the first pattern boundary
     yield q5, 0, (100, 5000), {}
     yield q5, 0, (390000, 391000), {}
-    # no row table is shared: every chunk builds its own
-    yield q5, 7, (2000, 20000), {(repair, "_ROW_TABLE_CELLS"): 0}
+    # no row table is shared: every block builds its own
+    yield q5, 7, (2000, 20000), {(repair, "_ROW_TABLE_BYTES"): 0}
     # indices past 2^62, rows of 3^12 entries, 6x6 blocks above the cap
     yield from ((big, i, (2 ** 70, 2 ** 70 + 3000), {}) for i in (0, 1, 3))
+    # runs of 625 candidates: a window that starts and ends mid-run over
+    # 13 runs, read in blocks of one run, of three runs (a block size
+    # that no run divides) and of slices shorter than a run
+    yield from ((q5, 0, (1000, 9000), {(repair, "_SCAN_CHUNK"): chunk})
+                for chunk in (1000, 2000, 300))
+    yield q5, 2, (700, 1200), {}  # a window inside one run
+    yield q5, 4, (1000, 1500), {}  # shorter than a run, across two runs
+    # row 0 once per pattern, formed 67 entries at a time, read by blocks
+    # shorter than its runs; and row 0 formed for each block instead
+    yield q5, 1, (100, 5000), {(repair, "_ROW_TABLE_BYTES"): 625 * 40,
+                               (repair, "_SCAN_CHUNK"): 300}
+    yield q5, 3, (1000, 9000), {(repair, "_ROW_TABLE_BYTES"): 0,
+                                (repair, "_SCAN_CHUNK"): 300}
+    # l = 1 (a pattern is one run) and l = 3 (two outer rows)
+    yield from ((l1, i, None, {(repair, "_SCAN_CHUNK"): 100}) for i in (0, 7))
+    yield l3, 13, (50, 19000), {(repair, "_SCAN_CHUNK"): 100}
 
 
 def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
@@ -443,7 +475,7 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
         repair._bruteforce(s.tower.base, linalg._columns(stack),
                            linalg._columns(s.bases[[0]]), s.ell, s.ambient,
                            objective, 0, 30000)
-    assert len(calls) == 2 * 34
+    assert len(calls) == 2 * 44
     for (value, witness, count), (o_value, o_witness, o_count) in calls:
         assert (value, count) == (o_value, o_count)
         if o_witness is None:
@@ -455,27 +487,110 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
 
 def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
     # a row table never has more entries than the scanned part of its
-    # pattern has candidates, and a shared one stays within the cell cap
-    counts = []
+    # pattern has candidates, and a shared one, formed over the whole
+    # part, stays within the byte cap
+    tables = []
     table = repair._RowTable
 
-    def spy(scan, row, a, b, bound, shared):
-        t = table(scan, row, a, b, bound, shared)
-        counts.append((t.count, b - a, shared))
+    def spy(scan, row, a, b, bound):
+        t = table(scan, row, a, b, bound)
+        tables.append((t.count, (a, b), t.count * scan.entry_bytes))
         return t
 
     monkeypatch.setattr(repair, "_RowTable", spy)
     re = _mds_f3_ell6()
     bruteforce_column_hits(re, 0, index_range=(2 ** 70, 2 ** 70 + 3000))
-    assert counts and all(count <= span for count, span, _ in counts)
-    assert max(count for count, _, _ in counts) == 3000  # not 3^12
-    counts.clear()
-    monkeypatch.setattr(repair, "_ROW_TABLE_CELLS", 48 * 625 - 1)
+    assert tables and all(count <= b - a for count, (a, b), _ in tables)
+    assert max(count for count, _, _ in tables) == 3000  # not 3^12
+    tables.clear()
+    cap = 40 * 625 - 1  # 40 bytes an entry: row 0's 625 entries are over
+    monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", cap)
     bruteforce_overlap(bundle5.skeleton, 1, index_range=(0, 20000))
-    shared = [count for count, _, s in counts if s]
-    chunked = [count for count, _, s in counts if not s]
-    assert shared == [32]  # row 1: 20000 // 625 + 1 entries
-    assert chunked == [625] * 3  # row 0, once per chunk of 8192
+    shared = [t for t in tables if t[1] == (0, 20000)]
+    chunked = [count for count, (a, b), _ in tables if (a, b) != (0, 20000)]
+    assert [count for count, _, _ in shared] == [32]  # row 1: 20000 // 625 + 1
+    assert all(size <= cap for _, _, size in shared)
+    assert chunked == [625] * 3  # row 0, once per block of 13 runs
+
+
+def test_bruteforce_blocks_stay_within_the_chunk(bundle5, monkeypatch):
+    # a block's grid of runs x row-0 entries never holds more than
+    # _SCAN_CHUNK candidates: blocks are whole runs, aligned, or a slice
+    # of one run
+    grids = []
+    block = repair._block
+
+    def spy(outer, head, t, n):
+        grids.append((outer[0].shape[1] if outer else 1) * head.shape[1])
+        return block(outer, head, t, n)
+
+    monkeypatch.setattr(repair, "_block", spy)
+    for chunk in (300, 1000, 2000, 8192):
+        monkeypatch.setattr(repair, "_SCAN_CHUNK", chunk)
+        for rng in ((100, 5000), (1000, 1500), (389000, 392000)):
+            grids.clear()
+            bruteforce_column_hits(bundle5.realization, 1, index_range=rng)
+            assert grids and max(grids) <= chunk
+
+
+def test_bruteforce_forms_each_row_entry_once_per_pattern(bundle5,
+                                                          monkeypatch):
+    # a row 0 whose runs are longer than a block but whose table fits the
+    # byte cap (q=7 r=4 n=48 node 1, shrunk to runs of 625 candidates and
+    # blocks of 300) is formed once per pattern, a slice at a time, and
+    # every block reads it
+    formed = []
+
+    class Spy(repair._RowTable):
+        def _form(self, rows, form):
+            def counted(prod):
+                formed.append((self, form, len(prod)))
+                return form(prod)
+            return super()._form(rows, counted)
+
+    monkeypatch.setattr(repair, "_RowTable", Spy)
+    monkeypatch.setattr(repair, "_SCAN_CHUNK", 300)
+    monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", 625 * 40)
+    bruteforce_overlap(bundle5.skeleton, 1,
+                       index_range=(385000, 395000))  # two patterns
+    heads = list(dict.fromkeys(t for t, _, _ in formed if t.step == 1))
+    assert len(heads) == 2 and all(t.count == 625 for t in heads)
+    for head in heads:
+        assert len(np.unique(head._coeffs, axis=0)) == 625  # every w once
+        for kind in {form for t, form, _ in formed if t is head}:
+            sizes = [m for t, form, m in formed if t is head and form == kind]
+            assert sum(sizes) == 625
+        assert len([t for t, _, _ in formed if t is head]) > 2  # sliced
+
+
+def test_bruteforce_eliminates_in_slices_under_the_pass_cap(monkeypatch):
+    # over-cap 6x6 bandwidth blocks are ranked a slice of candidates at a
+    # time, each slice's int64 blocks within _PASS_BYTES, to the oracle's
+    # results
+    cap = 8 * 6 * 6 * 3 * 10  # ten candidates of three 6x6 helper blocks
+    sizes, calls = [], []
+    rank, scan = repair.batched_rank, repair._bruteforce
+
+    def spy(field, blocks):
+        sizes.append(np.asarray(blocks).size * 8)
+        return rank(field, blocks)
+
+    def both(*args):
+        got = scan(*args)
+        calls.append((got, bruteforce_oracle(*args)))
+        return got
+
+    monkeypatch.setattr(repair, "batched_rank", spy)
+    monkeypatch.setattr(repair, "_bruteforce", both)
+    re = _mds_f3_ell6()
+    monkeypatch.setattr(repair, "_PASS_BYTES", cap)
+    for i in (0, 3):
+        bruteforce_overlap(re.skeleton, i, index_range=(2 ** 70,
+                                                        2 ** 70 + 3000))
+    assert len(sizes) > 2 and max(sizes) <= cap
+    for (value, witness, count), (o_value, o_witness, o_count) in calls:
+        assert (value, count) == (o_value, o_count) and value >= 0
+        assert np.array_equal(witness, o_witness)
 
 
 def test_bruteforce_budget(bundle5):
