@@ -452,11 +452,18 @@ def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
 
 
 def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the 128-bit products of two uint64 arrays."""
+    """The high 64 bits of the 128-bit products of two uint64 arrays,
+    summed in place (see :func:`_pcg64_draws`)."""
     x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    p01, p10, mid, hi = x0 * y1, x1 * y0, x0 * y0, x1 * y1
+    mid >>= 32
+    for p in (p01, p10):
+        mid += p & _M32
+        p >>= 32
+        hi += p
+    mid >>= 32
+    hi += mid
+    return hi
 
 
 @functools.lru_cache(maxsize=16)
@@ -486,23 +493,38 @@ def _pcg64_draws(words: list[np.ndarray], count: int) -> np.ndarray:
     + ... + M^(k+1)) inc.  Every output of every row is one array step of
     128-bit arithmetic on uint64 limbs.  Draw j is the low 32 bits of
     output j // 2 if j is even, its high 32 bits if j is odd.  Returns a
-    (T, count) uint64 array.
+    (T, count) uint64 array.  Steps work in place and drop each
+    temporary once spent (here, in :func:`_mulhi64` and :func:`_lemire`):
+    at hundreds of rows, every further (T, count) array would grow the
+    heap past what the allocator keeps, and each chunk would fault its
+    pages in again.
     """
     w0, w1, w2, w3 = (w[:, None] for w in words)
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     x_lo = w1 + inc_lo
     x_hi = w0 + inc_hi + (x_lo < inc_lo)
     a_hi, a_lo, c_hi, c_lo = _pcg64_jumps((count + 1) // 2)
-    ax_lo, cinc_lo = x_lo * a_lo, inc_lo * c_lo
-    lo = ax_lo + cinc_lo
-    hi = (_mulhi64(x_lo, a_lo) + x_lo * a_hi + x_hi * a_lo
-          + _mulhi64(inc_lo, c_lo) + inc_lo * c_hi + inc_hi * c_lo
-          + (lo < ax_lo))
-    rot = hi >> 58
-    out = hi ^ lo
-    out = out >> rot | out << (-rot & 63)
-    draws = np.stack([out & _M32, out >> 32], axis=2)
-    return draws.reshape(len(out), -1)[:, :count]
+    ax_lo = x_lo * a_lo
+    lo = inc_lo * c_lo
+    lo += ax_lo
+    hi = _mulhi64(x_lo, a_lo)
+    hi += _mulhi64(inc_lo, c_lo)
+    for u, v in ((x_lo, a_hi), (x_hi, a_lo), (inc_lo, c_hi), (inc_hi, c_lo)):
+        hi += u * v
+    hi += lo < ax_lo
+    del ax_lo
+    rot = hi >> 58  # XSL-RR: hi ^ lo, rotated right by the top 6 bits of hi
+    lo ^= hi
+    hi = lo >> rot
+    np.negative(rot, out=rot)
+    rot &= 63
+    lo <<= rot
+    hi |= lo
+    del lo, rot
+    draws = np.empty(hi.shape + (2,), dtype=np.uint64)
+    np.bitwise_and(hi, _M32, out=draws[..., 0])
+    np.right_shift(hi, 32, out=draws[..., 1])
+    return draws.reshape(len(hi), -1)[:, :count]
 
 
 def _lemire(draws: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -514,26 +536,33 @@ def _lemire(draws: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     have such a draw.  Exact for 1 <= q <= 2^32.
     """
     m = draws * np.uint64(q)
-    return (m >> 32).astype(np.int64), ((m & _M32) < (1 << 32) % q).any(axis=1)
+    rejected = ((m & _M32) < (1 << 32) % q).any(axis=1)
+    m >>= 32
+    return m.view(np.int64), rejected
 
 
 def _coefficients(seeds, q: int, count: int) -> np.ndarray:
     """``default_rng(seed).integers(0, q, size=count, dtype=int64)`` per seed.
 
     A (T, count) int64 array.  Seeds that are 2-tuples of ints in [0,
-    2^32) are drawn together in whole-array steps (:func:`_seed_words`,
-    :func:`_pcg64_draws`, :func:`_lemire`); every other seed, and every
-    trial with a draw that numpy rejects, goes through numpy's generator
-    as before, which also raises numpy's error on a bad seed.
+    2^32), or every row of a (T, 2) uint32 array, are drawn together in
+    whole-array steps (:func:`_seed_words`, :func:`_pcg64_draws`,
+    :func:`_lemire`); every other seed, and every trial with a draw that
+    numpy rejects, goes through numpy's generator as before, which also
+    raises numpy's error on a bad seed.
     """
     out = np.empty((len(seeds), count), dtype=np.int64)
-    fast = np.array([type(s) is tuple and len(s) == 2
-                     and type(s[0]) is int and type(s[1]) is int
-                     and 0 <= s[0] <= _M32 and 0 <= s[1] <= _M32
-                     for s in seeds], dtype=bool)
+    pairs = isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 \
+        and seeds.shape[1:] == (2,)
+    fast = np.ones(len(seeds), dtype=bool) if pairs else np.array(
+        [type(s) is tuple and len(s) == 2
+         and type(s[0]) is int and type(s[1]) is int
+         and 0 <= s[0] <= _M32 and 0 <= s[1] <= _M32 for s in seeds],
+        dtype=bool)
     rows = np.flatnonzero(fast)
     if rows.size and count:
-        entropy = np.array([seeds[i] for i in rows], dtype=np.uint32)
+        entropy = seeds if pairs else np.array([seeds[i] for i in rows],
+                                               dtype=np.uint32)
         values, rejected = _lemire(
             _pcg64_draws(_seed_words(entropy), count), q)
         out[rows] = values
@@ -558,7 +587,8 @@ def sample_codewords(re: Realization, seeds) -> np.ndarray:
     coefficients x are a word's first (n-r)*l symbols as drawn, and one
     product x P against the parity part (:meth:`Realization.parity_part`)
     forms its last r*l for the whole stack.  A seed may be an int or a
-    sequence of ints.
+    sequence of ints; ``seeds`` may also be a (T, 2) uint32 array whose
+    rows are the seeds, which skips the per-seed checks.
     """
     s = re.skeleton
     if not s.is_mds:

@@ -21,15 +21,18 @@ S = sum_j A_j B_j C_j.  Each replayed node i then subtracts its own share
 A_i B_i C_i, one batched product for all nodes of the matrix; field
 subtraction is exact, so S - A_i B_i C_i is the helpers' sum term for
 term on every word, and the rebuilt block cannot depend on the erased
-one.  A last batched product applies each -(M H_i)^(-1).  Each chunk
-draws the words of its per-trial seeds (seed, t) in whole-array steps
-and encodes them systematically, the drawn symbols as they are and only
-the r*l parity symbols of each word by one product
+one.  A last batched product applies each -(M H_i)^(-1).  What no
+trial changes is built once per campaign (:func:`_groups`).  Each chunk
+draws the words of its per-trial seeds (seed, t) in whole-array steps,
+from one (T, 2) uint32 array while they fit in 32 bits, and encodes
+them systematically, the drawn symbols as they are and only the r*l
+parity symbols of each word by one product
 (:func:`codes.sample_codewords`); it checks all their syndromes in one
 product and compares every rebuilt block exactly, in one step.  A chunk
-holds at most ``_TRIAL_CHUNK`` trials and one matrix's sent symbols;
-field products accumulate over their inner axis, so no array of a chunk
-is larger than max(n, k)*l by T for k replayed nodes.
+holds T = min(256, max(128, 2^18 // (n*l))) trials and one matrix's
+sent symbols; field products accumulate over their inner axis, so no
+array of a chunk is larger than max(n, k)*l by T for k replayed nodes,
+and codes with n*l >= 2048 keep 128 trials a chunk.
 """
 
 from __future__ import annotations
@@ -62,7 +65,12 @@ from .repair import (
 )
 
 # Trials replayed together: each step is one pass over (<= n*l, T) arrays.
-_TRIAL_CHUNK = 128
+_TRIAL_CHUNK, _CHUNK_FLOOR, _CHUNK_SYMBOLS = 256, 128, 1 << 18
+
+
+def _chunk_trials(symbols: int) -> int:
+    """T for words of n*l = ``symbols`` symbols (see the module docstring)."""
+    return min(_TRIAL_CHUNK, max(_CHUNK_FLOOR, _CHUNK_SYMBOLS // symbols))
 
 
 @dataclass(slots=True, eq=False)
@@ -103,14 +111,21 @@ def _send(field, pipe: _Pipeline, read: np.ndarray) -> np.ndarray:
     """The symbols the nodes of ``pipe`` send, from their (accessed, T) reads.
 
     One product-table and one sum-table step per slot, over (sent, T)
-    arrays; the codes come back in the tables' dtype.
+    arrays; the codes come back in the tables' dtype.  Each slot's table
+    indices are summed in place, in the one array its gather makes: at
+    hundreds of trials a chunk, a fresh (sent, T) array per operation
+    costs more in page faults than the arithmetic.
     """
     q, tabs = np.int64(field.order), field._tabs()
     coef = pipe.send_coef * q
     sent = tabs.mul[coef[:, :1] + read[pipe.send_idx[:, 0]]]
     for c in range(1, coef.shape[1]):
-        sent = tabs.add[sent * q + tabs.mul[coef[:, c:c + 1]
-                                            + read[pipe.send_idx[:, c]]]]
+        idx = read[pipe.send_idx[:, c]]
+        idx += coef[:, c:c + 1]
+        term = tabs.mul[idx]
+        np.multiply(sent, q, out=idx)
+        idx += term
+        sent = tabs.add[idx]
     return sent
 
 
@@ -166,28 +181,38 @@ def _node_states(re: Realization, sch: RepairScheme,
     return states
 
 
-def _replay(field, states: list[_NodeState], words: np.ndarray) -> np.ndarray:
+def _groups(states: list[_NodeState]) -> list[tuple]:
+    """Per distinct matrix of ``states``, in order of first use: its
+    pipeline, its states' positions, their own sent rows (l from each
+    ``sent_at``), the columns of ``a_all`` there and their ``neg_inv``."""
+    at = {}
+    for a, st in enumerate(states):
+        at.setdefault(id(st.pipe), (st.pipe, []))[1].append(a)
+    ell = len(states[0].neg_inv)
+    groups = []
+    for p, pos in at.values():
+        own = np.array([[states[a].sent_at] for a in pos]) + np.arange(ell)
+        groups.append((p, np.array(pos), own, p.a_all[:, own].swapaxes(0, 1),
+                       np.stack([states[a].neg_inv for a in pos])))
+    return groups
+
+
+def _replay(field, groups: list[tuple], words: np.ndarray) -> np.ndarray:
     """Block ``st.failed`` of each word of a (T, n, l) stack for every
-    state, as (len(states), l, T), each rebuilt from its helpers alone.
+    state of ``groups``, as (states, l, T), each rebuilt from its helpers.
 
     One matrix at a time: its pipeline sends and recombines the whole
     word once, into S, and each of its nodes subtracts its own share from
     S (see the module docstring).
     """
-    ell = words.shape[2]
     flat = words.reshape(len(words), -1).T
-    groups = {}  # each pipeline and its states' positions, in first use
-    for a, st in enumerate(states):
-        groups.setdefault(id(st.pipe), (st.pipe, []))[1].append(a)
-    out = np.empty((len(states), ell, len(words)), dtype=np.int64)
-    for p, at in groups.values():
+    out = np.empty((sum(len(g[1]) for g in groups), words.shape[2],
+                    len(words)), dtype=np.int64)
+    for p, at, own, a_own, neg_inv in groups:
         sent = _send(field, p, flat[p.gather])
         whole = field.matmul(p.a_all, sent)
-        # the l rows each node sends itself, and its l columns of a_all
-        own = np.array([[states[a].sent_at] for a in at]) + np.arange(ell)
-        share = field.matmul(p.a_all[:, own].swapaxes(0, 1), sent[own])
-        out[at] = field.matmul(np.stack([states[a].neg_inv for a in at]),
-                               field.arr_sub(whole, share))
+        share = field.matmul(a_own, sent[own])
+        out[at] = field.matmul(neg_inv, field.arr_sub(whole, share))
         del sent  # before the next matrix sends: one matrix's at a time
     return out
 
@@ -264,18 +289,25 @@ def campaign(re: Realization, sch: RepairScheme, trials: int, seed: int,
                 st.accessed != metrics.io[i]:
             raise InternalInconsistency(
                 f"transcript counts diverge from metrics at node {i}")
+    groups = _groups(states)
     field = s.tower.base
     stop = first_trial + int(trials)
-    for t0 in range(first_trial, stop, _TRIAL_CHUNK):
-        words = sample_codewords(
-            re, [(seed, t) for t in range(t0, min(t0 + _TRIAL_CHUNK, stop))])
+    chunk = _chunk_trials(s.n * s.ell)
+    for t0 in range(first_trial, stop, chunk):
+        t1 = min(t0 + chunk, stop)
+        if type(seed) is int and 0 <= seed < 1 << 32 and t1 <= 1 << 32:
+            seeds = np.empty((t1 - t0, 2), dtype=np.uint32)
+            seeds[:, 0], seeds[:, 1] = seed, np.arange(t0, t1)
+        else:
+            seeds = [(seed, t) for t in range(t0, t1)]
+        words = sample_codewords(re, seeds)
         bad = np.flatnonzero(syndromes(re, words).any(axis=0))
         if bad.size:
             raise NotACodeword(f"sampled word of trial {t0 + int(bad[0])} "
                                "does not satisfy the parity checks")
         # (listed position, trial) of every mismatch in position order, so
         # the first names the first listed node with one and its first trial
-        bad = np.argwhere((_replay(field, states, words)
+        bad = np.argwhere((_replay(field, groups, words)
                            != words[:, node_list].transpose(1, 2, 0)).any(1))
         if bad.size:
             a, t = bad[0]

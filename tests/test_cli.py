@@ -651,6 +651,22 @@ def test_simulate_single_node_and_jobs(workspace, capsys):
     assert fan["trials"] == solo["trials"]
 
 
+def test_simulate_jobs_match_at_1000_trials(workspace, tmp_path, monkeypatch):
+    # one process replays chunks of 256 trials and a last one of 232, two
+    # processes chunks of 256 and 244 each: the same report, byte for byte
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(["simulate", str(workspace / "code.json"),
+                     str(workspace / "scheme.json"), "--trials", "1000",
+                     "--seed", "5", "--jobs", jobs, "--format", "json",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["trials"] == 1000
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0"),
                                         ("--trials", "-3")])

@@ -511,6 +511,25 @@ def test_rejected_draws_take_numpy_generator():
     assert np.array_equal(values, _numpy_coefficients(near, 997, 64))
 
 
+@pytest.mark.parametrize("seed, ts, count", [
+    (0, range(380, 400), 64),  # holds the rejected trial 389
+    (0, range(51280, 51300), 64),  # holds the rejected trial 51292
+    (11, range(2 ** 32 - 20, 2 ** 32), 64),  # ends at t = 2^32 - 1
+    (2 ** 32 - 1, range(0, 20), 64),
+    (0, range(380, 400), 0),
+], ids=["389", "51292", "top-t", "top-seed", "count-0"])
+def test_pair_array_matches_the_list_route(seed, ts, count):
+    # the (T, 2) uint32 array a campaign passes, against the same pairs as
+    # a list of tuples and against numpy's generator per pair
+    pairs = [(seed, t) for t in ts]
+    array = np.array(pairs, dtype=np.uint32)
+    want = _numpy_coefficients(pairs, 997, count)
+    assert np.array_equal(codes._coefficients(array, 997, count), want)
+    assert np.array_equal(codes._coefficients(pairs, 997, count), want)
+    if seed == 0 and count:  # both routes redraw the rejected trial
+        assert _array_route(pairs, count, 997)[1].any()
+
+
 def test_every_trial_can_take_the_fallback(monkeypatch, bundle3):
     re = bundle3.realization
     seeds = [(7, t) for t in range(200)]

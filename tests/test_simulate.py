@@ -17,7 +17,7 @@ from mdsrepair.gf import Field, build_tower
 from mdsrepair.linalg import Matrix, batched_rank
 from mdsrepair.nrc import build, validate_params
 from mdsrepair.repair import RepairScheme, evaluate_scheme
-from mdsrepair.simulate import _node_states, _replay, campaign
+from mdsrepair.simulate import _groups, _node_states, _replay, campaign
 
 from pass_oracle import bandwidth_oracle, io_count_oracle
 from replay_oracle import (is_codeword, node_view, own_rows, replay_oracle,
@@ -125,7 +125,8 @@ def test_run_repair_zero_codeword(bundle3):
     re = bundle3.realization
     field = re.skeleton.tower.base
     st = _node_states(re, bundle3.scheme, [0])[0]
-    block = _replay(field, [st], np.zeros((1, 9, 2), dtype=np.int64))
+    block = _replay(field, _groups([st]),
+                    np.zeros((1, 9, 2), dtype=np.int64))
     assert block.shape == (1, 2, 1) and not block.any()
     assert st.downloaded == 12 and st.accessed == 12
 
@@ -163,7 +164,7 @@ def test_campaign_single_trial_equals_sweep(bundle3):
     rep = campaign(re, bundle3.scheme, trials=1, seed=9)
     cw = sample_codeword(re, (9, 0))
     states = _node_states(re, bundle3.scheme, rep.nodes)
-    blocks = _replay(field, states, cw[None])
+    blocks = _replay(field, _groups(states), cw[None])
     for k, st in enumerate(states):
         assert np.array_equal(blocks[k, :, 0], cw[st.failed])
         assert rep.downloaded[k] == st.downloaded
@@ -264,25 +265,90 @@ def test_campaign_matches_per_repair_oracle(request, monkeypatch, name, chunk):
                                                     nodes, first)
 
 
-def test_campaign_chunking_keeps_report(bundle3, monkeypatch):
-    re, sch = bundle3.realization, bundle3.scheme
-    whole = campaign(re, sch, trials=10, seed=8, first_trial=2)
+def _pairs(seeds):
+    """The (seed, t) pairs of a sampler call, from a list or a (T, 2) array."""
+    return [tuple(int(v) for v in seed) for seed in seeds]
+
+
+def _recording_sampler(monkeypatch, calls):
+    """Record the seeds of every sampler call of a campaign, as given."""
     real = simulate.sample_codewords
-    calls = []
 
     def recording(re, seeds):
-        calls.append(list(seeds))
+        calls.append(seeds)
         return real(re, seeds)
 
     monkeypatch.setattr(simulate, "sample_codewords", recording)
+
+
+@pytest.mark.parametrize("symbols, chunk", [
+    (18, 256), (48, 256), (164, 256), (514, 256), (1500, 174), (2050, 128),
+    (10250, 128),
+])
+def test_chunk_rule(symbols, chunk):
+    # n*l = 18 is bundle3; 2^18 // (n*l), clamped to [128, 256]
+    assert simulate._chunk_trials(symbols) == chunk
+
+
+def test_campaign_chunking_keeps_report(bundle3, monkeypatch):
+    re, sch = bundle3.realization, bundle3.scheme
+    whole = campaign(re, sch, trials=10, seed=8, first_trial=2)
+    calls = []
+    _recording_sampler(monkeypatch, calls)
     for chunk in (3, 1):
         calls.clear()
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
         assert campaign(re, sch, trials=10, seed=8,
                         first_trial=2).to_json_dict() == whole.to_json_dict()
-        # each trial's own seed, once, in order, chunk by chunk
-        assert [s for c in calls for s in c] == [(8, t) for t in range(2, 12)]
+        # each trial's own seed, once, in order, chunk by chunk, as one
+        # (T, 2) uint32 array a chunk
+        assert all(isinstance(c, np.ndarray) and c.dtype == np.uint32
+                   and c.shape == (len(c), 2) for c in calls)
+        assert [s for c in calls for s in _pairs(c)] == \
+            [(8, t) for t in range(2, 12)]
         assert [len(c) for c in calls[:-1]] == [chunk] * (len(calls) - 1)
+
+
+def test_campaign_report_does_not_depend_on_the_chunk(bundle3, monkeypatch):
+    # n*l = 18: 256 trials a chunk unless forced; 130 is a multiple of
+    # none of 3, 128 and 512
+    re, sch = bundle3.realization, bundle3.scheme
+    whole = campaign(re, sch, trials=600, seed=3, first_trial=130)
+    calls = []
+    _recording_sampler(monkeypatch, calls)
+    for chunk in (1, 3, 128, 512):
+        calls.clear()
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
+        assert campaign(re, sch, trials=600, seed=3,
+                        first_trial=130).to_json_dict() == whole.to_json_dict()
+        assert [s for c in calls for s in _pairs(c)] == \
+            [(3, t) for t in range(130, 730)]
+        assert [len(c) for c in calls] == \
+            [chunk] * (600 // chunk) + [600 % chunk] * (600 % chunk > 0)
+
+
+@pytest.mark.parametrize("seed, first, trials, arrays", [
+    (2 ** 32 + 5, 0, 3, [False, False]),  # the seed needs two words
+    (7, 2 ** 32 - 2, 5, [True, False, False]),  # trials cross t = 2^32
+    (2 ** 32 - 1, 2 ** 32 - 6, 6, [True, True, True]),  # all in 32 bits
+])
+def test_campaign_draws_wide_seeds_per_trial(bundle3, monkeypatch, seed,
+                                             first, trials, arrays):
+    # a chunk whose seed or last trial does not fit in 32 bits passes its
+    # seeds as a list of tuples, and yields the words of the per-trial seeds
+    re, sch = bundle3.realization, bundle3.scheme
+    calls = []
+    _recording_sampler(monkeypatch, calls)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 2)
+    rep = campaign(re, sch, trials=trials, seed=seed, first_trial=first,
+                   nodes=(0, 4))
+    assert [isinstance(c, np.ndarray) for c in calls] == arrays
+    assert all(isinstance(c, list) and all(type(s) is tuple for s in c)
+               for c in calls if not isinstance(c, np.ndarray))
+    assert [s for c in calls for s in _pairs(c)] == \
+        [(seed, t) for t in range(first, first + trials)]
+    assert rep.to_json_dict() == _oracle_report(re, sch, trials, seed, (0, 4),
+                                                first)
 
 
 def _helper_factors(re, sch, st):
@@ -439,6 +505,7 @@ def test_replay_rebuilds_without_the_erased_block(request, name):
     words = simulate.sample_codewords(re, [(12, t) for t in range(6)])
     rng = np.random.default_rng(12)
     states = _node_states(re, sch, range(re.n))
+    groups = _groups(states)
     for a, st in enumerate(states):
         # the failed block overwritten with other nonzero codes: the
         # block the batched route rebuilds for it is still the sampled
@@ -448,7 +515,7 @@ def test_replay_rebuilds_without_the_erased_block(request, name):
         other[:, st.failed] = rng.integers(1, field.order,
                                            other[:, st.failed].shape)
         assert (other[:, st.failed] != words[:, st.failed]).any()
-        assert np.array_equal(_replay(field, states, other)[a],
+        assert np.array_equal(_replay(field, groups, other)[a],
                               words[:, st.failed].T)
 
 
@@ -482,24 +549,33 @@ def test_batched_replay_matches_the_per_node_oracle(request, monkeypatch,
     field, n, ell = re.skeleton.tower.base, re.n, re.skeleton.ell
     sch = _all_distinct(bundle, 3) if distinct else bundle.scheme
     assert len(np.unique(sch.stack, axis=0)) == (n if distinct else 2)
-    real = simulate._replay
-    chunks = []
+    real, real_groups = simulate._replay, simulate._groups
+    chunks, built = [], []
 
-    def checked(field, states, words):
-        got = real(field, states, words)
+    def grouping(states):
+        built.append(states)
+        return real_groups(states)
+
+    def checked(field, groups, words):
+        states = built[-1]
+        got = real(field, groups, words)
         assert got.shape == (len(states), ell, len(words))
         for a, st in enumerate(states):
             assert np.array_equal(got[a], replay_oracle(field, st, words))
         chunks.append((tuple(st.failed for st in states), len(words)))
         return got
 
+    monkeypatch.setattr(simulate, "_groups", grouping)
     monkeypatch.setattr(simulate, "_replay", checked)
     monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 3)
     # unsorted and repeated nodes, and every node
     for nodes in ((5, 1, 5, 0), tuple(range(n))):
         rep = campaign(re, sch, trials=7, seed=44, nodes=nodes)
         assert chunks == [(nodes, 3), (nodes, 3), (nodes, 1)]
+        # the per-matrix replay data is built once for all three chunks
+        assert len(built) == 1
         chunks.clear()
+        built.clear()
         if distinct:
             same = campaign(re, bundle.scheme, trials=1, seed=44, nodes=nodes)
             assert (rep.downloaded, rep.accessed) == \
@@ -507,8 +583,9 @@ def test_batched_replay_matches_the_per_node_oracle(request, monkeypatch,
         # on any word, not only on a codeword
         words = np.random.default_rng(n).integers(0, field.order,
                                                   (5, n, ell))
-        checked(field, _node_states(re, sch, nodes), words)
+        checked(field, simulate._groups(_node_states(re, sch, nodes)), words)
         chunks.clear()
+        built.clear()
 
 
 def test_campaign_names_the_first_listed_node(bundle3, monkeypatch):
@@ -633,8 +710,8 @@ def test_replay_names_a_later_trial(bundle3, monkeypatch):
 
     def flip(re, seeds):
         words = real(re, seeds)
-        if (7, 6) in seeds:  # erased block 3 of trial 6 no longer matches
-            k = seeds.index((7, 6))
+        if (7, 6) in _pairs(seeds):  # erased block 3 of trial 6 no longer
+            k = _pairs(seeds).index((7, 6))  # matches
             words = words.copy()
             words[k, 3, 0] = (words[k, 3, 0] + 1) % 3
         return words
@@ -654,7 +731,7 @@ def test_campaign_checks_every_sampled_syndrome(bundle3, monkeypatch):
 
     def flip_last(re, seeds):
         words = real(re, seeds).copy()
-        if seeds[-1] == (6, 9):
+        if _pairs(seeds)[-1] == (6, 9):
             words[-1, 0, 0] = (words[-1, 0, 0] + 1) % 3
         return words
 
