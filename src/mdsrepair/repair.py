@@ -395,10 +395,12 @@ def dual_cover(m: Matrix, s: CodeSkeleton, i: int) -> DualCover:
 
 # A row table whose bitsets over the scanned part of a pattern take at most
 # this many bytes is formed once per pattern; a larger one is formed for
-# each block instead.  Any table is formed from at most this many bytes of
-# int64 products at a time.
+# each block instead.  Any table is formed in slices whose int64 sums take
+# at most this many bytes.
 _ROW_TABLE_BYTES = 1 << 24
-_SCAN_CHUNK = 8192
+# A block holds as many whole runs as keep its grids of feasibility and
+# objective words within this many bytes, or one slice of a longer run.
+_BLOCK_BYTES = 1 << 20
 # A bandwidth row is kept as bitsets when they take at most this many
 # 64-bit words per entry of its l x l blocks (the measured crossover lies
 # between 1.7 and 7.7); the blocks of a wider row are eliminated instead.
@@ -424,6 +426,19 @@ def _nullity_weights(q: int, ell: int) -> list[int]:
         c.append(t - sum(cs * gaussian_binomial(t, s, q)
                          for s, cs in enumerate(c, 1)))
     return c
+
+
+def _code_sums(p: int, order: int) -> np.ndarray:
+    """x + y for every pair of codes x, y of a field of characteristic p
+    and this order, flat at x * order + y: codes add mod p in each base-p
+    digit, in F_q as in F_q^l, whose coordinates are base-q digits."""
+    digit = (np.arange(p)[:, None] + np.arange(p)) % p
+    sums = np.zeros((1, 1), dtype=np.min_scalar_type(order - 1))
+    while len(sums) < order:  # one more high digit
+        k = len(sums)
+        sums = (digit[:, None, :, None] * k + sums[None, :, None, :]).astype(
+            sums.dtype).reshape(p * k, p * k)
+    return sums.ravel()
 
 
 def _block(outer: list, head: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -453,8 +468,11 @@ class _Scan:
     popcount N_s over region s, one integer sum over the region's words,
     counts the s-subspaces of every ker(M H_j), so the total nullity is
     sum_s c_s N_s (:func:`_nullity_weights`), for rank-deficient H_j too.
-    Bits come from the code of a helper's l entries through q^l-entry
-    mask tables.  A bandwidth row wider than ``_BITSET_WORDS`` words per
+    Bits come from the code of a helper's l entries (its base-q digits)
+    through q^l-entry mask tables.  Codes are formed by :meth:`add`, mod p
+    in each base-p digit (XOR in characteristic 2, else a table of
+    (q^l)^2 sums), from the codes of the multiples d * x, d in F_q
+    (:meth:`images`), with no field product.  A bandwidth row wider than ``_BITSET_WORDS`` words per
     block entry keeps its entries instead, (columns, entries), and the
     blocks of its feasible candidates are eliminated in slices whose int64
     blocks take at most an eighth of ``_PASS_BYTES``.
@@ -468,8 +486,14 @@ class _Scan:
         q = field.order
         self.field, self.ell, self.n_cols = field, ell, n_cols
         self.entry_dtype = np.min_scalar_type(q - 1)
+        self.top = q ** ell
+        self.code_dtype = np.min_scalar_type(self.top - 1)
+        self._sums = None if field.p == 2 else _code_sums(field.p, self.top)
         self.powers = q ** np.arange(ell)
         vecs = (np.arange(q ** ell)[:, None] // self.powers) % q
+        # the code of d * x for each d in F_q and code x of F_q^l
+        self._scaled = (field.arr_mul(np.arange(q)[:, None, None], vecs)
+                        @ self.powers).astype(self.code_dtype)
         self.points = _kernel_masks(field, vecs, [1])
         dims = range(1, ell + 1)
         self.masks, self.regions = None, None
@@ -492,15 +516,24 @@ class _Scan:
         # the bytes of one table entry, feasibility and objective
         self.entry_bytes = 8 * -(-self.points[0].shape[1] // 64) + obj_bytes
 
-    def _bits(self, masks: list, prod: np.ndarray) -> np.ndarray:
-        """Rows of products as word-major bitsets: a word-aligned region
-        per mask table, with the table's bits for each helper's code."""
-        _check_codes(self.field, prod)
-        codes = prod.reshape(len(prod), -1, self.ell) @ self.powers
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """(q, len(rows), helpers): the codes of d * rows[t] per helper."""
+        return self._scaled[:, rows.reshape(len(rows), -1, self.ell)
+                            @ self.powers]
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Codes of x + y in F_q^l, broadcast (x the smaller operand)."""
+        if self._sums is None:  # characteristic 2
+            return np.bitwise_xor(x, y)
+        return np.take(self._sums, x.astype(np.intp) * self.top + y)
+
+    def _bits(self, masks: list, codes: np.ndarray) -> np.ndarray:
+        """Entries of helper codes as word-major bitsets: a word-aligned
+        region per mask table, with the table's bits for each code."""
         words = [-(-codes.shape[1] * m.shape[1] // 64) for m in masks]
-        out = np.zeros((len(prod), sum(words)), dtype=np.uint64)
+        out = np.zeros((len(codes), sum(words)), dtype=np.uint64)
         step = max(1, _PACK_BOOLS // (64 * sum(words) + 1))
-        for lo in range(0, len(prod), step):
+        for lo in range(0, len(codes), step):
             at, col = out[lo:lo + step].view(np.uint8), 0
             for m, w in zip(masks, words):
                 bits = np.take(m, codes[lo:lo + step], axis=0)
@@ -510,14 +543,15 @@ class _Scan:
                 col += 8 * w
         return np.ascontiguousarray(out.T)
 
-    def feas_form(self, prod: np.ndarray) -> np.ndarray:
-        return self._bits(self.points, prod)
+    def feas_form(self, codes: np.ndarray) -> np.ndarray:
+        return self._bits(self.points, codes)
 
-    def obj_form(self, prod: np.ndarray) -> np.ndarray:
+    def obj_form(self, codes: np.ndarray) -> np.ndarray:
         if self.masks is not None:
-            return self._bits(self.masks, prod)
-        _check_codes(self.field, prod)
-        return np.ascontiguousarray(prod.T, dtype=self.entry_dtype)
+            return self._bits(self.masks, codes)
+        entries = codes[:, :, None] // self.powers % self.field.order
+        return np.ascontiguousarray(entries.reshape(len(codes), -1).T,
+                                    dtype=self.entry_dtype)
 
     def feasible(self, outer, head, t: int, n: int) -> np.ndarray:
         """Whether each candidate's M H_i is invertible."""
@@ -556,35 +590,63 @@ class _RowTable:
     of w met, at most q^f: entry k is for w = ``first`` + k, and candidate
     c reads entry (c // q^o - first) mod ``count``; first is 0 when the
     table holds all q^f values, so that entry k is w = k, and a // q^o
-    otherwise.  Each entry is formed from the exact product [1, digits]
-    [H_i | T] restricted to the pivot and free columns of row r, and kept
-    as the row's word-major bitsets (see :class:`_Scan`), formed from at
-    most ``_ROW_TABLE_BYTES`` of products at a time.  The feasibility
-    bitsets are formed at once, the objective part when a block of
-    candidates first asks for it.
+    otherwise.  Entry w is rows[0] + sum_t d_t(w) rows[1+t] over the pivot
+    and free columns of row r, formed as the codes of its helpers in F_q^l
+    by sums of codes, with no product (see :meth:`_codes`), and kept as
+    the row's word-major bitsets (see :class:`_Scan`), feasibility and
+    objective from one set of codes, in slices of at most
+    ``_ROW_TABLE_BYTES`` of int64 sums.  Every table's rows are checked
+    to be codes of F_q before any is summed.
     """
 
     def __init__(self, scan: _Scan, row, a: int, b: int, bound: int):
-        o, f, feas_rows, self._obj_rows = row
+        o, self._f, feas_rows, obj_rows = row
         q = scan.field.order
-        self._scan, self.step = scan, q ** o
+        self._scan, self._bound, self.step = scan, bound, q ** o
         self.count = _window_count(q, row, a, b)
-        self.first = 0 if self.count == q ** f else a // self.step
-        w = _counter(self.first, self.count, bound)
-        powers = np.array([q ** t for t in range(f)], dtype=w.dtype)
-        self._coeffs = np.ones((self.count, 1 + f), dtype=np.int64)
-        self._coeffs[:, 1:] = (w[:, None] // powers) % q
-        self.feas = self._form(feas_rows, scan.feas_form)
+        self.first = 0 if self.count == q ** self._f else a // self.step
+        rows = np.hstack([feas_rows, obj_rows])
+        _check_codes(scan.field, rows)
+        images = scan.images(rows)
+        # a slice forms at most 2n codes per helper, added as int64
+        step = max(1, _ROW_TABLE_BYTES // (16 * images.shape[2] + 1))
+        feas, obj = [], []
+        for e in range(0, self.count, step):
+            codes = self._codes(images, self.first + e,
+                                min(step, self.count - e))
+            feas.append(scan.feas_form(codes[:, :1]))
+            obj.append(scan.obj_form(codes[:, 1:]))
+        self.feas, self.obj = (parts[0] if len(parts) == 1 else
+                               np.concatenate(parts, axis=1)
+                               for parts in (feas, obj))
 
-    def _form(self, rows: np.ndarray, form) -> np.ndarray:
-        step = max(1, _ROW_TABLE_BYTES // (8 * rows.shape[1] + 1))
-        parts = [form(self._scan.field.matmul(self._coeffs[e:e + step], rows))
-                 for e in range(0, self.count, step)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    def _codes(self, images: np.ndarray, w0: int, n: int) -> np.ndarray:
+        """(n, helpers): the codes of entries w0 .. w0 + n - 1.
 
-    @functools.cached_property
-    def obj(self) -> np.ndarray:
-        return self._form(self._obj_rows, self._scan.obj_form)
+        The j lowest digits, q^(j+1) <= n, are summed as outer sums of
+        their images onto the table built so far, from rows[0]; the higher
+        digits of the at most q^2 + 1 values of w // q^j met are summed
+        one digit at a time; their outer sum holds the n entries."""
+        scan, q, f = self._scan, self._scan.field.order, self._f
+        h = images.shape[2]
+        j = 0
+        while j < f and q ** (j + 2) <= n:
+            j += 1
+        if n == q ** f and w0 % n == 0:  # the whole table, in order
+            j = f
+        low = images[1, :1]
+        for t in range(j):
+            low = scan.add(images[:, 1 + t, None], low[None]).reshape(-1, h)
+        if j == f:
+            return low
+        v0 = w0 // q ** j
+        v = _counter(v0, (w0 + n - 1) // q ** j - v0 + 1, self._bound)
+        high = np.zeros((len(v), h), dtype=scan.code_dtype)
+        for t in range(j, f):
+            d = (v // q ** (t - j) % q).astype(np.intp)
+            high = scan.add(high, images[d, 1 + t])
+        out = scan.add(high[:, None], low[None]).reshape(-1, h)
+        return out[w0 - v0 * q ** j:][:n]
 
     def index(self, u0: int, u1: int, run: int) -> np.ndarray:
         """The entry that each run u0 .. u1 - 1 of ``run`` candidates reads
@@ -610,8 +672,10 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
     multiplied (see :class:`_Scan`).  Row 0 holds the lowest f0 digits of
     a candidate's index, so a pattern is runs of q^f0 candidates that
     share rows 1 .. l-1 and read row 0's entries in order.  A block is
-    K = max(1, ``_SCAN_CHUNK`` // run) runs, or a slice of one longer
-    run: its outer rows are gathered and ANDed once per run, then ANDed
+    as many whole runs as keep its grids within ``_BLOCK_BYTES`` at
+    ``entry_bytes`` a candidate, K = max(1, per // run) for per =
+    ``_BLOCK_BYTES`` // ``entry_bytes``, or a slice of per candidates of
+    a longer run: its outer rows are gathered and ANDed once per run, then ANDed
     with one slice of row 0's table by broadcasting, and its candidates
     are a flat slice of that grid, in ascending index.  Feasibility is
     read for the whole block, then the objective, -1 where infeasible,
@@ -634,7 +698,8 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
             rows.append((o, len(cols) - 1, block_i[cols], targets[cols]))
             o += len(cols) - 1
         run = q ** rows[0][1]
-        cell = min(max(1, _SCAN_CHUNK // run) * run, _SCAN_CHUNK)
+        per = max(1, _BLOCK_BYTES // scan.entry_bytes)
+        cell = min(max(1, per // run) * run, per)
         shared = [_RowTable(scan, row, lo, hi, bound)
                   if _window_count(q, row, lo, hi) * scan.entry_bytes
                   <= _ROW_TABLE_BYTES else None for row in rows]

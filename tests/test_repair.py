@@ -17,6 +17,7 @@ from pass_oracle import (
     scheme_pass_oracle,
 )
 from replay_oracle import NodeView, node_states_oracle, node_view
+from row_table_oracle import row_table_oracle
 from rref_oracle import meet_dim_oracle, meet_dims_oracle
 from mdsrepair.codes import CodeSkeleton, realize
 from mdsrepair.errors import (
@@ -367,13 +368,14 @@ def test_subspace_counts_give_the_total_nullity(p, m, ell):
                 counts.append(int(inside.all(axis=(0, 2)).sum()))
             assert sum(c * n for c, n in zip(weights, counts)) == nullity[j]
         targets = np.hstack(list(h))
-        # one candidate: a block of one run of one row-0 entry, word-major
-        rows = [scan.obj_form(field.matmul(mm[r:r + 1], targets))
-                for r in range(ell)]
+        # one candidate: a block of one run of one row-0 entry, word-major,
+        # from the helper codes of each row's products
+        rows = [scan.obj_form(field.matmul(mm[r:r + 1], targets).reshape(
+            1, -1, ell) @ scan.powers) for r in range(ell)]
         assert scan.value(rows[1:], rows[0], 0, 1,
                           np.ones(1, dtype=bool))[0] == nullity.sum()
-        feas = [scan.feas_form(field.matmul(mm[r:r + 1], h[0]))
-                for r in range(ell)]
+        feas = [scan.feas_form((field.matmul(mm[r:r + 1], h[0])
+                                @ scan.powers)[:, None]) for r in range(ell)]
         assert scan.feasible(feas[1:], feas[0], 0, 1)[0] == (nullity[0] == 0)
 
 
@@ -431,21 +433,25 @@ def _scan_points(q3, q5):
     # indices past 2^62, rows of 3^12 entries, 6x6 blocks above the cap
     yield from ((big, i, (2 ** 70, 2 ** 70 + 3000), {}) for i in (0, 1, 3))
     # runs of 625 candidates: a window that starts and ends mid-run over
-    # 13 runs, read in blocks of one run, of three runs (a block size
-    # that no run divides) and of slices shorter than a run
-    yield from ((q5, 0, (1000, 9000), {(repair, "_SCAN_CHUNK"): chunk})
-                for chunk in (1000, 2000, 300))
+    # 13 runs, read in blocks of 40- and 16-byte candidates (bandwidth;
+    # io) whose budget holds one run (1000; 2500 candidates), three or
+    # eight runs (2000, a block size that no run divides; 5000), slices
+    # shorter than a run (300; 750) and slices for both (120; 300)
+    yield from ((q5, 0, (1000, 9000), {(repair, "_BLOCK_BYTES"): budget})
+                for budget in (40000, 80000, 12000, 4800))
     yield q5, 2, (700, 1200), {}  # a window inside one run
     yield q5, 4, (1000, 1500), {}  # shorter than a run, across two runs
-    # row 0 once per pattern, formed 67 entries at a time, read by blocks
+    # row 0 once per pattern, formed 64 entries at a time, read by blocks
     # shorter than its runs; and row 0 formed for each block instead
     yield q5, 1, (100, 5000), {(repair, "_ROW_TABLE_BYTES"): 625 * 40,
-                               (repair, "_SCAN_CHUNK"): 300}
+                               (repair, "_BLOCK_BYTES"): 4800}
     yield q5, 3, (1000, 9000), {(repair, "_ROW_TABLE_BYTES"): 0,
-                                (repair, "_SCAN_CHUNK"): 300}
-    # l = 1 (a pattern is one run) and l = 3 (two outer rows)
-    yield from ((l1, i, None, {(repair, "_SCAN_CHUNK"): 100}) for i in (0, 7))
-    yield l3, 13, (50, 19000), {(repair, "_SCAN_CHUNK"): 100}
+                                (repair, "_BLOCK_BYTES"): 4800}
+    # l = 1 (a pattern is one run, 16 bytes a candidate) and l = 3 (two
+    # outer rows, 112 and 24 bytes a candidate)
+    yield from ((l1, i, None, {(repair, "_BLOCK_BYTES"): 1600})
+                for i in (0, 7))
+    yield l3, 13, (50, 19000), {(repair, "_BLOCK_BYTES"): 2400}
 
 
 def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
@@ -475,7 +481,7 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
         repair._bruteforce(s.tower.base, linalg._columns(stack),
                            linalg._columns(s.bases[[0]]), s.ell, s.ambient,
                            objective, 0, 30000)
-    assert len(calls) == 2 * 44
+    assert len(calls) == 2 * 45
     for (value, witness, count), (o_value, o_witness, o_count) in calls:
         assert (value, count) == (o_value, o_count)
         if o_witness is None:
@@ -505,6 +511,7 @@ def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
     tables.clear()
     cap = 40 * 625 - 1  # 40 bytes an entry: row 0's 625 entries are over
     monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", cap)
+    monkeypatch.setattr(repair, "_BLOCK_BYTES", 13 * 625 * 40)  # 13 runs
     bruteforce_overlap(bundle5.skeleton, 1, index_range=(0, 20000))
     shared = [t for t in tables if t[1] == (0, 20000)]
     chunked = [count for count, (a, b), _ in tables if (a, b) != (0, 20000)]
@@ -513,24 +520,41 @@ def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
     assert chunked == [625] * 3  # row 0, once per block of 13 runs
 
 
-def test_bruteforce_blocks_stay_within_the_chunk(bundle5, monkeypatch):
-    # a block's grid of runs x row-0 entries never holds more than
-    # _SCAN_CHUNK candidates: blocks are whole runs, aligned, or a slice
-    # of one run
-    grids = []
-    block = repair._block
+def test_bruteforce_blocks_stay_within_the_byte_budget(bundle5, monkeypatch):
+    # a block's grid of runs x row-0 entries never takes more than
+    # _BLOCK_BYTES at _Scan.entry_bytes a candidate, and holds as many
+    # whole runs as fit, or one slice of a longer run
+    scans, grids = [], []
+    scan_class, block = repair._Scan, repair._block
 
-    def spy(outer, head, t, n):
+    def scan_spy(*args):
+        scans.append(scan_class(*args))
+        return scans[-1]
+
+    def block_spy(outer, head, t, n):
         grids.append((outer[0].shape[1] if outer else 1) * head.shape[1])
         return block(outer, head, t, n)
 
-    monkeypatch.setattr(repair, "_block", spy)
-    for chunk in (300, 1000, 2000, 8192):
-        monkeypatch.setattr(repair, "_SCAN_CHUNK", chunk)
-        for rng in ((100, 5000), (1000, 1500), (389000, 392000)):
+    monkeypatch.setattr(repair, "_Scan", scan_spy)
+    monkeypatch.setattr(repair, "_block", block_spy)
+    re = bundle5.realization
+    for budget, words in ((repair._BLOCK_BYTES, 2), (12000, 2),
+                          (80000, 2), (80000, 0)):
+        monkeypatch.setattr(repair, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(repair, "_BITSET_WORDS", words)  # 0: eliminated
+        for scan, rng in itertools.product(
+                (lambda r: bruteforce_overlap(re.skeleton, 1, index_range=r),
+                 lambda r: bruteforce_column_hits(re, 1, index_range=r)),
+                ((100, 5000), (1000, 1500), (0, 200000))):
+            scans.clear()
             grids.clear()
-            bruteforce_column_hits(bundle5.realization, 1, index_range=rng)
-            assert grids and max(grids) <= chunk
+            scan(rng)
+            size = scans[0].entry_bytes
+            assert grids and max(grids) * size <= budget
+            if rng == (0, 200000):  # runs of 625, many blocks
+                per = budget // size
+                assert max(grids) == min(max(1, per // 625) * 625, per)
+    assert {s.entry_bytes for s in scans} >= {16}
 
 
 def test_bruteforce_forms_each_row_entry_once_per_pattern(bundle5,
@@ -542,25 +566,93 @@ def test_bruteforce_forms_each_row_entry_once_per_pattern(bundle5,
     formed = []
 
     class Spy(repair._RowTable):
-        def _form(self, rows, form):
-            def counted(prod):
-                formed.append((self, form, len(prod)))
-                return form(prod)
-            return super()._form(rows, counted)
+        def _codes(self, images, w0, n):
+            formed.append((self, w0, n))
+            return super()._codes(images, w0, n)
 
     monkeypatch.setattr(repair, "_RowTable", Spy)
-    monkeypatch.setattr(repair, "_SCAN_CHUNK", 300)
+    monkeypatch.setattr(repair, "_BLOCK_BYTES", 300 * 40)
     monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", 625 * 40)
     bruteforce_overlap(bundle5.skeleton, 1,
                        index_range=(385000, 395000))  # two patterns
     heads = list(dict.fromkeys(t for t, _, _ in formed if t.step == 1))
     assert len(heads) == 2 and all(t.count == 625 for t in heads)
     for head in heads:
-        assert len(np.unique(head._coeffs, axis=0)) == 625  # every w once
-        for kind in {form for t, form, _ in formed if t is head}:
-            sizes = [m for t, form, m in formed if t is head and form == kind]
-            assert sum(sizes) == 625
-        assert len([t for t, _, _ in formed if t is head]) > 2  # sliced
+        slices = [(w0, n) for t, w0, n in formed if t is head]
+        assert len(slices) > 2  # sliced
+        # every entry w = 0 .. 624 formed once, in order
+        assert [w0 for w0, _ in slices] == list(
+            itertools.accumulate([n for _, n in slices[:-1]], initial=0))
+        assert sum(n for _, n in slices) == 625
+
+
+def _assert_table_matches_the_oracle(scan, row, a, b, bound):
+    table = repair._RowTable(scan, row, a, b, bound)
+    first, count, feas, obj = row_table_oracle(scan, row, a, b)
+    assert (table.first, table.count) == (first, count)
+    assert table.feas.dtype == feas.dtype and table.obj.dtype == obj.dtype
+    assert np.array_equal(table.feas, feas)
+    assert np.array_equal(table.obj, obj)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2)])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_row_tables_match_the_product_oracle(p, m, ell, monkeypatch):
+    # tables summed from codes equal those of the exact products, entry
+    # for entry: whole tables (first = 0), windows (first != 0) that
+    # start and end inside a row's runs, and tables formed in slices
+    field = build_tower(p, m, ell).base
+    q, helpers = field.order, 3
+    rng = np.random.default_rng(10 * q + ell)
+    scans = [repair._Scan(field, ell, helpers, "columns"),
+             repair._Scan(field, ell, helpers, "overlap")]
+    with monkeypatch.context() as patch:
+        patch.setattr(repair, "_BITSET_WORDS", 0)  # entries, not bitsets
+        scans.append(repair._Scan(field, ell, helpers, "overlap"))
+    assert scans[-1].masks is None
+    for f in range(4 if q < 5 else 3):
+        rows = [rng.integers(0, q, (1 + f, ell)),
+                rng.integers(0, q, (1 + f, helpers * ell))]
+        rows[1][:, :ell] = 0  # a zero helper
+        for o, (a, b) in ((0, (0, q ** f)), (1, (q + 1, q ** (2 + f) - 2)),
+                          (1, (q ** (1 + f) + 1, q ** (1 + f) + 2 * q)),
+                          (0, (1, q ** f)), (0, (q ** f - 1, q ** f + 3))):
+            if a >= b:  # no window at this size
+                continue
+            bound = q ** (o + f + 1)
+            for scan in scans:
+                _assert_table_matches_the_oracle(scan, (o, f, *rows), a, b,
+                                                 bound)
+                with monkeypatch.context() as patch:
+                    # one entry at a time: 128 // (16 * 4 + 1)
+                    patch.setattr(repair, "_ROW_TABLE_BYTES", 16 * 8)
+                    _assert_table_matches_the_oracle(scan, (o, f, *rows), a,
+                                                     b, bound)
+
+
+def test_row_tables_match_the_product_oracle_past_2_62(monkeypatch):
+    # every table a scan of the l=6 fixture forms over a window past 2^62
+    # (counters of Python integers) equals the product route's
+    tables = []
+    table = repair._RowTable
+
+    def spy(scan, row, a, b, bound):
+        tables.append((scan, row, a, b))
+        return table(scan, row, a, b, bound)
+
+    monkeypatch.setattr(repair, "_RowTable", spy)
+    re = _mds_f3_ell6()
+    window = (2 ** 70, 2 ** 70 + 3000)
+    bruteforce_overlap(re.skeleton, 0, index_range=window)
+    bruteforce_column_hits(re, 3, index_range=window)
+    assert len(tables) == 12 and all(a > 2 ** 62 for _, _, a, _ in tables)
+    for scan, row, a, b in tables:
+        first, count, feas, obj = row_table_oracle(scan, row, a, b)
+        got = table(scan, row, a, b, 3 ** 72)
+        assert (got.first, got.count) == (first, count)
+        assert np.array_equal(got.feas, feas)
+        assert np.array_equal(got.obj, obj)
 
 
 def test_bruteforce_eliminates_in_slices_under_the_pass_cap(monkeypatch):
