@@ -313,7 +313,10 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
     points that pass them are canonicalized (first nonzero coordinate 1)
     and checked for repeats and membership all at once (p lies in node k
     when p = p[piv_k] R_k, k's RREF basis R_k).  The first fault in point
-    order is raised.
+    order is raised.  The points then span node k exactly when their
+    (l, l) coefficients p[piv_k] do, so the spanning check ranks the
+    (n, l, l) coefficients, one rank-table lookup where q ** (l*l) is
+    small.
     """
     field = s.tower.base
     n, ell, d = s.n, s.ell, s.ambient
@@ -350,7 +353,8 @@ def realize(s: CodeSkeleton, column_sets) -> Realization:
                                "subspace")
     if fault is not None:
         raise fault
-    short = np.flatnonzero(batched_rank(field, points) != ell)
+    # every point is now coeffs @ bases, and the bases have full row rank
+    short = np.flatnonzero(batched_rank(field, coeffs) != ell)
     if short.size:
         raise NotSpanning(f"node {short[0]}: column points do not span the node")
     points.setflags(write=False)

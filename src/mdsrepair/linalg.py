@@ -20,11 +20,13 @@ split by index range across workers and always replays identically.
 Ranks of stacks of small blocks (:func:`batched_rank`) come from a table
 whenever the block shape has at most ``_RANK_TABLE_CAP`` code matrices:
 the table holds the rank of every matrix of that shape, is filled once
-per process by the batched column elimination, and answers a stack in
+per process by one elimination of all of them, and answers a stack in
 one lookup.  Larger blocks are eliminated.
 
 Every elimination is one batched Gauss-Jordan loop over a stack of
-matrices, ``_elimination_ranks``.  Each linear-algebra question is one
+matrices, ``_elimination_ranks``, stepping by pivots: at most min(rows,
+cols) steps of a few whole-stack table gathers each, however many
+columns the blocks have.  Each linear-algebra question is one
 elimination of an augmented matrix (kernels reduce [m^T | I],
 intersections [[A, A], [B, 0]]), a stack in giving a stack out.
 """
@@ -155,45 +157,47 @@ def _elimination_ranks(field: Field, a: np.ndarray):
 
     ``a`` is a (batch, rows, cols) int64 stack used as scratch space, so
     callers pass a copy.  ``reduced`` holds each block's RREF: pivot rows
-    first, in pivot order, each pivot column zero outside its row; a
-    column's pivot is the first eligible row of its block, swapped up.
-    ``ranks`` is an int64 array of length batch and ``is_piv`` a (batch,
-    cols) boolean array of pivot columns.  The loop is over columns only,
-    so large batches cost a handful of vectorised operations each, and it
-    stops once every block has a pivot in each of its rows.
+    first, in pivot order, each pivot column zero outside its row, and
+    zero rows past the rank.  ``ranks`` is an int64 array of length batch
+    and ``is_piv`` a (batch, cols) boolean array of pivot columns.
+
+    The loop is over pivot steps, at most min(rows, cols) of them.  Step k
+    takes, in every block, the first column with a nonzero at or below
+    row k and the first such row, swaps that row up to k, scales it by
+    its pivot's inverse and clears the column in every other row with one
+    product-table and one sum-table gather.  A block with no such column
+    has reached its rank: its rows from k on are zero, so the step leaves
+    it as it is (its "pivot" is 0, whose table inverse is 0).  The loop
+    stops once no block has a pivot left.
     """
     nb, rows, cols = a.shape
-    piv_row = np.zeros(nb, dtype=np.int64)
+    q, tabs = field.order, field._tabs()
     is_piv = np.zeros((nb, cols), dtype=bool)
-    row_idx = np.arange(rows)[None, :]
-    for col in range(cols):
-        eligible = (row_idx >= piv_row[:, None]) & (a[:, :, col] != 0)
-        sel = np.flatnonzero(eligible.any(axis=1))
-        if sel.size == 0:
-            continue
-        whole = sel.size == nb
-        block = a if whole else a[sel]
-        at = np.arange(sel.size)
-        pr = piv_row[sel]
-        pv = eligible[sel].argmax(axis=1)
-        if (pv != pr).any():  # swap each pivot row up; a no-op where pv == pr
-            block[at, pr], block[at, pv] = block[at, pv], block[at, pr]
-        prow = field.arr_mul(block[at, pr],
-                             field.arr_inv(block[at, pr, col])[:, None])
-        factors = block[:, :, col].copy()
-        factors[at, pr] = 0
-        block = field.arr_sub(block, field.arr_mul(factors[:, :, None],
-                                                   prow[:, None, :]))
-        block[at, pr] = prow
-        if whole:
-            a = block
-        else:
-            a[sel] = block
-        piv_row[sel] += 1
-        is_piv[sel, col] = True
-        if (piv_row == rows).all():
-            break  # no row is left to pivot in a later column
-    return a, piv_row, is_piv
+    at = np.arange(nb)
+    idx = np.empty_like(a)  # the table indices of each step, in place
+    for k in range(min(rows, cols)):
+        # column-major over rows k.., so the first hit is the pivot
+        nonzero = (a[:, k:].transpose(0, 2, 1) != 0).reshape(
+            nb, cols * (rows - k))
+        first = nonzero.argmax(axis=1)
+        live = nonzero[at, first]
+        if not live.any():
+            break
+        col, pr = np.divmod(first, rows - k)
+        pr += k
+        if (pr != k).any():  # swap each pivot row up; a no-op where pr == k
+            a[at, k], a[at, pr] = a[at, pr], a[at, k]
+        factors = a[at, :, col]
+        prow = tabs.mul[a[:, k] * q + tabs.inv[factors[:, k]][:, None]]
+        # row k clears itself too; it is written back as prow
+        np.add((factors * q)[:, :, None], prow[:, None, :], out=idx)
+        term = tabs.mul[idx]
+        np.multiply(a, q, out=idx)
+        idx += term
+        a[...] = tabs.sub[idx]
+        a[:, k] = prow
+        is_piv[at, col] |= live
+    return a, is_piv.sum(axis=1, dtype=np.int64), is_piv
 
 
 def _code_weights(q: int, rows: int, cols: int) -> np.ndarray:
@@ -206,8 +210,9 @@ def _rank_table(field: Field, rows: int, cols: int) -> np.ndarray:
 
     The code of a matrix reads its row-major entries as a little-endian
     base-q number: the sum of each entry times its ``_code_weights``.
-    Filled once per process by elimination over all of them and published
-    in one dict assignment.
+    Filled once per process by one ``_elimination_ranks`` call over all
+    q ** (rows*cols) of them, at most min(rows, cols) pivot steps, and
+    published in one dict assignment.
     """
     key = (field, rows, cols)
     table = _rank_tables.get(key)
@@ -231,7 +236,7 @@ def batched_rank(field: Field, blocks: np.ndarray) -> np.ndarray:
     length batch.  When q ** (rows*cols) is at most ``_RANK_TABLE_CAP``
     every rank is one lookup in a table of all matrices of that shape,
     filled by elimination on first use; larger blocks are eliminated in
-    lockstep, column by column.
+    lockstep, pivot step by pivot step.
     """
     a = np.asarray(blocks, dtype=np.int64)
     if a.ndim != 3:

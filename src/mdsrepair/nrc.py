@@ -29,10 +29,10 @@ their members first, repairs every node with the kernel that hits the
 opposite block (or the first block's kernel for nodes outside both), and
 forces each constrained node's column set to contain the one projective
 point its designated kernel captures.  Every subspace is an array of
-its canonical basis: a node's curve rows as they stand, a repair kernel
-the basis from one :func:`linalg.kernels` call.  The skeleton reduces
-all curve rows at once, one stacked intersection finds the forced
-points, and one stacked fill picks every node's column points.
+its canonical basis: a node's curve rows as they stand, the builder's
+two repair kernels the bases of one :func:`linalg.kernels` call.  The
+skeleton reduces all curve rows at once, one stacked intersection finds
+the forced points, and one stacked fill picks every node's column points.
 Every property the construction promises is re-verified on the finished
 bundle.
 
@@ -257,23 +257,29 @@ def repair_subspace(tower: FieldTower, r: int, b: int):
     [-(multiply-by-b o Frobenius) | 0 | ... | 0 | I] and W is the
     ((r-1)*l, r*l) canonical basis array of ker(M).
     """
-    b = int(b)
-    linalg._check_codes(tower.top, np.array(b))
-    if b == 0:
+    return _repair_subspaces(tower, r, [b])[0]
+
+
+def _repair_subspaces(tower: FieldTower, r: int, bs) -> list:
+    """:func:`repair_subspace` of each parameter in ``bs``, all kernels
+    from one :func:`linalg.kernels` call over their (k, l, r*l) stack."""
+    bs = np.array([int(b) for b in bs])
+    linalg._check_codes(tower.top, bs)
+    if not bs.all():
         raise ZeroB("the repair kernel parameter must be a unit")
     q, ell, field = tower.q, tower.ell, tower.base
     # column t holds the coordinates (base-q digits) of b * (z^t)^q
     zt = q ** np.arange(ell, dtype=np.int64)
-    images = tower.top.arr_mul(b, tower.top.arr_pow(zt, q))
-    amat = images // zt[:, None] % q
-    m = np.zeros((ell, r * ell), dtype=np.int64)
-    m[:, :ell] = field.arr_neg(amat)
-    m[:, (r - 1) * ell:] = np.eye(ell, dtype=np.int64)
-    bases, is_piv = kernels(field, m[None])
+    images = tower.top.arr_mul(bs[:, None], tower.top.arr_pow(zt, q))
+    amat = images[:, None, :] // zt[:, None] % q
+    m = np.zeros((len(bs), ell, r * ell), dtype=np.int64)
+    m[:, :, :ell] = field.arr_neg(amat)
+    m[:, :, (r - 1) * ell:] = np.eye(ell, dtype=np.int64)
+    bases, is_piv = kernels(field, m)
     wdim = (r - 1) * ell
-    if is_piv.sum() != wdim:
+    if (is_piv.sum(axis=1) != wdim).any():
         raise InternalInconsistency("repair kernel has wrong dimension")
-    return bases[0, :wdim], Matrix(field, m)
+    return [(w[:wdim], Matrix(field, mt)) for w, mt in zip(bases, m)]
 
 
 @dataclass(frozen=True)
@@ -328,8 +334,8 @@ def build(params: NrcParams) -> NrcBundle:
     ell = tower.ell
     part = block_partition(tower, r)
     block_a, block_b = part.blocks[0], part.blocks[1]
-    w_a, m_a = repair_subspace(tower, r, block_a.rep)
-    w_b, m_b = repair_subspace(tower, r, block_b.rep)
+    (w_a, m_a), (w_b, m_b) = _repair_subspaces(tower, r,
+                                               [block_a.rep, block_b.rep])
     in_a = set(block_a.members)
     in_b = set(block_b.members)
     rest = sorted(set(range(tower.top_order)) - in_a - in_b)

@@ -106,7 +106,9 @@ class RepairScheme:
         return sch
 
     def _hold(self, field: Field, stack: np.ndarray) -> None:
-        short = np.flatnonzero(batched_rank(field, stack) != stack.shape[1])
+        uniq, inv = _distinct(stack)  # each distinct matrix ranked once
+        short = np.flatnonzero((batched_rank(field, uniq)
+                                != stack.shape[1])[inv])
         if short.size:
             raise BadRank(f"matrix {short[0]} does not have full row rank")
         stack.setflags(write=False)

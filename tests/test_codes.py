@@ -748,9 +748,9 @@ def test_loading_a_code_eliminates_once_for_any_length(tower3, n, watch_calls):
     ranks = watch_calls(codes, "batched_rank")
     realization_from_json(obj)
     # all node bases in one stack, and every node's spanning check of its
-    # column points in one rank call
+    # column points in one rank call, on their (n, l, l) coefficients
     assert elims == [(n, 2, 4)]
-    assert ranks == [(n, 2, 4)]
+    assert ranks == [(n, 2, 2)]
 
 
 # -- subset enumeration and batched realize checks ----------------------------------
@@ -882,6 +882,41 @@ def test_realize_checks_points_in_the_per_point_order(bundle5):
     assert _outcome(realize, s, np.array(sets)) == want
     assert set(array_kinds) == {NotSpanning, DuplicatePoint,
                                 PointOutsideNode, LevelMismatch}
+
+
+@pytest.mark.parametrize("tower,n", [((3, 1, 3), 26), ((2, 2, 3), 42)],
+                         ids=str)
+def test_realize_names_the_node_whose_points_do_not_span(tower, n):
+    # at l = 3 three distinct points of a node can lie in a plane, which
+    # only the spanning rank finds; ranking the (l, l) coefficients, from
+    # the rank table over F_3 and by elimination over F_4, must name the
+    # node that ranking the points names
+    re = build(validate_params(build_tower(*tower), 2, n)).realization
+    s = re.skeleton
+    field = s.tower.base
+    q = field.order
+    rng = random.Random(n)
+    kinds = {}
+    for _ in range(150):
+        sets = re.points.copy()
+        for _ in range(rng.randint(1, 3)):
+            i, k = rng.randrange(s.n), rng.randrange(3)
+            a, b = np.delete(sets[i], k, axis=0)
+            c = rng.randrange(1, q)
+            kind = rng.randrange(3)
+            if kind == 0:    # in the plane of the node's other two points
+                sets[i, k] = field.arr_sub(a, field.arr_mul(b, c))
+            elif kind == 1:  # a multiple of another of its points
+                sets[i, k] = field.arr_mul(a, c)
+            else:            # a point of another node
+                sets[i, k] = re.points[(i + 1) % s.n, k]
+        want = _outcome(_realize_oracle, s, sets.tolist())
+        assert _outcome(realize, s, sets.tolist()) == want
+        assert _outcome(realize, s, sets) == want
+        if want is not None:
+            kinds[want[0]] = kinds.get(want[0], 0) + 1
+    assert set(kinds) == {NotSpanning, DuplicatePoint, PointOutsideNode}
+    assert kinds[NotSpanning] > 10
 
 
 def test_realize_needs_one_column_set_per_node(bundle5):

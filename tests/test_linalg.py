@@ -23,7 +23,12 @@ from mdsrepair.linalg import (
     rref_blocks,
 )
 
-from rref_oracle import meet_dim_oracle, rref_oracle, span_oracle
+from rref_oracle import (
+    column_loop_oracle,
+    meet_dim_oracle,
+    rref_oracle,
+    span_oracle,
+)
 
 F2 = build_tower(2, 1, 1).base
 F3 = build_tower(3, 1, 1).base
@@ -518,6 +523,51 @@ def test_gauss_jordan_stack_matches_rref(case):
         assert np.array_equal(red, want)
         assert rank == want_rank
         assert tuple(np.nonzero(mask)[0]) == want_piv
+
+
+# (p, m, ell) towers whose top fields run from order 2 to 1024; F_1024 is
+# built over F_2, F_4 and F_32, so its tables come from three towers
+_ORACLE_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1),
+                  (2, 3, 1), (3, 2, 1), (13, 1, 1), (2, 4, 1), (3, 1, 3),
+                  (2, 5, 1), (5, 1, 3), (2, 4, 2), (3, 5, 1), (31, 1, 2),
+                  (1021, 1, 1), (2, 1, 10), (2, 2, 5), (2, 5, 2)]
+
+
+def _oracle_stacks(field, rng):
+    """Stacks of every kind the pivot steps must get right: empty axes,
+    more rows than columns, zero blocks, repeated rows and blocks of
+    every rank below full."""
+    q = field.order
+    out = [rng.integers(0, q, shape) for shape in
+           ((0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (7, 1, 5),
+            (7, 5, 1), (6, 6, 3), (6, 3, 6), (4, 5, 5), (50, 2, 6))]
+    zero = rng.integers(0, q, (6, 4, 5))
+    zero[::2] = 0
+    repeat = rng.integers(0, q, (6, 5, 4))
+    repeat[:, 3] = repeat[:, 0]
+    repeat[:, 4] = field.arr_mul(repeat[:, 1], rng.integers(1, q))
+    deficient = np.stack([field.matmul(rng.integers(0, q, (6, t)),
+                                       rng.integers(0, q, (t, 7)))
+                          for t in (0, 1, 2, 3, 4, 5) * 2])
+    sparse = rng.integers(0, q, (40, 5, 6)) * (rng.random((40, 5, 6)) < 0.2)
+    return out + [zero, repeat, deficient, sparse]
+
+
+@pytest.mark.parametrize("tower", _ORACLE_TOWERS, ids=str)
+def test_pivot_steps_match_the_column_loop(tower):
+    # (reduced, ranks, is_piv) agree with the column loop the pivot steps
+    # replaced, values, shapes and dtypes alike
+    field = build_tower(*tower).top
+    rng = np.random.default_rng(tower[0] * 1000 + tower[1] * 10 + tower[2])
+    for a in _oracle_stacks(field, rng):
+        a = a.astype(np.int64)
+        want = column_loop_oracle(field, a)
+        got = _elimination_ranks(field, a.copy())
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y), (field, a.shape)
+        assert (want[1] <= min(a.shape[1:])).all()
+    assert field.order == tower[0] ** (tower[1] * tower[2])
 
 
 # -- one elimination per question, against the reference routes -------------------

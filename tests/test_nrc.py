@@ -403,8 +403,9 @@ def test_build_stacks_curve_subspaces_and_spanning_checks(tower3, n,
     build(validate_params(tower3, 2, n))
     # the n curve subspaces come from one stack and none from a batch of one
     assert elims.count((n, 2, 4)) == 1 and (1, 2, 4) not in elims
-    # realize checks that every node's column points span in one rank call
-    assert ranks.count((n, 2, 4)) == 1 and (1, 2, 4) not in ranks
+    # realize checks that every node's column points span in one rank call,
+    # on their (n, l, l) coefficients in the node bases
+    assert ranks.count((n, 2, 2)) == 1 and (1, 2, 2) not in ranks
 
 
 def test_build_per_node_hit_counts(bundle3, bundle5):
@@ -507,8 +508,10 @@ def test_build_fills_columns_from_two_stacks(tower3, n, watch_calls):
     # of transposed candidates [forced; curve rows]
     assert elims.count((8, 4, 8)) == 1
     assert elims.count((n, 4, 3)) == 1
-    # the only batches of one are the two repair kernels [M^T | I]
-    assert [c for c in elims if c[0] == 1] == [(1, 4, 6)] * 2
+    # the build's two repair kernels [M^T | I] are its first stack, and
+    # nothing is a batch of one
+    assert elims[0] == (2, 4, 6)
+    assert [c for c in elims if c[0] == 1] == []
     assert bundle.metrics.equality
 
 

@@ -758,9 +758,17 @@ def test_scheme_validation(tower3):
     with pytest.raises(BadRank):
         RepairScheme([Matrix(tower3.base, [[1, 0, 1, 0], [2, 0, 2, 0]])])
     good = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    other = [[0, 0, 1, 0], [0, 0, 0, 1]]
+    low = [[1, 0, 1, 0], [2, 0, 2, 0]]
+    zero = [[0] * 4] * 2
     for stack, error, message in (
-            ([good, [[1, 0, 1, 0], [2, 0, 2, 0]]], BadRank,
-             "matrix 1 does not have full row rank"),
+            ([good, low], BadRank, "matrix 1 does not have full row rank"),
+            # each distinct matrix is ranked once; a deficient one is named
+            # by the first row that holds it, also where later rows repeat it
+            ([good, other, low, good, low], BadRank, "matrix 2 does not"),
+            ([good, zero, low, zero, low], BadRank, "matrix 1 does not"),
+            ([good, other, good, other, zero, zero], BadRank,
+             "matrix 4 does not"),
             ([good, [[1, 0, 0, 0], [0, 3, 0, 0]]], LevelMismatch,
              "entry out of range"),
             (np.zeros((0, 2, 4), dtype=np.int64), BadShape,
@@ -858,13 +866,14 @@ def test_scheme_rank_check_and_kernels_are_stacked(tower3, n, watch_calls):
     bundle = build(validate_params(tower3, 2, n))
     ranks = watch_calls(repair, "batched_rank")
     sch = RepairScheme(list(bundle.scheme))
-    assert ranks == [(n, 2, 4)]  # every matrix's row rank in one call
+    # every distinct matrix's row rank in one call
+    d = len(set(_first_use(sch.stack)))
+    assert d < n
+    assert ranks == [(d, 2, 4)]
     elims = watch_calls(linalg, "_elimination_ranks")
     evaluate_scheme(bundle.realization, sch)
     # the kernel of each distinct M_i from one stack of [M_i^T | I], none
     # from a batch of one
-    d = len(set(_first_use(sch.stack)))
-    assert d < n
     assert [c for c in elims if c[1:] == (4, 6)] == [(d, 4, 6)]
 
 
