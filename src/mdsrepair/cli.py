@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
@@ -138,6 +137,9 @@ def _fan_out(worker, start: int, stop: int, jobs: int, *args) -> list:
     parts = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     if len(parts) <= 1:
         return [worker(*args, start, stop)]
+    # imported here: the pool's modules take longer to import than a
+    # one-part command runs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, *zip(*(args + part for part in parts))))
 

@@ -408,6 +408,20 @@ _BLOCK_BYTES = 1 << 20
 # between 1.7 and 7.7); the blocks of a wider row are eliminated instead.
 _BITSET_WORDS = 2
 _PACK_BOOLS = 1 << 24  # booleans packed at a time
+# A block scored by one product holds as many whole runs as keep its scores
+# and its outer runs' weighted bits within this many bytes, or one slice of
+# a longer run.
+_GEMM_BYTES = 1 << 23
+# A block is scored by one product when it holds at least this many runs of
+# at least this many row-0 entries, else by bitsets: the measured crossover
+# (single-threaded sgemm, 2-core host) lies between 32 and 64 runs, and a
+# block of runs of 27 entries or fewer loses at every size.
+_GEMM_SIDE = 64
+# Row 0 of a pattern is read by products only when its table's unpacked used
+# bits, kept once formed, take at most this many bytes.
+_DENSE_BYTES = 1 << 25
+# Floats of each type hold every integer of magnitude below their bound.
+_GEMM_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 
 
 def _kernel_masks(field: Field, vecs: np.ndarray, dims) -> list:
@@ -474,14 +488,28 @@ class _Scan:
     through q^l-entry mask tables.  Codes are formed by :meth:`add`, mod p
     in each base-p digit (XOR in characteristic 2, else a table of
     (q^l)^2 sums), from the codes of the multiples d * x, d in F_q
-    (:meth:`images`), with no field product.  A bandwidth row wider than ``_BITSET_WORDS`` words per
-    block entry keeps its entries instead, (columns, entries), and the
-    blocks of its feasible candidates are eliminated in slices whose int64
-    blocks take at most an eighth of ``_PASS_BYTES``.
+    (:meth:`images`), with no field product.  A bandwidth row wider than
+    ``_BITSET_WORDS`` words per block entry keeps its entries instead,
+    (columns, entries), and the blocks of its feasible candidates are
+    eliminated in slices whose int64 blocks take at most an eighth of
+    ``_PASS_BYTES``.
 
     :meth:`feasible` and :meth:`value` read a block of candidates: the
     outer rows gathered per run, the row-0 slice and the flat candidates
     t .. t + n - 1 of their grid (see :func:`_block`).
+
+    Bitsets can also be read by one product (:meth:`score`): the popcount
+    of an AND of 0/1 rows is their dot product.  Each of the K used bits
+    of an entry's feasibility and objective words (word padding dropped,
+    ``spans``) gets a weight w_b (``weights``): c_s on region s, 1 on an
+    io bit, and -B on a point bit, B = 1 + l * n_cols, one more than any
+    objective.  The weighted sum over the bits of the AND is then the
+    objective of a feasible candidate and at most -1 for an infeasible
+    one, so a block's first argmax is its first maximizer.  Every partial
+    sum is an integer of magnitude at most sum |w_b|, so the product is
+    exact in the first float type of ``_GEMM_EXACT`` that holds that sum
+    (``gemm_dtype``, float32 below 2^24); beyond float64 it is None and
+    only bitsets are read.  Rows kept as entries are never scored so.
     """
 
     def __init__(self, field: Field, ell: int, n_cols: int, objective: str):
@@ -506,17 +534,33 @@ class _Scan:
             self.masks = _kernel_masks(field, vecs, dims)
             weights = _nullity_weights(q, ell)
         obj_bytes = ell * n_cols * self.entry_dtype.itemsize
+        feas_words = -(-self.points[0].shape[1] // 64)
+        self.gemm_dtype = None
         if self.masks is not None:
-            ends = list(itertools.accumulate(
-                (-(-n_cols * m.shape[1] // 64) for m in self.masks),
-                initial=0))
+            sizes = [n_cols * m.shape[1] for m in self.masks]
+            ends = list(itertools.accumulate((-(-k // 64) for k in sizes),
+                                             initial=0))
             self.regions = list(zip(ends, ends[1:], weights))
             # the least signed type that holds every sum_s c_s N_s and -1
             self.value_dtype = np.min_scalar_type(-1 - sum(
                 abs(c) * (64 * (w1 - w0) + 1) for w0, w1, c in self.regions))
             obj_bytes = 8 * ends[-1]
+            # the used bits of an entry's feasibility then objective words
+            # and their weights: -B on a point, B = 1 + the largest
+            # objective, so that an infeasible candidate scores at most -1
+            spans = [(0, self.points[0].shape[1], -1 - ell * n_cols)] + [
+                (64 * (feas_words + w0), k, c)
+                for (w0, _, c), k in zip(self.regions, sizes)]
+            self.spans = [(b, b + k) for b, k, _ in spans]
+            weights = np.concatenate([np.full(k, c) for _, k, c in spans])
+            # every partial sum of a score is an integer of magnitude at
+            # most sum |w_b|
+            bound = int(np.abs(weights).sum())
+            self.gemm_dtype = next((t for t, exact in _GEMM_EXACT
+                                    if bound < exact), None)
+            self.weights = weights.astype(self.gemm_dtype or np.float64)
         # the bytes of one table entry, feasibility and objective
-        self.entry_bytes = 8 * -(-self.points[0].shape[1] // 64) + obj_bytes
+        self.entry_bytes = 8 * feas_words + obj_bytes
 
     def images(self, rows: np.ndarray) -> np.ndarray:
         """(q, len(rows), helpers): the codes of d * rows[t] per helper."""
@@ -582,6 +626,31 @@ class _Scan:
             value[part] = (ell - ranks.reshape(len(part), h)).sum(axis=1)
         return value
 
+    def unpack(self, words: np.ndarray, dtype) -> np.ndarray:
+        """(m, K): the used bits of (feasibility then objective words, m)
+        word-major bitsets as ``dtype``, word padding dropped."""
+        bits = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8),
+                             axis=1, bitorder="little")
+        out = np.empty((len(bits), len(self.weights)), dtype=dtype)
+        return np.concatenate([bits[:, a:b] for a, b in self.spans], axis=1,
+                              out=out)
+
+    def score(self, outer, head: np.ndarray, t: int, n: int) -> np.ndarray:
+        """Each candidate's objective where feasible, at most -1 where not.
+
+        ``outer`` holds the feasibility then objective words of rows 1 ..
+        l-1 per run, (words, runs), ANDed in the first, and ``head`` the
+        used bits of the row-0 entries every run reads, (entries, K).  The
+        (runs, entries) grid of scores is one product of the AND's used
+        bits, weighted, with the head's (with no outer rows, of the
+        weights), read at flat candidates t .. t + n - 1."""
+        if not outer:
+            return (head @ self.weights)[t:t + n]
+        acc = functools.reduce(lambda x, y: np.bitwise_and(x, y, out=x), outer)
+        lhs = self.unpack(acc, head.dtype)
+        lhs *= self.weights
+        return (lhs @ head.T).ravel()[t:t + n]
+
 
 class _RowTable:
     """Row r of M H_i and of M T for the candidates of a window of one pattern.
@@ -621,6 +690,17 @@ class _RowTable:
         self.feas, self.obj = (parts[0] if len(parts) == 1 else
                                np.concatenate(parts, axis=1)
                                for parts in (feas, obj))
+        self._dense = None
+
+    def dense(self, e0: int, e1: int) -> np.ndarray:
+        """Entries e0 .. e1 - 1 as their used bits, (entries, K) in the
+        scan's product dtype (:meth:`_Scan.unpack`), from the whole table
+        unpacked once."""
+        if self._dense is None:
+            self._dense = self._scan.unpack(np.concatenate([self.feas,
+                                                            self.obj]),
+                                            self._scan.gemm_dtype)
+        return self._dense[e0:e1]
 
     def _codes(self, images: np.ndarray, w0: int, n: int) -> np.ndarray:
         """(n, helpers): the codes of entries w0 .. w0 + n - 1.
@@ -673,20 +753,33 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
     :class:`_RowTable`) whose bitsets are ANDed and counted, not
     multiplied (see :class:`_Scan`).  Row 0 holds the lowest f0 digits of
     a candidate's index, so a pattern is runs of q^f0 candidates that
-    share rows 1 .. l-1 and read row 0's entries in order.  A block is
-    as many whole runs as keep its grids within ``_BLOCK_BYTES`` at
-    ``entry_bytes`` a candidate, K = max(1, per // run) for per =
+    share rows 1 .. l-1 and read row 0's entries in order.  A bitset
+    block is as many whole runs as keep its grids within ``_BLOCK_BYTES``
+    at ``entry_bytes`` a candidate, max(1, per // run) runs for per =
     ``_BLOCK_BYTES`` // ``entry_bytes``, or a slice of per candidates of
-    a longer run: its outer rows are gathered and ANDed once per run, then ANDed
-    with one slice of row 0's table by broadcasting, and its candidates
-    are a flat slice of that grid, in ascending index.  Feasibility is
-    read for the whole block, then the objective, -1 where infeasible,
-    so the block's first maximizer is its first argmax.  A row gets one
-    table over the scanned part of its pattern when its bitsets take at
-    most ``_ROW_TABLE_BYTES``; such a table never has more entries than
-    the part has candidates.  Otherwise each block gets its own table.
-    A part shorter than a run reads row 0 from a table in window order,
-    so that its blocks end with their run.
+    a longer run (:func:`_cell`): its outer rows are gathered and ANDed
+    once per run, then ANDed with one slice of row 0's table by
+    broadcasting, and its candidates are a flat slice of that grid, in
+    ascending index.  Feasibility is read for the whole block, then the
+    objective, -1 where infeasible, so the block's first maximizer is its
+    first argmax.
+
+    A block may instead be scored by one product (:meth:`_Scan.score`),
+    whose scores order candidates as the bitsets' values do.  Its cell
+    holds as many runs as keep its scores and its outer runs' weighted
+    bits within ``_GEMM_BYTES``; the block from ``a`` takes this route
+    when it holds at least ``_GEMM_SIDE`` runs of at least ``_GEMM_SIDE``
+    entries, and is otherwise cut as a bitset block.  Few runs leave the
+    product reading each row-0 entry's K floats for few candidates, and
+    short runs leave it unpacking each outer run's K bits for few, so
+    either loses to the bitsets.  Only patterns whose row-0 table unpacks
+    (:meth:`_RowTable.dense`) within ``_DENSE_BYTES`` are scored so.
+
+    A row gets one table over the scanned part of its pattern when its
+    bitsets take at most ``_ROW_TABLE_BYTES``; such a table never has
+    more entries than the part has candidates.  Otherwise each block gets
+    its own table.  A part shorter than a run reads row 0 from a table in
+    window order, so that its blocks end with their run.
     """
     q = field.order
     scan = _Scan(field, ell, targets.shape[1] // ell, objective)
@@ -700,32 +793,50 @@ def _bruteforce(field: Field, targets: np.ndarray, block_i: np.ndarray,
             rows.append((o, len(cols) - 1, block_i[cols], targets[cols]))
             o += len(cols) - 1
         run = q ** rows[0][1]
-        per = max(1, _BLOCK_BYTES // scan.entry_bytes)
-        cell = min(max(1, per // run) * run, per)
+        cell = _cell(_BLOCK_BYTES / scan.entry_bytes, run)
+        wide = None
+        if scan.gemm_dtype is not None and \
+                run * scan.weights.nbytes <= _DENSE_BYTES:
+            # bytes a candidate: its score, and 1/run of an outer run's
+            # unpacked bits and their weighted floats
+            k, size = len(scan.weights), scan.weights.itemsize
+            wide = _cell(_GEMM_BYTES / (size + k * (size + 1) / run), run)
         shared = [_RowTable(scan, row, lo, hi, bound)
                   if _window_count(q, row, lo, hi) * scan.entry_bytes
                   <= _ROW_TABLE_BYTES else None for row in rows]
         a = lo
         while a < hi:
-            b = min(hi, a - a % cell + cell)
-            if cell < run or hi - lo < run:
-                b = min(b, a - a % run + run)
+            gemm = wide is not None
+            if gemm:  # the product's block, if its shape pays
+                b = _block_end(a, lo, hi, wide, run)
+                runs = (b - 1) // run - a // run + 1
+                gemm = min(runs, run if runs > 1 else b - a) >= _GEMM_SIDE
+            if not gemm:
+                b = _block_end(a, lo, hi, cell, run)
             head, *outer = [t or _RowTable(scan, row, a, b, bound)
                             for t, row in zip(shared, rows)]
             u0, u1 = a // run, (b - 1) // run + 1
             e = (a - head.first) % head.count
             e0, e1, t = (e, e + b - a, 0) if u1 - u0 == 1 else (0, run, e)
             at = [o.index(u0, u1, run) for o in outer]
-            feasible = scan.feasible([np.take(o.feas, i, axis=1)
-                                      for o, i in zip(outer, at)],
-                                     head.feas[:, e0:e1], t, b - a)
-            if feasible.any():
+            if gemm:
+                value = scan.score([np.concatenate([np.take(o.feas, i, axis=1),
+                                                    np.take(o.obj, i, axis=1)])
+                                    for o, i in zip(outer, at)],
+                                   head.dense(e0, e1), t, b - a)
+            else:
+                feasible = scan.feasible([np.take(o.feas, i, axis=1)
+                                          for o, i in zip(outer, at)],
+                                         head.feas[:, e0:e1], t, b - a)
+                if not feasible.any():
+                    a = b
+                    continue
                 value = scan.value([np.take(o.obj, i, axis=1)
                                     for o, i in zip(outer, at)],
                                    head.obj[:, e0:e1], t, b - a, feasible)
-                j = int(np.argmax(value))
-                if value[j] > best:
-                    best, best_at = int(value[j]), offset + a + j
+            j = int(np.argmax(value))
+            if value[j] > best:
+                best, best_at = int(value[j]), offset + a + j
             a = b
     witness = None
     if best_at is not None:
@@ -737,6 +848,23 @@ def _window_count(q: int, row, a: int, b: int) -> int:
     """Entries of the table of ``row`` over the window [a, b)."""
     o, f, _, _ = row
     return min((b - 1) // q ** o - a // q ** o + 1, q ** f)
+
+
+def _cell(per: float, run: int) -> int:
+    """The candidates of a block whose budget holds ``per`` of them: as
+    many whole runs as fit, at least one, or ``per`` of a longer run."""
+    per = max(1, int(per))
+    return min(max(1, per // run) * run, per)
+
+
+def _block_end(a: int, lo: int, hi: int, cell: int, run: int) -> int:
+    """The end of the block from ``a`` in the part [lo, hi): blocks are
+    whole cells of the pattern, cut at run ends when a cell is shorter
+    than a run or the part is."""
+    b = min(hi, a - a % cell + cell)
+    if cell < run or hi - lo < run:
+        b = min(b, a - a % run + run)
+    return b
 
 
 def _scan_node(s: CodeSkeleton, stack: np.ndarray, i: int, objective: str,
@@ -982,7 +1110,8 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
     :class:`NotARepairMatrix` naming node i), that both routes agree on
     every block and that io is not below bandwidth; then, row by row
     again, the incidence cap, the dual-cover total against the ranks, and
-    no covector counted r times.  The cap and the r-fold cover are
+    no covector counted r times.  Each is one whole-array step that
+    raises what the first failing row would.  The cap and the r-fold cover are
     breaches only on a verified MDS skeleton, which is consulted only
     then (within ``budget``, see :meth:`CodeSkeleton.mds_witness`).  A
     breach raises :class:`InternalInconsistency` naming its node; a
@@ -1056,7 +1185,9 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
                                    (ranks, dims, columns, mults))
 
     singular = own_rk != ell
-    for a in np.flatnonzero(singular | route | (io < bw)):
+    faulty = singular | route | (io < bw)
+    if faulty.any():
+        a = int(np.argmax(faulty))
         i = int(nodes[a])
         if singular[a]:
             raise NotARepairMatrix(i)
@@ -1064,22 +1195,25 @@ def _scheme_pass(s: CodeSkeleton, col_stack: np.ndarray, nodes,
             raise InternalInconsistency(
                 f"rank route and kernel route disagree at node {i}")
         raise InternalInconsistency(f"io below bandwidth at node {i}")
-    cap = (r - 1) * projective_point_count(q, ell)
-    over = (points > cap) | (mults.max(axis=1) > r - 1)
-    for a in np.flatnonzero(over | (mults.sum(axis=1) != covered)):
+    capped = points > (r - 1) * projective_point_count(q, ell)
+    covers = mults.max(axis=1) > r - 1
+    miscount = mults.sum(axis=1) != covered
+    flagged = capped | covers | miscount
+    if flagged.any():
+        # as if row by row: the first flagged row asks for the verdict
+        # unless its count is wrong and it is under the cap; a verified MDS
+        # skeleton then fails there, and any other only on a wrong count
+        a = int(np.argmax(flagged))
         i = int(nodes[a])
-        if points[a] > cap and s.mds_witness(budget) is None:
+        if (capped[a] or not miscount[a]) and s.mds_witness(budget) is None:
+            breach = ("incidence cap violated" if capped[a] else
+                      "dual point covered r times")
             raise InternalInconsistency(
-                f"incidence cap violated at node {i} on a verified MDS "
-                "skeleton")
-        if mults[a].sum() != covered[a]:
+                f"{breach} at node {i} on a verified MDS skeleton")
+        if miscount.any():
             raise InternalInconsistency(
                 "dual cover bookkeeping does not match intersection "
-                f"dimensions at node {i}")
-        if mults[a].max() > r - 1 and s.mds_witness(budget) is None:
-            raise InternalInconsistency(
-                f"dual point covered r times at node {i} on a verified MDS "
-                "skeleton")
+                f"dimensions at node {int(nodes[np.argmax(miscount)])}")
     return SchemePass(ranks, dims, columns, mults=mults, points=points,
                       bandwidth=tuple(int(b) for b in bw),
                       io=tuple(int(g) for g in io))

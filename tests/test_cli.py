@@ -1,10 +1,14 @@
+import concurrent.futures
 import copy
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -609,11 +613,35 @@ def test_jobs_clamped_to_cpu_count(workspace, monkeypatch, capsys, command):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # _fan_out imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert main(argv + ["--jobs", str(10 ** 6)]) == 0
     assert pools == [3]
     assert json.loads(capsys.readouterr().out) == solo
+
+
+def test_one_part_commands_import_no_pool(workspace):
+    # the pool's modules are imported only when a command runs more than
+    # one part, so a --jobs 1 command pays nothing for them
+    script = ("import sys\n"
+              "from mdsrepair.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith("
+              "('multiprocessing', 'concurrent.futures.'))), file=sys.stderr)")
+    src = str(Path(mdsrepair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    for argv in (["bruteforce", str(workspace / "code.json"), "--node", "2",
+                  "--jobs", "1"],
+                 ["simulate", str(workspace / "code.json"),
+                  str(workspace / "scheme.json"), "--trials", "1",
+                  "--jobs", "2"]):  # one trial: one part
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().splitlines()[-1] == "[]"
 
 
 def test_bruteforce_budget_exit(workspace, capsys):

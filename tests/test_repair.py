@@ -19,7 +19,7 @@ from pass_oracle import (
 from replay_oracle import NodeView, node_states_oracle, node_view
 from row_table_oracle import row_table_oracle
 from rref_oracle import meet_dim_oracle, meet_dims_oracle
-from mdsrepair.codes import CodeSkeleton, realize
+from mdsrepair.codes import CodeSkeleton, realization_from_json, realize
 from mdsrepair.errors import (
     BadRank,
     BadShape,
@@ -377,6 +377,11 @@ def test_subspace_counts_give_the_total_nullity(p, m, ell):
         feas = [scan.feas_form((field.matmul(mm[r:r + 1], h[0])
                                 @ scan.powers)[:, None]) for r in range(ell)]
         assert scan.feasible(feas[1:], feas[0], 0, 1)[0] == (nullity[0] == 0)
+        # the product's score: the total nullity if feasible, else <= -1
+        words = [np.concatenate(w) for w in zip(feas, rows)]
+        score = scan.score(words[1:], scan.unpack(words[0], scan.gemm_dtype),
+                           0, 1)[0]
+        assert score == nullity.sum() if nullity[0] == 0 else score <= -1
 
 
 def _mds_f3_ell6():
@@ -447,14 +452,20 @@ def _scan_points(q3, q5):
                                (repair, "_BLOCK_BYTES"): 4800}
     yield q5, 3, (1000, 9000), {(repair, "_ROW_TABLE_BYTES"): 0,
                                 (repair, "_BLOCK_BYTES"): 4800}
-    # l = 1 (a pattern is one run, 16 bytes a candidate) and l = 3 (two
-    # outer rows, 112 and 24 bytes a candidate)
-    yield from ((l1, i, None, {(repair, "_BLOCK_BYTES"): 1600})
+    # l = 1 (a pattern is one run, 16 bytes a candidate; products of 9
+    # used bits, read in slices of 12 candidates) and l = 3 (two outer
+    # rows, 112 and 24 bytes a candidate)
+    yield from ((l1, i, None, {(repair, "_BLOCK_BYTES"): 1600,
+                               (repair, "_GEMM_BYTES"): 64})
                 for i in (0, 7))
     yield l3, 13, (50, 19000), {(repair, "_BLOCK_BYTES"): 2400}
+    # at the default crossover, a product block of 119 (bandwidth) or 144
+    # (io) runs of 625, then bitset blocks for the other 41 or 16 runs
+    yield q5, 0, (0, 100000), {(repair, "_GEMM_BYTES"): 400000}
 
 
-def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
+def _oracle_calls(monkeypatch):
+    """Record (scan result, oracle result) of every _bruteforce call."""
     calls = []
     scan = repair._bruteforce
 
@@ -464,6 +475,18 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
         return got
 
     monkeypatch.setattr(repair, "_bruteforce", both)
+    return calls
+
+
+def _same_result(got, oracle):
+    (value, witness, count), (o_value, o_witness, o_count) = got, oracle
+    return (value, count) == (o_value, o_count) and (
+        witness is None if o_witness is None
+        else np.array_equal(witness, o_witness))
+
+
+def _assert_scans_match_the_oracle(bundle3, bundle5, monkeypatch):
+    calls = _oracle_calls(monkeypatch)
     for re, i, rng, patches in _scan_points(bundle3.realization,
                                             bundle5.realization):
         with monkeypatch.context() as patch:
@@ -481,14 +504,125 @@ def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
         repair._bruteforce(s.tower.base, linalg._columns(stack),
                            linalg._columns(s.bases[[0]]), s.ell, s.ambient,
                            objective, 0, 30000)
-    assert len(calls) == 2 * 45
-    for (value, witness, count), (o_value, o_witness, o_count) in calls:
-        assert (value, count) == (o_value, o_count)
-        if o_witness is None:
-            assert witness is None
-        else:
-            assert np.array_equal(witness, o_witness)
+    assert len(calls) == 2 * 46
+    assert all(_same_result(*c) for c in calls)
     assert {c[0][0] for c in calls} >= {-1, 4, 5}  # infeasible ranges too
+
+
+def _spy_routes(monkeypatch):
+    """Record each block's route: for every product block its outer rows,
+    runs, entries and best score, and for every bitset block its runs and
+    entries."""
+    routes = {"gemm": [], "bitsets": []}
+    score, block = repair._Scan.score, repair._block
+
+    def score_spy(self, outer, head, t, n):
+        got = score(self, outer, head, t, n)
+        routes["gemm"].append((len(outer), outer[0].shape[1] if outer else 1,
+                               len(head), got.max()))
+        return got
+
+    def block_spy(outer, head, t, n):
+        routes["bitsets"].append((outer[0].shape[1] if outer else 1,
+                                  head.shape[1]))
+        return block(outer, head, t, n)
+
+    monkeypatch.setattr(repair._Scan, "score", score_spy)
+    monkeypatch.setattr(repair, "_block", block_spy)
+    return routes
+
+
+def test_bruteforce_matches_the_matmul_oracle(bundle3, bundle5, monkeypatch):
+    routes = _spy_routes(monkeypatch)
+    _assert_scans_match_the_oracle(bundle3, bundle5, monkeypatch)
+    # the default crossover takes both routes: one block of the q=5
+    # [0, 100000) point each way per objective, l = 1 never a product
+    assert sorted(r[1:3] for r in routes["gemm"]) == [(119, 625),
+                                                       (144, 625)]
+    assert routes["bitsets"]
+
+
+@pytest.mark.parametrize("side, route", [(0, "gemm"),
+                                         (float("inf"), "bitsets")])
+def test_both_routes_match_the_matmul_oracle(bundle3, bundle5, monkeypatch,
+                                             side, route):
+    # every block forced onto one route: l = 1 (no outer rows), l = 3,
+    # slices shorter than a run, blocks with nothing feasible, windows
+    # past 2^62; eliminated bandwidth rows are never products
+    routes = _spy_routes(monkeypatch)
+    monkeypatch.setattr(repair, "_GEMM_SIDE", side)
+    _assert_scans_match_the_oracle(bundle3, bundle5, monkeypatch)
+    assert routes[route]
+    if route == "bitsets":
+        assert not routes["gemm"]
+    else:
+        outer, runs, _, best = zip(*routes["gemm"])
+        assert set(outer) == {0, 1, 2} and max(runs) > 1  # l = 1, 2, 3
+        assert min(best) < 0  # a block with nothing feasible
+
+
+def test_products_keep_the_first_of_maximizers_tied_across_blocks(
+        bundle5, monkeypatch):
+    # blocks of two runs each reach the range's optimum, the first block
+    # that does holds the first maximizer, and a later tie never replaces it
+    routes = _spy_routes(monkeypatch)
+    calls = _oracle_calls(monkeypatch)
+    monkeypatch.setattr(repair, "_GEMM_SIDE", 0)
+    monkeypatch.setattr(repair, "_GEMM_BYTES", 7000)
+    re = bundle5.realization
+    for scan in (bruteforce_overlap, bruteforce_column_hits):
+        routes["gemm"].clear()
+        value, _ = scan(re if scan is bruteforce_column_hits else re.skeleton,
+                        0, index_range=(1000, 9000))
+        runs = [r for _, r, _, _ in routes["gemm"]]
+        assert len(runs) == 8 and set(runs) == {2, 1}  # 2-run blocks
+        ties = [best for _, _, _, best in routes["gemm"] if best == value]
+        assert len(ties) >= 5
+    assert len(calls) == 2 and all(_same_result(*c) for c in calls)
+
+
+def test_product_dtype_follows_the_exactness_bound(bundle5, monkeypatch):
+    # every partial sum of a score is an integer of magnitude at most
+    # sum |w_b|: float32 is taken below its 2^24 bound, float64 at or
+    # above it, and no product past float64's bound; here both bounds are
+    # moved to the scan's own sum, and the float64 route keeps the results
+    field, (q, ell, h) = bundle5.skeleton.tower.base, (5, 2, 23)
+    points = (1 + ell * h) * projective_point_count(q, ell)  # B per point
+    sums = {"overlap": points + sum(
+        abs(c) * h * gaussian_binomial(ell, s, q)
+        for s, c in enumerate(repair._nullity_weights(q, ell), 1)),
+            "columns": points + h * ell}
+    assert sums == {"overlap": 512, "columns": 328}
+    assert repair._GEMM_EXACT == ((np.float32, 1 << 24),
+                                  (np.float64, 1 << 53))
+    for objective, total in sums.items():
+        scan = repair._Scan(field, ell, h, objective)
+        assert scan.gemm_dtype is np.float32
+        assert np.abs(scan.weights).sum() == total
+        for bounds, dtype in (((total + 1, total + 1), np.float32),
+                              ((total, total + 1), np.float64),
+                              ((total, total), None)):
+            with monkeypatch.context() as patch:
+                patch.setattr(repair, "_GEMM_EXACT",
+                              ((np.float32, bounds[0]),
+                               (np.float64, bounds[1])))
+                assert repair._Scan(field, ell, h, objective).gemm_dtype \
+                    is dtype
+    routes = _spy_routes(monkeypatch)
+    calls = _oracle_calls(monkeypatch)
+    monkeypatch.setattr(repair, "_GEMM_SIDE", 0)
+    re = bundle5.realization
+    for bounds, dtype in (((512, 1 << 53), np.float64),
+                          ((512, 512), None)):
+        monkeypatch.setattr(repair, "_GEMM_EXACT", ((np.float32, bounds[0]),
+                                                    (np.float64, bounds[1])))
+        routes["gemm"].clear()
+        routes["bitsets"].clear()
+        bruteforce_overlap(re.skeleton, 0, index_range=(0, 60000))
+        assert {best.dtype for *_, best in routes["gemm"]} == (
+            {np.dtype(dtype)} if dtype else set())
+        assert bool(routes["bitsets"]) == (dtype is None)
+    assert len(calls) == 2 and all(_same_result(*c) for c in calls)
 
 
 def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
@@ -508,52 +642,71 @@ def test_bruteforce_row_tables_stay_within_the_window(bundle5, monkeypatch):
     bruteforce_column_hits(re, 0, index_range=(2 ** 70, 2 ** 70 + 3000))
     assert tables and all(count <= b - a for count, (a, b), _ in tables)
     assert max(count for count, _, _ in tables) == 3000  # not 3^12
-    tables.clear()
     cap = 40 * 625 - 1  # 40 bytes an entry: row 0's 625 entries are over
     monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", cap)
-    monkeypatch.setattr(repair, "_BLOCK_BYTES", 13 * 625 * 40)  # 13 runs
-    bruteforce_overlap(bundle5.skeleton, 1, index_range=(0, 20000))
-    shared = [t for t in tables if t[1] == (0, 20000)]
-    chunked = [count for count, (a, b), _ in tables if (a, b) != (0, 20000)]
-    assert [count for count, _, _ in shared] == [32]  # row 1: 20000 // 625 + 1
-    assert all(size <= cap for _, _, size in shared)
-    assert chunked == [625] * 3  # row 0, once per block of 13 runs
+    # blocks of 13 runs on either route: a product block at 4 bytes a
+    # score and 167 * 5 / 625 bytes of outer bits a candidate
+    for side, name, budget in ((float("inf"), "_BLOCK_BYTES", 13 * 625 * 40),
+                               (0, "_GEMM_BYTES", 43400)):
+        tables.clear()
+        monkeypatch.setattr(repair, "_GEMM_SIDE", side)
+        monkeypatch.setattr(repair, name, budget)
+        bruteforce_overlap(bundle5.skeleton, 1, index_range=(0, 20000))
+        shared = [t for t in tables if t[1] == (0, 20000)]
+        chunked = [count for count, (a, b), _ in tables
+                   if (a, b) != (0, 20000)]
+        # row 1: 20000 // 625 + 1 entries
+        assert [count for count, _, _ in shared] == [32]
+        assert all(size <= cap for _, _, size in shared)
+        assert chunked == [625] * 3  # row 0, once per block of 13 runs
 
 
 def test_bruteforce_blocks_stay_within_the_byte_budget(bundle5, monkeypatch):
-    # a block's grid of runs x row-0 entries never takes more than
-    # _BLOCK_BYTES at _Scan.entry_bytes a candidate, and holds as many
-    # whole runs as fit, or one slice of a longer run
-    scans, grids = [], []
-    scan_class, block = repair._Scan, repair._block
+    # a bitset block's grid of runs x row-0 entries never takes more than
+    # _BLOCK_BYTES at _Scan.entry_bytes a candidate, and a product block's
+    # never more than _GEMM_BYTES at a score and 1/run of an outer run's
+    # weighted bits a candidate; each holds as many whole runs as fit, or
+    # one slice of a longer run
+    scans = []
+    scan_class = repair._Scan
 
     def scan_spy(*args):
         scans.append(scan_class(*args))
         return scans[-1]
 
-    def block_spy(outer, head, t, n):
-        grids.append((outer[0].shape[1] if outer else 1) * head.shape[1])
-        return block(outer, head, t, n)
-
+    routes = _spy_routes(monkeypatch)
     monkeypatch.setattr(repair, "_Scan", scan_spy)
-    monkeypatch.setattr(repair, "_block", block_spy)
     re = bundle5.realization
-    for budget, words in ((repair._BLOCK_BYTES, 2), (12000, 2),
-                          (80000, 2), (80000, 0)):
-        monkeypatch.setattr(repair, "_BLOCK_BYTES", budget)
+    cases = [("bitsets", "_BLOCK_BYTES", budget, words)
+             for budget, words in ((repair._BLOCK_BYTES, 2), (12000, 2),
+                                   (80000, 2), (80000, 0))]
+    cases += [("gemm", "_GEMM_BYTES", budget, 2)
+              for budget in (repair._GEMM_BYTES, 400000, 30000, 3000)]
+    for route, name, budget, words in cases:
+        monkeypatch.setattr(repair, "_GEMM_SIDE",
+                            0 if route == "gemm" else float("inf"))
+        monkeypatch.setattr(repair, name, budget)
         monkeypatch.setattr(repair, "_BITSET_WORDS", words)  # 0: eliminated
         for scan, rng in itertools.product(
                 (lambda r: bruteforce_overlap(re.skeleton, 1, index_range=r),
                  lambda r: bruteforce_column_hits(re, 1, index_range=r)),
                 ((100, 5000), (1000, 1500), (0, 200000))):
             scans.clear()
-            grids.clear()
+            for blocks in routes.values():
+                blocks.clear()
             scan(rng)
-            size = scans[0].entry_bytes
+            if route == "gemm":
+                size = scans[0].weights.itemsize
+                size += len(scans[0].weights) * (size + 1) / 625
+                grids = [r * e for _, r, e, _ in routes["gemm"]]
+            else:
+                size = scans[0].entry_bytes
+                grids = [r * e for r, e in routes["bitsets"]]
             assert grids and max(grids) * size <= budget
-            if rng == (0, 200000):  # runs of 625, many blocks
-                per = budget // size
-                assert max(grids) == min(max(1, per // 625) * 625, per)
+            if rng == (0, 200000):  # 320 runs of 625
+                per = int(budget / size)
+                assert max(grids) == min(max(1, per // 625) * 625, per,
+                                         200000)
     assert {s.entry_bytes for s in scans} >= {16}
 
 
@@ -562,28 +715,41 @@ def test_bruteforce_forms_each_row_entry_once_per_pattern(bundle5,
     # a row 0 whose runs are longer than a block but whose table fits the
     # byte cap (q=7 r=4 n=48 node 1, shrunk to runs of 625 candidates and
     # blocks of 300) is formed once per pattern, a slice at a time, and
-    # every block reads it
-    formed = []
+    # every block reads it; on the product route each such table is also
+    # unpacked once
+    formed, unpacked = [], []
 
     class Spy(repair._RowTable):
         def _codes(self, images, w0, n):
             formed.append((self, w0, n))
             return super()._codes(images, w0, n)
 
+    unpack = repair._Scan.unpack
+    monkeypatch.setattr(repair._Scan, "unpack", lambda self, words, dtype: (
+        unpacked.append(words.shape[1]), unpack(self, words, dtype))[1])
     monkeypatch.setattr(repair, "_RowTable", Spy)
-    monkeypatch.setattr(repair, "_BLOCK_BYTES", 300 * 40)
     monkeypatch.setattr(repair, "_ROW_TABLE_BYTES", 625 * 40)
-    bruteforce_overlap(bundle5.skeleton, 1,
-                       index_range=(385000, 395000))  # two patterns
-    heads = list(dict.fromkeys(t for t, _, _ in formed if t.step == 1))
-    assert len(heads) == 2 and all(t.count == 625 for t in heads)
-    for head in heads:
-        slices = [(w0, n) for t, w0, n in formed if t is head]
-        assert len(slices) > 2  # sliced
-        # every entry w = 0 .. 624 formed once, in order
-        assert [w0 for w0, _ in slices] == list(
-            itertools.accumulate([n for _, n in slices[:-1]], initial=0))
-        assert sum(n for _, n in slices) == 625
+    # blocks of 300 candidates on either route (see above)
+    for side, name, budget in ((float("inf"), "_BLOCK_BYTES", 300 * 40),
+                               (0, "_GEMM_BYTES", 1601)):
+        formed.clear()
+        unpacked.clear()
+        monkeypatch.setattr(repair, "_GEMM_SIDE", side)
+        monkeypatch.setattr(repair, name, budget)
+        bruteforce_overlap(bundle5.skeleton, 1,
+                           index_range=(385000, 395000))  # two patterns
+        heads = list(dict.fromkeys(t for t, _, _ in formed if t.step == 1))
+        assert len(heads) == 2 and all(t.count == 625 for t in heads)
+        for head in heads:
+            slices = [(w0, n) for t, w0, n in formed if t is head]
+            assert len(slices) > 2  # sliced
+            # every entry w = 0 .. 624 formed once, in order
+            assert [w0 for w0, _ in slices] == list(
+                itertools.accumulate([n for _, n in slices[:-1]], initial=0))
+            assert sum(n for _, n in slices) == 625
+        # the outer rows of one run a block, and each head once
+        assert sorted(set(unpacked)) == ([1, 625] if side == 0 else [])
+        assert unpacked.count(625) == (2 if side == 0 else 0)
 
 
 def _assert_table_matches_the_oracle(scan, row, a, b, bound):
@@ -1162,6 +1328,70 @@ def test_scheme_pass_matches_the_per_row_route(bundle3, bundle5,
     # nodes 4..7 are not the first node of the matrix they share
     assert refused == [(NotARepairMatrix, str(NotARepairMatrix(j)))
                        for j in range(8)]
+
+
+@pytest.mark.parametrize("n, nodes, at, counted", [
+    (12, range(12), 0, 0),  # every node over the cap
+    (4, range(4), 0, 0),  # node 0 under the cap, node 1 over it
+    (4, [1, 0], -1, 0),  # node 1 over the cap first, node 0 off later
+])
+def test_scheme_pass_checks_flagged_rows_as_row_by_row(tmp_path, monkeypatch,
+                                                       n, nodes, at, counted):
+    # on the non-MDS wide code a fault adds one more point to the first
+    # (at = 0) or last (-1) rank-deficient block, so that the dual-cover
+    # total of node ``counted`` is off.  The first error, its message and
+    # whether an undecided verdict (budget 1) wins are those of the
+    # row-by-row route: a row over the cap asks for the verdict before its
+    # total is checked, one under it does not
+    import pass_oracle
+    from test_certificate import _wide_code
+
+    code, scheme = _wide_code(tmp_path / "wide", n)
+    with open(code) as f:
+        re = realization_from_json(json.load(f))[0]
+    s = re.skeleton
+    with open(scheme) as f:
+        sch, _ = scheme_from_json(json.load(f), s.tower.base)
+    real = repair._left_kernel_points
+
+    def extra(field, blocks, lookup):
+        block, index = real(field, blocks, lookup)
+        return (np.append(block, block[at]), np.append(index, index[at]))
+
+    def outcome(route, verdict):
+        s._mds = None if verdict == "verified" else False  # False: not asked
+        try:
+            sp = route(s, re.column_stack(), nodes, sch.stack[list(nodes)],
+                       1 if verdict == "undecided" else 100)
+        except (BudgetExceeded, InternalInconsistency) as exc:
+            return type(exc).__name__, str(exc)
+        return sp.bandwidth, sp.io
+
+    got = {}
+    for fault in (False, True):
+        if fault:
+            monkeypatch.setattr(repair, "_left_kernel_points", extra)
+            monkeypatch.setattr(pass_oracle, "_left_kernel_points", extra)
+        for verdict in ("open", "verified", "undecided"):
+            got[fault, verdict] = outcome(repair._scheme_pass, verdict)
+            assert got[fault, verdict] == outcome(scheme_pass_oracle, verdict)
+    capped = 0 if n == 12 else 1  # the first row over the cap
+    cap = ("InternalInconsistency", f"incidence cap violated at node "
+           f"{capped} on a verified MDS skeleton")
+    count = ("InternalInconsistency", "dual cover bookkeeping does not "
+             f"match intersection dimensions at node {counted}")
+    undecided = ("BudgetExceeded", str(BudgetExceeded(
+        n * (n - 1) // 2, "2-subsets of nodes",
+        "the labels do not certify the code MDS; raise the budget")))
+    assert isinstance(got[False, "open"][0], tuple)  # not MDS: no breach
+    assert got[False, "verified"] == cap
+    assert got[False, "undecided"] == undecided
+    assert got[True, "open"] == count
+    if nodes[0] == 0 and n == 4:  # node 0 fails first, without the verdict
+        assert got[True, "verified"] == got[True, "undecided"] == count
+    else:
+        assert got[True, "verified"] == cap
+        assert got[True, "undecided"] == undecided
 
 
 def test_node_states_match_the_per_row_route(bundle3, bundle5,
